@@ -24,7 +24,6 @@ from .hwmodel import (
     FixedFormat,
     HwPipeline,
     HwProfile,
-    mac_weighted_sum,
     quantize,
     resource_report,
     run_hw_pipeline,
@@ -50,7 +49,7 @@ __all__ = [
     "EngineConfig", "FixationRecord", "FrameHistory", "FrameRGB", "Resolution",
     "hw_variant", "load_config", "parse_config", "validate_frame",
     "ConfigError", "DimensionError", "FormatError", "MetricError", "PodvsError",
-    "FixedFormat", "HwPipeline", "HwProfile", "mac_weighted_sum", "quantize",
+    "FixedFormat", "HwPipeline", "HwProfile", "quantize",
     "resource_report", "run_hw_pipeline",
     "GroupingBanks", "build_banks", "load_banks", "save_banks",
     "FixationSet", "MetricConfig", "auc_roc", "kld", "nss", "pcc",

@@ -12,10 +12,12 @@ The hardware splits a frame into seven stages per feature channel:
   P7  winner masks (computed on the host, as in the real system) and
       the grouping responses
 
-All FPGA-side arithmetic is fixed point: raw two's-complement words
-held in int64 arrays, single wide accumulators for the weighted sums,
-round-to-nearest-even on the one rounding per operation, saturation on
-range overflow.  The final normalization and fusion run on the host in
+P2-P7 are the float pipeline's own chain (``pyramid.build_hw_pyramid``
+and ``grouping.py``) run with the ``FixedArith`` backend below, whose
+``ingest`` is P1.  Its words are raw two's-complement values held in
+int64 arrays, with single wide accumulators for the weighted sums,
+round-to-nearest-even on the one rounding per operation and saturation
+on range overflow.  Normalization and fusion run on the host in
 floating point, exactly like the reference pipeline.
 
 Each stage also carries a cycle/block-memory cost model reproducing the
@@ -33,13 +35,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelId, extract_all
-from .config import EngineConfig, FrameHistory, FrameRGB, Resolution, validate_frame
+from .config import EngineConfig, Resolution
 from .errors import ConfigError, DimensionError
-from .kernels import THETAS, GroupingBanks, build_banks
-from .normalize import fuse
-from .pyramid import hw_level_sizes, nn_shift_resample
-from .temporal import STRONGLY_PHASIC, WEAKLY_PHASIC, make_kernel
+from .kernels import CenterSurroundBank, EdgeBank, GroupingBanks, VonMisesBank
+from .normalize import fuse  # noqa: F401  (bench/tests reads hwmodel.fuse)
+from .pipeline import Pipeline
+from .pyramid import hw_level_sizes
 
 ACCUMULATOR_BITS = 48
 CLOCK_HZ = 100e6
@@ -79,8 +80,6 @@ class FixedFormat:
         return 1.0 / self.scale
 
 
-#: Raw video pixels: unsigned 8-bit integers.
-PIXEL_FORMAT = FixedFormat(8, 0, signed=False)
 #: Channel ingest words (8 bits on the wire).  Orientation maps carry
 #: plain pixels scaled into [0, 1); the temporally filtered channels are
 #: signed and pre-scaled by the gain below.
@@ -142,30 +141,6 @@ def saturate(raw, fmt: FixedFormat):
     raw = np.asarray(raw, dtype=np.int64)
     overflow = int(np.count_nonzero((raw < fmt.min_raw) | (raw > fmt.max_raw)))
     return np.clip(raw, fmt.min_raw, fmt.max_raw), overflow
-
-
-def mac_weighted_sum(patch_raw, kernel_raw, in_fmt: FixedFormat,
-                     kernel_fmt: FixedFormat, out_fmt: FixedFormat):
-    """5x5 weighted sum in one wide accumulator.
-
-    Products keep full precision inside a 48-bit accumulator; the single
-    rounding happens when the sum is brought back to the output format.
-    Returns (raw result, cycle cost, overflow count).
-    """
-    patch_raw = np.asarray(patch_raw, dtype=np.int64)
-    kernel_raw = np.asarray(kernel_raw, dtype=np.int64)
-    if patch_raw.shape != (5, 5) or kernel_raw.shape != (5, 5):
-        raise DimensionError("mac_weighted_sum expects 5x5 operands")
-    acc = int(np.sum(patch_raw * kernel_raw))
-    acc_max = (1 << (ACCUMULATOR_BITS - 1)) - 1
-    overflow = 0
-    if acc > acc_max or acc < -acc_max - 1:
-        acc = max(min(acc, acc_max), -acc_max - 1)
-        overflow = 1
-    shift = in_fmt.fraction_bits + kernel_fmt.fraction_bits - out_fmt.fraction_bits
-    raw = int(round_shift(np.int64(acc), shift))
-    raw, sat = saturate(np.int64(raw), out_fmt)
-    return int(raw), MAC_CYCLES_PER_PIXEL, overflow + sat
 
 
 class _Flags:
@@ -268,6 +243,16 @@ def channel_pass_cycles(resolution: Resolution) -> int:
 #: Default number of channels the board runs in parallel per mode.
 DEFAULT_PARALLEL = {Resolution.HW_112: 1, Resolution.HW_80: 2}
 
+
+def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
+    """The requested channel parallelism, or the mode's default; >= 1."""
+    if channels_parallel is None:
+        return DEFAULT_PARALLEL[resolution]
+    if channels_parallel < 1:
+        raise ConfigError("channels_parallel must be >= 1")
+    return channels_parallel
+
+
 #: Measured board anchors: (resolution, channels in parallel, frames/s).
 _ANCHORS = ((Resolution.HW_112, 1, 2.079), (Resolution.HW_80, 2, 5.190))
 
@@ -296,10 +281,7 @@ OVERLAP_FACTOR, HOST_SECONDS_PER_PASS = _calibrate()
 def frame_rate(resolution: Resolution, channels_parallel: int | None = None,
                clock_hz: float = CLOCK_HZ) -> float:
     """Modeled frames per second for a given channel parallelism."""
-    if channels_parallel is None:
-        channels_parallel = DEFAULT_PARALLEL[resolution]
-    if channels_parallel < 1:
-        raise ConfigError("channels_parallel must be >= 1")
+    channels_parallel = _parallelism(resolution, channels_parallel)
     per_pass = (
         OVERLAP_FACTOR * channel_pass_cycles(resolution) / clock_hz
         + HOST_SECONDS_PER_PASS
@@ -362,12 +344,10 @@ class ResourceReport:
 
 def resource_report(cfg: EngineConfig, channels_parallel: int | None = None) -> ResourceReport:
     _require_hw(cfg)
-    if channels_parallel is None:
-        channels_parallel = DEFAULT_PARALLEL[cfg.resolution]
     costs = stage_costs(cfg.resolution)
     return ResourceReport(
         resolution=cfg.resolution,
-        channels_parallel=channels_parallel,
+        channels_parallel=_parallelism(cfg.resolution, channels_parallel),
         stages={name: costs[name].bram_bits for name in STAGE_ORDER},
     )
 
@@ -379,22 +359,16 @@ class HwProfile:
                  clock_hz: float = CLOCK_HZ):
         _require_hw(cfg)
         self.resolution = cfg.resolution
-        self.channels_parallel = (
-            DEFAULT_PARALLEL[cfg.resolution] if channels_parallel is None else channels_parallel
-        )
+        self.channels_parallel = _parallelism(cfg.resolution, channels_parallel)
         self.clock_hz = clock_hz
         self.stage = stage_costs(cfg.resolution)
         self.frames = 0
         self.saturations = 0
 
     @property
-    def channel_pass_cycles(self) -> int:
-        return sum(c.cycles for c in self.stage.values())
-
-    @property
     def frame_cycles(self) -> int:
         """FPGA cycles per frame: nine channel passes in 9/parallel batches."""
-        return int(round(self.channel_pass_cycles * 9 / self.channels_parallel))
+        return int(round(channel_pass_cycles(self.resolution) * 9 / self.channels_parallel))
 
     @property
     def total_cycles(self) -> int:
@@ -413,7 +387,7 @@ class HwProfile:
                 name: {"cycles": c.cycles, "bram_bits": c.bram_bits}
                 for name, c in self.stage.items()
             },
-            "channel_pass_cycles": self.channel_pass_cycles,
+            "channel_pass_cycles": channel_pass_cycles(self.resolution),
             "frame_cycles": self.frame_cycles,
             "frames": self.frames,
             "total_cycles": self.total_cycles,
@@ -436,7 +410,7 @@ class HwProfile:
                 f"  {name}: {cost.cycles} CC  {cost.bram_bits} bits"
                 f" ({_stage_display(name, cost.bram_bits)})"
             )
-        lines.append(f"  per channel pass: {self.channel_pass_cycles} CC")
+        lines.append(f"  per channel pass: {channel_pass_cycles(self.resolution)} CC")
         lines.append(f"  per frame (9 channels): {self.frame_cycles} CC")
         lines.append(
             "  P7 winner masks run on the host: zero FPGA cycles, time"
@@ -458,198 +432,98 @@ def _require_hw(cfg: EngineConfig) -> None:
 
 
 # --------------------------------------------------------------------
-# The pipeline itself
+# The fixed-point backend and the pipeline that runs it
 # --------------------------------------------------------------------
 
-def _intermediate_format(cfg: EngineConfig) -> FixedFormat:
-    return FixedFormat(cfg.word_bits, cfg.fraction_bits, signed=True)
+class FixedArith(_Flags):
+    """Fixed-point backend of the grouping chain (see grouping.FloatArith).
+
+    Maps are raw int64 words in the configured intermediate format,
+    carrying the working gain from P1 on.  Every MAC result and every
+    stage result saturates into that format; the inherited tally counts
+    the words that did.
+    """
+
+    def __init__(self, cfg: EngineConfig):
+        super().__init__()
+        self.fmt = FixedFormat(cfg.word_bits, cfg.fraction_bits, signed=True)
+        # A k x k weighted sum of word x coefficient products must fit
+        # the MAC accumulator; this also keeps every product inside int64.
+        acc_bits = (self.fmt.total_bits + KERNEL_FORMAT.total_bits - 1
+                    + math.ceil(math.log2(cfg.kernel_size ** 2)))
+        if acc_bits > ACCUMULATOR_BITS:
+            raise ConfigError(f"{cfg.word_bits}-bit words overflow the "
+                              f"{ACCUMULATOR_BITS}-bit MAC accumulator ({acc_bits} bits)")
+        self.gain_shift = working_gain_shift(self.fmt)
+
+    def ingest(self, channel_map, oriented: bool):
+        """P1: host-side scaling and 8-bit quantization of one channel."""
+        if oriented:
+            wire, gain = INGEST_ORIENTATION, ORIENTATION_GAIN
+        else:
+            wire, gain = INGEST_TEMPORAL, TEMPORAL_GAIN
+        raw, sat = quantize(channel_map * gain, wire)
+        self.add(sat)
+        shift = wire.fraction_bits - self.fmt.fraction_bits - self.gain_shift
+        return self.clip(round_shift(raw, shift))
+
+    def finish(self, raw):
+        return dequantize(raw, self.fmt)
+
+    def correlate(self, raw, kernel_raw):
+        return fixed_correlate(raw, kernel_raw, self.fmt, self.fmt, self)
+
+    def magnitude(self, even, odd):
+        return complex_edge_fixed(even, odd)
+
+    def modulate(self, edge, evidence):
+        # Both operands carry the working gain; the product restores
+        # single-gain scaling by shifting the extra factor out.
+        return round_shift(edge * evidence, self.fmt.fraction_bits + self.gain_shift)
+
+    def weigh(self, raw, w_p: float):
+        w_p_raw = quantize(np.float64(w_p), KERNEL_FORMAT)[0]
+        return round_shift(raw * w_p_raw, KERNEL_FORMAT.fraction_bits)
+
+    def halve(self, raw, n: int):
+        return raw >> n
+
+    def clip(self, raw):
+        raw, sat = saturate(raw, self.fmt)
+        self.add(sat)
+        return raw
 
 
-def _quantize_banks(banks: GroupingBanks):
-    quantized = {}
-    for ti in range(len(THETAS)):
-        quantized[("even", ti)] = quantize(banks.edge.even[ti], KERNEL_FORMAT)[0]
-        quantized[("odd", ti)] = quantize(banks.edge.odd[ti], KERNEL_FORMAT)[0]
-        quantized[("vm_left", ti)] = quantize(banks.vm.left[ti], KERNEL_FORMAT)[0]
-        quantized[("vm_right", ti)] = quantize(banks.vm.right[ti], KERNEL_FORMAT)[0]
-    quantized["cs"] = quantize(banks.cs.on, KERNEL_FORMAT)[0]
-    return quantized
+def _quantize_banks(banks: GroupingBanks) -> GroupingBanks:
+    """The same banks with every coefficient as a raw KERNEL_FORMAT word."""
+    def raw(kernels):
+        return tuple(quantize(k, KERNEL_FORMAT)[0] for k in kernels)
+
+    return GroupingBanks(
+        edge=EdgeBank(raw(banks.edge.even), raw(banks.edge.odd), banks.size),
+        cs=CenterSurroundBank(quantize(banks.cs.on, KERNEL_FORMAT)[0], banks.size),
+        vm=VonMisesBank(raw(banks.vm.left), raw(banks.vm.right), banks.size),
+        size=banks.size,
+    )
 
 
-class HwPipeline:
-    """Fixed-point counterpart of Pipeline for the reduced modes."""
+class HwPipeline(Pipeline):
+    """Pipeline with the fixed-point backend (reduced modes only); its
+    ``profile`` ledger counts frames and saturated words as it runs."""
 
     def __init__(self, cfg: EngineConfig, banks: GroupingBanks | None = None,
                  channels_parallel: int | None = None):
-        _require_hw(cfg)
-        self.cfg = cfg
-        banks = banks if banks is not None else build_banks(cfg.kernel_size)
-        if banks.size != cfg.kernel_size:
-            raise DimensionError("kernel bank size does not match config")
-        self.banks = banks
-        self.raw_banks = _quantize_banks(banks)
-        self.fmt = _intermediate_format(cfg)
-        self.gain_shift = working_gain_shift(self.fmt)
-        self.kernel_strong = make_kernel(STRONGLY_PHASIC, cfg.frame_period_ms)
-        self.kernel_weak = make_kernel(WEAKLY_PHASIC, cfg.frame_period_ms)
-        self.history = FrameHistory(cfg.frame_period_ms)
         self.profile = HwProfile(cfg, channels_parallel)
-        self._flags = _Flags()
+        super().__init__(cfg, banks)
+        self.arith = FixedArith(cfg)
+        self.banks = _quantize_banks(self.banks)
 
-    # -- stage implementations -------------------------------------
-
-    def _ingest(self, channel_map: np.ndarray, oriented: bool) -> np.ndarray:
-        """P1: host-side scaling and 8-bit quantization of one channel."""
-        if oriented:
-            raw, sat = quantize(channel_map * ORIENTATION_GAIN, INGEST_ORIENTATION)
-            wire_frac = INGEST_ORIENTATION.fraction_bits
-        else:
-            raw, sat = quantize(channel_map * TEMPORAL_GAIN, INGEST_TEMPORAL)
-            wire_frac = INGEST_TEMPORAL.fraction_bits
-        self._flags.add(sat)
-        shift = wire_frac - self.fmt.fraction_bits - self.gain_shift
-        raw = round_shift(raw, shift)
-        raw, sat = saturate(raw, self.fmt)
-        self._flags.add(sat)
-        return raw
-
-    def _pyramid(self, raw: np.ndarray):
-        """P2: nearest-neighbor levels, every level read from the root."""
-        sizes = hw_level_sizes(self.cfg.width, self.cfg.height)
-        levels = [raw]
-        for w, h in sizes[1:]:
-            levels.append(nn_shift_resample(raw, h, w))
-        return levels
-
-    def _edges_and_cs(self, levels):
-        """P3: complex edges and ON/OFF center-surround per level."""
-        edges, on_off = [], []
-        for raw in levels:
-            per_theta = []
-            for ti in range(len(THETAS)):
-                even = fixed_correlate(raw, self.raw_banks[("even", ti)],
-                                       self.fmt, self.fmt, self._flags)
-                odd = fixed_correlate(raw, self.raw_banks[("odd", ti)],
-                                      self.fmt, self.fmt, self._flags)
-                per_theta.append(complex_edge_fixed(even, odd))
-            cs = fixed_correlate(raw, self.raw_banks["cs"], self.fmt, self.fmt,
-                                 self._flags)
-            edges.append(per_theta)
-            on_off.append((np.maximum(cs, 0), np.maximum(-cs, 0)))
-        return edges, on_off
-
-    def _von_mises(self, on_off):
-        """P4: the 16 association-field responses per level."""
-        out = []
-        for on, off in on_off:
-            resp = {}
-            for ti in range(len(THETAS)):
-                for side, key in (("left", ("vm_left", ti)), ("right", ("vm_right", ti))):
-                    kern = self.raw_banks[key]
-                    resp[(ti, side, "on")] = fixed_correlate(
-                        on, kern, self.fmt, self.fmt, self._flags)
-                    resp[(ti, side, "off")] = fixed_correlate(
-                        off, kern, self.fmt, self.fmt, self._flags)
-            out.append(resp)
-        return out
-
-    def _von_mises_sum(self, vm_levels):
-        """P5: in-place across-level sum with power-of-two weights."""
-        summed = [dict() for _ in vm_levels]
-        for key in vm_levels[0]:
-            for j in range(len(vm_levels)):
-                acc = vm_levels[j][key].copy()
-                h, w = acc.shape
-                for k in range(j + 1, len(vm_levels)):
-                    up = nn_shift_resample(vm_levels[k][key], h, w)
-                    acc += up >> (k - j)
-                acc, sat = saturate(acc, self.fmt)
-                self._flags.add(sat)
-                summed[j][key] = acc
-        return summed
-
-    def _border_ownership(self, edges, vm_summed):
-        """P6: modulate edges by side evidence; sum light and dark paths."""
-        left_levels, right_levels = [], []
-        # Both operands carry the working gain; the product restores
-        # single-gain scaling by shifting the extra factor out.
-        f = self.fmt.fraction_bits + self.gain_shift
-        for edges_l, vm_l in zip(edges, vm_summed):
-            left, right = [], []
-            for ti, e in enumerate(edges_l):
-                def gated(side, pol):
-                    prod = round_shift(e * vm_l[(ti, side, pol)], f)
-                    return np.maximum(prod, 0)
-                bl = gated("left", "on") + gated("left", "off")
-                br = gated("right", "on") + gated("right", "off")
-                bl, sat_l = saturate(bl, self.fmt)
-                br, sat_r = saturate(br, self.fmt)
-                self._flags.add(sat_l + sat_r)
-                left.append(bl)
-                right.append(br)
-            left_levels.append(left)
-            right_levels.append(right)
-        return left_levels, right_levels
-
-    def _grouping(self, left_levels, right_levels):
-        """P7: host masks, then masked annular integration per side."""
-        w_p_raw = quantize(np.float64(self.cfg.inhibition_weight), KERNEL_FORMAT)[0]
-        out = []
-        for left, right in zip(left_levels, right_levels):
-            total = None
-            for ti in range(len(THETAS)):
-                bl, br = left[ti], right[ti]
-                mask_l = bl >= br           # host-side compare, exact
-                mask_r = ~mask_l
-                vl = self.raw_banks[("vm_left", ti)]
-                vr = self.raw_banks[("vm_right", ti)]
-                # conv with the side kernel == corr with its rotation
-                exc_l = fixed_correlate(np.where(mask_l, bl, 0), vr,
-                                        self.fmt, self.fmt, self._flags)
-                inh_l = fixed_correlate(np.where(mask_l, br, 0), vr,
-                                        self.fmt, self.fmt, self._flags)
-                exc_r = fixed_correlate(np.where(mask_r, br, 0), vl,
-                                        self.fmt, self.fmt, self._flags)
-                inh_r = fixed_correlate(np.where(mask_r, bl, 0), vl,
-                                        self.fmt, self.fmt, self._flags)
-                inh_l = round_shift(inh_l * w_p_raw, KERNEL_FORMAT.fraction_bits)
-                inh_r = round_shift(inh_r * w_p_raw, KERNEL_FORMAT.fraction_bits)
-                grp = (exc_l - inh_l) + (exc_r - inh_r)
-                total = grp if total is None else total + grp
-            total, sat = saturate(total, self.fmt)
-            self._flags.add(sat)
-            out.append(np.maximum(total, 0))
-        return out
-
-    def _channel_grouping(self, channel_map: np.ndarray, oriented: bool):
-        raw = self._ingest(channel_map, oriented)
-        levels = self._pyramid(raw)
-        edges, on_off = self._edges_and_cs(levels)
-        vm = self._von_mises(on_off)
-        vm_summed = self._von_mises_sum(vm)
-        left, right = self._border_ownership(edges, vm_summed)
-        grouped = self._grouping(left, right)
-        return [dequantize(g, self.fmt) for g in grouped]
-
-    def step(self, frame: FrameRGB) -> np.ndarray:
+    def step(self, frame):
         """One frame through P1..P7 plus host normalization/fusion."""
-        validate_frame(frame, self.cfg)
-        self.history.push(frame)
-        channels = extract_all(self.history, self.kernel_strong, self.kernel_weak)
-        unique: dict[int, np.ndarray] = {}
-        for arr in channels.values():
-            unique.setdefault(id(arr), arr)
-        results = {}
-        for key, arr in unique.items():
-            oriented = any(
-                id(channels[cid]) == key
-                for cid in (ChannelId.O_0, ChannelId.O_45, ChannelId.O_90, ChannelId.O_135)
-            )
-            results[key] = self._channel_grouping(arr, oriented)
-        grouped = {cid: results[id(arr)] for cid, arr in channels.items()}
+        saliency = super().step(frame)
         self.profile.frames += 1
-        self.profile.saturations = self._flags.saturations
-        return fuse(grouped, self.cfg)
+        self.profile.saturations = self.arith.saturations
+        return saliency
 
 
 def run_hw_pipeline(frames, cfg: EngineConfig, banks: GroupingBanks | None = None,

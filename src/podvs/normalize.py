@@ -108,14 +108,22 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
     Per channel: N1 on every pyramid level, collapse to the base
     resolution, N2 on the conspicuity map; the nine results are summed
     in fixed channel order and the final map rescaled to [0, 1].
+    Channels that share one pyramid object (the orientation channels)
+    share one conspicuity map, which is still added once per channel.
     """
     if set(grouping_pyramids) != set(ChannelId):
         missing = set(ChannelId) - set(grouping_pyramids)
         raise DimensionError(f"missing channels: {sorted(c.value for c in missing)}")
     params = LocalMaximaParams.from_config(cfg)
     total = np.zeros((cfg.height, cfg.width), dtype=np.float64)
+    done = []  # (pyramid, normalized conspicuity map) pairs
     for cid in ChannelId:
-        levels = [normalize_n1(level, params) for level in grouping_pyramids[cid]]
-        conspicuity = collapse(ImagePyramid(tuple(levels)), cfg.height, cfg.width)
-        total += normalize_n2(conspicuity, cfg.range_ceiling, params)
+        pyramid = grouping_pyramids[cid]
+        normalized = next((m for p, m in done if p is pyramid), None)
+        if normalized is None:
+            levels = [normalize_n1(level, params) for level in pyramid]
+            conspicuity = collapse(ImagePyramid(tuple(levels)), cfg.height, cfg.width)
+            normalized = normalize_n2(conspicuity, cfg.range_ceiling, params)
+            done.append((pyramid, normalized))
+        total += normalized
     return rescale_to_range(total, 1.0)

@@ -1,24 +1,22 @@
 """Per-frame orchestration: history, channels, grouping, fusion.
 
-A Pipeline instance owns its frame history (single writer); everything
-downstream of channel extraction is pure, so the nine channels can fan
-out to worker threads.  Within a channel all reductions run in fixed
-row-major order, which keeps the output bitwise independent of the
-thread count.
+A Pipeline instance owns its frame history; everything downstream of
+channel extraction is pure.  The nine channels have six distinct inputs
+(the four orientation channels share the gray frame), and each runs
+through the grouping chain once, serially, in the instance's ``arith``
+backend: float64 here, fixed point in ``hwmodel.HwPipeline``.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import extract_all
+from .channels import ORIENTATION_CHANNELS, ChannelId, extract_all
 from .config import EngineConfig, FrameHistory, FrameRGB, Resolution, validate_frame
 from .errors import DimensionError
-from .grouping import grouping_pyramid
+from .grouping import FLOAT, grouping_pyramid
 from .kernels import GroupingBanks, build_banks
 from .normalize import fuse
 from .pyramid import (
@@ -31,26 +29,19 @@ from .pyramid import (
 from .temporal import STRONGLY_PHASIC, WEAKLY_PHASIC, make_kernel
 
 
-def thread_budget() -> int:
-    """Channel-parallelism cap from PODVS_THREADS (default serial)."""
-    raw = os.environ.get("PODVS_THREADS", "1")
-    try:
-        return max(1, min(9, int(raw)))
-    except ValueError:
-        return 1
-
-
 def build_channel_pyramid(map_: np.ndarray, cfg: EngineConfig) -> ImagePyramid:
-    """Float pyramid for one channel map under the configured mode.
+    """Pyramid for one channel map under the configured mode.
 
     Reference mode shrinks by sqrt(2) with bilinear resampling; the
     reduced modes use the fixed hardware level structure (nearest
     neighbor through the frozen shift addresses) regardless of the
     arithmetic, so fixed-versus-float comparisons isolate precision.
+    Nearest-neighbor levels keep the map's element type, so raw
+    fixed-point words go through unchanged.
     """
     if cfg.resolution is Resolution.REFERENCE:
         return build_reference_pyramid(map_, cfg.pyramid_depth)
-    return build_hw_pyramid(np.asarray(map_, dtype=np.float64))
+    return build_hw_pyramid(map_)
 
 
 def mode_upsampler(cfg: EngineConfig):
@@ -74,35 +65,24 @@ class Pipeline:
         self.kernel_strong = make_kernel(STRONGLY_PHASIC, cfg.frame_period_ms)
         self.kernel_weak = make_kernel(WEAKLY_PHASIC, cfg.frame_period_ms)
         self.history = FrameHistory(cfg.frame_period_ms)
-        self.frame_index = 0
+        self.arith = FLOAT
 
-    def _channel_grouping(self, channel_map: np.ndarray):
-        pyr = build_channel_pyramid(channel_map, self.cfg)
-        return grouping_pyramid(
-            pyr, self.banks, self.cfg.inhibition_weight, mode_upsampler(self.cfg)
-        )
+    def _grouping(self, channel_map: np.ndarray, oriented: bool):
+        pyr = build_channel_pyramid(self.arith.ingest(channel_map, oriented), self.cfg)
+        levels = grouping_pyramid(pyr, self.banks, self.cfg.inhibition_weight,
+                                  mode_upsampler(self.cfg), self.arith)
+        return [self.arith.finish(level) for level in levels]
 
     def step(self, frame: FrameRGB) -> np.ndarray:
         """Advance one frame and return its saliency map in [0, 1]."""
         validate_frame(frame, self.cfg)
         self.history.push(frame)
-        self.frame_index += 1
         channels = extract_all(self.history, self.kernel_strong, self.kernel_weak)
-
-        # The four orientation channels share one input array; compute
-        # each distinct input once.
-        unique: dict[int, np.ndarray] = {}
-        for arr in channels.values():
-            unique.setdefault(id(arr), arr)
-        workers = min(thread_budget(), len(unique))
-        keys = list(unique)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(self._channel_grouping, (unique[k] for k in keys)))
-        else:
-            results = [self._channel_grouping(unique[k]) for k in keys]
-        by_id = dict(zip(keys, results))
-        grouped = {cid: by_id[id(arr)] for cid, arr in channels.items()}
+        gray = self._grouping(channels[ChannelId.O_0], oriented=True)
+        grouped = {
+            cid: gray if cid in ORIENTATION_CHANNELS else self._grouping(arr, oriented=False)
+            for cid, arr in channels.items()
+        }
         return fuse(grouped, self.cfg)
 
 

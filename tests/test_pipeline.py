@@ -1,0 +1,94 @@
+"""Pipeline and HwPipeline: one grouping chain in two arithmetics."""
+import numpy as np
+import pytest
+
+from podvs import synth
+from podvs.channels import ORIENTATION_CHANNELS, ChannelId
+from podvs.config import EngineConfig, Resolution
+from podvs.errors import ConfigError, DimensionError
+from podvs.hwmodel import HwPipeline
+from podvs.kernels import build_banks
+from podvs.metrics import pcc
+from podvs.normalize import fuse
+from podvs.pipeline import Pipeline
+
+ENGINES = {"float": Pipeline, "fixed": HwPipeline}
+
+#: Clips of the fixed-versus-float fidelity gate at 80x60: the two with
+#: the lowest per-clip mean PCC over the whole synth suite (a color bar
+#: and a temporal onset), 12 frames in all.
+FIDELITY_CLIPS = ("red_bar", "onset_bar")
+#: Lowest per-clip mean PCC allowed; the gate clips measure 0.99872
+#: (red_bar) and 0.99908 (onset_bar).
+FIDELITY_PCC_FLOOR = 0.998
+
+
+def run(engine, frames):
+    return [engine.step(frame) for frame in frames]
+
+
+@pytest.fixture(scope="module")
+def frames80():
+    return synth.all_videos(80, 60)["onset_square"][8:11]
+
+
+@pytest.fixture(scope="module", params=sorted(ENGINES))
+def twin_runs(request, frames80):
+    """Maps of two fresh engines of one arithmetic on the same frames."""
+    cfg = EngineConfig(resolution=Resolution.HW_80)
+    make = ENGINES[request.param]
+    return run(make(cfg), frames80), run(make(cfg), frames80)
+
+
+class TestEngines:
+    def test_fresh_engines_give_identical_maps(self, twin_runs):
+        for a, b in zip(*twin_runs):
+            np.testing.assert_array_equal(a, b)
+
+    def test_maps_finite_in_unit_range(self, twin_runs):
+        for map_ in twin_runs[0]:
+            assert map_.shape == (60, 80)
+            assert np.all(np.isfinite(map_))
+            assert map_.min() >= 0.0 and map_.max() <= 1.0
+
+    def test_profile_counts_steps(self, hw80_cfg, frames80):
+        engine = HwPipeline(hw80_cfg)
+        run(engine, frames80[:2])
+        assert engine.profile.frames == 2
+        assert engine.profile.saturations == 0
+
+    def test_hw_pipeline_rejects_reference_mode(self):
+        with pytest.raises(ConfigError):
+            HwPipeline(EngineConfig(resolution=Resolution.REFERENCE))
+
+    @pytest.mark.parametrize("arith", sorted(ENGINES))
+    def test_bank_size_mismatch(self, arith, hw80_cfg):
+        with pytest.raises(DimensionError):
+            ENGINES[arith](hw80_cfg, build_banks(7))
+
+
+class TestFuseSharedPyramid:
+    def test_shared_orientation_list_equals_copies(self, hw80_cfg):
+        rng = np.random.default_rng(41)
+        shapes = ((60, 80), (44, 56), (30, 40))
+
+        def pyramid():
+            return [rng.random(shape) ** 4 for shape in shapes]
+
+        shared = {cid: pyramid() for cid in ChannelId if cid not in ORIENTATION_CHANNELS}
+        copies = dict(shared)
+        gray = pyramid()
+        for cid in ORIENTATION_CHANNELS:
+            shared[cid] = gray
+            copies[cid] = [level.copy() for level in gray]
+        np.testing.assert_array_equal(fuse(shared, hw80_cfg), fuse(copies, hw80_cfg))
+
+
+class TestFidelityGate:
+    @pytest.mark.parametrize("clip", FIDELITY_CLIPS)
+    def test_fixed_tracks_float(self, clip, hw80_cfg):
+        frames = synth.fidelity_suite(80, 60)[clip]
+        fixed = run(HwPipeline(hw80_cfg), frames)
+        ref = run(Pipeline(hw80_cfg), frames)
+        mean_pcc = float(np.mean([pcc(a, b) for a, b in zip(fixed, ref)]))
+        assert mean_pcc >= FIDELITY_PCC_FLOOR
