@@ -17,9 +17,11 @@ floor(x*src/dst); those deviations are deterministic and frozen.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import DimensionError
 
@@ -124,6 +126,30 @@ def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     top = src[np.ix_(y0, x0)] * (1 - wx) + src[np.ix_(y0, x1)] * wx
     bot = src[np.ix_(y1, x0)] * (1 - wx) + src[np.ix_(y1, x1)] * wx
     return top * (1 - wy) + bot * wy
+
+
+@functools.lru_cache(maxsize=None)
+def bilinear_axis(n_in: int, n_out: int) -> sparse.csr_matrix:
+    """``bilinear_resize`` along one axis as an (n_out, n_in) 2-tap matrix.
+
+    It carries exactly the weights of ``bilinear_resize``, so
+    bilinear_resize(X, h, w) equals bilinear_axis(in_h, h) @ X @
+    bilinear_axis(in_w, w).T up to rounding (about 1e-16 relative,
+    depending on the order of the two products).  ``bilinear_resize``
+    keeps its gather form: ``collapse`` and the pyramid build feed the
+    strict comparisons of ``normalize.local_maxima``, which flip on such
+    differences.  Cached per shape; the matrix is shared, so treat it as
+    read-only.
+    """
+    pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
+    i0 = np.floor(pos).astype(np.int64)
+    i1 = np.minimum(i0 + 1, n_in - 1)
+    w = pos - i0
+    rows = np.arange(n_out)
+    return sparse.csr_matrix(
+        (np.concatenate([1 - w, w]), (np.concatenate([rows, rows]), np.concatenate([i0, i1]))),
+        shape=(n_out, n_in),
+    )
 
 
 def build_reference_pyramid(map_: np.ndarray, depth: int) -> ImagePyramid:

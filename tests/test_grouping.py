@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+from podvs import grouping
 from podvs.errors import DimensionError
 from podvs.grouping import (
     BorderOwnershipField,
@@ -23,12 +25,24 @@ from podvs.pyramid import (
     build_hw_pyramid,
     build_reference_pyramid,
     nn_shift_resample,
+    reference_level_dims,
 )
 
 
 @pytest.fixture(scope="module")
 def banks5():
     return build_banks(5)
+
+
+@pytest.fixture(scope="module")
+def banks11():
+    return build_banks(11)
+
+
+def pairwise_bilinear(src, out_h, out_w):
+    """``bilinear_resize`` under another name: ``von_mises_sum`` then runs
+    its pairwise loop, the oracle of the fused bilinear path."""
+    return bilinear_resize(src, out_h, out_w)
 
 
 def interior(map_, margin):
@@ -84,6 +98,25 @@ class TestCorrelate:
                 np.testing.assert_allclose(
                     correlate(m, kern), naive_correlate(m, kern), atol=1e-12
                 )
+
+    def test_fft_path_matches_naive_at_11x11(self, banks11):
+        assert banks11.size >= grouping.FFT_MIN_KERNEL
+        rng = np.random.default_rng(32)
+        for shape in ((13, 17), (24, 11)):
+            m = rng.random(shape)
+            for kern in (banks11.edge.even[1], banks11.edge.odd[3],
+                         banks11.vm.left[2], banks11.cs.on):
+                np.testing.assert_allclose(
+                    correlate(m, kern), naive_correlate(m, kern), atol=1e-12
+                )
+
+    def test_direct_path_bit_identical_at_5x5(self, banks5):
+        assert banks5.size < grouping.FFT_MIN_KERNEL
+        m = np.random.default_rng(33).random((60, 80))
+        for kern in (banks5.edge.even[1], banks5.vm.left[2], banks5.cs.on):
+            np.testing.assert_array_equal(
+                correlate(m, kern), ndimage.correlate(m, kern, mode="constant", cval=0.0)
+            )
 
 
 class TestComplexEdges:
@@ -176,6 +209,15 @@ class TestVonMisesSum:
         out = von_mises_sum(levels, upsample=nn_shift_resample)
         expected = 0.5 * nn_shift_resample(levels[1], 60, 80)
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
+
+    def test_fused_bilinear_sum_matches_pairwise_on_reference_shapes(self):
+        rng = np.random.default_rng(34)
+        levels = [rng.random((h, w)) for w, h in reference_level_dims(640, 480, 10)]
+        fused = von_mises_sum(levels)
+        oracle = von_mises_sum(levels, upsample=pairwise_bilinear)
+        for a, b in zip(fused, oracle):
+            assert a.shape == b.shape
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 class TestBorderOwnership:
@@ -352,3 +394,19 @@ class TestGroupingPyramid:
             np.testing.assert_allclose(
                 interior(a, margin), interior(b, margin), atol=1e-6
             )
+
+    def test_reference_chain_matches_slow_oracle(self, banks11, monkeypatch):
+        # the reference chain (11x11 banks, sqrt(2) pyramid, bilinear sum)
+        # through FFT correlation and the fused sum, against direct
+        # correlation and the pairwise loop
+        rng = np.random.default_rng(35)
+        m = ndimage.uniform_filter(rng.uniform(0, 255, size=(72, 96)), 3)
+        m[20:50, 30:60] += 80.0
+        pyr = build_reference_pyramid(m, 5)
+        fast = grouping_pyramid(pyr, banks11, 1.0)
+        monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
+        oracle = grouping_pyramid(pyr, banks11, 1.0, pairwise_bilinear)
+        for a, b in zip(fast, oracle):
+            scale = np.max(np.abs(b))
+            assert scale > 0
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale

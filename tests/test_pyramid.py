@@ -6,6 +6,7 @@ from podvs.pyramid import (
     HW_LEVELS,
     SHIFT_TABLE,
     ImagePyramid,
+    bilinear_axis,
     bilinear_resize,
     build_hw_pyramid,
     build_reference_pyramid,
@@ -80,6 +81,24 @@ class TestReferencePyramid:
             np.testing.assert_allclose(
                 bilinear_resize(src, oh, ow), naive_bilinear(src, oh, ow), atol=1e-12
             )
+
+    def test_axis_operators_factor_the_resize(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            h, w = rng.integers(2, 14, size=2)
+            oh, ow = rng.integers(2, 14, size=2)
+            src = rng.random((h, w))
+            y, x = bilinear_axis(h, oh), bilinear_axis(w, ow)
+            np.testing.assert_allclose(
+                y @ src @ x.T.toarray(), bilinear_resize(src, oh, ow), atol=1e-12
+            )
+
+    def test_axis_operator_rows_are_two_tap_partitions_of_unity(self):
+        for n_in, n_out in ((480, 640), (640, 452), (7, 3), (5, 5)):
+            op = bilinear_axis(n_in, n_out)
+            assert op.shape == (n_out, n_in)
+            assert np.all(np.diff(op.indptr) <= 2)
+            np.testing.assert_allclose(op.sum(axis=1), 1.0, atol=1e-15)
 
 
 class TestShiftTable:
