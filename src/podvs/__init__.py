@@ -7,7 +7,7 @@ metrics used to validate both.
 
 __version__ = "0.1.0"
 
-from .channels import ChannelId, color_opponency, extract_all, orientation_input, to_intensity
+from .channels import ChannelId, color_opponency, extract_all, to_intensity
 from .config import (
     EngineConfig,
     FixationRecord,
@@ -25,8 +25,6 @@ from .hwmodel import (
     HwPipeline,
     HwProfile,
     quantize,
-    resource_report,
-    run_hw_pipeline,
 )
 from .kernels import GroupingBanks, build_banks, load_banks, save_banks
 from .metrics import FixationSet, MetricConfig, auc_roc, kld, nss, pcc
@@ -45,12 +43,11 @@ from .temporal import (
 
 __all__ = [
     "__version__",
-    "ChannelId", "color_opponency", "extract_all", "orientation_input", "to_intensity",
+    "ChannelId", "color_opponency", "extract_all", "to_intensity",
     "EngineConfig", "FixationRecord", "FrameHistory", "FrameRGB", "Resolution",
     "hw_variant", "load_config", "parse_config", "validate_frame",
     "ConfigError", "DimensionError", "FormatError", "MetricError", "PodvsError",
     "FixedFormat", "HwPipeline", "HwProfile", "quantize",
-    "resource_report", "run_hw_pipeline",
     "GroupingBanks", "build_banks", "load_banks", "save_banks",
     "FixationSet", "MetricConfig", "auc_roc", "kld", "nss", "pcc",
     "LocalMaximaParams", "fuse", "local_maxima", "normalize_n1", "normalize_n2",

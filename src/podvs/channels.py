@@ -63,14 +63,6 @@ def color_opponency(r: np.ndarray, g: np.ndarray, b: np.ndarray) -> dict:
     }
 
 
-def orientation_input(frame: FrameRGB) -> np.ndarray:
-    """Input to the orientation channels: the current frame's grayscale.
-
-    No temporal filtering here; static structure is preserved.
-    """
-    return to_intensity(frame)
-
-
 def extract_all(
     history: FrameHistory,
     strong: TemporalKernel,
@@ -80,14 +72,16 @@ def extract_all(
 
     The intensity output is passed on signed (the biphasic kernel may
     drive it negative); rectification happens only inside the opponency
-    formulas.  The four orientation entries share one array instance.
+    formulas.  The orientation channels receive the current frame's
+    grayscale with no temporal filtering, so static structure is
+    preserved; the four orientation entries share one array instance.
     """
-    channels = {
-        ChannelId.INTENSITY: apply_temporal(strong, history.intensity_stack())
-    }
-    planes = [apply_temporal(weak, history.plane_stack(p)) for p in ("r", "g", "b")]
+    r, g, b = (history.plane_stack(p) for p in ("r", "g", "b"))
+    # The same arithmetic as to_intensity, frame by frame.
+    channels = {ChannelId.INTENSITY: apply_temporal(strong, (r + g + b) / 3.0)}
+    planes = [apply_temporal(weak, stack) for stack in (r, g, b)]
     channels.update(color_opponency(*planes))
-    oriented = orientation_input(history.frame_at(0))
+    oriented = to_intensity(history.frame_at(0))
     for cid in ORIENTATION_CHANNELS:
         channels[cid] = oriented
     return channels

@@ -7,6 +7,12 @@ Subcommands:
   profile  hardware cycle/memory ledger as text and JSON
   synth    emit the built-in synthetic test videos as PPM directories
 
+``run`` builds one engine, the fixed-point ``HwPipeline`` in the reduced
+modes or the float ``Pipeline`` in reference mode and with ``--real``,
+and times it through ``pipeline.run_sequence``.  Every mode prints the
+measured frame rate; a fixed-point run also prints its hardware profile
+and writes it to ``profile.json`` in the archive.
+
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
 from __future__ import annotations
@@ -19,7 +25,7 @@ import numpy as np
 
 from .config import EngineConfig, Resolution, hw_variant, load_config
 from .errors import PodvsError
-from .hwmodel import HwProfile, resource_report, run_hw_pipeline
+from .hwmodel import HwPipeline, HwProfile
 from .io import (
     read_fixations,
     read_frames,
@@ -27,7 +33,7 @@ from .io import (
     write_maps,
 )
 from .metrics import MetricConfig, auc_roc, kld, nss, pcc
-from .pipeline import run_sequence
+from .pipeline import Pipeline, run_sequence
 from .synth import all_videos
 
 MODES = ("reference", "hw112", "hw80")
@@ -47,16 +53,16 @@ def _cmd_run(args) -> int:
     cfg = _config_for(args)
     frames = read_frames(args.inp)
     if args.mode == "reference" or args.real:
-        maps, timing = run_sequence(frames, cfg)
-        write_maps(maps, args.out, cfg, args.mode, raw=args.raw)
-        print(f"{len(maps)} maps written to {args.out}")
-        print(f"mean rate: {timing.mean_fps:.3f} frames/s")
+        engine = Pipeline(cfg)
     else:
-        maps, profile = run_hw_pipeline(frames, cfg)
-        write_maps(maps, args.out, cfg, args.mode, raw=args.raw)
-        print(f"{len(maps)} maps written to {args.out}")
-        sys.stdout.write(profile.to_text())
-        Path(args.out, "profile.json").write_text(profile.to_json(), encoding="utf-8")
+        engine = HwPipeline(cfg)
+    maps, timing = run_sequence(frames, engine)
+    write_maps(maps, args.out, cfg, args.mode, raw=args.raw)
+    print(f"{len(maps)} maps written to {args.out}")
+    print(f"mean rate: {timing.mean_fps:.3f} frames/s")
+    if isinstance(engine, HwPipeline):
+        sys.stdout.write(engine.profile.to_text())
+        Path(args.out, "profile.json").write_text(engine.profile.to_json(), encoding="utf-8")
     return 0
 
 
@@ -107,7 +113,6 @@ def _cmd_profile(args) -> int:
     cfg = _config_for(args)
     profile = HwProfile(cfg, channels_parallel=args.channels)
     sys.stdout.write(profile.to_text())
-    sys.stdout.write(resource_report(cfg, channels_parallel=args.channels).to_text())
     if args.json:
         Path(args.json).write_text(profile.to_json(), encoding="utf-8")
         print(f"JSON profile written to {args.json}")

@@ -74,7 +74,6 @@ class EngineConfig:
     resolution: Resolution = Resolution.REFERENCE
     frame_rate: float = 24.0
     inhibition_weight: float = 1.0      # w_p in the grouping stage
-    range_ceiling: float = 1.0          # upper bound of the pre-N1 rescale
     maxima_radius: int = 1              # local-maxima neighborhood radius
     maxima_threshold: float = 0.05      # fraction of the global max
     word_bits: int = 18                 # fixed-point intermediate width
@@ -85,8 +84,6 @@ class EngineConfig:
             raise ConfigError("frame rate must be positive")
         if self.inhibition_weight < 0:
             raise ConfigError("inhibition_weight must be >= 0")
-        if self.range_ceiling <= 0:
-            raise ConfigError("range_ceiling must be positive")
         if self.maxima_radius < 1:
             raise ConfigError("maxima_radius must be >= 1")
         if not 0.0 < self.maxima_threshold < 1.0:
@@ -120,7 +117,6 @@ class EngineConfig:
             f"resolution={self.resolution}",
             f"frame_rate={_fmt(self.frame_rate)}",
             f"inhibition_weight={_fmt(self.inhibition_weight)}",
-            f"range_ceiling={_fmt(self.range_ceiling)}",
             f"maxima_radius={self.maxima_radius}",
             f"maxima_threshold={_fmt(self.maxima_threshold)}",
             f"word_bits={self.word_bits}",
@@ -137,7 +133,6 @@ _PARSERS = {
     "resolution": Resolution.from_string,
     "frame_rate": float,
     "inhibition_weight": float,
-    "range_ceiling": float,
     "maxima_radius": int,
     "maxima_threshold": float,
     "word_bits": int,
@@ -244,12 +239,9 @@ class FrameHistory:
     onset transient.
     """
 
-    def __init__(self, frame_period_ms: float, depth: int = TAP_COUNT):
-        if frame_period_ms <= 0:
-            raise ConfigError("frame period must be positive")
+    def __init__(self, depth: int = TAP_COUNT):
         if depth < 1:
             raise ConfigError("history depth must be >= 1")
-        self.frame_period_ms = float(frame_period_ms)
         self.depth = int(depth)
         self._ring: collections.deque[FrameRGB] = collections.deque(maxlen=depth)
 
@@ -272,16 +264,6 @@ class FrameHistory:
         return np.stack(
             [getattr(self.frame_at(t), plane).astype(np.float64) for t in range(self.depth)]
         )
-
-    def intensity_stack(self) -> np.ndarray:
-        """(depth, H, W) float64 stack of per-frame intensity, newest first."""
-        out = []
-        for t in range(self.depth):
-            f = self.frame_at(t)
-            out.append(
-                (f.r.astype(np.float64) + f.g.astype(np.float64) + f.b.astype(np.float64)) / 3.0
-            )
-        return np.stack(out)
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EngineConfig, Resolution
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError
 from .kernels import CenterSurroundBank, EdgeBank, GroupingBanks, VonMisesBank
 from .normalize import fuse  # noqa: F401  (bench/tests reads hwmodel.fuse)
 from .pipeline import Pipeline
@@ -299,61 +299,8 @@ def _stage_display(name: str, bits: int) -> str:
     return f"{math.floor(bits / 800) / 10:.1f} KB"
 
 
-@dataclass(frozen=True)
-class ResourceReport:
-    """Modeled block-memory budget and parallelism what-ifs."""
-
-    resolution: Resolution
-    channels_parallel: int
-    stages: dict
-
-    @property
-    def single_channel_bits(self) -> int:
-        return sum(self.stages.values())
-
-    def scaled_bits(self, n_channels: int) -> int:
-        """Linear scaling rule: n channels need n single-channel budgets."""
-        if n_channels < 0:
-            raise ConfigError("channel count must be >= 0")
-        return self.single_channel_bits * n_channels
-
-    def to_text(self) -> str:
-        lines = [
-            f"block memory model, {self.resolution} "
-            f"({self.channels_parallel} channel(s) in parallel)",
-        ]
-        for name in STAGE_ORDER:
-            bits = self.stages[name]
-            lines.append(f"  {name}: {bits} bits ({_stage_display(name, bits)})")
-        lines.append(
-            "  note: published stage figures mix units; P1 is printed in"
-            " kilobits, later stages in kilobytes"
-        )
-        lines.append(f"  single channel total: {self.single_channel_bits} bits")
-        lines.append(
-            f"  configured ({self.channels_parallel} ch): "
-            f"{self.scaled_bits(self.channels_parallel)} bits"
-        )
-        factor = 9.0 / self.channels_parallel
-        lines.append(
-            f"  9-channel extrapolation (x{factor:g} of configured): "
-            f"{self.scaled_bits(9)} bits"
-        )
-        return "\n".join(lines) + "\n"
-
-
-def resource_report(cfg: EngineConfig, channels_parallel: int | None = None) -> ResourceReport:
-    _require_hw(cfg)
-    costs = stage_costs(cfg.resolution)
-    return ResourceReport(
-        resolution=cfg.resolution,
-        channels_parallel=_parallelism(cfg.resolution, channels_parallel),
-        stages={name: costs[name].bram_bits for name in STAGE_ORDER},
-    )
-
-
 class HwProfile:
-    """Cycle and memory ledger for a hardware-model run."""
+    """Cycle and block-memory ledger for a hardware-model run."""
 
     def __init__(self, cfg: EngineConfig, channels_parallel: int | None = None,
                  clock_hz: float = CLOCK_HZ):
@@ -410,6 +357,22 @@ class HwProfile:
                 f"  {name}: {cost.cycles} CC  {cost.bram_bits} bits"
                 f" ({_stage_display(name, cost.bram_bits)})"
             )
+        lines.append(
+            "  note: published stage figures mix units; P1 is printed in"
+            " kilobits, later stages in kilobytes"
+        )
+        # Block memory scales linearly: n channels need n single-channel budgets.
+        bits = sum(cost.bram_bits for cost in self.stage.values())
+        lines.append(f"  single channel total: {bits} bits")
+        lines.append(
+            f"  configured ({self.channels_parallel} ch): "
+            f"{bits * self.channels_parallel} bits"
+        )
+        factor = 9.0 / self.channels_parallel
+        lines.append(
+            f"  9-channel extrapolation (x{factor:g} of configured): "
+            f"{bits * 9} bits"
+        )
         lines.append(f"  per channel pass: {channel_pass_cycles(self.resolution)} CC")
         lines.append(f"  per frame (9 channels): {self.frame_cycles} CC")
         lines.append(
@@ -524,17 +487,3 @@ class HwPipeline(Pipeline):
         self.profile.frames += 1
         self.profile.saturations = self.arith.saturations
         return saliency
-
-
-def run_hw_pipeline(frames, cfg: EngineConfig, banks: GroupingBanks | None = None,
-                    channels_parallel: int | None = None):
-    """Run the fixed-point pipeline over a sequence.
-
-    Returns (maps, HwProfile).
-    """
-    frames = list(frames)
-    if not frames:
-        raise DimensionError("empty frame sequence")
-    pipe = HwPipeline(cfg, banks, channels_parallel)
-    maps = [pipe.step(frame) for frame in frames]
-    return maps, pipe.profile

@@ -25,7 +25,6 @@ class MetricConfig:
     shuffle_repeats: int = 100
     kld_bins: int = 20
     kld_epsilon: float = 1e-6
-    nss_threshold: float = 0.7
     seed: int = 0
 
     def __post_init__(self):
@@ -35,8 +34,6 @@ class MetricConfig:
             raise ConfigError("kld_bins must be >= 2")
         if self.kld_epsilon <= 0:
             raise ConfigError("kld_epsilon must be positive")
-        if not 0.0 < self.nss_threshold < 1.0:
-            raise ConfigError("nss_threshold must be in (0, 1)")
 
 
 class FixationSet:

@@ -78,28 +78,34 @@ def normalize_n1(
     return map_ * _peak_factor(map_, params)
 
 
-def rescale_to_range(map_: np.ndarray, ceiling: float) -> np.ndarray:
-    """Affine rescale onto [0, ceiling]; an all-equal map becomes zero."""
+def rescale_to_range(map_: np.ndarray) -> np.ndarray:
+    """Affine rescale onto [0, 1]; an all-equal map becomes zero.
+
+    A ceiling other than 1 before N1 would scale every channel by its
+    cube, which the final rescale of the fused map cancels, so the range
+    is fixed.
+    """
     map_ = np.asarray(map_, dtype=np.float64)
     lo = float(map_.min())
     hi = float(map_.max())
     if hi <= lo:
         return np.zeros_like(map_)
-    return (map_ - lo) * (ceiling / (hi - lo))
+    # A product with the reciprocal rounds differently from a division;
+    # the recorded map digests rest on the product.
+    return (map_ - lo) * (1.0 / (hi - lo))
 
 
 def normalize_n2(
     map_: np.ndarray,
-    ceiling: float = 1.0,
     params: LocalMaximaParams = LocalMaximaParams(),
 ) -> np.ndarray:
-    """Range-normalize to [0, ceiling], then apply the N1 statistic.
+    """Range-normalize to [0, 1], then apply the N1 statistic.
 
     The rescale step makes the operator invariant to any positive
     affine transform of the input, so channels with incomparable units
     can be fused.
     """
-    return normalize_n1(rescale_to_range(map_, ceiling), params)
+    return normalize_n1(rescale_to_range(map_), params)
 
 
 def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
@@ -123,7 +129,7 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
         if normalized is None:
             levels = [normalize_n1(level, params) for level in pyramid]
             conspicuity = collapse(ImagePyramid(tuple(levels)), cfg.height, cfg.width)
-            normalized = normalize_n2(conspicuity, cfg.range_ceiling, params)
+            normalized = normalize_n2(conspicuity, params)
             done.append((pyramid, normalized))
         total += normalized
-    return rescale_to_range(total, 1.0)
+    return rescale_to_range(total)

@@ -64,7 +64,7 @@ class Pipeline:
             )
         self.kernel_strong = make_kernel(STRONGLY_PHASIC, cfg.frame_period_ms)
         self.kernel_weak = make_kernel(WEAKLY_PHASIC, cfg.frame_period_ms)
-        self.history = FrameHistory(cfg.frame_period_ms)
+        self.history = FrameHistory()
         self.arith = FLOAT
 
     def _grouping(self, channel_map: np.ndarray, oriented: bool):
@@ -102,15 +102,18 @@ class TimingReport:
         return len(self.seconds_per_frame) / total if total > 0 else float("inf")
 
 
-def run_sequence(frames, cfg: EngineConfig, banks: GroupingBanks | None = None):
-    """Run a whole frame sequence; returns (maps, timing report)."""
+def run_sequence(frames, engine: Pipeline):
+    """Run a whole frame sequence through one engine, timing every step.
+
+    The engine is a ``Pipeline`` or an ``hwmodel.HwPipeline``, whose
+    ``profile`` ledger the steps advance.  Returns (maps, timing report).
+    """
     frames = list(frames)
     if not frames:
         raise DimensionError("empty frame sequence")
-    pipe = Pipeline(cfg, banks)
     maps, timings = [], []
     for frame in frames:
         start = time.perf_counter()
-        maps.append(pipe.step(frame))
+        maps.append(engine.step(frame))
         timings.append(time.perf_counter() - start)
     return maps, TimingReport(tuple(timings))

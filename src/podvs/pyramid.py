@@ -93,10 +93,6 @@ class ImagePyramid:
     def __getitem__(self, i):
         return self.levels[i]
 
-    @property
-    def base_shape(self):
-        return self.levels[0].shape
-
 
 def reference_level_dims(width: int, height: int, depth: int):
     """(width, height) per level, shrinking by sqrt(2), rounded half-up."""
@@ -201,13 +197,3 @@ def collapse(pyr: ImagePyramid, out_h: int, out_w: int) -> np.ndarray:
         acc += bilinear_resize(level, out_h, out_w)
     return acc
 
-
-def downsample_cycles(width: int, height: int) -> int:
-    """Modeled clock cycles for the hardware pyramid stage.
-
-    5 CC per pixel (address, read, write); the two extra levels run in
-    parallel, so the larger one bounds the stage.
-    """
-    sizes = hw_level_sizes(width, height)
-    dw, dh = sizes[1]
-    return dw * dh * 5

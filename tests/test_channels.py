@@ -6,7 +6,6 @@ from podvs.channels import (
     ORIENTATION_CHANNELS,
     color_opponency,
     extract_all,
-    orientation_input,
     to_intensity,
 )
 from podvs.config import FrameHistory, FrameRGB
@@ -84,19 +83,30 @@ class TestColorOpponency:
         )
 
 
+def orientation_channel(frames):
+    """The orientation channel extract_all derives from a frame sequence."""
+    hist = FrameHistory()
+    for f in frames:
+        hist.push(f)
+    strong = make_kernel(STRONGLY_PHASIC, FRAME_PERIOD)
+    weak = make_kernel(WEAKLY_PHASIC, FRAME_PERIOD)
+    return extract_all(hist, strong, weak)[ChannelId.O_0]
+
+
 class TestOrientationInput:
     def test_equals_intensity_of_current_frame(self):
         rng = np.random.default_rng(6)
-        frame = random_frame(8, 6, rng)
-        np.testing.assert_array_equal(orientation_input(frame), to_intensity(frame))
+        frames = [random_frame(8, 6, rng) for _ in range(3)]
+        np.testing.assert_array_equal(orientation_channel(frames), to_intensity(frames[-1]))
 
     def test_white_frame(self):
-        assert np.all(orientation_input(gray_frame(4, 4, 255)) == 255.0)
+        frames = [gray_frame(4, 4, 0), gray_frame(4, 4, 255)]
+        assert np.all(orientation_channel(frames) == 255.0)
 
 
 class TestExtractAll:
     def _history(self, frames):
-        hist = FrameHistory(FRAME_PERIOD)
+        hist = FrameHistory()
         for f in frames:
             hist.push(f)
         return hist
@@ -149,9 +159,10 @@ class TestExtractAll:
         strong = make_kernel(STRONGLY_PHASIC, FRAME_PERIOD)
         weak = make_kernel(WEAKLY_PHASIC, FRAME_PERIOD)
         channels = extract_all(hist, strong, weak)
+        intensity = np.stack([to_intensity(hist.frame_at(t)) for t in range(hist.depth)])
         np.testing.assert_allclose(
             channels[ChannelId.INTENSITY],
-            apply_temporal(strong, hist.intensity_stack()),
+            apply_temporal(strong, intensity),
             atol=1e-12,
         )
         planes = [apply_temporal(weak, hist.plane_stack(p)) for p in "rgb"]

@@ -1,5 +1,68 @@
-"""Exit codes of the command-line surface."""
+"""Exit codes and outputs of the command-line surface."""
+import json
+
+import numpy as np
+
 from podvs.cli import cli
+from podvs.synth import color_popout_video
+
+STAGES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
+
+
+def write_frames(directory, count=3):
+    """count 80x60 color frames as numbered PPM files."""
+    directory.mkdir()
+    frames, _ = color_popout_video(80, 60, frames=count)
+    for i, frame in enumerate(frames):
+        rgb = np.stack([frame.r, frame.g, frame.b], axis=-1)
+        header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
+        (directory / f"{i:06d}.ppm").write_bytes(header + rgb.tobytes())
+    return directory
+
+
+def run_hw80(frames_dir, out_dir, *extra):
+    return cli(["run", "--mode", "hw80", "--in", str(frames_dir), "--out", str(out_dir), *extra])
+
+
+class TestRun:
+    def test_fixed_point_writes_archive_and_profile(self, tmp_path, capsys):
+        out = tmp_path / "hw"
+        assert run_hw80(write_frames(tmp_path / "frames"), out) == 0
+        text = capsys.readouterr().out
+        assert len(list(out.glob("*.pgm"))) == 3
+        assert json.loads((out / "profile.json").read_text())["frames"] == 3
+        assert "mean rate:" in text
+        assert "hardware profile, 80x60" in text
+
+    def test_real_writes_archive_without_profile(self, tmp_path, capsys):
+        out = tmp_path / "real"
+        assert run_hw80(write_frames(tmp_path / "frames"), out, "--real") == 0
+        text = capsys.readouterr().out
+        assert len(list(out.glob("*.pgm"))) == 3
+        assert not (out / "profile.json").exists()
+        assert "mean rate:" in text
+        assert "hardware profile" not in text
+
+    def test_empty_frame_directory_is_a_data_error(self, tmp_path, capsys):
+        (tmp_path / "frames").mkdir()
+        assert run_hw80(tmp_path / "frames", tmp_path / "out") == 1
+        assert "no frames found" in capsys.readouterr().err
+
+    def test_missing_in_is_a_usage_error(self, tmp_path, capsys):
+        assert cli(["run", "--mode", "hw80", "--out", str(tmp_path / "out")]) == 2
+        assert "--in" in capsys.readouterr().err
+
+
+class TestCompare:
+    def test_fixed_point_against_float_archive(self, tmp_path, capsys):
+        frames = write_frames(tmp_path / "frames", count=2)
+        assert run_hw80(frames, tmp_path / "hw") == 0
+        assert run_hw80(frames, tmp_path / "real", "--real") == 0
+        capsys.readouterr()
+        assert cli(["compare", str(tmp_path / "hw"), str(tmp_path / "real")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3
+        assert lines[-1].startswith("average: PCC")
 
 
 class TestProfile:
@@ -10,3 +73,12 @@ class TestProfile:
     def test_zero_channels_is_a_data_error(self, capsys):
         assert cli(["profile", "--channels", "0"]) == 1
         assert "channels_parallel must be >= 1" in capsys.readouterr().err
+
+    def test_each_stage_listed_once_with_memory_totals(self, capsys):
+        assert cli(["profile", "--mode", "hw80"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for stage in STAGES:
+            assert sum(line.startswith(f"  {stage}:") for line in lines) == 1
+        assert "  single channel total: 2369920 bits" in lines
+        assert "  configured (2 ch): 4739840 bits" in lines
+        assert "  9-channel extrapolation (x4.5 of configured): 21329280 bits" in lines

@@ -58,6 +58,8 @@ class TestParseConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("framerate=24\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config("range_ceiling=1.0\n")
 
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
@@ -107,25 +109,25 @@ class TestFrameValidation:
 
 class TestFrameHistory:
     def test_warmup_pads_with_earliest(self):
-        hist = FrameHistory(frame_period_ms=1000 / 24)
+        hist = FrameHistory()
         hist.push(gray_frame(4, 4, 10))
-        stack = hist.intensity_stack()
+        stack = hist.plane_stack("r")
         assert stack.shape == (TAP_COUNT, 4, 4)
         assert np.all(stack == 10.0)
         hist.push(gray_frame(4, 4, 30))
-        stack = hist.intensity_stack()
+        stack = hist.plane_stack("r")
         assert np.all(stack[0] == 30.0)
         assert np.all(stack[1:] == 10.0)
 
     def test_ring_keeps_newest(self):
-        hist = FrameHistory(frame_period_ms=10.0, depth=3)
+        hist = FrameHistory(depth=3)
         for v in (1, 2, 3, 4):
             hist.push(gray_frame(2, 2, v))
-        stack = hist.intensity_stack()
+        stack = hist.plane_stack("r")
         assert [stack[t][0, 0] for t in range(3)] == [4.0, 3.0, 2.0]
 
     def test_dimension_change_rejected(self):
-        hist = FrameHistory(frame_period_ms=10.0)
+        hist = FrameHistory()
         hist.push(gray_frame(4, 4, 1))
         with pytest.raises(DimensionError):
             hist.push(gray_frame(5, 4, 1))

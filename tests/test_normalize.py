@@ -95,7 +95,7 @@ class TestN2:
         rng = np.random.default_rng(42)
         m = rng.random((10, 10))
         np.testing.assert_allclose(
-            normalize_n2(m, 1.0), normalize_n1(rescale_to_range(m, 1.0)), atol=1e-15
+            normalize_n2(m), normalize_n1(rescale_to_range(m)), atol=1e-15
         )
 
     def test_constant_map_zero(self):
@@ -103,10 +103,10 @@ class TestN2:
 
     def test_range_ceiling(self):
         rng = np.random.default_rng(43)
-        m = rng.random((8, 8))
-        scaled = rescale_to_range(m, 2.5)
+        m = 7.0 * rng.random((8, 8)) - 3.0
+        scaled = rescale_to_range(m)
         assert scaled.min() == 0.0
-        assert scaled.max() == pytest.approx(2.5)
+        assert scaled.max() == pytest.approx(1.0)
 
 
 class TestFuse:

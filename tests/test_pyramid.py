@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from podvs.config import Resolution
 from podvs.errors import DimensionError
+from podvs.hwmodel import stage_costs
 from podvs.pyramid import (
     HW_LEVELS,
     SHIFT_TABLE,
@@ -11,7 +13,6 @@ from podvs.pyramid import (
     build_hw_pyramid,
     build_reference_pyramid,
     collapse,
-    downsample_cycles,
     nn_shift_resample,
     reference_level_dims,
     shift_index,
@@ -157,8 +158,8 @@ class TestHwPyramid:
             build_hw_pyramid(np.zeros((100, 100)))
 
     def test_stage_cycles(self):
-        assert downsample_cycles(112, 84) == 24000
-        assert downsample_cycles(80, 60) == 56 * 44 * 5
+        assert stage_costs(Resolution.HW_112)["P2"].cycles == 24000
+        assert stage_costs(Resolution.HW_80)["P2"].cycles == 56 * 44 * 5
 
     def test_hw_levels_registry(self):
         assert HW_LEVELS[(112, 84)] == ((112, 84), (80, 60), (56, 44))

@@ -157,13 +157,13 @@ class TestApplyTemporal:
         weak = make_kernel(WEAKLY_PHASIC, FRAME_PERIOD)
 
         def step_response(kern):
-            hist = FrameHistory(FRAME_PERIOD)
+            hist = FrameHistory()
             for _ in range(6):
                 hist.push(gray_frame(3, 3, 0))
             out = []
             for _ in range(6):
                 hist.push(gray_frame(3, 3, 200))
-                out.append(apply_temporal(kern, hist.intensity_stack())[0, 0])
+                out.append(apply_temporal(kern, hist.plane_stack("r"))[0, 0])
             return np.array(out)
 
         resp_s = step_response(strong)
