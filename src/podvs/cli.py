@@ -30,6 +30,7 @@ from .io import (
     read_fixations,
     read_frames,
     read_maps,
+    require_empty_archive,
     write_maps,
 )
 from .metrics import MetricConfig, auc_roc, kld, nss, pcc
@@ -51,6 +52,7 @@ def _config_for(args) -> EngineConfig:
 
 def _cmd_run(args) -> int:
     cfg = _config_for(args)
+    require_empty_archive(args.out)
     frames = read_frames(args.inp)
     if args.mode == "reference" or args.real:
         engine = Pipeline(cfg)
@@ -148,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="compute saliency maps for a frame sequence")
     p.add_argument("--mode", choices=MODES, default="reference")
     p.add_argument("--in", dest="inp", required=True, help="frame directory or list file")
-    p.add_argument("--out", required=True, help="output archive directory")
+    p.add_argument("--out", required=True, help="new or empty output archive directory")
     p.add_argument("--config", help="engine config file")
     p.add_argument("--raw", action="store_true", help="also write raw float32 planes")
     p.add_argument(

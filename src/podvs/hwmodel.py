@@ -14,11 +14,14 @@ The hardware splits a frame into seven stages per feature channel:
 
 P2-P7 are the float pipeline's own chain (``pyramid.build_hw_pyramid``
 and ``grouping.py``) run with the ``FixedArith`` backend below, whose
-``ingest`` is P1.  Its words are raw two's-complement values held in
-int64 arrays, with single wide accumulators for the weighted sums,
-round-to-nearest-even on the one rounding per operation and saturation
-on range overflow.  Normalization and fusion run on the host in
-floating point, exactly like the reference pipeline.
+``ingest`` is P1.  Its words are raw two's-complement values held as
+integer-valued float64 arrays, with single wide accumulators for the
+weighted sums, round-to-nearest-even on the one rounding per operation
+and saturation on range overflow.  Every word, coefficient, product and
+accumulator is an integer below 2**53, which float64 holds exactly, so
+the MAC is the float chain's own ``ndimage.correlate`` and the rounding
+a power-of-two scale and ``np.rint``.  Normalization and fusion run on
+the host in floating point, exactly like the reference pipeline.
 
 Each stage also carries a cycle/block-memory cost model reproducing the
 published per-stage accounting; the derived frame rate additionally
@@ -34,6 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .config import EngineConfig, Resolution
 from .errors import ConfigError
@@ -58,8 +62,9 @@ class FixedFormat:
     signed: bool = True
 
     def __post_init__(self):
-        if self.total_bits < 1 or self.total_bits > 62:
-            raise ConfigError("total_bits must be in 1..62")
+        # Words are held in float64, which is exact for integers up to 2**53.
+        if self.total_bits < 1 or self.total_bits > 53:
+            raise ConfigError("total_bits must be in 1..53")
         if self.fraction_bits < 0:
             raise ConfigError("fraction_bits must be >= 0")
 
@@ -112,12 +117,11 @@ def working_gain_shift(fmt: FixedFormat) -> int:
 def quantize(values: np.ndarray, fmt: FixedFormat):
     """Round-to-nearest-even quantization with silent saturation.
 
-    Returns (raw int64 array, number of saturated elements).
+    Returns (raw words as an integer-valued float64 array, number of
+    saturated elements).
     """
     raw = np.rint(np.asarray(values, dtype=np.float64) * fmt.scale)
-    saturated = int(np.count_nonzero((raw < fmt.min_raw) | (raw > fmt.max_raw)))
-    raw = np.clip(raw, fmt.min_raw, fmt.max_raw)
-    return raw.astype(np.int64), saturated
+    return saturate(raw, fmt)
 
 
 def dequantize(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
@@ -125,20 +129,16 @@ def dequantize(raw: np.ndarray, fmt: FixedFormat) -> np.ndarray:
 
 
 def round_shift(raw, shift: int):
-    """Arithmetic right shift with round-half-even, exact on int64."""
-    raw = np.asarray(raw, dtype=np.int64)
-    if shift <= 0:
-        return raw << (-shift)
-    base = raw >> shift
-    rem = raw - (base << shift)
-    half = np.int64(1) << (shift - 1)
-    up = (rem > half) | ((rem == half) & ((base & 1) == 1))
-    return base + up.astype(np.int64)
+    """Arithmetic right shift (left for a negative shift) with round-half-even.
+
+    Scaling by a power of two is exact in float64 and ``rint`` rounds
+    half to even, so this is exact for integer words below 2**53.
+    """
+    return np.rint(raw * 2.0 ** -shift)
 
 
 def saturate(raw, fmt: FixedFormat):
     """Clamp raw words into the format; returns (raw, overflow count)."""
-    raw = np.asarray(raw, dtype=np.int64)
     overflow = int(np.count_nonzero((raw < fmt.min_raw) | (raw > fmt.max_raw)))
     return np.clip(raw, fmt.min_raw, fmt.max_raw), overflow
 
@@ -155,20 +155,14 @@ class _Flags:
 
 def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedFormat,
                     flags: _Flags, kernel_fmt: FixedFormat = KERNEL_FORMAT):
-    """Zero-padded correlation with MAC semantics at every pixel."""
-    raw_map = np.asarray(raw_map, dtype=np.int64)
-    k = kernel_raw.shape[0]
-    half = k // 2
-    padded = np.zeros((raw_map.shape[0] + 2 * half, raw_map.shape[1] + 2 * half),
-                      dtype=np.int64)
-    padded[half:-half, half:-half] = raw_map
-    acc = np.zeros_like(raw_map)
-    h, w = raw_map.shape
-    for dy in range(k):
-        for dx in range(k):
-            weight = int(kernel_raw[dy, dx])
-            if weight:
-                acc += weight * padded[dy : dy + h, dx : dx + w]
+    """Zero-padded correlation with MAC semantics at every pixel.
+
+    Words and coefficients are integers and ``FixedArith``'s check keeps
+    the accumulator below 2**48, inside float64's exact integers, so
+    the float64 sum is the exact MAC result whatever its order.
+    """
+    acc = ndimage.correlate(np.asarray(raw_map, dtype=np.float64), kernel_raw,
+                            mode="constant", cval=0.0)
     shift = in_fmt.fraction_bits + kernel_fmt.fraction_bits - out_fmt.fraction_bits
     out, sat = saturate(round_shift(acc, shift), out_fmt)
     flags.add(sat)
@@ -176,9 +170,9 @@ def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedForm
 
 
 def _isqrt(values: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(n)) for non-negative int64 below 2**52."""
-    n = np.asarray(values, dtype=np.int64)
-    s = np.floor(np.sqrt(n.astype(np.float64))).astype(np.int64)
+    """Elementwise floor(sqrt(n)) for non-negative integers below 2**52."""
+    n = np.asarray(values, dtype=np.float64)
+    s = np.floor(np.sqrt(n))
     s = np.where((s + 1) * (s + 1) <= n, s + 1, s)
     s = np.where(s * s > n, s - 1, s)
     return s
@@ -401,17 +395,19 @@ def _require_hw(cfg: EngineConfig) -> None:
 class FixedArith(_Flags):
     """Fixed-point backend of the grouping chain (see grouping.FloatArith).
 
-    Maps are raw int64 words in the configured intermediate format,
-    carrying the working gain from P1 on.  Every MAC result and every
-    stage result saturates into that format; the inherited tally counts
-    the words that did.
+    Maps are raw words, held as integer-valued float64, in the configured
+    intermediate format, carrying the working gain from P1 on.  Every MAC
+    result and every stage result saturates into that format; the
+    inherited tally counts the words that did.
     """
 
     def __init__(self, cfg: EngineConfig):
         super().__init__()
         self.fmt = FixedFormat(cfg.word_bits, cfg.fraction_bits, signed=True)
         # A k x k weighted sum of word x coefficient products must fit
-        # the MAC accumulator; this also keeps every product inside int64.
+        # the MAC accumulator.  Below 2**48 it is also an integer that
+        # float64 holds exactly, which is what makes the float64 words,
+        # products and sums of this backend exact.
         acc_bits = (self.fmt.total_bits + KERNEL_FORMAT.total_bits - 1
                     + math.ceil(math.log2(cfg.kernel_size ** 2)))
         if acc_bits > ACCUMULATOR_BITS:
@@ -449,7 +445,7 @@ class FixedArith(_Flags):
         return round_shift(raw * w_p_raw, KERNEL_FORMAT.fraction_bits)
 
     def halve(self, raw, n: int):
-        return raw >> n
+        return np.floor(raw * 2.0 ** -n)
 
     def clip(self, raw):
         raw, sat = saturate(raw, self.fmt)

@@ -171,10 +171,22 @@ def read_raw_map(path):
     return arr.astype(np.float64), frame_index
 
 
+def require_empty_archive(out_dir) -> None:
+    """Refuse an archive directory that already holds files.
+
+    Writing over an earlier archive would leave its surplus frames
+    behind, and ``read_maps`` would return them with the new ones.
+    """
+    out_dir = Path(out_dir)
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise FormatError(f"{out_dir}: output directory is not empty")
+
+
 def write_maps(maps, out_dir, cfg: EngineConfig, mode: str, raw: bool = False) -> None:
     """Write a map archive: 16-bit PGMs, optional raw planes, metadata."""
     maps = list(maps)
     out_dir = Path(out_dir)
+    require_empty_archive(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -205,13 +217,6 @@ def read_maps(archive_dir) -> list:
     if not pgms:
         raise FormatError(f"{archive_dir}: no saliency maps found")
     return [read_pgm16(p) for p in pgms]
-
-
-def read_archive_metadata(archive_dir) -> dict:
-    path = Path(archive_dir) / ARCHIVE_METADATA
-    if not path.is_file():
-        raise FormatError(f"{archive_dir}: missing {ARCHIVE_METADATA}")
-    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def read_fixations(path) -> FixationSet:

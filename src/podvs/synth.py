@@ -35,11 +35,6 @@ class SquareSpec:
         return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
 
 
-def _gray_frames(width, height, value, count):
-    base = np.full((height, width), value, dtype=np.uint8)
-    return [FrameRGB.from_gray(base.copy()) for _ in range(count)]
-
-
 def _paint(frame_gray: np.ndarray, square: SquareSpec, value: int) -> None:
     frame_gray[square.y0 : square.y1, square.x0 : square.x1] = value
 

@@ -4,6 +4,7 @@ import json
 import numpy as np
 
 from podvs.cli import cli
+from podvs.io import ARCHIVE_METADATA, read_maps
 from podvs.synth import color_popout_video
 
 STAGES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
@@ -42,6 +43,20 @@ class TestRun:
         assert not (out / "profile.json").exists()
         assert "mean rate:" in text
         assert "hardware profile" not in text
+
+    def test_refuses_a_non_empty_out_directory(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_hw80(write_frames(tmp_path / "three"), out) == 0
+        first = read_maps(out)
+        assert run_hw80(write_frames(tmp_path / "two", count=2), out, "--real") == 1
+        assert "not empty" in capsys.readouterr().err
+        meta = json.loads((out / ARCHIVE_METADATA).read_text())
+        maps = read_maps(out)
+        assert meta["frames"] == len(maps) == 3
+        assert meta["mode"] == "hw80"
+        for before, after in zip(first, maps):
+            assert after.shape == (meta["height"], meta["width"])
+            np.testing.assert_array_equal(after, before)
 
     def test_empty_frame_directory_is_a_data_error(self, tmp_path, capsys):
         (tmp_path / "frames").mkdir()

@@ -7,7 +7,56 @@ import pytest
 from podvs.config import EngineConfig, Resolution
 from podvs.errors import ConfigError
 from podvs.grouping import center_surround, complex_edges
-from podvs.hwmodel import KERNEL_FORMAT, FixedArith, HwPipeline, HwProfile
+from podvs.hwmodel import (
+    KERNEL_FORMAT,
+    FixedArith,
+    FixedFormat,
+    HwPipeline,
+    HwProfile,
+    _Flags,
+    fixed_correlate,
+    round_shift,
+)
+
+#: Level shapes of the two reduced modes (112x84 and 80x60 pyramids).
+LEVEL_SHAPES = [(84, 112), (60, 80), (44, 56), (30, 40)]
+
+
+def mac_loop(raw, kernel, fmt):
+    """Zero-padded int64 MAC over the kernel taps, then an int64
+    shift-and-carry round half to even and saturation.
+
+    Returns (words, number of saturated words).
+    """
+    raw = np.asarray(raw, dtype=np.int64)
+    k = kernel.shape[0]
+    half = k // 2
+    padded = np.zeros((raw.shape[0] + 2 * half, raw.shape[1] + 2 * half), dtype=np.int64)
+    padded[half:-half, half:-half] = raw
+    acc = np.zeros_like(raw)
+    h, w = raw.shape
+    for dy in range(k):
+        for dx in range(k):
+            weight = int(kernel[dy, dx])
+            if weight:
+                acc += weight * padded[dy : dy + h, dx : dx + w]
+    shift = KERNEL_FORMAT.fraction_bits
+    base = acc >> shift
+    rem = acc - (base << shift)
+    half_ulp = np.int64(1) << (shift - 1)
+    up = (rem > half_ulp) | ((rem == half_ulp) & ((base & 1) == 1))
+    out = base + up.astype(np.int64)
+    saturated = int(np.count_nonzero((out < fmt.min_raw) | (out > fmt.max_raw)))
+    return np.clip(out, fmt.min_raw, fmt.max_raw), saturated
+
+
+def divmod_round(n: int, shift: int) -> int:
+    """n * 2**-shift rounded half to even, in Python ints."""
+    if shift <= 0:
+        return n << -shift
+    q, r = divmod(n, 1 << shift)
+    half = 1 << (shift - 1)
+    return q + (r > half or (r == half and q % 2 == 1))
 
 
 def naive_mac(raw, kernel, fmt):
@@ -98,11 +147,57 @@ class TestFixedArith:
         assert total > 0
         assert arith.saturations == total
 
+    def test_words_fit_float64(self):
+        FixedFormat(53, 8)
+        with pytest.raises(ConfigError):
+            FixedFormat(54, 8)
+
     def test_accumulator_bound(self):
         # 5x5 sums of word x 18-bit coefficient products: w + 17 + 5 <= 48.
         FixedArith(EngineConfig(resolution=Resolution.HW_80, word_bits=26))
         with pytest.raises(ConfigError):
             FixedArith(EngineConfig(resolution=Resolution.HW_80, word_bits=27))
+
+
+def _bank_kernels(banks):
+    return (*banks.edge.even, *banks.edge.odd, banks.cs.on, *banks.vm.left, *banks.vm.right)
+
+
+class TestFixedCorrelate:
+    """``fixed_correlate`` against the int64 MAC loop, on full-range words."""
+
+    @pytest.mark.parametrize("word_bits", [18, 26])  # 26: the accumulator limit at 5x5
+    @pytest.mark.parametrize("shape", LEVEL_SHAPES)
+    def test_matches_mac_loop(self, hw80_cfg, word_bits, shape):
+        cfg = EngineConfig(resolution=Resolution.HW_80, word_bits=word_bits)
+        fmt = FixedArith(cfg).fmt
+        kernels = _bank_kernels(HwPipeline(hw80_cfg).banks)
+        assert len(kernels) == 17
+        rng = np.random.default_rng(word_bits * 1000 + shape[1])
+        total = 0
+        for kernel in kernels:
+            raw = rng.integers(fmt.min_raw, fmt.max_raw + 1, size=shape)
+            flags = _Flags()
+            got = fixed_correlate(raw, kernel, fmt, fmt, flags)
+            expected, saturated = mac_loop(raw, kernel, fmt)
+            np.testing.assert_array_equal(got, expected)
+            assert flags.saturations == saturated
+            total += saturated
+        assert total > 0  # full-range words do overflow some sums
+
+
+class TestRoundShift:
+    @pytest.mark.parametrize("shift", range(-7, 21))
+    def test_matches_divmod(self, shift):
+        rng = np.random.default_rng(shift + 7)
+        words = [int(n) for n in rng.integers(-(1 << 40), 1 << 40, size=200)]
+        if shift > 0:
+            one, half = 1 << shift, 1 << (shift - 1)
+            # exact ties on both parities and both signs, and their neighbours
+            words += [q * one + r for q in range(-4, 5)
+                      for r in (0, 1, half - 1, half, half + 1, one - 1)]
+        got = round_shift(np.array(words, dtype=np.float64), shift)
+        np.testing.assert_array_equal(got, [divmod_round(n, shift) for n in words])
 
 
 class TestHwProfile:
