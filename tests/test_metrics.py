@@ -1,40 +1,40 @@
 """Invariants of the map-similarity and fixation metrics."""
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from podvs.config import FixationRecord
 from podvs.errors import MetricError
 from podvs.metrics import FixationSet, MetricConfig, auc_roc, nss, pcc
 
 H, W = 6, 8
-unit_maps = arrays(np.float64, (H, W), elements=st.floats(0.0, 1.0))
 
 
-def _varies(a):
-    return float(np.sum((a - a.mean()) ** 2)) > 1e-2
+def _unit_map_pairs(seed, count=60):
+    """Pairs of random maps in [0, 1], some of them coarsely quantized so
+    that ties occur."""
+    rng = np.random.default_rng(seed)
+    for n in range(count):
+        a, b = rng.random((2, H, W))
+        if n % 3 == 0:
+            a, b = np.round(a * 4) / 4, np.round(b * 4) / 4
+        if np.ptp(a) > 0 and np.ptp(b) > 0:
+            yield a, b
 
 
 class TestPcc:
-    @settings(max_examples=60, deadline=None)
-    @given(a=unit_maps, b=unit_maps)
-    def test_symmetric(self, a, b):
-        assume(_varies(a) and _varies(b))
-        assert pcc(a, b) == pcc(b, a)
+    def test_symmetric(self):
+        for a, b in _unit_map_pairs(21):
+            assert pcc(a, b) == pcc(b, a)
 
-    @settings(max_examples=60, deadline=None)
-    @given(a=unit_maps)
-    def test_self_correlation_is_one(self, a):
-        assume(_varies(a))
-        assert pcc(a, a) == 1.0
+    def test_self_correlation_is_one(self):
+        for a, _ in _unit_map_pairs(22):
+            assert pcc(a, a) == 1.0
 
-    @settings(max_examples=60, deadline=None)
-    @given(a=unit_maps, b=unit_maps, scale=st.floats(0.01, 100.0), offset=st.floats(-10.0, 10.0))
-    def test_unchanged_by_positive_affine_map(self, a, b, scale, offset):
-        assume(_varies(a) and _varies(b))
-        assert pcc(a, scale * b + offset) == pytest.approx(pcc(a, b), abs=1e-9)
+    def test_unchanged_by_positive_affine_map(self):
+        rng = np.random.default_rng(23)
+        for a, b in _unit_map_pairs(24):
+            scale, offset = 10.0 ** rng.uniform(-2, 2), rng.uniform(-10, 10)
+            assert pcc(a, scale * b + offset) == pytest.approx(pcc(a, b), abs=1e-9)
 
 
 def _fixations():
@@ -48,11 +48,11 @@ def _fixations():
 
 
 class TestAucRoc:
-    @settings(max_examples=30, deadline=None)
-    @given(levels=arrays(np.int64, (3, H, W), elements=st.integers(0, 255)))
-    def test_unchanged_by_strictly_monotone_transform(self, levels):
+    @pytest.mark.parametrize("seed", range(10))
+    def test_unchanged_by_strictly_monotone_transform(self, seed):
         # values on a 1/255 grid stay distinct under the transform, so
         # every comparison and tie of the Mann-Whitney count is kept
+        levels = np.random.default_rng(seed).integers(0, 256, size=(3, H, W))
         maps = list(levels / 255.0)
         warped = [np.exp(3.0 * m) - m ** 2 for m in maps]
         fixations = _fixations()
