@@ -16,6 +16,11 @@ Within one feature channel and one pyramid level the chain is:
    border-ownership annularly toward the owned side while the opposing
    side inhibits with weight w_p.
 
+Per level, the intermediates are float64 arrays with named leading axes:
+edges (4, h, w) [theta], von Mises responses (4, 2, 2, h, w) [theta, side,
+polarity], border ownership and masks (4, 2, h, w) [theta, side]; theta
+follows ``THETAS``, side is (left, right) and polarity (ON, OFF).
+
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
 of border responses.  With kernels of half-width half = size // 2, the
@@ -38,7 +43,6 @@ hardware's fixed point, ``hwmodel.FixedArith``.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -128,13 +132,13 @@ def _check_size(map_: np.ndarray, size: int) -> None:
         raise DimensionError(f"map {map_.shape} smaller than kernel {size}x{size}")
 
 
-def complex_edges(map_: np.ndarray, bank: EdgeBank, arith=FLOAT):
-    """Per-orientation complex cell responses sqrt(even^2 + odd^2)."""
+def complex_edges(map_: np.ndarray, bank: EdgeBank, arith=FLOAT) -> np.ndarray:
+    """Complex cell responses sqrt(even^2 + odd^2), shape (4, h, w) [theta]."""
     _check_size(map_, bank.size)
-    return [
-        arith.magnitude(arith.correlate(map_, even), arith.correlate(map_, odd))
-        for even, odd in zip(bank.even, bank.odd)
-    ]
+    out = np.empty((len(THETAS), *map_.shape))
+    for ti, (even, odd) in enumerate(zip(bank.even, bank.odd)):
+        out[ti] = arith.magnitude(arith.correlate(map_, even), arith.correlate(map_, odd))
+    return out
 
 
 def center_surround(map_: np.ndarray, bank: CenterSurroundBank, arith=FLOAT):
@@ -145,17 +149,14 @@ def center_surround(map_: np.ndarray, bank: CenterSurroundBank, arith=FLOAT):
 
 
 def von_mises_filter(on: np.ndarray, off: np.ndarray, bank: VonMisesBank,
-                     arith=FLOAT) -> dict:
-    """The 16 association-field responses of one level.
-
-    Keys are (theta_index, side, polarity) with side in {"left",
-    "right"} and polarity in {"on", "off"}.
-    """
-    out = {}
-    for ti in range(len(THETAS)):
-        for side, kern in (("left", bank.left[ti]), ("right", bank.right[ti])):
-            out[(ti, side, "on")] = arith.correlate(on, kern)
-            out[(ti, side, "off")] = arith.correlate(off, kern)
+                     arith=FLOAT) -> np.ndarray:
+    """The 16 association-field responses of one level, shape
+    (4, 2, 2, h, w) [theta, side (left, right), polarity (on, off)]."""
+    out = np.empty((len(THETAS), 2, 2, *on.shape))
+    for ti, kernels in enumerate(zip(bank.left, bank.right)):
+        for side, kern in enumerate(kernels):
+            out[ti, side, 0] = arith.correlate(on, kern)
+            out[ti, side, 1] = arith.correlate(off, kern)
     return out
 
 
@@ -227,89 +228,63 @@ def von_mises_sum(levels, upsample=bilinear_resize, arith=FLOAT):
     return out
 
 
-@dataclass(frozen=True)
-class BorderOwnershipField:
-    """left[level][theta_index] and right[level][theta_index] maps."""
-
-    left: tuple
-    right: tuple
-
-    def __post_init__(self):
-        if len(self.left) != len(self.right):
-            raise DimensionError("left/right level counts disagree")
-
-
-def border_ownership(edges, vm_summed_levels, arith=FLOAT) -> BorderOwnershipField:
+def border_ownership(edges, vm_summed_levels, arith=FLOAT) -> list:
     """Border-ownership responses from edges and summed side evidence.
 
-    For each level and orientation, the light (ON) and dark (OFF) paths
-    are rectified separately and summed, which makes the result
-    invariant to stimulus polarity outside the zero-padding band
-    described in the module docstring.
+    Takes per level the (4, h, w) edges and the (4, 2, 2, h, w) summed
+    von Mises responses, and returns per level a (4, 2, h, w) array
+    [theta, side].  For each orientation and side, the light (ON) and
+    dark (OFF) paths are rectified separately and summed, which makes
+    the result invariant to stimulus polarity outside the zero-padding
+    band described in the module docstring.
     """
-    def owned(e, vm_l, ti, side):
-        on = _rect(arith.modulate(e, vm_l[(ti, side, "on")]))
-        off = _rect(arith.modulate(e, vm_l[(ti, side, "off")]))
-        return arith.clip(on + off)
-
-    left_levels, right_levels = [], []
+    out = []
     for edges_l, vm_l in zip(edges, vm_summed_levels):
-        left_levels.append(tuple(owned(e, vm_l, ti, "left") for ti, e in enumerate(edges_l)))
-        right_levels.append(tuple(owned(e, vm_l, ti, "right") for ti, e in enumerate(edges_l)))
-    return BorderOwnershipField(tuple(left_levels), tuple(right_levels))
+        bo = np.empty(vm_l.shape[:2] + vm_l.shape[3:])
+        for ti, side in np.ndindex(bo.shape[:2]):
+            on = _rect(arith.modulate(edges_l[ti], vm_l[ti, side, 0]))
+            off = _rect(arith.modulate(edges_l[ti], vm_l[ti, side, 1]))
+            bo[ti, side] = arith.clip(on + off)
+        out.append(bo)
+    return out
 
 
-def bo_masks(field: BorderOwnershipField):
-    """Binary winner masks per level and orientation; ties go left.
+def bo_masks(bo_levels) -> list:
+    """Binary winner masks, per level a (4, 2, h, w) array [theta, side]
+    of 1.0 and 0.0; ties go left.
 
-    mask_left + mask_right == 1 everywhere.  Masks take the field's
-    element type, so masking is a multiply in either arithmetic.
+    mask[:, 0] + mask[:, 1] == 1 everywhere, so masking is a multiply.
     """
-    masks_left, masks_right = [], []
-    for left_l, right_l in zip(field.left, field.right):
-        ml, mr = [], []
-        for bl, br in zip(left_l, right_l):
-            m = (bl >= br).astype(bl.dtype)
-            ml.append(m)
-            mr.append(1 - m)
-        masks_left.append(tuple(ml))
-        masks_right.append(tuple(mr))
-    return tuple(masks_left), tuple(masks_right)
+    out = []
+    for bo in bo_levels:
+        masks = np.empty_like(bo)
+        np.greater_equal(bo[:, 0], bo[:, 1], out=masks[:, 0])
+        np.subtract(1.0, masks[:, 0], out=masks[:, 1])
+        out.append(masks)
+    return out
 
 
-def grouping_activity(
-    masks,
-    field: BorderOwnershipField,
-    vm: VonMisesBank,
-    w_p: float,
-    arith=FLOAT,
-):
+def grouping_activity(masks, bo_levels, vm: VonMisesBank, w_p: float, arith=FLOAT) -> list:
     """Per-level grouping maps rect(sum over theta of GrpSum).
 
-    The annular integration pushes masked border-ownership activity
-    toward the owned side, which for a kernel pointing at direction d
-    means correlating with the opposite-side kernel (a true
-    convolution); the same-location opposing response inhibits with
-    weight w_p.
+    ``masks`` and ``bo_levels`` hold per level a (4, 2, h, w) array
+    [theta, side].  The annular integration pushes masked
+    border-ownership activity toward the owned side, which for a kernel
+    pointing at direction d means correlating with the opposite-side
+    kernel (a true convolution); the same-location opposing response
+    inhibits with weight w_p.
     """
-    masks_left, masks_right = masks
     out = []
-    for lvl in range(len(field.left)):
-        total = None
+    for mask, bo in zip(masks, bo_levels):
         for ti in range(len(THETAS)):
-            bl = field.left[lvl][ti]
-            br = field.right[lvl][ti]
-            ml = masks_left[lvl][ti]
-            mr = masks_right[lvl][ti]
             # conv with vm.left == corr with vm.right, and vice versa
-            grp_left = arith.correlate(ml * bl, vm.right[ti]) - arith.weigh(
-                arith.correlate(ml * br, vm.right[ti]), w_p
-            )
-            grp_right = arith.correlate(mr * br, vm.left[ti]) - arith.weigh(
-                arith.correlate(mr * bl, vm.left[ti]), w_p
+            grp_left, grp_right = (
+                arith.correlate(mask[ti, own] * bo[ti, own], kern)
+                - arith.weigh(arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern), w_p)
+                for own, kern in enumerate((vm.right[ti], vm.left[ti]))
             )
             grp_sum = grp_left + grp_right
-            total = grp_sum if total is None else total + grp_sum
+            total = grp_sum if ti == 0 else total + grp_sum
         out.append(_rect(arith.clip(total)))
     return out
 
@@ -328,17 +303,12 @@ def grouping_pyramid(
     maps, finest first, in that same format.
     """
     edges = [complex_edges(level, banks.edge, arith) for level in channel_pyr.levels]
-    vm_resp = []
-    for level in channel_pyr.levels:
-        on, off = center_surround(level, banks.cs, arith)
-        vm_resp.append(von_mises_filter(on, off, banks.vm, arith))
-    keys = list(vm_resp[0])
-    summed = [dict() for _ in vm_resp]
-    for key in keys:
-        # pop: each raw response is freed once its series is summed
-        series = von_mises_sum([r.pop(key) for r in vm_resp], upsample, arith)
-        for lvl, arr in enumerate(series):
-            summed[lvl][key] = arr
-    field = border_ownership(edges, summed, arith)
-    masks = bo_masks(field)
-    return grouping_activity(masks, field, banks.vm, w_p, arith)
+    vm = [von_mises_filter(*center_surround(level, banks.cs, arith), banks.vm, arith)
+          for level in channel_pyr.levels]
+    for idx in np.ndindex(vm[0].shape[:3]):
+        # one (theta, side, polarity) series, summed across levels in place
+        for vm_l, summed in zip(vm, von_mises_sum([v[idx] for v in vm], upsample, arith)):
+            vm_l[idx] = summed
+    bo = border_ownership(edges, vm, arith)
+    del edges, vm  # not needed in P7: free them before its temporaries
+    return grouping_activity(bo_masks(bo), bo, banks.vm, w_p, arith)

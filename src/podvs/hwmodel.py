@@ -272,12 +272,11 @@ def _calibrate():
 OVERLAP_FACTOR, HOST_SECONDS_PER_PASS = _calibrate()
 
 
-def frame_rate(resolution: Resolution, channels_parallel: int | None = None,
-               clock_hz: float = CLOCK_HZ) -> float:
+def frame_rate(resolution: Resolution, channels_parallel: int | None = None) -> float:
     """Modeled frames per second for a given channel parallelism."""
     channels_parallel = _parallelism(resolution, channels_parallel)
     per_pass = (
-        OVERLAP_FACTOR * channel_pass_cycles(resolution) / clock_hz
+        OVERLAP_FACTOR * channel_pass_cycles(resolution) / CLOCK_HZ
         + HOST_SECONDS_PER_PASS
     )
     return 1.0 / ((9.0 / channels_parallel) * per_pass)
@@ -296,12 +295,10 @@ def _stage_display(name: str, bits: int) -> str:
 class HwProfile:
     """Cycle and block-memory ledger for a hardware-model run."""
 
-    def __init__(self, cfg: EngineConfig, channels_parallel: int | None = None,
-                 clock_hz: float = CLOCK_HZ):
+    def __init__(self, cfg: EngineConfig, channels_parallel: int | None = None):
         _require_hw(cfg)
         self.resolution = cfg.resolution
         self.channels_parallel = _parallelism(cfg.resolution, channels_parallel)
-        self.clock_hz = clock_hz
         self.stage = stage_costs(cfg.resolution)
         self.frames = 0
         self.saturations = 0
@@ -317,13 +314,13 @@ class HwProfile:
 
     @property
     def derived_frame_rate(self) -> float:
-        return frame_rate(self.resolution, self.channels_parallel, self.clock_hz)
+        return frame_rate(self.resolution, self.channels_parallel)
 
     def to_json(self) -> str:
         doc = {
             "resolution": str(self.resolution),
             "channels_parallel": self.channels_parallel,
-            "clock_hz": self.clock_hz,
+            "clock_hz": CLOCK_HZ,
             "stages": {
                 name: {"cycles": c.cycles, "bram_bits": c.bram_bits}
                 for name, c in self.stage.items()
@@ -343,7 +340,7 @@ class HwProfile:
         lines = [
             f"hardware profile, {self.resolution}, "
             f"{self.channels_parallel} channel(s) in parallel, "
-            f"{self.clock_hz / 1e6:g} MHz clock",
+            f"{CLOCK_HZ / 1e6:g} MHz clock",
         ]
         for name in STAGE_ORDER:
             cost = self.stage[name]

@@ -178,7 +178,10 @@ def save_banks(banks: GroupingBanks, path) -> None:
 
 
 def load_banks(path) -> GroupingBanks:
-    """Read banks written by save_banks; bit-exact round trip."""
+    """Read banks written by save_banks; bit-exact round trip.
+
+    Malformed input raises ``FormatError`` naming the file and line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
     if not lines or not lines[0].startswith("podvs-kernel-bank"):
@@ -186,19 +189,27 @@ def load_banks(path) -> GroupingBanks:
     try:
         size = int(lines[1].split()[1])
     except (IndexError, ValueError) as exc:
-        raise FormatError(f"{path}: malformed size line") from exc
+        raise FormatError(f"{path}:2: malformed size line") from exc
+    if size < 1:
+        raise FormatError(f"{path}:2: kernel size {size} is not positive")
     kernels = {}
     i = 2
     while i < len(lines):
         if not lines[i].startswith("kernel "):
-            raise FormatError(f"{path}: expected kernel header at line {i + 1}")
+            raise FormatError(f"{path}:{i + 1}: expected kernel header")
         name = lines[i][len("kernel ") :]
         rows = []
-        for j in range(size):
-            rows.append([float(v) for v in lines[i + 1 + j].split()])
+        for j in range(i + 1, i + 1 + size):
+            if j == len(lines):
+                raise FormatError(f"{path}:{j + 1}: kernel {name!r} ends after {len(rows)} rows")
+            try:
+                rows.append([float(v) for v in lines[j].split()])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{j + 1}: {exc}") from exc
+            if len(rows[-1]) != size or not np.all(np.isfinite(rows[-1])):
+                raise FormatError(f"{path}:{j + 1}: kernel {name!r} row is not "
+                                  f"{size} finite values")
         kern = np.array(rows, dtype=np.float64)
-        if kern.shape != (size, size):
-            raise FormatError(f"{path}: kernel {name!r} is not {size}x{size}")
         kern.setflags(write=False)
         kernels[name] = kern
         i += 1 + size

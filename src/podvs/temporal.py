@@ -53,7 +53,6 @@ class TemporalKernel:
     """Discretized filter taps; taps[k] weighs the frame k steps in the past."""
 
     taps: np.ndarray
-    frame_period_ms: float
 
     def __post_init__(self):
         object.__setattr__(self, "taps", np.asarray(self.taps, dtype=np.float64))
@@ -80,7 +79,7 @@ def make_kernel(
     if tap_count < 1:
         raise ConfigError("tap count must be >= 1")
     t = np.arange(tap_count, dtype=np.float64) * frame_period_ms
-    return TemporalKernel(params.response(t), frame_period_ms)
+    return TemporalKernel(params.response(t))
 
 
 def phasic_degree_index(

@@ -85,6 +85,10 @@ class TestProfile:
         assert cli(["profile", "--mode", "hw80"]) == 0
         assert "derived frame rate" in capsys.readouterr().out
 
+    def test_nine_channels_give_the_abstracts_rate(self, capsys):
+        assert cli(["profile", "--mode", "hw80", "--channels", "9"]) == 0
+        assert "  derived frame rate: 23.355 Hz" in capsys.readouterr().out.splitlines()
+
     def test_zero_channels_is_a_data_error(self, capsys):
         assert cli(["profile", "--channels", "0"]) == 1
         assert "channels_parallel must be >= 1" in capsys.readouterr().err

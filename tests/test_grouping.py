@@ -7,7 +7,6 @@ from scipy import ndimage
 from podvs import grouping
 from podvs.errors import DimensionError
 from podvs.grouping import (
-    BorderOwnershipField,
     bo_masks,
     border_ownership,
     center_surround,
@@ -122,6 +121,7 @@ class TestCorrelate:
 class TestComplexEdges:
     def test_constant_map_silent_interior(self, banks5):
         edges = complex_edges(np.full((20, 20), 50.0), banks5.edge)
+        assert edges.shape == (4, 20, 20)
         for e in edges:
             assert np.max(np.abs(interior(e, 3))) < 1e-9
 
@@ -184,6 +184,18 @@ class TestCenterSurround:
         assert np.all((on == 0) | (off == 0))
 
 
+class TestVonMisesFilter:
+    def test_axes_are_theta_side_polarity(self, banks5):
+        rng = np.random.default_rng(36)
+        on, off = rng.random((2, 9, 11))
+        out = von_mises_filter(on, off, banks5.vm)
+        assert out.shape == (4, 2, 2, 9, 11)
+        for ti in range(4):
+            for side, kern in enumerate((banks5.vm.left[ti], banks5.vm.right[ti])):
+                np.testing.assert_array_equal(out[ti, side, 0], correlate(on, kern))
+                np.testing.assert_array_equal(out[ti, side, 1], correlate(off, kern))
+
+
 class TestVonMisesSum:
     def test_single_level_identity(self):
         level = np.random.default_rng(24).random((8, 8))
@@ -230,11 +242,11 @@ class TestBorderOwnership:
         for level in pyr.levels:
             on, off = center_surround(level, banks.cs)
             vm.append(von_mises_filter(on, off, banks.vm))
-        summed = [dict() for _ in vm]
-        for key in vm[0]:
-            series = von_mises_sum([r[key] for r in vm], bilinear_resize)
+        summed = [np.empty_like(r) for r in vm]
+        for idx in np.ndindex(vm[0].shape[:3]):
+            series = von_mises_sum([r[idx] for r in vm], bilinear_resize)
             for lvl, arr in enumerate(series):
-                summed[lvl][key] = arr
+                summed[lvl][idx] = arr
         return border_ownership(edges, summed)
 
     @staticmethod
@@ -246,20 +258,15 @@ class TestBorderOwnership:
     def test_zero_center_surround_means_zero_ownership(self, banks5):
         m = np.zeros((12, 12))
         edges = [complex_edges(m, banks5.edge)]
-        silent = {
-            (ti, side, pol): np.zeros((12, 12))
-            for ti in range(4)
-            for side in ("left", "right")
-            for pol in ("on", "off")
-        }
+        silent = np.zeros((4, 2, 2, 12, 12))
         field = border_ownership(edges, [silent])
-        for maps in (*field.left[0], *field.right[0]):
-            assert np.all(maps == 0.0)
+        assert field[0].shape == (4, 2, 12, 12)
+        assert np.all(field[0] == 0.0)
 
     def test_light_square_left_border_owned_rightward(self, banks5):
         field = self._run(self._light_square(), banks5)
         ti = THETAS.index(np.pi / 2)
-        left, right = field.left[0][ti][12], field.right[0][ti][12]
+        left, right = field[0][ti, 0, 12], field[0][ti, 1, 12]
         # the square's left border lies between x = 7 and 8; the object
         # lies to its right
         assert pair_share(right, left, 8) >= 0.05
@@ -274,7 +281,7 @@ class TestBorderOwnership:
         # tells which side of the edge it sits on, not where the figure is.
         field = self._run(self._light_square(), banks5, depth=1)
         ti = THETAS.index(np.pi / 2)
-        left, right = field.left[0][ti][12], field.right[0][ti][12]
+        left, right = field[0][ti, 0, 12], field[0][ti, 1, 12]
         assert left[8] == pytest.approx(right[7], abs=1e-9)
         assert right[8] == pytest.approx(left[7], abs=1e-9)
 
@@ -288,49 +295,47 @@ class TestBorderOwnership:
         fa = border_ownership(edges, vm_a)
         fb = border_ownership(edges, vm_b)
         for ti in range(4):
-            np.testing.assert_allclose(fa.left[0][ti], fb.left[0][ti], atol=1e-9)
-            np.testing.assert_allclose(fa.right[0][ti], fb.right[0][ti], atol=1e-9)
+            for side in range(2):
+                np.testing.assert_allclose(fa[0][ti, side], fb[0][ti, side], atol=1e-9)
+
+
+def stack_sides(left, right):
+    """A (4, 2, h, w) [theta, side] array from per-orientation maps."""
+    return np.stack([np.stack(sides) for sides in zip(left, right)])
 
 
 class TestMasks:
     def test_tie_goes_left(self):
         b = np.full((5, 5), 2.0)
-        field = BorderOwnershipField(((b,),), ((b.copy(),),))
-        masks_left, masks_right = bo_masks(field)
-        assert np.all(masks_left[0][0] == 1.0)
-        assert np.all(masks_right[0][0] == 0.0)
+        (masks,) = bo_masks([stack_sides((b,), (b.copy(),))])
+        assert np.all(masks[0, 0] == 1.0)
+        assert np.all(masks[0, 1] == 0.0)
 
     def test_zero_left_loses_except_zero_ties(self):
         left = np.zeros((4, 4))
         right = np.zeros((4, 4))
         right[1:, :] = 3.0
-        field = BorderOwnershipField(((left,),), ((right,),))
-        masks_left, masks_right = bo_masks(field)
-        assert np.all(masks_right[0][0][1:, :] == 1.0)
-        assert np.all(masks_left[0][0][0, :] == 1.0)  # 0 >= 0 tie
+        (masks,) = bo_masks([stack_sides((left,), (right,))])
+        assert np.all(masks[0, 1][1:, :] == 1.0)
+        assert np.all(masks[0, 0][0, :] == 1.0)  # 0 >= 0 tie
 
     def test_partition(self):
         rng = np.random.default_rng(27)
-        field = BorderOwnershipField(
-            tuple((rng.random((6, 6)),) for _ in range(2)),
-            tuple((rng.random((6, 6)),) for _ in range(2)),
-        )
-        masks_left, masks_right = bo_masks(field)
+        field = [rng.random((4, 2, 6, 6)) for _ in range(2)]
+        masks = bo_masks(field)
         for lvl in range(2):
+            assert masks[lvl].shape == (4, 2, 6, 6)
             np.testing.assert_array_equal(
-                masks_left[lvl][0] + masks_right[lvl][0], np.ones((6, 6))
+                masks[lvl][:, 0] + masks[lvl][:, 1], np.ones((4, 6, 6))
             )
 
 
 class TestGroupingActivity:
     def _field(self, rng, shape=(14, 14), levels=1):
-        left = tuple(tuple(rng.random(shape) for _ in THETAS) for _ in range(levels))
-        right = tuple(tuple(rng.random(shape) for _ in THETAS) for _ in range(levels))
-        return BorderOwnershipField(left, right)
+        return [rng.random((len(THETAS), 2, *shape)) for _ in range(levels)]
 
     def test_zero_field_zero_grouping(self, banks5):
-        z = tuple((np.zeros((8, 8)),) * 4 for _ in range(1))
-        field = BorderOwnershipField(z, z)
+        field = [np.zeros((4, 2, 8, 8))]
         out = grouping_activity(bo_masks(field), field, banks5.vm, w_p=1.0)
         assert np.all(out[0] == 0.0)
 
@@ -339,20 +344,16 @@ class TestGroupingActivity:
         field = self._field(rng)
         masks = bo_masks(field)
         out = grouping_activity(masks, field, banks5.vm, w_p=0.0)
-        masks_left, masks_right = masks
         expected = np.zeros((14, 14))
         for ti in range(4):
-            expected += correlate(masks_left[0][ti] * field.left[0][ti], banks5.vm.right[ti])
-            expected += correlate(masks_right[0][ti] * field.right[0][ti], banks5.vm.left[ti])
+            expected += correlate(masks[0][ti, 0] * field[0][ti, 0], banks5.vm.right[ti])
+            expected += correlate(masks[0][ti, 1] * field[0][ti, 1], banks5.vm.left[ti])
         np.testing.assert_allclose(out[0], np.maximum(expected, 0.0), atol=1e-12)
 
     def test_positive_scaling_covariance(self, banks5):
         rng = np.random.default_rng(29)
         field = self._field(rng)
-        scaled = BorderOwnershipField(
-            tuple(tuple(3.0 * b for b in lvl) for lvl in field.left),
-            tuple(tuple(3.0 * b for b in lvl) for lvl in field.right),
-        )
+        scaled = [3.0 * bo for bo in field]
         a = grouping_activity(bo_masks(field), field, banks5.vm, w_p=1.0)
         b = grouping_activity(bo_masks(scaled), scaled, banks5.vm, w_p=1.0)
         np.testing.assert_allclose(b[0], 3.0 * a[0], atol=1e-9)
@@ -363,7 +364,7 @@ class TestGroupingActivity:
         rng = np.random.default_rng(30)
         bl = rng.random((10, 10)) + 2.0
         br = rng.random((10, 10))  # strictly smaller
-        field = BorderOwnershipField(((bl,) * 4,), ((br,) * 4,))
+        field = [stack_sides((bl,) * 4, (br,) * 4)]
         masks = bo_masks(field)
         out_low = grouping_activity(masks, field, banks5.vm, w_p=0.0)[0]
         out_high = grouping_activity(masks, field, banks5.vm, w_p=1.0)[0]

@@ -15,6 +15,7 @@ from podvs.hwmodel import (
     HwProfile,
     _Flags,
     fixed_correlate,
+    frame_rate,
     round_shift,
 )
 
@@ -205,3 +206,18 @@ class TestHwProfile:
     def test_rejects_nonpositive_parallelism(self, hw112_cfg, channels):
         with pytest.raises(ConfigError):
             HwProfile(hw112_cfg, channels_parallel=channels)
+
+
+class TestFrameRate:
+    def test_calibration_reproduces_board_anchors(self):
+        # measured: 2.079 Hz at 112x84 with one channel, 5.190 Hz at
+        # 80x60 with two channels in parallel
+        assert frame_rate(Resolution.HW_112, 1) == pytest.approx(2.079, rel=1e-12)
+        assert frame_rate(Resolution.HW_80, 2) == pytest.approx(5.190, rel=1e-12)
+
+    def test_nine_parallel_channels_give_the_abstracts_rate(self):
+        # the abstract's 23.35 fps at 80x60 with all nine channels in
+        # parallel; the modelled 23.355 Hz truncates to it
+        rate = frame_rate(Resolution.HW_80, 9)
+        assert rate == pytest.approx(23.355, abs=5e-4)
+        assert math.floor(rate * 100) / 100 == 23.35

@@ -96,6 +96,33 @@ class TestBankIO:
         with pytest.raises(ConfigError):
             build_banks(6)
 
+    @pytest.mark.parametrize("damage, line", [
+        ("truncated", 59),
+        ("non-numeric", 4),
+        ("short row", 5),
+        ("nan", 4),
+        ("zero size", 2),
+    ])
+    def test_damaged_file_names_line(self, damage, line, tmp_path):
+        from podvs.errors import FormatError
+
+        path = tmp_path / "banks.txt"
+        save_banks(build_banks(5), path)
+        lines = path.read_text().splitlines()
+        if damage == "truncated":
+            lines = lines[:58]  # inside the tenth kernel
+        elif damage == "non-numeric":
+            lines[3] = lines[3].replace(" ", " x", 1)
+        elif damage == "short row":
+            lines[4] = lines[4].rsplit(" ", 1)[0]
+        elif damage == "nan":
+            lines[3] = "nan " + lines[3].split(" ", 1)[1]
+        else:
+            lines[1] = "size 0"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"banks.txt:{line}: "):
+            load_banks(path)
+
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a bank\n")

@@ -1,10 +1,12 @@
 """Invariants of the map-similarity and fixation metrics."""
+import math
+
 import numpy as np
 import pytest
 
 from podvs.config import FixationRecord
 from podvs.errors import MetricError
-from podvs.metrics import FixationSet, MetricConfig, auc_roc, nss, pcc
+from podvs.metrics import FixationSet, MetricConfig, auc_roc, kld, nss, pcc
 
 H, W = 6, 8
 
@@ -60,6 +62,50 @@ class TestAucRoc:
         cfg = MetricConfig(shuffle_repeats=5)
         assert (auc_roc(warped, fixations, pool, "a", cfg).score
                 == auc_roc(maps, fixations, pool, "a", cfg).score)
+
+
+def _one_negative(positives, negative):
+    """Fixations at the given (y, x) points of frames 0 and 1 of video
+    'a', and a one-record pool on video 'b' at ``negative``, so every
+    shuffled negative reads the same pixel."""
+    records = [FixationRecord("a", frame, "s", x, y)
+               for frame in (0, 1) for y, x in positives]
+    y, x = negative
+    return FixationSet(records), FixationSet([FixationRecord("b", 0, "s", x, y)])
+
+
+class TestShuffledScoresByHand:
+    # a 2x2 map per frame; frame 2 has no fixations and is skipped
+    MAP = np.array([[0.9, 0.5], [0.12, 0.13]])
+
+    def test_auc_counts_ties_one_half(self):
+        # positives 0.9 and 0.5 against negatives 0.5 and 0.5: two wins
+        # and two ties of four pairs
+        fixations, pool = _one_negative([(0, 0), (0, 1)], (0, 1))
+        out = auc_roc([self.MAP] * 3, fixations, pool, "a", MetricConfig(shuffle_repeats=3))
+        assert out.score == 0.75
+        assert (out.frames_scored, out.frames_skipped) == (2, 1)
+
+    def test_auc_of_a_map_below_every_negative_is_zero(self):
+        fixations, pool = _one_negative([(1, 0), (1, 1)], (0, 1))
+        assert auc_roc([self.MAP] * 2, fixations, pool, "a").score == 0.0
+
+    def test_kld_of_disjoint_bins(self):
+        # positives fill bin 2 of 20 twice, negatives bin 18; with
+        # smoothing eps and Z = 2 + 20 eps the divergence is
+        # (2 + eps)/Z log((2 + eps)/eps) + eps/Z log(eps/(2 + eps))
+        cfg = MetricConfig(shuffle_repeats=4)
+        eps = cfg.kld_epsilon
+        fixations, pool = _one_negative([(1, 0), (1, 1)], (0, 0))
+        out = kld([self.MAP] * 3, fixations, pool, "a", cfg)
+        assert out.score == pytest.approx(2 / (2 + 20 * eps) * math.log((2 + eps) / eps),
+                                          rel=1e-12)
+        assert (out.frames_scored, out.frames_skipped) == (2, 1)
+
+    def test_kld_of_the_same_bin_is_zero(self):
+        # 0.12 and 0.13 share bin 2 with the negative at 0.13
+        fixations, pool = _one_negative([(1, 0), (1, 1)], (1, 1))
+        assert kld([self.MAP] * 2, fixations, pool, "a").score == 0.0
 
 
 class TestNss:
