@@ -14,7 +14,6 @@ from .config import (
     FrameHistory,
     FrameRGB,
     Resolution,
-    hw_variant,
     load_config,
     parse_config,
     validate_frame,
@@ -27,7 +26,7 @@ from .hwmodel import (
     quantize,
 )
 from .kernels import GroupingBanks, build_banks, load_banks, save_banks
-from .metrics import FixationSet, MetricConfig, auc_roc, kld, nss, pcc
+from .metrics import FixationSet, auc_roc, kld, nss, pcc
 from .normalize import LocalMaximaParams, fuse, local_maxima, normalize_n1, normalize_n2
 from .pipeline import Pipeline, run_sequence
 from .pyramid import ImagePyramid, build_hw_pyramid, build_reference_pyramid, collapse
@@ -45,11 +44,11 @@ __all__ = [
     "__version__",
     "ChannelId", "color_opponency", "extract_all", "to_intensity",
     "EngineConfig", "FixationRecord", "FrameHistory", "FrameRGB", "Resolution",
-    "hw_variant", "load_config", "parse_config", "validate_frame",
+    "load_config", "parse_config", "validate_frame",
     "ConfigError", "DimensionError", "FormatError", "MetricError", "PodvsError",
     "FixedFormat", "HwPipeline", "HwProfile", "quantize",
     "GroupingBanks", "build_banks", "load_banks", "save_banks",
-    "FixationSet", "MetricConfig", "auc_roc", "kld", "nss", "pcc",
+    "FixationSet", "auc_roc", "kld", "nss", "pcc",
     "LocalMaximaParams", "fuse", "local_maxima", "normalize_n1", "normalize_n2",
     "Pipeline", "run_sequence",
     "ImagePyramid", "build_hw_pyramid", "build_reference_pyramid", "collapse",

@@ -27,6 +27,11 @@ class ChannelId(Enum):
     O_135 = "o135"
 
 
+#: The four orientation channels share one gray input and hence one
+#: grouped map, and ``normalize.fuse`` adds its conspicuity map once per
+#: channel: orientation weighs 4 in the fused sum, against 1 for
+#: intensity and 1 for each color-opponency map.  Whether that matches
+#: Russell et al. (2014), which this model follows, is not verified here.
 ORIENTATION_CHANNELS = (ChannelId.O_0, ChannelId.O_45, ChannelId.O_90, ChannelId.O_135)
 
 

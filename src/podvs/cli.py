@@ -19,11 +19,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import EngineConfig, Resolution, hw_variant, load_config
+from .config import EngineConfig, Resolution, load_config
 from .errors import PodvsError
 from .hwmodel import HwPipeline, HwProfile
 from .io import (
@@ -33,7 +34,7 @@ from .io import (
     require_empty_archive,
     write_maps,
 )
-from .metrics import MetricConfig, auc_roc, kld, nss, pcc
+from .metrics import auc_roc, kld, nss, pcc
 from .pipeline import Pipeline, run_sequence
 from .synth import all_videos
 
@@ -47,7 +48,7 @@ _MODE_RESOLUTION = {
 
 def _config_for(args) -> EngineConfig:
     cfg = load_config(args.config) if args.config else EngineConfig()
-    return hw_variant(cfg, _MODE_RESOLUTION[args.mode])
+    return replace(cfg, resolution=_MODE_RESOLUTION[args.mode])
 
 
 def _cmd_run(args) -> int:
@@ -72,7 +73,6 @@ def _cmd_eval(args) -> int:
     fixations = read_fixations(args.fixations)
     if len(fixations) == 0:
         raise PodvsError("no fixations in the CSV")
-    cfg = MetricConfig(seed=args.seed)
     maps_root = Path(args.maps)
     videos = [v for v in fixations.videos if (maps_root / v).is_dir()]
     if not videos:
@@ -83,8 +83,8 @@ def _cmd_eval(args) -> int:
     for video in videos:
         maps = read_maps(maps_root / video)
         pool = fixations.pool_excluding(video)
-        a = auc_roc(maps, fixations, pool, video, cfg)
-        k = kld(maps, fixations, pool, video, cfg)
+        a = auc_roc(maps, fixations, pool, video, args.seed)
+        k = kld(maps, fixations, pool, video, args.seed)
         auc_scores.append(a.score)
         kld_scores.append(k.score)
         print(

@@ -7,7 +7,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -239,11 +239,8 @@ class FrameHistory:
     onset transient.
     """
 
-    def __init__(self, depth: int = TAP_COUNT):
-        if depth < 1:
-            raise ConfigError("history depth must be >= 1")
-        self.depth = int(depth)
-        self._ring: collections.deque[FrameRGB] = collections.deque(maxlen=depth)
+    def __init__(self):
+        self._ring: collections.deque[FrameRGB] = collections.deque(maxlen=TAP_COUNT)
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -260,9 +257,9 @@ class FrameHistory:
         return self._ring[min(t, len(self._ring) - 1)]
 
     def plane_stack(self, plane: str) -> np.ndarray:
-        """(depth, H, W) float64 stack of one color plane, newest first."""
+        """(TAP_COUNT, H, W) float64 stack of one color plane, newest first."""
         return np.stack(
-            [getattr(self.frame_at(t), plane).astype(np.float64) for t in range(self.depth)]
+            [getattr(self.frame_at(t), plane).astype(np.float64) for t in range(TAP_COUNT)]
         )
 
 
@@ -281,8 +278,3 @@ class FixationRecord:
             raise ConfigError(f"negative frame index {self.frame}")
         if self.x < 0 or self.y < 0:
             raise ConfigError(f"negative fixation coordinate ({self.x}, {self.y})")
-
-
-def hw_variant(cfg: EngineConfig, resolution: Resolution) -> EngineConfig:
-    """The same config retargeted at another resolution mode."""
-    return replace(cfg, resolution=resolution)

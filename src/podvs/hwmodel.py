@@ -154,7 +154,7 @@ class _Flags:
 
 
 def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedFormat,
-                    flags: _Flags, kernel_fmt: FixedFormat = KERNEL_FORMAT):
+                    flags: _Flags):
     """Zero-padded correlation with MAC semantics at every pixel.
 
     Words and coefficients are integers and ``FixedArith``'s check keeps
@@ -163,7 +163,7 @@ def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedForm
     """
     acc = ndimage.correlate(np.asarray(raw_map, dtype=np.float64), kernel_raw,
                             mode="constant", cval=0.0)
-    shift = in_fmt.fraction_bits + kernel_fmt.fraction_bits - out_fmt.fraction_bits
+    shift = in_fmt.fraction_bits + KERNEL_FORMAT.fraction_bits - out_fmt.fraction_bits
     out, sat = saturate(round_shift(acc, shift), out_fmt)
     flags.add(sat)
     return out
@@ -467,9 +467,8 @@ class HwPipeline(Pipeline):
     """Pipeline with the fixed-point backend (reduced modes only); its
     ``profile`` ledger counts frames and saturated words as it runs."""
 
-    def __init__(self, cfg: EngineConfig, banks: GroupingBanks | None = None,
-                 channels_parallel: int | None = None):
-        self.profile = HwProfile(cfg, channels_parallel)
+    def __init__(self, cfg: EngineConfig, banks: GroupingBanks | None = None):
+        self.profile = HwProfile(cfg)
         super().__init__(cfg, banks)
         self.arith = FixedArith(cfg)
         self.banks = _quantize_banks(self.banks)

@@ -192,12 +192,19 @@ def load_banks(path) -> GroupingBanks:
         raise FormatError(f"{path}:2: malformed size line") from exc
     if size < 1:
         raise FormatError(f"{path}:2: kernel size {size} is not positive")
+    n = len(THETAS)
+    known = {f"{kind} {t}" for kind in ("even", "odd", "vm_left", "vm_right")
+             for t in range(n)} | {"cs on"}
     kernels = {}
     i = 2
     while i < len(lines):
         if not lines[i].startswith("kernel "):
             raise FormatError(f"{path}:{i + 1}: expected kernel header")
         name = lines[i][len("kernel ") :]
+        if name not in known:
+            raise FormatError(f"{path}:{i + 1}: unknown kernel {name!r}")
+        if name in kernels:
+            raise FormatError(f"{path}:{i + 1}: repeated kernel {name!r}")
         rows = []
         for j in range(i + 1, i + 1 + size):
             if j == len(lines):
@@ -214,7 +221,6 @@ def load_banks(path) -> GroupingBanks:
         kernels[name] = kern
         i += 1 + size
     try:
-        n = len(THETAS)
         return GroupingBanks(
             edge=EdgeBank(
                 tuple(kernels[f"even {i}"] for i in range(n)),

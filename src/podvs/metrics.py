@@ -17,23 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, MetricError
+from .errors import MetricError
 
 
-@dataclass(frozen=True)
-class MetricConfig:
-    shuffle_repeats: int = 100
-    kld_bins: int = 20
-    kld_epsilon: float = 1e-6
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.shuffle_repeats < 1:
-            raise ConfigError("shuffle_repeats must be >= 1")
-        if self.kld_bins < 2:
-            raise ConfigError("kld_bins must be >= 2")
-        if self.kld_epsilon <= 0:
-            raise ConfigError("kld_epsilon must be positive")
+#: Negative resamples averaged per frame by the shuffled metrics.
+SHUFFLE_REPEATS = 100
+#: Histogram bins over [0, 1] and the count added to each bin by kld.
+KLD_BINS = 20
+KLD_EPSILON = 1e-6
 
 
 class FixationSet:
@@ -52,9 +43,6 @@ class FixationSet:
     def videos(self):
         return sorted({rec.video for rec in self.records})
 
-    def frames(self, video: str):
-        return sorted({rec.frame for rec in self.records if rec.video == video})
-
     def at(self, video: str, frame: int):
         return self._by_video_frame.get((video, frame), [])
 
@@ -72,34 +60,56 @@ class FrameScores:
     frames_skipped: int
 
 
-def _frame_rng(cfg: MetricConfig, video: str, frame: int) -> np.random.Generator:
+def _frame_rng(seed: int, video: str, frame: int) -> np.random.Generator:
     """Deterministic per-frame generator; safe to evaluate frames in parallel."""
     return np.random.default_rng(
-        np.random.SeedSequence([cfg.seed, zlib.crc32(video.encode("utf-8")), frame])
+        np.random.SeedSequence([seed, zlib.crc32(video.encode("utf-8")), frame])
     )
 
 
-def _sample_values(map_: np.ndarray, records, rng: np.random.Generator, count: int):
-    """Map values at `count` fixations sampled with replacement."""
-    idx = rng.integers(0, len(records), size=count)
+def _values_at(map_: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Map values at the fixations (xs, ys); every one must lie on the map."""
     h, w = map_.shape
-    out = np.empty(count, dtype=np.float64)
-    for i, j in enumerate(idx):
-        rec = records[j]
-        if not (0 <= rec.x < w and 0 <= rec.y < h):
-            raise MetricError(
-                f"fixation ({rec.x}, {rec.y}) outside {w}x{h} map"
-            )
-        out[i] = map_[rec.y, rec.x]
-    return out
+    outside = (xs < 0) | (xs >= w) | (ys < 0) | (ys >= h)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise MetricError(f"fixation ({xs[i]}, {ys[i]}) outside {w}x{h} map")
+    return map_[ys, xs].astype(np.float64)
 
 
-def _true_values(map_: np.ndarray, records):
-    h, w = map_.shape
-    for rec in records:
-        if not (0 <= rec.x < w and 0 <= rec.y < h):
-            raise MetricError(f"fixation ({rec.x}, {rec.y}) outside {w}x{h} map")
-    return np.array([map_[rec.y, rec.x] for rec in records], dtype=np.float64)
+def _coords(records):
+    return (np.array([rec.x for rec in records], dtype=np.intp),
+            np.array([rec.y for rec in records], dtype=np.intp))
+
+
+def _shuffled(score, maps, fixations: FixationSet, negatives_pool: FixationSet,
+              video: str, seed: int) -> FrameScores:
+    """score(positives, negatives) averaged over resamples, then frames.
+
+    Per frame the map is read at the true fixations (positives) and at
+    the whole pool; each of SHUFFLE_REPEATS resamples draws as many
+    pool values as there are positives, with replacement.  Frames
+    without fixations are skipped and counted.
+    """
+    if len(negatives_pool) == 0:
+        raise MetricError("no fixations in the negatives pool")
+    pool_xs, pool_ys = _coords(negatives_pool.records)
+    frame_scores = []
+    skipped = 0
+    for frame_idx, map_ in enumerate(maps):
+        records = fixations.at(video, frame_idx)
+        if not records:
+            skipped += 1
+            continue
+        pos = _values_at(map_, *_coords(records))
+        pool = _values_at(map_, pool_xs, pool_ys)
+        rng = _frame_rng(seed, video, frame_idx)
+        repeats = [score(pos, pool[rng.integers(0, len(pool), size=len(pos))])
+                   for _ in range(SHUFFLE_REPEATS)]
+        frame_scores.append(float(np.mean(repeats)))
+    if not frame_scores:
+        raise MetricError("no frames with fixations")
+    return FrameScores(float(np.mean(frame_scores)), len(frame_scores), skipped)
 
 
 def _auc_ties_half(pos: np.ndarray, neg: np.ndarray) -> float:
@@ -110,72 +120,35 @@ def _auc_ties_half(pos: np.ndarray, neg: np.ndarray) -> float:
 
 
 def auc_roc(maps, fixations: FixationSet, negatives_pool: FixationSet,
-            video: str, cfg: MetricConfig = MetricConfig()) -> FrameScores:
+            video: str, seed: int = 0) -> FrameScores:
     """Shuffled AUC-ROC of one video's map sequence.
 
-    Per frame the map is read at the true fixations (positives) and at
-    an equal number of fixations sampled from the other-video pool
-    (negatives); the AUC is averaged over `shuffle_repeats` resamples
-    and then over frames.  Frames without fixations are skipped and
-    counted.
+    Negatives are sampled from the other-video pool, as many per
+    resample as the frame has fixations.
     """
-    if len(negatives_pool) == 0:
-        raise MetricError("no fixations in the negatives pool")
-    frame_scores = []
-    skipped = 0
-    for frame_idx, map_ in enumerate(maps):
-        records = fixations.at(video, frame_idx)
-        if not records:
-            skipped += 1
-            continue
-        pos = _true_values(map_, records)
-        rng = _frame_rng(cfg, video, frame_idx)
-        repeats = [
-            _auc_ties_half(
-                pos, _sample_values(map_, negatives_pool.records, rng, len(pos))
-            )
-            for _ in range(cfg.shuffle_repeats)
-        ]
-        frame_scores.append(float(np.mean(repeats)))
-    if not frame_scores:
-        raise MetricError("no frames with fixations")
-    return FrameScores(float(np.mean(frame_scores)), len(frame_scores), skipped)
+    return _shuffled(_auc_ties_half, maps, fixations, negatives_pool, video, seed)
 
 
-def _histogram(values: np.ndarray, cfg: MetricConfig) -> np.ndarray:
-    hist, _ = np.histogram(values, bins=cfg.kld_bins, range=(0.0, 1.0))
-    smoothed = hist.astype(np.float64) + cfg.kld_epsilon
+def _histogram(values: np.ndarray) -> np.ndarray:
+    hist, _ = np.histogram(values, bins=KLD_BINS, range=(0.0, 1.0))
+    smoothed = hist.astype(np.float64) + KLD_EPSILON
     return smoothed / smoothed.sum()
 
 
+def _kl_divergence(pos: np.ndarray, neg: np.ndarray) -> float:
+    pos_hist = _histogram(pos)
+    return float(np.sum(pos_hist * np.log(pos_hist / _histogram(neg))))
+
+
 def kld(maps, fixations: FixationSet, negatives_pool: FixationSet,
-        video: str, cfg: MetricConfig = MetricConfig()) -> FrameScores:
+        video: str, seed: int = 0) -> FrameScores:
     """Shuffled Kullback-Leibler divergence; higher means better.
 
     KL(true-fixation histogram || shuffled histogram) per frame, with
-    epsilon-smoothed histograms over [0, 1]; same averaging and
-    coverage rules as auc_roc.
+    epsilon-smoothed histograms over [0, 1]; same sampling, averaging
+    and coverage rules as auc_roc.
     """
-    if len(negatives_pool) == 0:
-        raise MetricError("no fixations in the negatives pool")
-    frame_scores = []
-    skipped = 0
-    for frame_idx, map_ in enumerate(maps):
-        records = fixations.at(video, frame_idx)
-        if not records:
-            skipped += 1
-            continue
-        pos_hist = _histogram(_true_values(map_, records), cfg)
-        rng = _frame_rng(cfg, video, frame_idx)
-        repeats = []
-        for _ in range(cfg.shuffle_repeats):
-            neg = _sample_values(map_, negatives_pool.records, rng, len(records))
-            neg_hist = _histogram(neg, cfg)
-            repeats.append(float(np.sum(pos_hist * np.log(pos_hist / neg_hist))))
-        frame_scores.append(float(np.mean(repeats)))
-    if not frame_scores:
-        raise MetricError("no frames with fixations")
-    return FrameScores(float(np.mean(frame_scores)), len(frame_scores), skipped)
+    return _shuffled(_kl_divergence, maps, fixations, negatives_pool, video, seed)
 
 
 def pcc(a: np.ndarray, b: np.ndarray) -> float:

@@ -64,37 +64,27 @@ class TemporalKernel:
         return len(self.taps)
 
 
-def make_kernel(
-    params: PhasicParams,
-    frame_period_ms: float,
-    tap_count: int = TAP_COUNT,
-) -> TemporalKernel:
-    """Sample r(t) at t = k * frame_period for k = 0 .. tap_count-1.
+def make_kernel(params: PhasicParams, frame_period_ms: float) -> TemporalKernel:
+    """Sample r(t) at t = k * frame_period for k = 0 .. TAP_COUNT-1.
 
     Tap 0 sits at t = 0 (the current frame); no DC normalization is
     applied, so a sustained stimulus keeps a nonzero steady response.
     """
     if frame_period_ms <= 0:
         raise ConfigError("frame period must be positive")
-    if tap_count < 1:
-        raise ConfigError("tap count must be >= 1")
-    t = np.arange(tap_count, dtype=np.float64) * frame_period_ms
+    t = np.arange(TAP_COUNT, dtype=np.float64) * frame_period_ms
     return TemporalKernel(params.response(t))
 
 
-def phasic_degree_index(
-    params: PhasicParams,
-    step_ms: float = 0.1,
-    t_max_ms: float = 250.0,
-) -> float:
+def phasic_degree_index(params: PhasicParams) -> float:
     """Rebound-to-onset amplitude ratio of the filter profile.
 
-    Densely samples r(t) over [0, t_max] and returns the magnitude of the
-    inhibitory (negative) peak divided by the excitatory (positive) peak.
-    Larger values mean a stronger rebound, i.e. a more strongly phasic
-    filter.
+    Samples r(t) every 0.1 ms over [0, 250] ms and returns the
+    magnitude of the inhibitory (negative) peak divided by the
+    excitatory (positive) peak.  Larger values mean a stronger rebound,
+    i.e. a more strongly phasic filter.
     """
-    t = np.arange(0.0, t_max_ms + step_ms / 2, step_ms)
+    t = np.arange(0.0, 250.0 + 0.1 / 2, 0.1)  # the half step keeps 250 ms in range
     v = params.response(t)
     peak_pos = float(v.max())
     peak_neg = float(v.min())

@@ -8,7 +8,7 @@ from podvs.channels import (
     extract_all,
     to_intensity,
 )
-from podvs.config import FrameHistory, FrameRGB
+from podvs.config import TAP_COUNT, FrameHistory, FrameRGB
 from podvs.temporal import STRONGLY_PHASIC, WEAKLY_PHASIC, apply_temporal, make_kernel
 
 from conftest import gray_frame, random_frame
@@ -159,7 +159,7 @@ class TestExtractAll:
         strong = make_kernel(STRONGLY_PHASIC, FRAME_PERIOD)
         weak = make_kernel(WEAKLY_PHASIC, FRAME_PERIOD)
         channels = extract_all(hist, strong, weak)
-        intensity = np.stack([to_intensity(hist.frame_at(t)) for t in range(hist.depth)])
+        intensity = np.stack([to_intensity(hist.frame_at(t)) for t in range(TAP_COUNT)])
         np.testing.assert_allclose(
             channels[ChannelId.INTENSITY],
             apply_temporal(strong, intensity),

@@ -4,7 +4,8 @@ import json
 import numpy as np
 
 from podvs.cli import cli
-from podvs.io import ARCHIVE_METADATA, read_maps
+from podvs.config import EngineConfig, Resolution
+from podvs.io import ARCHIVE_METADATA, read_maps, write_maps
 from podvs.synth import color_popout_video
 
 STAGES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
@@ -66,6 +67,38 @@ class TestRun:
     def test_missing_in_is_a_usage_error(self, tmp_path, capsys):
         assert cli(["run", "--mode", "hw80", "--out", str(tmp_path / "out")]) == 2
         assert "--in" in capsys.readouterr().err
+
+
+def write_eval_inputs(root, outside=False):
+    """Archives of three random 80x60 maps for videos v1 and v2, and a
+    fixation CSV with four fixations on every frame; the eval args."""
+    rng = np.random.default_rng(3)
+    cfg = EngineConfig(resolution=Resolution.HW_80)
+    rows = ["video,frame,subject,x,y"]
+    for video in ("v1", "v2"):
+        write_maps(list(rng.random((3, 60, 80))), root / "maps" / video, cfg, "hw80")
+        rows += [f"{video},{frame},s{n},{rng.integers(0, 80)},{rng.integers(0, 60)}"
+                 for frame in range(3) for n in range(4)]
+    if outside:
+        rows.append("v2,0,s9,80,0")
+    (root / "fix.csv").write_text("\n".join(rows) + "\n")
+    return ["eval", "--maps", str(root / "maps"), "--fixations", str(root / "fix.csv")]
+
+
+class TestEval:
+    def test_one_line_per_video_and_the_mean_repeatable_by_seed(self, tmp_path, capsys):
+        args = write_eval_inputs(tmp_path) + ["--seed", "4"]
+        assert cli(args) == 0
+        first = capsys.readouterr().out
+        lines = first.splitlines()
+        assert [line.split(":")[0] for line in lines] == ["v1", "v2", "mean"]
+        assert all(line.endswith("(3 frames, 0 skipped)") for line in lines[:2])
+        assert cli(args) == 0
+        assert capsys.readouterr().out == first
+
+    def test_fixation_outside_the_maps_is_a_data_error(self, tmp_path, capsys):
+        assert cli(write_eval_inputs(tmp_path, outside=True)) == 1
+        assert "outside" in capsys.readouterr().err
 
 
 class TestCompare:

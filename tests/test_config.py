@@ -120,11 +120,11 @@ class TestFrameHistory:
         assert np.all(stack[1:] == 10.0)
 
     def test_ring_keeps_newest(self):
-        hist = FrameHistory(depth=3)
-        for v in (1, 2, 3, 4):
+        hist = FrameHistory()
+        for v in range(1, TAP_COUNT + 2):
             hist.push(gray_frame(2, 2, v))
         stack = hist.plane_stack("r")
-        assert [stack[t][0, 0] for t in range(3)] == [4.0, 3.0, 2.0]
+        assert [stack[t][0, 0] for t in range(TAP_COUNT)] == list(range(TAP_COUNT + 1, 1, -1))
 
     def test_dimension_change_rejected(self):
         hist = FrameHistory()

@@ -102,6 +102,8 @@ class TestBankIO:
         ("short row", 5),
         ("nan", 4),
         ("zero size", 2),
+        ("repeated name", 105),
+        ("unknown name", 105),
     ])
     def test_damaged_file_names_line(self, damage, line, tmp_path):
         from podvs.errors import FormatError
@@ -117,6 +119,10 @@ class TestBankIO:
             lines[4] = lines[4].rsplit(" ", 1)[0]
         elif damage == "nan":
             lines[3] = "nan " + lines[3].split(" ", 1)[1]
+        elif damage.endswith("name"):
+            # a zeroed 5x5 block appended after the 17 saved kernels
+            name = "even 0" if damage == "repeated name" else "bogus"
+            lines += [f"kernel {name}"] + [" ".join(["0"] * 5)] * 5
         else:
             lines[1] = "size 0"
         path.write_text("\n".join(lines) + "\n")

@@ -6,7 +6,7 @@ import pytest
 
 from podvs.config import FixationRecord
 from podvs.errors import MetricError
-from podvs.metrics import FixationSet, MetricConfig, auc_roc, kld, nss, pcc
+from podvs.metrics import KLD_EPSILON, FixationSet, auc_roc, kld, nss, pcc
 
 H, W = 6, 8
 
@@ -59,9 +59,8 @@ class TestAucRoc:
         warped = [np.exp(3.0 * m) - m ** 2 for m in maps]
         fixations = _fixations()
         pool = fixations.pool_excluding("a")
-        cfg = MetricConfig(shuffle_repeats=5)
-        assert (auc_roc(warped, fixations, pool, "a", cfg).score
-                == auc_roc(maps, fixations, pool, "a", cfg).score)
+        assert (auc_roc(warped, fixations, pool, "a").score
+                == auc_roc(maps, fixations, pool, "a").score)
 
 
 def _one_negative(positives, negative):
@@ -82,7 +81,7 @@ class TestShuffledScoresByHand:
         # positives 0.9 and 0.5 against negatives 0.5 and 0.5: two wins
         # and two ties of four pairs
         fixations, pool = _one_negative([(0, 0), (0, 1)], (0, 1))
-        out = auc_roc([self.MAP] * 3, fixations, pool, "a", MetricConfig(shuffle_repeats=3))
+        out = auc_roc([self.MAP] * 3, fixations, pool, "a")
         assert out.score == 0.75
         assert (out.frames_scored, out.frames_skipped) == (2, 1)
 
@@ -94,10 +93,9 @@ class TestShuffledScoresByHand:
         # positives fill bin 2 of 20 twice, negatives bin 18; with
         # smoothing eps and Z = 2 + 20 eps the divergence is
         # (2 + eps)/Z log((2 + eps)/eps) + eps/Z log(eps/(2 + eps))
-        cfg = MetricConfig(shuffle_repeats=4)
-        eps = cfg.kld_epsilon
+        eps = KLD_EPSILON
         fixations, pool = _one_negative([(1, 0), (1, 1)], (0, 0))
-        out = kld([self.MAP] * 3, fixations, pool, "a", cfg)
+        out = kld([self.MAP] * 3, fixations, pool, "a")
         assert out.score == pytest.approx(2 / (2 + 20 * eps) * math.log((2 + eps) / eps),
                                           rel=1e-12)
         assert (out.frames_scored, out.frames_skipped) == (2, 1)
@@ -106,6 +104,22 @@ class TestShuffledScoresByHand:
         # 0.12 and 0.13 share bin 2 with the negative at 0.13
         fixations, pool = _one_negative([(1, 0), (1, 1)], (1, 1))
         assert kld([self.MAP] * 2, fixations, pool, "a").score == 0.0
+
+
+class TestOffMapFixation:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pool_fixation_outside_the_map_raises_for_every_seed(self, seed):
+        # 100 resamples of one negative each reach the one off-map record
+        # of this 201-record pool for only some seeds; the whole pool is
+        # checked, so the outcome does not depend on the draws
+        rng = np.random.default_rng(31)
+        pool = FixationSet(
+            [FixationRecord("b", 0, f"s{n}", int(rng.integers(0, W)), int(rng.integers(0, H)))
+             for n in range(200)] + [FixationRecord("b", 0, "off", W, 0)])
+        fixations = FixationSet([FixationRecord("a", 0, "s", 1, 1)])
+        for metric in (auc_roc, kld):
+            with pytest.raises(MetricError, match=f"fixation \\({W}, 0\\) outside"):
+                metric([np.ones((H, W))], fixations, pool, "a", seed)
 
 
 class TestNss:

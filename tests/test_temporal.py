@@ -9,6 +9,7 @@ from podvs.temporal import (
     STRONGLY_PHASIC,
     WEAKLY_PHASIC,
     PhasicParams,
+    TemporalKernel,
     apply_temporal,
     make_kernel,
     phasic_degree_index,
@@ -104,8 +105,6 @@ class TestKernelValues:
     def test_bad_sampling_arguments(self):
         with pytest.raises(ConfigError):
             make_kernel(STRONGLY_PHASIC, 0.0)
-        with pytest.raises(ConfigError):
-            make_kernel(STRONGLY_PHASIC, FRAME_PERIOD, tap_count=0)
 
 
 class TestApplyTemporal:
@@ -174,6 +173,6 @@ class TestApplyTemporal:
         assert resp_s.max() / steady_s > resp_w.max() / steady_w
 
     def test_tap_count_mismatch(self):
-        kern = make_kernel(STRONGLY_PHASIC, FRAME_PERIOD, tap_count=4)
+        kern = TemporalKernel(np.ones(4))
         with pytest.raises(DimensionError):
             apply_temporal(kern, np.zeros((6, 2, 2)))
