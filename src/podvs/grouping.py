@@ -33,9 +33,21 @@ finer level j, and grows by another half px in the grouping correlation
 ``correlate`` sums these correlations directly for the 5x5 banks of the
 reduced modes and takes the FFT for the 11x11 reference banks, where it
 is 2-3 times faster on every level size (``FFT_MIN_KERNEL``); the two
-agree up to rounding.  The float across-scale sum with bilinear
-upsampling (reference mode) runs as one sparse operator per level; see
-``von_mises_sum``.
+agree up to rounding.  On that FFT path the float chain shares spectra
+within one ``grouping_pyramid`` call: each level is transformed once for
+its 8 edge kernels and the center-surround kernel, ON and OFF once each
+for the 8 von Mises kernels, and each kernel's spectrum is made once,
+used on every map that meets it and dropped, so nothing outlives the
+call.  Grouping (P7) is summed in the frequency domain there: by
+linearity corr(m*bo_own, k) - w_p*corr(m*bo_other, k) equals
+corr(m*(bo_own - w_p*bo_other), k), and the sum over theta and both
+sides needs one inverse transform per level.  A level then takes 62 real
+transforms (36 forward, 26 inverse) instead of 123.  The fixed-point
+backend keeps the hardware's rounding after every correlation, and on
+the direct 5x5 path the regrouped sum would change the float maps' bits,
+so both keep the per-correlation P7.  The float across-scale sum with
+bilinear upsampling (reference mode) runs as one sparse operator per
+level; see ``von_mises_sum``.
 
 Every stage takes an ``arith`` backend: ``FLOAT`` (the default) or the
 hardware's fixed point, ``hwmodel.FixedArith``.
@@ -59,6 +71,48 @@ from .pyramid import ImagePyramid, bilinear_axis, bilinear_resize
 FFT_MIN_KERNEL = 9
 
 
+def _fft_shape(map_shape, kernel_shape) -> tuple:
+    """Padded shape of the FFT correlation: a fast length of at least
+    (h + kh - 1, w + kw - 1), so the circular product is the linear one."""
+    return tuple(next_fast_len(n + k - 1, real=True) for n, k in zip(map_shape, kernel_shape))
+
+
+def _shares_spectra(arith, size: int) -> bool:
+    """Whether the chain shares spectra: float backend on the FFT path."""
+    return arith is FLOAT and size >= FFT_MIN_KERNEL
+
+
+class _Spectrum:
+    """Real FFT of a map, or of a flipped kernel, zero-padded to
+    ``fft_shape``; ``shape`` is the spatial shape it was made from, so
+    it stands in for that map or kernel in ``correlate``."""
+
+    def __init__(self, x, fft_shape, kernel: bool = False):
+        self.shape = x.shape
+        self.fft_shape = fft_shape
+        self.values = rfft2(x[::-1, ::-1] if kernel else x, fft_shape)
+
+
+def _rfft(x, fft_shape, kernel: bool = False) -> np.ndarray:
+    """The spectrum of ``x`` at ``fft_shape``: shared if ``x`` is a
+    ``_Spectrum``, made now otherwise."""
+    if not isinstance(x, _Spectrum):
+        x = _Spectrum(x, fft_shape, kernel)
+    elif x.fft_shape != fft_shape:
+        raise DimensionError(f"spectrum padded to {x.fft_shape}, correlation needs {fft_shape}")
+    return x.values
+
+
+def _same_window(product, shape, kernel_shape) -> np.ndarray:
+    """The 'same' (h, w) window of the inverse transform of a spectral product."""
+    fft_shape = _fft_shape(shape, kernel_shape)
+    full = irfft2(product, fft_shape)
+    # ndimage centres a kernel on index k // 2; flipped, that is k - 1 - k // 2
+    (h, w), (kh, kw) = shape, kernel_shape
+    y0, x0 = kh - 1 - kh // 2, kw - 1 - kw // 2
+    return full[y0 : y0 + h, x0 : x0 + w]
+
+
 def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Zero-padded 2-D correlation.
 
@@ -71,17 +125,22 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     rounding: at most 1.3e-15 measured on uniform [0, 1) maps from 20x28
     to 640x480 with the 11x11 banks.  Where the direct sum is exactly
     zero, the FFT leaves noise of that size.
+
+    On the FFT path either argument may instead be a ``_Spectrum`` made
+    by the chain, whose ``shape`` is the spatial one: ``grouping_pyramid``
+    passes a level's spectrum to its 9 edge and center-surround
+    correlations, and ``von_mises_filter`` passes ON and OFF spectra and
+    each von Mises kernel's spectrum to its 16.  A shared spectrum is the
+    one the call would have made, so the result is the same bits.
     """
-    map_ = np.asarray(map_, dtype=np.float64)
+    if not isinstance(map_, _Spectrum):
+        map_ = np.asarray(map_, dtype=np.float64)
     kh, kw = kernel.shape
     if min(kh, kw) < FFT_MIN_KERNEL:
         return ndimage.correlate(map_, kernel, mode="constant", cval=0.0)
-    h, w = map_.shape
-    shape = (next_fast_len(h + kh - 1, real=True), next_fast_len(w + kw - 1, real=True))
-    full = irfft2(rfft2(map_, shape) * rfft2(kernel[::-1, ::-1], shape), shape)
-    # ndimage centres a kernel on index k // 2; flipped, that is k - 1 - k // 2
-    y0, x0 = kh - 1 - kh // 2, kw - 1 - kw // 2
-    return full[y0 : y0 + h, x0 : x0 + w]
+    fft_shape = _fft_shape(map_.shape, kernel.shape)
+    product = _rfft(map_, fft_shape) * _rfft(kernel, fft_shape, kernel=True)
+    return _same_window(product, map_.shape, kernel.shape)
 
 
 def _rect(x: np.ndarray) -> np.ndarray:
@@ -153,8 +212,14 @@ def von_mises_filter(on: np.ndarray, off: np.ndarray, bank: VonMisesBank,
     """The 16 association-field responses of one level, shape
     (4, 2, 2, h, w) [theta, side (left, right), polarity (on, off)]."""
     out = np.empty((len(THETAS), 2, 2, *on.shape))
+    shared = _shares_spectra(arith, bank.size)
+    if shared:
+        fft_shape = _fft_shape(on.shape, (bank.size, bank.size))
+        on, off = _Spectrum(on, fft_shape), _Spectrum(off, fft_shape)
     for ti, kernels in enumerate(zip(bank.left, bank.right)):
         for side, kern in enumerate(kernels):
+            if shared:
+                kern = _Spectrum(kern, fft_shape, kernel=True)
             out[ti, side, 0] = arith.correlate(on, kern)
             out[ti, side, 1] = arith.correlate(off, kern)
     return out
@@ -264,6 +329,21 @@ def bo_masks(bo_levels) -> list:
     return out
 
 
+def _spectral_grouping_sum(mask, bo, vm: VonMisesBank, w_p: float) -> np.ndarray:
+    """``grouping_activity``'s sum over theta and both sides before
+    rectification, for the float FFT path: each side's two correlations
+    with one kernel are one correlation of m*(bo_own - w_p*bo_other), and
+    the eight spectral products are summed before one inverse transform."""
+    shape, kernel_shape = bo.shape[2:], (vm.size, vm.size)
+    fft_shape = _fft_shape(shape, kernel_shape)
+    total = 0.0
+    for ti in range(len(THETAS)):
+        for own, kern in enumerate((vm.right[ti], vm.left[ti])):
+            grp = mask[ti, own] * (bo[ti, own] - w_p * bo[ti, 1 - own])
+            total = total + _rfft(grp, fft_shape) * _rfft(kern, fft_shape, kernel=True)
+    return _same_window(total, shape, kernel_shape)
+
+
 def grouping_activity(masks, bo_levels, vm: VonMisesBank, w_p: float, arith=FLOAT) -> list:
     """Per-level grouping maps rect(sum over theta of GrpSum).
 
@@ -272,10 +352,14 @@ def grouping_activity(masks, bo_levels, vm: VonMisesBank, w_p: float, arith=FLOA
     border-ownership activity toward the owned side, which for a kernel
     pointing at direction d means correlating with the opposite-side
     kernel (a true convolution); the same-location opposing response
-    inhibits with weight w_p.
+    inhibits with weight w_p.  On the float FFT path the sum is taken in
+    the frequency domain (see the module docstring).
     """
     out = []
     for mask, bo in zip(masks, bo_levels):
+        if _shares_spectra(arith, vm.size):
+            out.append(_rect(_spectral_grouping_sum(mask, bo, vm, w_p)))
+            continue
         for ti in range(len(THETAS)):
             # conv with vm.left == corr with vm.right, and vice versa
             grp_left, grp_right = (
@@ -302,9 +386,13 @@ def grouping_pyramid(
     words for the fixed-point backend).  Returns the per-level grouping
     maps, finest first, in that same format.
     """
-    edges = [complex_edges(level, banks.edge, arith) for level in channel_pyr.levels]
-    vm = [von_mises_filter(*center_surround(level, banks.cs, arith), banks.vm, arith)
-          for level in channel_pyr.levels]
+    edges, vm = [], []
+    for level in channel_pyr.levels:
+        if _shares_spectra(arith, banks.size):
+            # one transform of the level for its edge and center-surround kernels
+            level = _Spectrum(level, _fft_shape(level.shape, (banks.size, banks.size)))
+        edges.append(complex_edges(level, banks.edge, arith))
+        vm.append(von_mises_filter(*center_surround(level, banks.cs, arith), banks.vm, arith))
     for idx in np.ndindex(vm[0].shape[:3]):
         # one (theta, side, polarity) series, summed across levels in place
         for vm_l, summed in zip(vm, von_mises_sum([v[idx] for v in vm], upsample, arith)):

@@ -140,15 +140,29 @@ def _kl_divergence(pos: np.ndarray, neg: np.ndarray) -> float:
     return float(np.sum(pos_hist * np.log(pos_hist / _histogram(neg))))
 
 
+def _in_unit_range(maps, video: str):
+    """The maps, each checked to lie in [0, 1]: the histograms of kld
+    would drop a value outside that range without a word."""
+    for frame_idx, map_ in enumerate(maps):
+        map_ = np.asarray(map_, dtype=np.float64)
+        bad = ~((map_ >= 0.0) & (map_ <= 1.0))  # NaN compares false
+        if bad.any():
+            raise MetricError(f"kld: video {video!r} frame {frame_idx} has value "
+                              f"{float(map_[bad][0])}, not in [0, 1]")
+        yield map_
+
+
 def kld(maps, fixations: FixationSet, negatives_pool: FixationSet,
         video: str, seed: int = 0) -> FrameScores:
     """Shuffled Kullback-Leibler divergence; higher means better.
 
     KL(true-fixation histogram || shuffled histogram) per frame, with
     epsilon-smoothed histograms over [0, 1]; same sampling, averaging
-    and coverage rules as auc_roc.
+    and coverage rules as auc_roc.  A map with a value outside [0, 1] or
+    not finite raises ``MetricError``.
     """
-    return _shuffled(_kl_divergence, maps, fixations, negatives_pool, video, seed)
+    return _shuffled(_kl_divergence, _in_unit_range(maps, video), fixations,
+                     negatives_pool, video, seed)
 
 
 def pcc(a: np.ndarray, b: np.ndarray) -> float:

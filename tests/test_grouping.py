@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from scipy import ndimage
 
 from podvs import grouping
@@ -99,15 +100,27 @@ class TestCorrelate:
                 )
 
     def test_fft_path_matches_naive_at_11x11(self, banks11):
+        # also with the map's or the kernel's spectrum shared, as the
+        # chain passes them
         assert banks11.size >= grouping.FFT_MIN_KERNEL
         rng = np.random.default_rng(32)
         for shape in ((13, 17), (24, 11)):
             m = rng.random(shape)
+            fft_shape = grouping._fft_shape(shape, (banks11.size, banks11.size))
+            shared_map = grouping._Spectrum(m, fft_shape)
             for kern in (banks11.edge.even[1], banks11.edge.odd[3],
                          banks11.vm.left[2], banks11.cs.on):
-                np.testing.assert_allclose(
-                    correlate(m, kern), naive_correlate(m, kern), atol=1e-12
-                )
+                shared_kern = grouping._Spectrum(kern, fft_shape, kernel=True)
+                expected = naive_correlate(m, kern)
+                for args in ((m, kern), (shared_map, kern), (m, shared_kern),
+                             (shared_map, shared_kern)):
+                    np.testing.assert_allclose(correlate(*args), expected, atol=1e-12)
+
+    def test_spectrum_of_another_padding_rejected(self, banks11):
+        m = np.random.default_rng(37).random((13, 17))
+        other = grouping._Spectrum(m, grouping._fft_shape((30, 17), (11, 11)))
+        with pytest.raises(DimensionError):
+            correlate(other, banks11.cs.on)
 
     def test_direct_path_bit_identical_at_5x5(self, banks5):
         assert banks5.size < grouping.FFT_MIN_KERNEL
@@ -370,6 +383,21 @@ class TestGroupingActivity:
         out_high = grouping_activity(masks, field, banks5.vm, w_p=1.0)[0]
         assert np.all(out_high <= out_low + 1e-12)
 
+    @pytest.mark.parametrize("w_p", [0.0, 0.5, 1.0, 2.0])
+    def test_frequency_domain_sum_matches_direct_at_11x11(self, banks11, monkeypatch, w_p):
+        # the float FFT path sums P7 over theta and both sides as spectra;
+        # the oracle makes the 16 direct correlations of each level
+        rng = np.random.default_rng(38)
+        field = [rng.random((len(THETAS), 2, *shape)) for shape in ((23, 31), (24, 32))]
+        masks = bo_masks(field)
+        fast = grouping_activity(masks, field, banks11.vm, w_p)
+        monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
+        oracle = grouping_activity(masks, field, banks11.vm, w_p)
+        for a, b in zip(fast, oracle):
+            scale = np.max(np.abs(b))
+            assert scale > 0
+            assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
 
 class TestGroupingPyramid:
     def test_isolated_square_peaks_inside(self, banks5):
@@ -411,3 +439,12 @@ class TestGroupingPyramid:
             scale = np.max(np.abs(b))
             assert scale > 0
             assert np.max(np.abs(a - b)) <= 1e-12 * scale
+
+    def test_reference_chain_bit_identical_with_fft_workers(self, banks11):
+        m = np.random.default_rng(39).uniform(0, 255, size=(72, 96))
+        pyr = build_reference_pyramid(m, 4)
+        single = grouping_pyramid(pyr, banks11, 1.0)
+        with scipy.fft.set_workers(2):
+            threaded = grouping_pyramid(pyr, banks11, 1.0)
+        for a, b in zip(single, threaded):
+            np.testing.assert_array_equal(a, b)

@@ -106,6 +106,24 @@ class TestShuffledScoresByHand:
         assert kld([self.MAP] * 2, fixations, pool, "a").score == 0.0
 
 
+class TestKldRange:
+    # unchecked, the histograms drop every value above 1: a 6x8 map with
+    # 1.0 at both fixations scored 14.51 and the same map times 2 10.79
+    @pytest.mark.parametrize("bad", [2.0, -0.25, np.nan, np.inf])
+    def test_value_outside_unit_range_raises(self, bad):
+        fixations, pool = _one_negative([(1, 0), (1, 1)], (0, 0))
+        good = TestShuffledScoresByHand.MAP
+        broken = good.copy()
+        broken[0, 1] = bad
+        with pytest.raises(MetricError, match=r"'a' frame 1 has value .*, not in \[0, 1\]"):
+            kld([good, broken, good], fixations, pool, "a")
+
+    def test_map_on_the_range_ends_scores(self):
+        fixations, pool = _one_negative([(1, 0), (1, 1)], (0, 0))
+        ends = np.array([[1.0, 0.0], [0.0, 1.0]])
+        assert kld([ends] * 2, fixations, pool, "a").score > 0
+
+
 class TestOffMapFixation:
     @pytest.mark.parametrize("seed", range(10))
     def test_pool_fixation_outside_the_map_raises_for_every_seed(self, seed):
