@@ -45,9 +45,9 @@ sides needs one inverse transform per level.  A level then takes 62 real
 transforms (36 forward, 26 inverse) instead of 123.  The fixed-point
 backend keeps the hardware's rounding after every correlation, and on
 the direct 5x5 path the regrouped sum would change the float maps' bits,
-so both keep the per-correlation P7.  The float across-scale sum with
-bilinear upsampling (reference mode) runs as one sparse operator per
-level; see ``von_mises_sum``.
+so both keep the per-correlation P7.  The across-scale sum (P5) has one
+body for every backend and mode, with resampling as cached sparse
+operators along each axis; see ``von_mises_sum``.
 
 Every stage takes an ``arith`` backend: ``FLOAT`` (the default) or the
 hardware's fixed point, ``hwmodel.FixedArith``.
@@ -62,7 +62,7 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .errors import DimensionError
 from .kernels import THETAS, CenterSurroundBank, EdgeBank, GroupingBanks, VonMisesBank
-from .pyramid import ImagePyramid, bilinear_axis, bilinear_resize
+from .pyramid import ImagePyramid, bilinear_axis
 
 #: Smallest kernel side that ``correlate`` runs through the FFT.  Measured
 #: on one thread over 30x40 to 640x480 maps, direct correlation wins at
@@ -226,70 +226,45 @@ def von_mises_filter(on: np.ndarray, off: np.ndarray, bank: VonMisesBank,
 
 
 @functools.lru_cache(maxsize=None)
-def _bilinear_sum_operators(shapes: tuple, j: int):
-    """Sparse operators of ``von_mises_sum`` into level j of these shapes.
-
-    Returns the column operators X_k (w_j, w_k) for every k > j, and the
-    row operator [2**-(k - j) * Y_k for k > j] stacked side by side, with
-    Y_k and X_k the ``bilinear_axis`` matrices from level k to level j.
-    """
+def _sum_operators(axis, shapes: tuple, j: int):
+    """Cached operators of ``von_mises_sum`` into level j of these shapes:
+    the column operators X_k = axis(w_k, w_j) for every k > j, and the
+    row operator [I | Y_{j+1} | ...] with Y_k = axis(h_k, h_j)."""
     h, w = shapes[j]
     coarser = shapes[j + 1 :]
-    cols = tuple(bilinear_axis(wk, w) for _, wk in coarser)
+    cols = tuple(axis(wk, w) for _, wk in coarser)
     rows = sparse.hstack(
-        [2.0 ** -(n + 1) * bilinear_axis(hk, h) for n, (hk, _) in enumerate(coarser)],
-        format="csr",
+        [sparse.identity(h, format="csr")] + [axis(hk, h) for hk, _ in coarser], format="csr"
     )
     return cols, rows
 
 
-def _bilinear_von_mises_sum(levels):
-    """``von_mises_sum`` with bilinear upsampling, as one sparse product
-    per target level: the coarser levels are resampled along x one by
-    one, stacked, and resampled along y and weighted together."""
+def von_mises_sum(levels, axis=bilinear_axis, arith=FLOAT):
+    """Across-scale accumulation of one response pyramid.
+
+    out[j] = sum over k >= j of 2**-(k - j) * levels[k] resampled to
+    level j, so a level keeps its own response and gains coarser context
+    with weight halved per level of separation (in place in hardware).
+
+    ``axis(n_in, n_out)`` resamples along one axis as a sparse matrix:
+    ``bilinear_axis`` in reference mode, the 1-tap ``shift_axis`` in the
+    reduced modes.  Each coarser level k is halved in the backend's
+    arithmetic and resampled along x (X_k), the results are stacked below
+    level j, and one cached row operator [I | Y_{j+1} | ...] resamples
+    along y and sums.  Level j sits first in the stack so that each sum
+    starts from it and adds the coarser levels finest first: the order
+    of the pairwise ``nn_shift_resample`` loop, whose bits the reduced
+    modes keep (fixed-point words are integers and sum exactly in any
+    order).  With bilinear weights the sum equals that loop within
+    1.6e-15 on uniform [0, 1) levels of the 640x480 reference shapes.
+    """
     shapes = tuple(level.shape for level in levels)
     out = []
     for j, base in enumerate(levels):
-        if j == len(levels) - 1:
-            out.append(np.array(base, dtype=np.float64))
-            continue
-        cols, rows = _bilinear_sum_operators(shapes, j)
-        stacked = np.empty((rows.shape[1], base.shape[1]))
-        top = 0
-        for x, level in zip(cols, levels[j + 1 :]):
-            stacked[top : top + level.shape[0]] = (x @ level.T).T
-            top += level.shape[0]
-        out.append(base + rows @ stacked)
-    return out
-
-
-def von_mises_sum(levels, upsample=bilinear_resize, arith=FLOAT):
-    """Across-scale accumulation of one response pyramid.
-
-    out[j] = sum over k >= j of 2**-(k - j) * upsample(levels[k]) so a
-    level keeps its own response and gains coarser context with weight
-    halved per level of separation.  Results replace the inputs
-    (conceptually in place; no extra storage in hardware).
-
-    The float backend with ``bilinear_resize`` (reference mode) takes a
-    fused path: bilinear resampling is separable and linear, so all the
-    coarser levels' contributions to level j come from one cached sparse
-    operator (``bilinear_axis`` along x per level, then one stacked,
-    weighted operator along y).  It equals the pairwise loop below up to
-    rounding (at most 8.9e-16 measured on uniform [0, 1) levels of the
-    640x480 reference shapes).
-    Every other upsampler or backend runs that loop: one ``upsample``
-    per level pair, halved and added in the backend's arithmetic.
-    """
-    if upsample is bilinear_resize and arith is FLOAT:
-        return _bilinear_von_mises_sum(levels)
-    out = []
-    for j, base in enumerate(levels):
-        acc = arith.halve(base, 0)  # a copy, in the backend's type
-        h, w = base.shape
-        for k in range(j + 1, len(levels)):
-            acc += arith.halve(upsample(levels[k], h, w), k - j)
-        out.append(arith.clip(acc))
+        cols, rows = _sum_operators(axis, shapes, j)
+        coarser = zip(cols, levels[j + 1 :])
+        blocks = [(x @ arith.halve(level, n).T).T for n, (x, level) in enumerate(coarser, 1)]
+        out.append(arith.clip(rows @ np.vstack([base, *blocks])))
     return out
 
 
@@ -377,14 +352,16 @@ def grouping_pyramid(
     channel_pyr: ImagePyramid,
     banks: GroupingBanks,
     w_p: float,
-    upsample=bilinear_resize,
+    axis=bilinear_axis,
     arith=FLOAT,
 ):
     """Full grouping chain for one channel's pyramid.
 
     The pyramid and the banks hold numbers in the backend's format (raw
-    words for the fixed-point backend).  Returns the per-level grouping
-    maps, finest first, in that same format.
+    words for the fixed-point backend).  ``axis`` is the mode's
+    resampling along one axis for the across-scale sum (see
+    ``von_mises_sum``).  Returns the per-level grouping maps, finest
+    first, in that same format.
     """
     edges, vm = [], []
     for level in channel_pyr.levels:
@@ -395,7 +372,7 @@ def grouping_pyramid(
         vm.append(von_mises_filter(*center_surround(level, banks.cs, arith), banks.vm, arith))
     for idx in np.ndindex(vm[0].shape[:3]):
         # one (theta, side, polarity) series, summed across levels in place
-        for vm_l, summed in zip(vm, von_mises_sum([v[idx] for v in vm], upsample, arith)):
+        for vm_l, summed in zip(vm, von_mises_sum([v[idx] for v in vm], axis, arith)):
             vm_l[idx] = summed
     bo = border_ownership(edges, vm, arith)
     del edges, vm  # not needed in P7: free them before its temporaries

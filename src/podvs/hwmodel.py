@@ -239,11 +239,12 @@ DEFAULT_PARALLEL = {Resolution.HW_112: 1, Resolution.HW_80: 2}
 
 
 def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
-    """The requested channel parallelism, or the mode's default; >= 1."""
+    """The requested channel parallelism, or the mode's default; 1 to 9."""
     if channels_parallel is None:
         return DEFAULT_PARALLEL[resolution]
-    if channels_parallel < 1:
-        raise ConfigError("channels_parallel must be >= 1")
+    if not 1 <= channels_parallel <= 9:
+        raise ConfigError(f"channels_parallel must be >= 1 and <= 9, the channels of a "
+                          f"frame; got {channels_parallel}")
     return channels_parallel
 
 

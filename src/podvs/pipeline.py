@@ -21,11 +21,12 @@ from .kernels import GroupingBanks, build_banks
 from .normalize import fuse
 from .pyramid import (
     ImagePyramid,
-    bilinear_resize,
+    bilinear_axis,
     build_hw_pyramid,
     build_reference_pyramid,
-    nn_shift_resample,
+    shift_axis,
 )
+from .pyramid import bilinear_resize  # noqa: F401  (bench/tests reads pipeline.bilinear_resize)
 from .temporal import STRONGLY_PHASIC, WEAKLY_PHASIC, make_kernel
 
 
@@ -45,10 +46,10 @@ def build_channel_pyramid(map_: np.ndarray, cfg: EngineConfig) -> ImagePyramid:
 
 
 def mode_upsampler(cfg: EngineConfig):
-    """The across-level index mapping of the configured mode."""
+    """The configured mode's one-axis resampling for the across-scale sum."""
     if cfg.resolution is Resolution.REFERENCE:
-        return bilinear_resize
-    return nn_shift_resample
+        return bilinear_axis
+    return shift_axis
 
 
 class Pipeline:

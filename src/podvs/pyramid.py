@@ -106,36 +106,28 @@ def reference_level_dims(width: int, height: int, depth: int):
 
 
 def bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Pixel-center-aligned bilinear resample to (out_h, out_w)."""
+    """Pixel-center-aligned bilinear resample to (out_h, out_w): the
+    ``bilinear_axis`` operators, along x first and then along y."""
     src = np.asarray(src, dtype=np.float64)
     in_h, in_w = src.shape
     if out_h == in_h and out_w == in_w:
         return src.copy()
-    ys = np.clip((np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
-    xs = np.clip((np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
-    y0 = np.floor(ys).astype(np.int64)
-    x0 = np.floor(xs).astype(np.int64)
-    y1 = np.minimum(y0 + 1, in_h - 1)
-    x1 = np.minimum(x0 + 1, in_w - 1)
-    wy = (ys - y0)[:, None]
-    wx = (xs - x0)[None, :]
-    top = src[np.ix_(y0, x0)] * (1 - wx) + src[np.ix_(y0, x1)] * wx
-    bot = src[np.ix_(y1, x0)] * (1 - wx) + src[np.ix_(y1, x1)] * wx
-    return top * (1 - wy) + bot * wy
+    return bilinear_axis(in_h, out_h) @ (bilinear_axis(in_w, out_w) @ src.T).T
 
 
 @functools.lru_cache(maxsize=None)
 def bilinear_axis(n_in: int, n_out: int) -> sparse.csr_matrix:
-    """``bilinear_resize`` along one axis as an (n_out, n_in) 2-tap matrix.
+    """Bilinear resampling along one axis as an (n_out, n_in) matrix with
+    two taps per row, 1 - w then w.
 
-    It carries exactly the weights of ``bilinear_resize``, so
-    bilinear_resize(X, h, w) equals bilinear_axis(in_h, h) @ X @
-    bilinear_axis(in_w, w).T up to rounding (about 1e-16 relative,
-    depending on the order of the two products).  ``bilinear_resize``
-    keeps its gather form: ``collapse`` and the pyramid build feed the
-    strict comparisons of ``normalize.local_maxima``, which flip on such
-    differences.  Cached per shape; the matrix is shared, so treat it as
-    read-only.
+    ``bilinear_resize`` applies it along x, then y.  That equals the
+    four-neighbour gather (x-interpolate the top and bottom rows, then y)
+    bit for bit, as each row of a sparse product adds its two products
+    in the gather's order; this rests on scipy's sparse kernels not
+    fusing them into multiply-adds (FMA).  ``tests/test_pyramid.py`` pins
+    it: the pyramid build and ``collapse`` feed the strict comparisons of
+    ``normalize.local_maxima``.  Cached per shape; the matrix is shared,
+    so treat it as read-only.
     """
     pos = np.clip((np.arange(n_out) + 0.5) * (n_in / n_out) - 0.5, 0.0, n_in - 1.0)
     i0 = np.floor(pos).astype(np.int64)
@@ -178,6 +170,15 @@ def nn_shift_resample(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     rows = shift_index(np.arange(out_h), in_h, out_h)
     cols = shift_index(np.arange(out_w), in_w, out_w)
     return src[np.ix_(rows, cols)]
+
+
+@functools.lru_cache(maxsize=None)
+def shift_axis(n_in: int, n_out: int) -> sparse.csr_matrix:
+    """``nn_shift_resample`` along one axis as an (n_out, n_in) selection
+    matrix; cached and shared like ``bilinear_axis``."""
+    rows = np.arange(n_out)
+    cols = shift_index(rows, n_in, n_out)
+    return sparse.csr_matrix((np.ones(n_out), (rows, cols)), shape=(n_out, n_in))
 
 
 def build_hw_pyramid(map_: np.ndarray) -> ImagePyramid:

@@ -11,8 +11,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import FrameRGB
+from .errors import DimensionError
 
 ONSET_FRAME = 10
+
+#: Smallest width and height the generators can draw: the distractors
+#: of ``color_popout_video`` are placed in [2, side - 5).
+MIN_SIDE = 8
 
 
 @dataclass(frozen=True)
@@ -110,8 +115,15 @@ def color_popout_video(width: int = 112, height: int = 84, frames: int = 12):
     return [frame] * frames, patch
 
 
+def _check_size(width: int, height: int) -> None:
+    if min(width, height) < MIN_SIDE:
+        raise DimensionError(f"synthetic videos need at least {MIN_SIDE}x{MIN_SIDE} px, "
+                             f"got {width}x{height}")
+
+
 def suite(width: int = 112, height: int = 84) -> dict:
     """The behavioral stimuli (pop-out assertions target these)."""
+    _check_size(width, height)
     return {
         "onset_square": onset_square_video(width, height)[0],
         "static_square": static_square_video(width, height)[0],
@@ -136,6 +148,7 @@ def fidelity_suite(width: int = 112, height: int = 84) -> dict:
     the score has headroom and degrades only when the fixed-point path
     actually diverges.
     """
+    _check_size(width, height)
     tex = _texture(width, height)
     videos = {}
 

@@ -2,11 +2,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from podvs.cli import cli
 from podvs.config import EngineConfig, Resolution
 from podvs.io import ARCHIVE_METADATA, read_maps, write_maps
-from podvs.synth import color_popout_video
+from podvs.synth import MIN_SIDE, all_videos, color_popout_video
 
 STAGES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
@@ -126,6 +127,12 @@ class TestProfile:
         assert cli(["profile", "--channels", "0"]) == 1
         assert "channels_parallel must be >= 1" in capsys.readouterr().err
 
+    def test_more_channels_than_a_frame_has_is_a_data_error(self, capsys):
+        assert cli(["profile", "--mode", "hw80", "--channels", "18"]) == 1
+        captured = capsys.readouterr()
+        assert "and <= 9, the channels of a frame; got 18" in captured.err
+        assert "derived frame rate" not in captured.out
+
     def test_each_stage_listed_once_with_memory_totals(self, capsys):
         assert cli(["profile", "--mode", "hw80"]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -134,3 +141,24 @@ class TestProfile:
         assert "  single channel total: 2369920 bits" in lines
         assert "  configured (2 ch): 4739840 bits" in lines
         assert "  9-channel extrapolation (x4.5 of configured): 21329280 bits" in lines
+
+
+class TestSynth:
+    @pytest.mark.parametrize("width,height", [(4, 4), (0, 84), (112, MIN_SIDE - 1)])
+    def test_too_small_a_size_is_a_data_error(self, tmp_path, capsys, width, height):
+        out = tmp_path / "videos"
+        args = ["synth", "--out", str(out), "--width", str(width), "--height", str(height)]
+        assert cli(args) == 1
+        assert f"at least {MIN_SIDE}x{MIN_SIDE} px" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_smallest_size_writes_every_video(self, tmp_path, capsys):
+        out = tmp_path / "videos"
+        args = ["synth", "--out", str(out), "--width", str(MIN_SIDE), "--height", str(MIN_SIDE)]
+        assert cli(args) == 0
+        videos = all_videos(MIN_SIDE, MIN_SIDE)
+        assert sorted(p.name for p in out.iterdir()) == sorted(videos)
+        for name, frames in videos.items():
+            files = sorted((out / name).glob("*.ppm"))
+            assert len(files) == len(frames)
+            assert files[0].read_bytes().startswith(f"P6\n{MIN_SIDE} {MIN_SIDE}\n".encode())

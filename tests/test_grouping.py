@@ -6,8 +6,10 @@ import scipy.fft
 from scipy import ndimage
 
 from podvs import grouping
+from podvs.config import EngineConfig, Resolution
 from podvs.errors import DimensionError
 from podvs.grouping import (
+    FLOAT,
     bo_masks,
     border_ownership,
     center_surround,
@@ -18,15 +20,20 @@ from podvs.grouping import (
     von_mises_filter,
     von_mises_sum,
 )
+from podvs.hwmodel import FixedArith
 from podvs.kernels import THETAS, build_banks
 from podvs.pyramid import (
+    HW_LEVELS,
     ImagePyramid,
-    bilinear_resize,
+    bilinear_axis,
     build_hw_pyramid,
     build_reference_pyramid,
     nn_shift_resample,
     reference_level_dims,
+    shift_axis,
 )
+
+from conftest import gather_bilinear
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +46,18 @@ def banks11():
     return build_banks(11)
 
 
-def pairwise_bilinear(src, out_h, out_w):
-    """``bilinear_resize`` under another name: ``von_mises_sum`` then runs
-    its pairwise loop, the oracle of the fused bilinear path."""
-    return bilinear_resize(src, out_h, out_w)
+def pairwise_von_mises_sum(levels, axis, arith=FLOAT):
+    """``von_mises_sum``'s oracle: one gather resample per level pair,
+    halved and added to level j in the backend's arithmetic."""
+    upsample = gather_bilinear if axis is bilinear_axis else nn_shift_resample
+    out = []
+    for j, base in enumerate(levels):
+        acc = arith.halve(base, 0)  # a copy, in the backend's type
+        h, w = base.shape
+        for k in range(j + 1, len(levels)):
+            acc += arith.halve(upsample(levels[k], h, w), k - j)
+        out.append(arith.clip(acc))
+    return out
 
 
 def interior(map_, margin):
@@ -231,7 +246,7 @@ class TestVonMisesSum:
 
     def test_custom_upsampler(self):
         levels = [np.zeros((60, 80)), np.arange(44 * 56, dtype=float).reshape(44, 56)]
-        out = von_mises_sum(levels, upsample=nn_shift_resample)
+        out = von_mises_sum(levels, axis=shift_axis)
         expected = 0.5 * nn_shift_resample(levels[1], 60, 80)
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
@@ -239,10 +254,35 @@ class TestVonMisesSum:
         rng = np.random.default_rng(34)
         levels = [rng.random((h, w)) for w, h in reference_level_dims(640, 480, 10)]
         fused = von_mises_sum(levels)
-        oracle = von_mises_sum(levels, upsample=pairwise_bilinear)
+        oracle = pairwise_von_mises_sum(levels, bilinear_axis)
         for a, b in zip(fused, oracle):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("root", sorted(HW_LEVELS))
+    def test_shift_sum_bit_identical_to_pairwise_in_float(self, root):
+        # non-integer floats: any change in the order of the additions
+        # (level j first, then the coarser levels finest first) shows
+        rng = np.random.default_rng(40)
+        levels = [rng.random((h, w)) for w, h in HW_LEVELS[root]]
+        for a, b in zip(von_mises_sum(levels, shift_axis),
+                        pairwise_von_mises_sum(levels, shift_axis)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("root", sorted(HW_LEVELS))
+    def test_shift_sum_bit_identical_to_pairwise_in_fixed_point(self, root):
+        # full-range words, so the sums saturate; the words and the
+        # saturation tally must both match
+        cfg = EngineConfig(resolution=Resolution.HW_80)
+        fast, slow = FixedArith(cfg), FixedArith(cfg)
+        fmt = fast.fmt
+        rng = np.random.default_rng(41)
+        levels = [rng.integers(fmt.min_raw, fmt.max_raw + 1, size=(h, w)).astype(np.float64)
+                  for w, h in HW_LEVELS[root]]
+        for a, b in zip(von_mises_sum(levels, shift_axis, fast),
+                        pairwise_von_mises_sum(levels, shift_axis, slow)):
+            np.testing.assert_array_equal(a, b)
+        assert fast.saturations == slow.saturations > 0
 
 
 class TestBorderOwnership:
@@ -257,7 +297,7 @@ class TestBorderOwnership:
             vm.append(von_mises_filter(on, off, banks.vm))
         summed = [np.empty_like(r) for r in vm]
         for idx in np.ndindex(vm[0].shape[:3]):
-            series = von_mises_sum([r[idx] for r in vm], bilinear_resize)
+            series = von_mises_sum([r[idx] for r in vm], bilinear_axis)
             for lvl, arr in enumerate(series):
                 summed[lvl][idx] = arr
         return border_ownership(edges, summed)
@@ -414,8 +454,8 @@ class TestGroupingPyramid:
         m = rng.uniform(0, 120, size=(60, 80))
         pyr_a = build_hw_pyramid(m)
         pyr_b = build_hw_pyramid(120.0 - m)
-        out_a = grouping_pyramid(pyr_a, banks5, 1.0, nn_shift_resample)
-        out_b = grouping_pyramid(pyr_b, banks5, 1.0, nn_shift_resample)
+        out_a = grouping_pyramid(pyr_a, banks5, 1.0, shift_axis)
+        out_b = grouping_pyramid(pyr_b, banks5, 1.0, shift_axis)
         # zero padding turns the input's DC offset of 120 into a border
         # band; invariance holds outside it
         margins = zero_pad_reach([a.shape for a in out_a], banks5.size)
@@ -426,15 +466,16 @@ class TestGroupingPyramid:
 
     def test_reference_chain_matches_slow_oracle(self, banks11, monkeypatch):
         # the reference chain (11x11 banks, sqrt(2) pyramid, bilinear sum)
-        # through FFT correlation and the fused sum, against direct
-        # correlation and the pairwise loop
+        # through FFT correlation and the sparse sum, against direct
+        # correlation and the pairwise gather loop
         rng = np.random.default_rng(35)
         m = ndimage.uniform_filter(rng.uniform(0, 255, size=(72, 96)), 3)
         m[20:50, 30:60] += 80.0
         pyr = build_reference_pyramid(m, 5)
         fast = grouping_pyramid(pyr, banks11, 1.0)
         monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
-        oracle = grouping_pyramid(pyr, banks11, 1.0, pairwise_bilinear)
+        monkeypatch.setattr(grouping, "von_mises_sum", pairwise_von_mises_sum)
+        oracle = grouping_pyramid(pyr, banks11, 1.0)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0

@@ -207,6 +207,11 @@ class TestHwProfile:
         with pytest.raises(ConfigError):
             HwProfile(hw112_cfg, channels_parallel=channels)
 
+    @pytest.mark.parametrize("channels", [10, 18])
+    def test_rejects_more_channels_than_a_frame_has(self, hw80_cfg, channels):
+        with pytest.raises(ConfigError, match="<= 9"):
+            HwProfile(hw80_cfg, channels_parallel=channels)
+
 
 class TestFrameRate:
     def test_calibration_reproduces_board_anchors(self):
@@ -221,3 +226,8 @@ class TestFrameRate:
         rate = frame_rate(Resolution.HW_80, 9)
         assert rate == pytest.approx(23.355, abs=5e-4)
         assert math.floor(rate * 100) / 100 == 23.35
+
+    @pytest.mark.parametrize("channels", [10, 18])
+    def test_more_channels_than_a_frame_has_rejected(self, channels):
+        with pytest.raises(ConfigError, match="<= 9"):
+            frame_rate(Resolution.HW_80, channels)

@@ -15,9 +15,12 @@ from podvs.pyramid import (
     collapse,
     nn_shift_resample,
     reference_level_dims,
+    shift_axis,
     shift_index,
     shift_params,
 )
+
+from conftest import gather_bilinear
 
 
 def naive_bilinear(src, out_h, out_w):
@@ -38,6 +41,47 @@ def naive_bilinear(src, out_h, out_w):
                 + src[y1, x1] * wy * wx
             )
     return out
+
+
+def chain_resize_pairs():
+    """Every (source shape, target shape) that ``bilinear_resize`` meets in
+    the three modes: the 640x480 reference pyramid build, ``collapse`` of
+    each mode's levels to the frame size, and the reference mode's
+    across-scale sum from every level into every finer one."""
+    depth = Resolution.REFERENCE.pyramid_depth
+    ref = [(h, w) for w, h in reference_level_dims(640, 480, depth)]
+    pairs = [(ref[0], shape) for shape in ref[1:]]
+    pairs += [(shape, ref[0]) for shape in ref]
+    # into level 0 the sum's pairs are collapse's
+    pairs += [(ref[k], ref[j]) for j in range(1, depth) for k in range(j + 1, depth)]
+    for levels in HW_LEVELS.values():
+        pairs += [((h, w), levels[0][::-1]) for w, h in levels]
+    return pairs
+
+
+class TestBilinearBits:
+    """``bilinear_resize`` as x-first sparse axis products equals the
+    four-neighbour gather bit for bit: the chain's strict comparisons in
+    ``normalize.local_maxima`` would flip on a last-bit change."""
+
+    def test_equals_gather_on_every_chain_pair(self):
+        rng = np.random.default_rng(16)
+        pairs = chain_resize_pairs()
+        assert len(pairs) == 9 + 10 + 36 + 6
+        for src_shape, (oh, ow) in pairs:
+            src = rng.random(src_shape)
+            np.testing.assert_array_equal(
+                bilinear_resize(src, oh, ow), gather_bilinear(src, oh, ow)
+            )
+
+    def test_equals_gather_on_random_pairs(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            h, w, oh, ow = (int(n) for n in rng.integers(1, 48, size=4))
+            src = rng.uniform(-100.0, 100.0, size=(h, w))
+            np.testing.assert_array_equal(
+                bilinear_resize(src, oh, ow), gather_bilinear(src, oh, ow)
+            )
 
 
 class TestReferencePyramid:
@@ -112,6 +156,15 @@ class TestShiftTable:
             idx = shift_index(np.arange(dst), src, dst)
             assert idx.min() >= 0
             assert idx.max() < src
+
+    def test_axis_operator_selects_the_shift_addresses(self):
+        for (src, dst) in SHIFT_TABLE:
+            op = shift_axis(src, dst)
+            assert op.shape == (dst, src)
+            assert op.nnz == dst and np.all(op.data == 1.0)
+            np.testing.assert_array_equal(
+                op @ np.arange(src, dtype=np.float64), shift_index(np.arange(dst), src, dst)
+            )
 
     def test_mismatch_counts_against_exact_rational(self):
         # the approximation occasionally lands one pixel before the
