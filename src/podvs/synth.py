@@ -157,7 +157,8 @@ def fidelity_suite(width: int = 112, height: int = 84) -> dict:
     videos["bright_dot"] = [FrameRGB.from_gray(gray)] * 4
 
     gray = tex.copy()
-    gray[height // 2 - 6 : height // 2 - 4, width // 2 : width // 2 + 2] = 255
+    y0 = max(0, height // 2 - 6)
+    gray[y0 : y0 + 2, width // 2 : width // 2 + 2] = 255
     gray[2 * height // 3 : 2 * height // 3 + 2, width // 4 : width // 4 + 2] = 230
     videos["two_dots"] = [FrameRGB.from_gray(gray)] * 4
 

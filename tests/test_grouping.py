@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +38,21 @@ from podvs.pyramid import (
 )
 
 from conftest import gather_bilinear
+
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+#: SHA-256 of a 240x320 map's reference grouping levels at depth 6.
+REFERENCE_DIGEST = """
+import hashlib
+import numpy as np
+from podvs.grouping import grouping_pyramid
+from podvs.kernels import build_banks
+from podvs.pyramid import build_reference_pyramid
+m = np.random.default_rng(40).uniform(0, 255, size=(240, 320))
+levels = grouping_pyramid(build_reference_pyramid(m, 6), build_banks(11), 1.0)
+print(hashlib.sha256(b"".join(level.tobytes() for level in levels)).hexdigest())
+"""
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +149,20 @@ class TestCorrelate:
                 for args in ((m, kern), (shared_map, kern), (m, shared_kern),
                              (shared_map, shared_kern)):
                     np.testing.assert_allclose(correlate(*args), expected, atol=1e-12)
+
+    def test_kernel_spectra_match_rfft2_at_reference_level_shapes(self, banks11):
+        # a kernel's spectrum is a product with cached DFT slabs; the
+        # padded rfft2 it replaces is the oracle
+        kernels = (*banks11.edge.even, *banks11.edge.odd, banks11.cs.on,
+                   *banks11.vm.left, *banks11.vm.right)
+        assert len(kernels) == 17
+        for w, h in reference_level_dims(640, 480, 10):
+            fft_shape = grouping._fft_shape((h, w), (banks11.size, banks11.size))
+            for kern in kernels:
+                expected = scipy.fft.rfft2(kern[::-1, ::-1], fft_shape)
+                got = grouping._Spectrum(kern, fft_shape, kernel=True).values
+                assert got.shape == expected.shape
+                assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     def test_spectrum_of_another_padding_rejected(self, banks11):
         m = np.random.default_rng(37).random((13, 17))
@@ -489,3 +522,17 @@ class TestGroupingPyramid:
             threaded = grouping_pyramid(pyr, banks11, 1.0)
         for a, b in zip(single, threaded):
             np.testing.assert_array_equal(a, b)
+
+    def test_reference_chain_bit_identical_with_blas_threads(self):
+        # kernel spectra are BLAS complex products, and BLAS reads its
+        # thread count at start-up, so each count runs in its own process
+        src = str(Path(grouping.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src}
+            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+            proc = subprocess.run([sys.executable, "-c", REFERENCE_DIGEST], env=env,
+                                  capture_output=True, text=True, check=True, timeout=120)
+            digests.append(proc.stdout.strip())
+        assert len(digests[0]) == 64
+        assert digests[0] == digests[1]
