@@ -27,7 +27,7 @@ from .hwmodel import (
 )
 from .kernels import GroupingBanks, build_banks, load_banks, save_banks
 from .metrics import FixationSet, auc_roc, kld, nss, pcc
-from .normalize import LocalMaximaParams, fuse, local_maxima, normalize_n1, normalize_n2
+from .normalize import fuse, local_maxima, normalize_n1, normalize_n2
 from .pipeline import Pipeline, run_sequence
 from .pyramid import ImagePyramid, build_hw_pyramid, build_reference_pyramid, collapse
 from .temporal import (
@@ -49,7 +49,7 @@ __all__ = [
     "FixedFormat", "HwPipeline", "HwProfile", "quantize",
     "GroupingBanks", "build_banks", "load_banks", "save_banks",
     "FixationSet", "auc_roc", "kld", "nss", "pcc",
-    "LocalMaximaParams", "fuse", "local_maxima", "normalize_n1", "normalize_n2",
+    "fuse", "local_maxima", "normalize_n1", "normalize_n2",
     "Pipeline", "run_sequence",
     "ImagePyramid", "build_hw_pyramid", "build_reference_pyramid", "collapse",
     "STRONGLY_PHASIC", "WEAKLY_PHASIC", "PhasicParams", "TemporalKernel",

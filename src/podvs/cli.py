@@ -13,6 +13,11 @@ and times it through ``pipeline.run_sequence``.  Every mode prints the
 measured frame rate; a fixed-point run also prints its hardware profile
 and writes it to ``profile.json`` in the archive.
 
+``run`` and ``profile`` take the resolution from ``--mode``, else from
+the ``--config`` file (640x480 when the file has no ``resolution`` key),
+else from the subcommand's default: reference for ``run``, hw112 for
+``profile``.
+
 Exit codes: 0 success, 1 data error, 2 usage error.
 """
 from __future__ import annotations
@@ -38,31 +43,34 @@ from .metrics import auc_roc, kld, nss, pcc
 from .pipeline import Pipeline, run_sequence
 from .synth import all_videos
 
-MODES = ("reference", "hw112", "hw80")
-_MODE_RESOLUTION = {
-    "reference": Resolution.REFERENCE,
-    "hw112": Resolution.HW_112,
-    "hw80": Resolution.HW_80,
+#: ``--mode`` name of each resolution; archives record it as their mode.
+_MODE_NAME = {
+    Resolution.REFERENCE: "reference",
+    Resolution.HW_112: "hw112",
+    Resolution.HW_80: "hw80",
 }
+_MODE_RESOLUTION = {name: res for res, name in _MODE_NAME.items()}
 
 
-def _config_for(args) -> EngineConfig:
+def _config_for(args, default_mode: str) -> EngineConfig:
+    """Resolution from ``--mode``, else from the config file, else default_mode."""
     cfg = load_config(args.config) if args.config else EngineConfig()
-    return replace(cfg, resolution=_MODE_RESOLUTION[args.mode])
+    mode = args.mode or (None if args.config else default_mode)
+    return replace(cfg, resolution=_MODE_RESOLUTION[mode]) if mode else cfg
 
 
 def _cmd_run(args) -> int:
-    cfg = _config_for(args)
+    cfg = _config_for(args, "reference")
     require_empty_archive(args.out)
     frames = read_frames(args.inp)
-    if args.mode == "reference" or args.real:
+    if cfg.resolution is Resolution.REFERENCE or args.real:
         engine = Pipeline(cfg)
     else:
         engine = HwPipeline(cfg)
-    maps, timing = run_sequence(frames, engine)
-    write_maps(maps, args.out, cfg, args.mode, raw=args.raw)
+    maps, seconds = run_sequence(frames, engine)
+    write_maps(maps, args.out, cfg, _MODE_NAME[cfg.resolution], raw=args.raw)
     print(f"{len(maps)} maps written to {args.out}")
-    print(f"mean rate: {timing.mean_fps:.3f} frames/s")
+    print(f"mean rate: {len(seconds) / sum(seconds):.3f} frames/s")
     if isinstance(engine, HwPipeline):
         sys.stdout.write(engine.profile.to_text())
         Path(args.out, "profile.json").write_text(engine.profile.to_json(), encoding="utf-8")
@@ -112,7 +120,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    cfg = _config_for(args)
+    cfg = _config_for(args, "hw112")
     profile = HwProfile(cfg, channels_parallel=args.channels)
     sys.stdout.write(profile.to_text())
     if args.json:
@@ -148,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="compute saliency maps for a frame sequence")
-    p.add_argument("--mode", choices=MODES, default="reference")
+    p.add_argument("--mode", choices=tuple(_MODE_RESOLUTION),
+                   help="default: the config file's resolution, else reference")
     p.add_argument("--in", dest="inp", required=True, help="frame directory or list file")
     p.add_argument("--out", required=True, help="new or empty output archive directory")
     p.add_argument("--config", help="engine config file")
@@ -172,7 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("profile", help="hardware cycle and memory ledger")
-    p.add_argument("--mode", choices=("hw112", "hw80"), default="hw112")
+    p.add_argument("--mode", choices=[name for name, res in _MODE_RESOLUTION.items()
+                                      if res is not Resolution.REFERENCE],
+                   help="default: the config file's resolution, else hw112")
     p.add_argument("--config", help="engine config file")
     p.add_argument("--channels", type=int, default=None, help="channels in parallel")
     p.add_argument("--json", help="also write the profile as JSON here")

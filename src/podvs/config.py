@@ -7,7 +7,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import collections
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -47,11 +47,7 @@ class Resolution(Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "Resolution":
-        table = {
-            "640x480": cls.REFERENCE,
-            "112x84": cls.HW_112,
-            "80x60": cls.HW_80,
-        }
+        table = {str(m): m for m in cls}
         key = text.strip().lower()
         if key not in table:
             raise ConfigError(
@@ -113,30 +109,19 @@ class EngineConfig:
 
     def to_text(self) -> str:
         """Serialize as flat key=value lines (the config-file format)."""
-        lines = [
-            f"resolution={self.resolution}",
-            f"frame_rate={_fmt(self.frame_rate)}",
-            f"inhibition_weight={_fmt(self.inhibition_weight)}",
-            f"maxima_radius={self.maxima_radius}",
-            f"maxima_threshold={_fmt(self.maxima_threshold)}",
-            f"word_bits={self.word_bits}",
-            f"fraction_bits={self.fraction_bits}",
-        ]
+        lines = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(f.default, float):
+                value = float(value)  # str of a float is its repr
+            lines.append(f"{f.name}={value}")
         return "\n".join(lines) + "\n"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
+#: Text-to-value converter per config key: the type of the field's default.
 _PARSERS = {
-    "resolution": Resolution.from_string,
-    "frame_rate": float,
-    "inhibition_weight": float,
-    "maxima_radius": int,
-    "maxima_threshold": float,
-    "word_bits": int,
-    "fraction_bits": int,
+    f.name: Resolution.from_string if f.name == "resolution" else type(f.default)
+    for f in fields(EngineConfig)
 }
 
 

@@ -41,7 +41,7 @@ from scipy import ndimage
 
 from .config import EngineConfig, Resolution
 from .errors import ConfigError
-from .kernels import CenterSurroundBank, EdgeBank, GroupingBanks, VonMisesBank
+from .kernels import GroupingBanks, map_kernels
 from .normalize import fuse  # noqa: F401  (bench/tests reads hwmodel.fuse)
 from .pipeline import Pipeline
 from .pyramid import hw_level_sizes
@@ -79,10 +79,6 @@ class FixedFormat:
     @property
     def scale(self) -> float:
         return float(1 << self.fraction_bits)
-
-    @property
-    def resolution(self) -> float:
-        return 1.0 / self.scale
 
 
 #: Channel ingest words (8 bits on the wire).  Orientation maps carry
@@ -451,19 +447,6 @@ class FixedArith(_Flags):
         return raw
 
 
-def _quantize_banks(banks: GroupingBanks) -> GroupingBanks:
-    """The same banks with every coefficient as a raw KERNEL_FORMAT word."""
-    def raw(kernels):
-        return tuple(quantize(k, KERNEL_FORMAT)[0] for k in kernels)
-
-    return GroupingBanks(
-        edge=EdgeBank(raw(banks.edge.even), raw(banks.edge.odd), banks.size),
-        cs=CenterSurroundBank(quantize(banks.cs.on, KERNEL_FORMAT)[0], banks.size),
-        vm=VonMisesBank(raw(banks.vm.left), raw(banks.vm.right), banks.size),
-        size=banks.size,
-    )
-
-
 class HwPipeline(Pipeline):
     """Pipeline with the fixed-point backend (reduced modes only); its
     ``profile`` ledger counts frames and saturated words as it runs."""
@@ -472,7 +455,7 @@ class HwPipeline(Pipeline):
         self.profile = HwProfile(cfg)
         super().__init__(cfg, banks)
         self.arith = FixedArith(cfg)
-        self.banks = _quantize_banks(self.banks)
+        self.banks = map_kernels(self.banks, lambda k: quantize(k, KERNEL_FORMAT)[0])
 
     def step(self, frame):
         """One frame through P1..P7 plus host normalization/fusion."""

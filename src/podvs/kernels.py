@@ -15,6 +15,11 @@ construction (explicit symmetrization, 180-degree rotation for the
 opposite-side von Mises kernel).  Banks can be exported to and imported
 from plain text so that independent consumers share bit-identical
 coefficients.
+
+``build_banks``, ``load_banks`` and ``map_kernels`` (one function over
+every kernel, as the fixed-point model quantizes them) all assemble
+their banks from kernels keyed by the names of the text file, and every
+kernel they return is read-only.
 """
 from __future__ import annotations
 
@@ -139,25 +144,17 @@ def build_banks(size: int) -> GroupingBanks:
     """Construct all kernel banks for one odd kernel size."""
     if size < 3 or size % 2 == 0:
         raise ConfigError(f"kernel size must be odd and >= 3, got {size}")
-    even, odd = [], []
-    for theta in THETAS:
-        e, o = _gabor_pair(size, theta)
-        even.append(e)
-        odd.append(o)
-    left = [_von_mises(size, theta + math.pi / 2) for theta in THETAS]
-    right = [_rot180(v).copy() for v in left]
-    banks = GroupingBanks(
-        edge=EdgeBank(tuple(even), tuple(odd), size),
-        cs=CenterSurroundBank(_center_surround(size), size),
-        vm=VonMisesBank(tuple(left), tuple(right), size),
-        size=size,
-    )
-    for kern in _iter_kernels(banks):
-        kern[1].setflags(write=False)
-    return banks
+    kernels = {"cs on": _center_surround(size)}
+    for i, theta in enumerate(THETAS):
+        kernels[f"even {i}"], kernels[f"odd {i}"] = _gabor_pair(size, theta)
+        left = _von_mises(size, theta + math.pi / 2)
+        kernels[f"vm_left {i}"] = left
+        kernels[f"vm_right {i}"] = _rot180(left).copy()
+    return _assemble(kernels, size)
 
 
 def _iter_kernels(banks: GroupingBanks):
+    """(name, kernel) pairs of every kernel, in file order."""
     for i in range(len(THETAS)):
         yield f"even {i}", banks.edge.even[i]
         yield f"odd {i}", banks.edge.odd[i]
@@ -165,6 +162,30 @@ def _iter_kernels(banks: GroupingBanks):
     for i in range(len(THETAS)):
         yield f"vm_left {i}", banks.vm.left[i]
         yield f"vm_right {i}", banks.vm.right[i]
+
+
+def _assemble(kernels_by_name: dict, size: int) -> GroupingBanks:
+    """Banks from kernels keyed by their ``_iter_kernels`` names.
+
+    Every kernel is made read-only.  A missing name raises ``KeyError``.
+    """
+    def family(kind):
+        return tuple(kernels_by_name[f"{kind} {i}"] for i in range(len(THETAS)))
+
+    banks = GroupingBanks(
+        edge=EdgeBank(family("even"), family("odd"), size),
+        cs=CenterSurroundBank(kernels_by_name["cs on"], size),
+        vm=VonMisesBank(family("vm_left"), family("vm_right"), size),
+        size=size,
+    )
+    for _, kern in _iter_kernels(banks):
+        kern.setflags(write=False)
+    return banks
+
+
+def map_kernels(banks: GroupingBanks, fn) -> GroupingBanks:
+    """The same bank layout with ``fn`` applied to every kernel."""
+    return _assemble({name: fn(kern) for name, kern in _iter_kernels(banks)}, banks.size)
 
 
 def save_banks(banks: GroupingBanks, path) -> None:
@@ -192,9 +213,8 @@ def load_banks(path) -> GroupingBanks:
         raise FormatError(f"{path}:2: malformed size line") from exc
     if size < 1:
         raise FormatError(f"{path}:2: kernel size {size} is not positive")
-    n = len(THETAS)
     known = {f"{kind} {t}" for kind in ("even", "odd", "vm_left", "vm_right")
-             for t in range(n)} | {"cs on"}
+             for t in range(len(THETAS))} | {"cs on"}
     kernels = {}
     i = 2
     while i < len(lines):
@@ -216,24 +236,9 @@ def load_banks(path) -> GroupingBanks:
             if len(rows[-1]) != size or not np.all(np.isfinite(rows[-1])):
                 raise FormatError(f"{path}:{j + 1}: kernel {name!r} row is not "
                                   f"{size} finite values")
-        kern = np.array(rows, dtype=np.float64)
-        kern.setflags(write=False)
-        kernels[name] = kern
+        kernels[name] = np.array(rows, dtype=np.float64)
         i += 1 + size
     try:
-        return GroupingBanks(
-            edge=EdgeBank(
-                tuple(kernels[f"even {i}"] for i in range(n)),
-                tuple(kernels[f"odd {i}"] for i in range(n)),
-                size,
-            ),
-            cs=CenterSurroundBank(kernels["cs on"], size),
-            vm=VonMisesBank(
-                tuple(kernels[f"vm_left {i}"] for i in range(n)),
-                tuple(kernels[f"vm_right {i}"] for i in range(n)),
-                size,
-            ),
-            size=size,
-        )
+        return _assemble(kernels, size)
     except KeyError as exc:
         raise FormatError(f"{path}: missing kernel {exc}") from exc

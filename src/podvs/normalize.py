@@ -6,62 +6,46 @@ maxima: maps dominated by a single peak are promoted, maps with many
 comparable peaks are suppressed.  The second operator (N2) first
 rescales the map to a fixed range so that channels of different
 modality compete fairly, then applies the same peak statistic.
+
+The local maxima behind that statistic are set by the ``EngineConfig``
+fields ``maxima_radius`` (neighborhood radius) and ``maxima_threshold``
+(fraction of the global maximum), which the config checks once.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .channels import ChannelId
 from .config import EngineConfig
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .pyramid import ImagePyramid, collapse
 
 
-@dataclass(frozen=True)
-class LocalMaximaParams:
-    """Neighborhood radius and inclusion threshold for peak detection."""
+def local_maxima(map_: np.ndarray, cfg: EngineConfig = EngineConfig()):
+    """Pixels strictly above every neighbor within ``cfg.maxima_radius``.
 
-    radius: int = 1
-    threshold: float = 0.05
-
-    def __post_init__(self):
-        if self.radius < 1:
-            raise ConfigError("maxima radius must be >= 1")
-        if not 0.0 < self.threshold < 1.0:
-            raise ConfigError("maxima threshold must be in (0, 1)")
-
-    @classmethod
-    def from_config(cls, cfg: EngineConfig) -> "LocalMaximaParams":
-        return cls(cfg.maxima_radius, cfg.maxima_threshold)
-
-
-def local_maxima(map_: np.ndarray, params: LocalMaximaParams = LocalMaximaParams()):
-    """Pixels strictly above every neighbor within the radius.
-
-    Only peaks reaching threshold * global_max are kept.  Returns a
-    list of (x, y, value); on a constant map there are no strict maxima
-    and the list is empty.
+    Only peaks reaching ``cfg.maxima_threshold`` * global_max are kept.
+    Returns a list of (x, y, value); on a constant map there are no
+    strict maxima and the list is empty.
     """
     map_ = np.asarray(map_, dtype=np.float64)
     if map_.size == 0:
         raise DimensionError("empty map")
-    size = 2 * params.radius + 1
-    footprint = np.ones((size, size), dtype=bool)
-    footprint[params.radius, params.radius] = False
+    radius = cfg.maxima_radius
+    footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
+    footprint[radius, radius] = False
     neighbor_max = ndimage.maximum_filter(
         map_, footprint=footprint, mode="constant", cval=-np.inf
     )
-    floor = params.threshold * float(map_.max())
+    floor = cfg.maxima_threshold * float(map_.max())
     ys, xs = np.nonzero((map_ > neighbor_max) & (map_ >= floor))
     return [(int(x), int(y), float(map_[y, x])) for y, x in zip(ys, xs)]
 
 
-def _peak_factor(map_: np.ndarray, params: LocalMaximaParams) -> float:
+def _peak_factor(map_: np.ndarray, cfg: EngineConfig) -> float:
     m = float(map_.max())
-    values = [v for _, _, v in local_maxima(map_, params)]
+    values = [v for _, _, v in local_maxima(map_, cfg)]
     # One instance at the global maximum belongs to m itself; the rest
     # are the "other" maxima.  A plateau global max never enters values.
     if m in values:
@@ -70,12 +54,10 @@ def _peak_factor(map_: np.ndarray, params: LocalMaximaParams) -> float:
     return (m - mbar) ** 2
 
 
-def normalize_n1(
-    map_: np.ndarray, params: LocalMaximaParams = LocalMaximaParams()
-) -> np.ndarray:
+def normalize_n1(map_: np.ndarray, cfg: EngineConfig = EngineConfig()) -> np.ndarray:
     """Promote single-peak maps: map * (m - mbar)**2."""
     map_ = np.asarray(map_, dtype=np.float64)
-    return map_ * _peak_factor(map_, params)
+    return map_ * _peak_factor(map_, cfg)
 
 
 def rescale_to_range(map_: np.ndarray) -> np.ndarray:
@@ -95,17 +77,14 @@ def rescale_to_range(map_: np.ndarray) -> np.ndarray:
     return (map_ - lo) * (1.0 / (hi - lo))
 
 
-def normalize_n2(
-    map_: np.ndarray,
-    params: LocalMaximaParams = LocalMaximaParams(),
-) -> np.ndarray:
+def normalize_n2(map_: np.ndarray, cfg: EngineConfig = EngineConfig()) -> np.ndarray:
     """Range-normalize to [0, 1], then apply the N1 statistic.
 
     The rescale step makes the operator invariant to any positive
     affine transform of the input, so channels with incomparable units
     can be fused.
     """
-    return normalize_n1(rescale_to_range(map_), params)
+    return normalize_n1(rescale_to_range(map_), cfg)
 
 
 def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
@@ -120,16 +99,15 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
     if set(grouping_pyramids) != set(ChannelId):
         missing = set(ChannelId) - set(grouping_pyramids)
         raise DimensionError(f"missing channels: {sorted(c.value for c in missing)}")
-    params = LocalMaximaParams.from_config(cfg)
     total = np.zeros((cfg.height, cfg.width), dtype=np.float64)
     done = []  # (pyramid, normalized conspicuity map) pairs
     for cid in ChannelId:
         pyramid = grouping_pyramids[cid]
         normalized = next((m for p, m in done if p is pyramid), None)
         if normalized is None:
-            levels = [normalize_n1(level, params) for level in pyramid]
+            levels = [normalize_n1(level, cfg) for level in pyramid]
             conspicuity = collapse(ImagePyramid(tuple(levels)), cfg.height, cfg.width)
-            normalized = normalize_n2(conspicuity, params)
+            normalized = normalize_n2(conspicuity, cfg)
             done.append((pyramid, normalized))
         total += normalized
     return rescale_to_range(total)

@@ -9,7 +9,6 @@ backend: float64 here, fixed point in ``hwmodel.HwPipeline``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -87,27 +86,12 @@ class Pipeline:
         return fuse(grouped, self.cfg)
 
 
-@dataclass(frozen=True)
-class TimingReport:
-    """Wall-clock per-frame timings of one run."""
-
-    seconds_per_frame: tuple
-
-    @property
-    def total_seconds(self) -> float:
-        return float(sum(self.seconds_per_frame))
-
-    @property
-    def mean_fps(self) -> float:
-        total = self.total_seconds
-        return len(self.seconds_per_frame) / total if total > 0 else float("inf")
-
-
 def run_sequence(frames, engine: Pipeline):
     """Run a whole frame sequence through one engine, timing every step.
 
     The engine is a ``Pipeline`` or an ``hwmodel.HwPipeline``, whose
-    ``profile`` ledger the steps advance.  Returns (maps, timing report).
+    ``profile`` ledger the steps advance.  Returns (maps, wall-clock
+    seconds of each step).
     """
     frames = list(frames)
     if not frames:
@@ -117,4 +101,4 @@ def run_sequence(frames, engine: Pipeline):
         start = time.perf_counter()
         maps.append(engine.step(frame))
         timings.append(time.perf_counter() - start)
-    return maps, TimingReport(tuple(timings))
+    return maps, timings

@@ -65,6 +65,16 @@ class TestRun:
         assert run_hw80(tmp_path / "frames", tmp_path / "out") == 1
         assert "no frames found" in capsys.readouterr().err
 
+    def test_config_resolution_selects_the_mode(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("resolution=80x60\n")
+        out = tmp_path / "hw"
+        args = ["run", "--in", str(write_frames(tmp_path / "frames")), "--out", str(out),
+                "--config", str(config)]
+        assert cli(args) == 0
+        assert "hardware profile, 80x60" in capsys.readouterr().out
+        assert json.loads((out / ARCHIVE_METADATA).read_text())["mode"] == "hw80"
+
     def test_missing_in_is_a_usage_error(self, tmp_path, capsys):
         assert cli(["run", "--mode", "hw80", "--out", str(tmp_path / "out")]) == 2
         assert "--in" in capsys.readouterr().err
@@ -118,6 +128,24 @@ class TestProfile:
     def test_default_parallelism_succeeds(self, capsys):
         assert cli(["profile", "--mode", "hw80"]) == 0
         assert "derived frame rate" in capsys.readouterr().out
+
+    def test_config_resolution_selects_the_mode(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("resolution=80x60\n")
+        assert cli(["profile", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("hardware profile, 80x60,")
+
+    def test_explicit_mode_overrides_the_config_resolution(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("resolution=80x60\n")
+        assert cli(["profile", "--mode", "hw112", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("hardware profile, 112x84,")
+
+    def test_config_without_resolution_reads_the_reference_mode(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("frame_rate=30\n")
+        assert cli(["profile", "--config", str(config)]) == 1
+        assert "requires a reduced-resolution mode" in capsys.readouterr().err
 
     def test_nine_channels_give_the_abstracts_rate(self, capsys):
         assert cli(["profile", "--mode", "hw80", "--channels", "9"]) == 0

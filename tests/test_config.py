@@ -28,6 +28,10 @@ class TestResolutionModes:
         with pytest.raises(ConfigError):
             Resolution.from_string("100x100")
 
+    def test_from_string_reads_every_mode_name(self):
+        for mode in Resolution:
+            assert Resolution.from_string(f" {str(mode).upper()} ") is mode
+
     def test_no_mixed_combinations(self):
         # kernel size / depth are derived, not settable
         cfg = EngineConfig(resolution=Resolution.HW_112)
@@ -75,6 +79,33 @@ class TestParseConfig:
 
     def test_default_round_trip(self):
         assert parse_config(EngineConfig().to_text()) == EngineConfig()
+
+    def test_default_text_pinned(self):
+        assert EngineConfig().to_text() == (
+            "resolution=640x480\n"
+            "frame_rate=24.0\n"
+            "inhibition_weight=1.0\n"
+            "maxima_radius=1\n"
+            "maxima_threshold=0.05\n"
+            "word_bits=18\n"
+            "fraction_bits=8\n"
+        )
+
+    def test_params_validated(self):
+        for text, message in [
+            ("maxima_radius=0", "maxima_radius must be >= 1"),
+            ("maxima_threshold=0", "maxima_threshold must be in"),
+            ("maxima_threshold=1.5", "maxima_threshold must be in"),
+            ("inhibition_weight=-1", "inhibition_weight must be >= 0"),
+            ("word_bits=7", "word_bits must be >= fraction_bits"),
+            ("word_bits=12\nfraction_bits=13", "word_bits must be >= fraction_bits"),
+        ]:
+            with pytest.raises(ConfigError, match=message):
+                parse_config(text + "\n")
+
+    def test_int_key_rejects_a_fraction(self):
+        with pytest.raises(ConfigError, match="bad value for 'maxima_radius'"):
+            parse_config("maxima_radius=1.5\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):

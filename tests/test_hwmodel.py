@@ -16,8 +16,10 @@ from podvs.hwmodel import (
     _Flags,
     fixed_correlate,
     frame_rate,
+    quantize,
     round_shift,
 )
+from podvs.kernels import _iter_kernels, build_banks
 
 #: Level shapes of the two reduced modes (112x84 and 80x60 pyramids).
 LEVEL_SHAPES = [(84, 112), (60, 80), (44, 56), (30, 40)]
@@ -160,8 +162,14 @@ class TestFixedArith:
             FixedArith(EngineConfig(resolution=Resolution.HW_80, word_bits=27))
 
 
-def _bank_kernels(banks):
-    return (*banks.edge.even, *banks.edge.odd, banks.cs.on, *banks.vm.left, *banks.vm.right)
+class TestQuantizedBanks:
+    def test_each_kernel_is_its_quantized_float_kernel(self, raw_banks):
+        floats = dict(_iter_kernels(build_banks(5)))
+        raw = dict(_iter_kernels(raw_banks))
+        assert raw.keys() == floats.keys() and len(raw) == 17
+        for name, kernel in raw.items():
+            np.testing.assert_array_equal(kernel, quantize(floats[name], KERNEL_FORMAT)[0])
+            assert not kernel.flags.writeable
 
 
 class TestFixedCorrelate:
@@ -172,7 +180,7 @@ class TestFixedCorrelate:
     def test_matches_mac_loop(self, hw80_cfg, word_bits, shape):
         cfg = EngineConfig(resolution=Resolution.HW_80, word_bits=word_bits)
         fmt = FixedArith(cfg).fmt
-        kernels = _bank_kernels(HwPipeline(hw80_cfg).banks)
+        kernels = [kernel for _, kernel in _iter_kernels(HwPipeline(hw80_cfg).banks)]
         assert len(kernels) == 17
         rng = np.random.default_rng(word_bits * 1000 + shape[1])
         total = 0

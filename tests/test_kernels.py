@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from podvs.errors import ConfigError
-from podvs.kernels import THETAS, build_banks, load_banks, save_banks
+from podvs.kernels import THETAS, _iter_kernels, build_banks, load_banks, map_kernels, save_banks
 
 
 @pytest.fixture(params=[5, 11], ids=["5x5", "11x11"])
@@ -91,6 +91,22 @@ class TestBankIO:
             np.testing.assert_array_equal(a, b)
         for a, b in zip(banks.vm.right, loaded.vm.right):
             np.testing.assert_array_equal(a, b)
+
+    def test_every_kernel_read_only(self, banks, tmp_path):
+        path = tmp_path / "banks.txt"
+        save_banks(banks, path)
+        for made in (banks, load_banks(path), map_kernels(banks, np.negative)):
+            kernels = [kernel for _, kernel in _iter_kernels(made)]
+            assert len(kernels) == 17
+            assert not any(kernel.flags.writeable for kernel in kernels)
+            with pytest.raises(ValueError):
+                kernels[0][0, 0] = 1.0
+
+    def test_map_kernels_keeps_each_name(self, banks):
+        doubled = dict(_iter_kernels(map_kernels(banks, lambda k: 2.0 * k)))
+        for name, kernel in _iter_kernels(banks):
+            np.testing.assert_array_equal(doubled[name], 2.0 * kernel)
+        assert map_kernels(banks, np.negative).size == banks.size
 
     def test_rejects_even_size(self):
         with pytest.raises(ConfigError):

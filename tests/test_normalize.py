@@ -3,9 +3,8 @@ import pytest
 
 from podvs.channels import ChannelId
 from podvs.config import EngineConfig, Resolution
-from podvs.errors import ConfigError, DimensionError
+from podvs.errors import DimensionError
 from podvs.normalize import (
-    LocalMaximaParams,
     fuse,
     local_maxima,
     normalize_n1,
@@ -27,7 +26,7 @@ class TestLocalMaxima:
         m = np.zeros((9, 9))
         m[2, 2] = 10.0
         m[6, 6] = 4.0
-        found = sorted(local_maxima(m, LocalMaximaParams(1, 0.05)))
+        found = sorted(local_maxima(m, EngineConfig(maxima_radius=1, maxima_threshold=0.05)))
         assert found == [(2, 2, 10.0), (6, 6, 4.0)]
 
     def test_threshold_floor(self):
@@ -45,14 +44,8 @@ class TestLocalMaxima:
         m = np.zeros((9, 9))
         m[4, 2] = 1.0
         m[4, 4] = 0.9
-        assert len(local_maxima(m, LocalMaximaParams(1, 0.05))) == 2
-        assert len(local_maxima(m, LocalMaximaParams(2, 0.05))) == 1
-
-    def test_params_validated(self):
-        with pytest.raises(ConfigError):
-            LocalMaximaParams(0, 0.05)
-        with pytest.raises(ConfigError):
-            LocalMaximaParams(1, 1.5)
+        assert len(local_maxima(m, EngineConfig(maxima_radius=1, maxima_threshold=0.05))) == 2
+        assert len(local_maxima(m, EngineConfig(maxima_radius=2, maxima_threshold=0.05))) == 1
 
 
 class TestN1:

@@ -10,7 +10,7 @@ from podvs.hwmodel import HwPipeline
 from podvs.kernels import build_banks
 from podvs.metrics import pcc
 from podvs.normalize import fuse
-from podvs.pipeline import Pipeline
+from podvs.pipeline import Pipeline, run_sequence
 
 ENGINES = {"float": Pipeline, "fixed": HwPipeline}
 
@@ -56,6 +56,15 @@ class TestEngines:
         run(engine, frames80[:2])
         assert engine.profile.frames == 2
         assert engine.profile.saturations == 0
+
+    def test_run_sequence_times_every_step(self, hw80_cfg, frames80):
+        engine = HwPipeline(hw80_cfg)
+        maps, seconds = run_sequence(frames80, engine)
+        assert len(maps) == len(seconds) == len(frames80)
+        assert all(s > 0 for s in seconds)
+        assert engine.profile.frames == len(frames80)
+        with pytest.raises(DimensionError):
+            run_sequence([], engine)
 
     def test_hw_pipeline_rejects_reference_mode(self):
         with pytest.raises(ConfigError):
