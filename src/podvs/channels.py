@@ -83,10 +83,10 @@ def extract_all(
     """
     r, g, b = (history.plane_stack(p) for p in ("r", "g", "b"))
     # The same arithmetic as to_intensity, frame by frame.
-    channels = {ChannelId.INTENSITY: apply_temporal(strong, (r + g + b) / 3.0)}
+    gray = (r + g + b) / 3.0
+    channels = {ChannelId.INTENSITY: apply_temporal(strong, gray)}
     planes = [apply_temporal(weak, stack) for stack in (r, g, b)]
     channels.update(color_opponency(*planes))
-    oriented = to_intensity(history.frame_at(0))
-    for cid in ORIENTATION_CHANNELS:
-        channels[cid] = oriented
+    # the newest gray frame, copied so the stack is freed before grouping
+    channels.update(dict.fromkeys(ORIENTATION_CHANNELS, gray[0].copy()))
     return channels

@@ -43,13 +43,7 @@ from .metrics import auc_roc, kld, nss, pcc
 from .pipeline import Pipeline, run_sequence
 from .synth import all_videos
 
-#: ``--mode`` name of each resolution; archives record it as their mode.
-_MODE_NAME = {
-    Resolution.REFERENCE: "reference",
-    Resolution.HW_112: "hw112",
-    Resolution.HW_80: "hw80",
-}
-_MODE_RESOLUTION = {name: res for res, name in _MODE_NAME.items()}
+_MODE_RESOLUTION = {res.mode: res for res in Resolution}
 
 
 def _config_for(args, default_mode: str) -> EngineConfig:
@@ -68,7 +62,7 @@ def _cmd_run(args) -> int:
     else:
         engine = HwPipeline(cfg)
     maps, seconds = run_sequence(frames, engine)
-    write_maps(maps, args.out, cfg, _MODE_NAME[cfg.resolution], raw=args.raw)
+    write_maps(maps, args.out, cfg, raw=args.raw)
     print(f"{len(maps)} maps written to {args.out}")
     print(f"mean rate: {len(seconds) / sum(seconds):.3f} frames/s")
     if isinstance(engine, HwPipeline):
@@ -181,8 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("profile", help="hardware cycle and memory ledger")
-    p.add_argument("--mode", choices=[name for name, res in _MODE_RESOLUTION.items()
-                                      if res is not Resolution.REFERENCE],
+    p.add_argument("--mode", choices=[r.mode for r in Resolution if r is not Resolution.REFERENCE],
                    help="default: the config file's resolution, else hw112")
     p.add_argument("--config", help="engine config file")
     p.add_argument("--channels", type=int, default=None, help="channels in parallel")

@@ -21,13 +21,13 @@ TAP_COUNT = 6
 class Resolution(Enum):
     """Input resolution mode.
 
-    Each mode pins the grouping kernel size and pyramid depth; mixed
-    combinations are not constructible.
+    Each mode pins the grouping kernel size and pyramid depth and has a
+    ``mode`` name; mixed combinations are not constructible.
     """
 
-    REFERENCE = (640, 480, 11, 10)
-    HW_112 = (112, 84, 5, 3)
-    HW_80 = (80, 60, 5, 3)
+    REFERENCE = (640, 480, 11, 10, "reference")
+    HW_112 = (112, 84, 5, 3, "hw112")
+    HW_80 = (80, 60, 5, 3, "hw80")
 
     @property
     def width(self) -> int:
@@ -44,6 +44,10 @@ class Resolution(Enum):
     @property
     def pyramid_depth(self) -> int:
         return self.value[3]
+
+    @property
+    def mode(self) -> str:
+        return self.value[4]
 
     @classmethod
     def from_string(cls, text: str) -> "Resolution":

@@ -49,8 +49,8 @@ the direct 5x5 path the regrouped sum would change the float maps' bits,
 so both keep the per-correlation P7.  The across-scale sum (P5) has one
 body, over cached sparse axis operators, for every backend and mode.
 
-Every stage takes an ``arith`` backend: ``FLOAT`` (the default) or the
-hardware's fixed point, ``hwmodel.FixedArith``.
+Every stage takes an ``arith`` backend, ``FLOAT`` (the default) or the
+hardware's ``hwmodel.FixedArith``, and each filter one ``GroupingBanks``.
 """
 from __future__ import annotations
 
@@ -61,7 +61,7 @@ from scipy import ndimage, sparse
 from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .errors import DimensionError
-from .kernels import THETAS, CenterSurroundBank, EdgeBank, GroupingBanks, VonMisesBank
+from .kernels import THETAS, GroupingBanks
 from .pyramid import ImagePyramid, bilinear_axis
 
 #: Smallest kernel side that ``correlate`` runs through the FFT.  Measured
@@ -205,32 +205,32 @@ def _check_size(map_: np.ndarray, size: int) -> None:
         raise DimensionError(f"map {map_.shape} smaller than kernel {size}x{size}")
 
 
-def complex_edges(map_: np.ndarray, bank: EdgeBank, arith=FLOAT) -> np.ndarray:
-    """Complex cell responses sqrt(even^2 + odd^2), shape (4, h, w) [theta]."""
-    _check_size(map_, bank.size)
+def complex_edges(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT) -> np.ndarray:
+    """Complex responses sqrt(e^2 + o^2) to banks.even/odd, shape (4, h, w) [theta]."""
+    _check_size(map_, banks.size)
     out = np.empty((len(THETAS), *map_.shape))
-    for ti, (even, odd) in enumerate(zip(bank.even, bank.odd)):
+    for ti, (even, odd) in enumerate(zip(banks.even, banks.odd)):
         out[ti] = arith.magnitude(arith.correlate(map_, even), arith.correlate(map_, odd))
     return out
 
 
-def center_surround(map_: np.ndarray, bank: CenterSurroundBank, arith=FLOAT):
-    """(ON, OFF) responses; inversion happens before rectification."""
-    _check_size(map_, bank.size)
-    resp = arith.correlate(map_, bank.on)
+def center_surround(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT):
+    """(ON, OFF) responses to banks.cs_on; inversion happens before rectification."""
+    _check_size(map_, banks.size)
+    resp = arith.correlate(map_, banks.cs_on)
     return _rect(resp), _rect(-resp)
 
 
-def von_mises_filter(on: np.ndarray, off: np.ndarray, bank: VonMisesBank,
+def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks,
                      arith=FLOAT) -> np.ndarray:
-    """The 16 association-field responses of one level, shape
+    """The 16 responses of one level to banks.vm_left/vm_right, shape
     (4, 2, 2, h, w) [theta, side (left, right), polarity (on, off)]."""
     out = np.empty((len(THETAS), 2, 2, *on.shape))
-    shared = _shares_spectra(arith, bank.size)
+    shared = _shares_spectra(arith, banks.size)
     if shared:
-        fft_shape = _fft_shape(on.shape, (bank.size, bank.size))
+        fft_shape = _fft_shape(on.shape, (banks.size, banks.size))
         on, off = _Spectrum(on, fft_shape), _Spectrum(off, fft_shape)
-    for ti, kernels in enumerate(zip(bank.left, bank.right)):
+    for ti, kernels in enumerate(zip(banks.vm_left, banks.vm_right)):
         for side, kern in enumerate(kernels):
             if shared:
                 kern = _Spectrum(kern, fft_shape, kernel=True)
@@ -318,43 +318,44 @@ def bo_masks(bo_levels) -> list:
     return out
 
 
-def _spectral_grouping_sum(mask, bo, vm: VonMisesBank, w_p: float) -> np.ndarray:
+def _spectral_grouping_sum(mask, bo, banks: GroupingBanks, w_p: float) -> np.ndarray:
     """``grouping_activity``'s sum over theta and both sides before
     rectification, for the float FFT path: each side's two correlations
     with one kernel are one correlation of m*(bo_own - w_p*bo_other), and
     the eight spectral products are summed before one inverse transform."""
-    shape, kernel_shape = bo.shape[2:], (vm.size, vm.size)
+    shape, kernel_shape = bo.shape[2:], (banks.size, banks.size)
     fft_shape = _fft_shape(shape, kernel_shape)
     total = 0.0
     for ti in range(len(THETAS)):
-        for own, kern in enumerate((vm.right[ti], vm.left[ti])):
+        for own, kern in enumerate((banks.vm_right[ti], banks.vm_left[ti])):
             grp = mask[ti, own] * (bo[ti, own] - w_p * bo[ti, 1 - own])
             total = total + _rfft(grp, fft_shape) * _rfft(kern, fft_shape, kernel=True)
     return _same_window(total, shape, kernel_shape)
 
 
-def grouping_activity(masks, bo_levels, vm: VonMisesBank, w_p: float, arith=FLOAT) -> list:
+def grouping_activity(masks, bo_levels, banks: GroupingBanks, w_p: float, arith=FLOAT) -> list:
     """Per-level grouping maps rect(sum over theta of GrpSum).
 
     ``masks`` and ``bo_levels`` hold per level a (4, 2, h, w) array
     [theta, side].  The annular integration pushes masked
     border-ownership activity toward the owned side, which for a kernel
     pointing at direction d means correlating with the opposite-side
-    kernel (a true convolution); the same-location opposing response
+    kernel (a true convolution): banks.vm_right for the left side,
+    banks.vm_left for the right.  The same-location opposing response
     inhibits with weight w_p.  On the float FFT path the sum is taken in
     the frequency domain (see the module docstring).
     """
     out = []
     for mask, bo in zip(masks, bo_levels):
-        if _shares_spectra(arith, vm.size):
-            out.append(_rect(_spectral_grouping_sum(mask, bo, vm, w_p)))
+        if _shares_spectra(arith, banks.size):
+            out.append(_rect(_spectral_grouping_sum(mask, bo, banks, w_p)))
             continue
         for ti in range(len(THETAS)):
-            # conv with vm.left == corr with vm.right, and vice versa
+            # conv with vm_left == corr with vm_right, and vice versa
             grp_left, grp_right = (
                 arith.correlate(mask[ti, own] * bo[ti, own], kern)
                 - arith.weigh(arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern), w_p)
-                for own, kern in enumerate((vm.right[ti], vm.left[ti]))
+                for own, kern in enumerate((banks.vm_right[ti], banks.vm_left[ti]))
             )
             grp_sum = grp_left + grp_right
             total = grp_sum if ti == 0 else total + grp_sum
@@ -382,12 +383,12 @@ def grouping_pyramid(
         if _shares_spectra(arith, banks.size):
             # one transform of the level for its edge and center-surround kernels
             level = _Spectrum(level, _fft_shape(level.shape, (banks.size, banks.size)))
-        edges.append(complex_edges(level, banks.edge, arith))
-        vm.append(von_mises_filter(*center_surround(level, banks.cs, arith), banks.vm, arith))
+        edges.append(complex_edges(level, banks, arith))
+        vm.append(von_mises_filter(*center_surround(level, banks, arith), banks, arith))
     for idx in np.ndindex(vm[0].shape[:3]):
         # one (theta, side, polarity) series, summed across levels in place
         for vm_l, summed in zip(vm, von_mises_sum([v[idx] for v in vm], axis, arith)):
             vm_l[idx] = summed
     bo = border_ownership(edges, vm, arith)
     del edges, vm  # not needed in P7: free them before its temporaries
-    return grouping_activity(bo_masks(bo), bo, banks.vm, w_p, arith)
+    return grouping_activity(bo_masks(bo), bo, banks, w_p, arith)

@@ -49,6 +49,8 @@ from .pyramid import hw_level_sizes
 ACCUMULATOR_BITS = 48
 CLOCK_HZ = 100e6
 MAC_CYCLES_PER_PIXEL = 75  # 25 MACs at 3 CC each, all 9 kernels in parallel
+#: Passes through P1-P7 per frame: one per feature channel.
+CHANNEL_PASSES = 9
 
 STAGE_ORDER = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
@@ -235,12 +237,12 @@ DEFAULT_PARALLEL = {Resolution.HW_112: 1, Resolution.HW_80: 2}
 
 
 def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
-    """The requested channel parallelism, or the mode's default; 1 to 9."""
+    """The requested channel parallelism, or the mode's default."""
     if channels_parallel is None:
         return DEFAULT_PARALLEL[resolution]
-    if not 1 <= channels_parallel <= 9:
-        raise ConfigError(f"channels_parallel must be >= 1 and <= 9, the channels of a "
-                          f"frame; got {channels_parallel}")
+    if not 1 <= channels_parallel <= CHANNEL_PASSES:
+        raise ConfigError(f"channels_parallel must be >= 1 and <= {CHANNEL_PASSES}, the "
+                          f"channels of a frame; got {channels_parallel}")
     return channels_parallel
 
 
@@ -251,14 +253,14 @@ _ANCHORS = ((Resolution.HW_112, 1, 2.079), (Resolution.HW_80, 2, 5.190))
 def _calibrate():
     """Fit (overlap factor, host seconds per channel pass) to the anchors.
 
-    frame_time = (9 / parallel) * (overlap * cycles / clock + host).
-    One multiplicative and one additive constant reproduce both
-    measured rates; the paper's ideal-FPGA rates then follow from pure
-    9/parallel scaling.
+    frame_time = (passes / parallel) * (overlap * cycles / clock + host),
+    with ``CHANNEL_PASSES`` passes.  One multiplicative and one additive
+    constant reproduce both measured rates; the paper's ideal-FPGA rates
+    then follow from pure passes/parallel scaling.
     """
     (r1, c1, f1), (r2, c2, f2) = _ANCHORS
-    t1 = c1 / (9.0 * f1)
-    t2 = c2 / (9.0 * f2)
+    t1 = c1 / (CHANNEL_PASSES * f1)
+    t2 = c2 / (CHANNEL_PASSES * f2)
     s1 = channel_pass_cycles(r1) / CLOCK_HZ
     s2 = channel_pass_cycles(r2) / CLOCK_HZ
     overlap = (t1 - t2) / (s1 - s2)
@@ -276,7 +278,7 @@ def frame_rate(resolution: Resolution, channels_parallel: int | None = None) -> 
         OVERLAP_FACTOR * channel_pass_cycles(resolution) / CLOCK_HZ
         + HOST_SECONDS_PER_PASS
     )
-    return 1.0 / ((9.0 / channels_parallel) * per_pass)
+    return 1.0 / ((CHANNEL_PASSES / channels_parallel) * per_pass)
 
 
 def _stage_display(name: str, bits: int) -> str:
@@ -302,8 +304,9 @@ class HwProfile:
 
     @property
     def frame_cycles(self) -> int:
-        """FPGA cycles per frame: nine channel passes in 9/parallel batches."""
-        return int(round(channel_pass_cycles(self.resolution) * 9 / self.channels_parallel))
+        """FPGA cycles per frame: the channel passes in passes/parallel batches."""
+        cycles = channel_pass_cycles(self.resolution) * CHANNEL_PASSES
+        return int(round(cycles / self.channels_parallel))
 
     @property
     def total_cycles(self) -> int:
@@ -356,13 +359,13 @@ class HwProfile:
             f"  configured ({self.channels_parallel} ch): "
             f"{bits * self.channels_parallel} bits"
         )
-        factor = 9.0 / self.channels_parallel
+        factor = CHANNEL_PASSES / self.channels_parallel
         lines.append(
-            f"  9-channel extrapolation (x{factor:g} of configured): "
-            f"{bits * 9} bits"
+            f"  {CHANNEL_PASSES}-channel extrapolation (x{factor:g} of configured): "
+            f"{bits * CHANNEL_PASSES} bits"
         )
         lines.append(f"  per channel pass: {channel_pass_cycles(self.resolution)} CC")
-        lines.append(f"  per frame (9 channels): {self.frame_cycles} CC")
+        lines.append(f"  per frame ({CHANNEL_PASSES} channels): {self.frame_cycles} CC")
         lines.append(
             "  P7 winner masks run on the host: zero FPGA cycles, time"
             " covered by the host allowance"

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import EngineConfig, FixationRecord, FrameRGB
-from .errors import FormatError
+from .errors import DimensionError, FormatError
 from .metrics import FixationSet
 
 RAW_MAGIC = b"PSAL"
@@ -182,11 +182,15 @@ def require_empty_archive(out_dir) -> None:
         raise FormatError(f"{out_dir}: output directory is not empty")
 
 
-def write_maps(maps, out_dir, cfg: EngineConfig, mode: str, raw: bool = False) -> None:
-    """Write a map archive: 16-bit PGMs, optional raw planes, metadata."""
+def write_maps(maps, out_dir, cfg: EngineConfig, raw: bool = False) -> None:
+    """Write a map archive: 16-bit PGMs, optional raw planes, metadata
+    with the mode of ``cfg.resolution``.  Maps that are not (cfg.height,
+    cfg.width) raise ``DimensionError`` before anything is written."""
     maps = list(maps)
     out_dir = Path(out_dir)
     require_empty_archive(out_dir)
+    if wrong := {np.shape(m) for m in maps} - {(cfg.height, cfg.width)}:
+        raise DimensionError(f"maps of shape {sorted(wrong)} in a {cfg.resolution.mode} archive")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -199,7 +203,7 @@ def write_maps(maps, out_dir, cfg: EngineConfig, mode: str, raw: bool = False) -
         "width": cfg.width,
         "height": cfg.height,
         "frame_rate": cfg.frame_rate,
-        "mode": mode,
+        "mode": cfg.resolution.mode,
         "engine_version": __version__,
         "frames": len(maps),
         "raw_planes": bool(raw),

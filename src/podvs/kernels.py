@@ -1,7 +1,8 @@
 """Spatial kernel banks used by the grouping stage.
 
-Three families, all square and sized per the resolution mode (11x11 at
-640x480, 5x5 at the reduced resolutions):
+One frozen ``GroupingBanks`` record holds all 17 kernels, square and
+sized per the resolution mode (11x11 at 640x480, 5x5 at the reduced
+resolutions); its size is read from the kernels:
 
 * quadrature even/odd oriented band-pass pairs for edge extraction,
   one pair per edge orientation in {0, pi/4, pi/2, 3pi/4};
@@ -12,14 +13,11 @@ Three families, all square and sized per the resolution mode (11x11 at
 
 Symmetries the grouping stage relies on are enforced exactly by
 construction (explicit symmetrization, 180-degree rotation for the
-opposite-side von Mises kernel).  Banks can be exported to and imported
-from plain text so that independent consumers share bit-identical
-coefficients.
-
-``build_banks``, ``load_banks`` and ``map_kernels`` (one function over
-every kernel, as the fixed-point model quantizes them) all assemble
-their banks from kernels keyed by the names of the text file, and every
-kernel they return is read-only.
+opposite-side von Mises kernel).  ``KERNEL_NAMES`` spells the names of
+the kernels once, in the order of the plain-text file through which
+``save_banks`` and ``load_banks`` share bit-identical coefficients;
+``load_banks`` and ``map_kernels`` (one function over every kernel, as
+the fixed-point model quantizes them) key their kernels by those names.
 """
 from __future__ import annotations
 
@@ -28,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 
 #: Edge orientations, in radians.  theta is the orientation of the edge
 #: itself; the carrier of its quadrature pair runs along the normal.
@@ -102,90 +100,76 @@ def _von_mises(size: int, direction: float) -> np.ndarray:
     return kern / kern.sum()
 
 
-@dataclass(frozen=True)
-class EdgeBank:
-    """even[i], odd[i] are the quadrature pair for THETAS[i]."""
-
-    even: tuple
-    odd: tuple
-    size: int
-
-
-@dataclass(frozen=True)
-class CenterSurroundBank:
-    """ON-center kernel; the OFF response is its negation downstream."""
-
-    on: np.ndarray
-    size: int
-
-
-@dataclass(frozen=True)
-class VonMisesBank:
-    """left[i]/right[i] point at the two sides of a THETAS[i] border.
-
-    The left kernel points along theta + pi/2 (downward-normal in image
-    coordinates), the right one is its exact 180-degree rotation.
-    """
-
-    left: tuple
-    right: tuple
-    size: int
+#: Names of the 17 kernels, in file order; "odd 2" is odd[2] of ``GroupingBanks``.
+KERNEL_NAMES = (*(f"{k} {i}" for i in range(len(THETAS)) for k in ("even", "odd")), "cs on",
+                *(f"{k} {i}" for i in range(len(THETAS)) for k in ("vm_left", "vm_right")))
 
 
 @dataclass(frozen=True)
 class GroupingBanks:
-    edge: EdgeBank
-    cs: CenterSurroundBank
-    vm: VonMisesBank
-    size: int
+    """The 17 kernels, all read-only and size x size with an odd size.
+
+    even[i], odd[i] are the quadrature pair for THETAS[i]; cs_on is the
+    ON-center kernel (OFF is its negation downstream); vm_left[i] points
+    along THETAS[i] + pi/2 (downward normal in image coordinates) and
+    vm_right[i] is its exact 180-degree rotation.
+    """
+
+    even: tuple
+    odd: tuple
+    cs_on: np.ndarray
+    vm_left: tuple
+    vm_right: tuple
+
+    def __post_init__(self):
+        for name, kern in _iter_kernels(self):
+            if kern.shape != (self.size, self.size) or self.size % 2 == 0:
+                raise DimensionError(f"kernel {name!r} is {kern.shape}, not "
+                                     f"{self.size}x{self.size} with an odd size")
+        for _, kern in _iter_kernels(self):
+            kern.setflags(write=False)
+
+    @property
+    def size(self) -> int:
+        return len(self.cs_on)
 
 
 def build_banks(size: int) -> GroupingBanks:
     """Construct all kernel banks for one odd kernel size."""
     if size < 3 or size % 2 == 0:
         raise ConfigError(f"kernel size must be odd and >= 3, got {size}")
-    kernels = {"cs on": _center_surround(size)}
-    for i, theta in enumerate(THETAS):
-        kernels[f"even {i}"], kernels[f"odd {i}"] = _gabor_pair(size, theta)
-        left = _von_mises(size, theta + math.pi / 2)
-        kernels[f"vm_left {i}"] = left
-        kernels[f"vm_right {i}"] = _rot180(left).copy()
-    return _assemble(kernels, size)
+    even, odd = zip(*(_gabor_pair(size, theta) for theta in THETAS))
+    left = tuple(_von_mises(size, theta + math.pi / 2) for theta in THETAS)
+    return GroupingBanks(even, odd, _center_surround(size), left,
+                         tuple(_rot180(k).copy() for k in left))
+
+
+def _slot(name: str):
+    """(field, theta index) of a kernel name; cs_on has no index (None)."""
+    field, _, i = name.partition(" ")
+    return (field, int(i)) if i.isdigit() else (name.replace(" ", "_"), None)
 
 
 def _iter_kernels(banks: GroupingBanks):
-    """(name, kernel) pairs of every kernel, in file order."""
-    for i in range(len(THETAS)):
-        yield f"even {i}", banks.edge.even[i]
-        yield f"odd {i}", banks.edge.odd[i]
-    yield "cs on", banks.cs.on
-    for i in range(len(THETAS)):
-        yield f"vm_left {i}", banks.vm.left[i]
-        yield f"vm_right {i}", banks.vm.right[i]
+    """(name, kernel) pairs of every kernel, in ``KERNEL_NAMES`` order."""
+    for name in KERNEL_NAMES:
+        field, i = _slot(name)
+        yield name, getattr(banks, field) if i is None else getattr(banks, field)[i]
 
 
-def _assemble(kernels_by_name: dict, size: int) -> GroupingBanks:
-    """Banks from kernels keyed by their ``_iter_kernels`` names.
-
-    Every kernel is made read-only.  A missing name raises ``KeyError``.
-    """
-    def family(kind):
-        return tuple(kernels_by_name[f"{kind} {i}"] for i in range(len(THETAS)))
-
-    banks = GroupingBanks(
-        edge=EdgeBank(family("even"), family("odd"), size),
-        cs=CenterSurroundBank(kernels_by_name["cs on"], size),
-        vm=VonMisesBank(family("vm_left"), family("vm_right"), size),
-        size=size,
-    )
-    for _, kern in _iter_kernels(banks):
-        kern.setflags(write=False)
-    return banks
+def _assemble(kernels_by_name: dict) -> GroupingBanks:
+    """Banks from kernels keyed by ``KERNEL_NAMES``; a missing name raises ``KeyError``."""
+    fields = {}
+    for name in KERNEL_NAMES:
+        field, i = _slot(name)
+        kern = kernels_by_name[name]
+        fields[field] = kern if i is None else fields.get(field, ()) + (kern,)
+    return GroupingBanks(**fields)
 
 
 def map_kernels(banks: GroupingBanks, fn) -> GroupingBanks:
-    """The same bank layout with ``fn`` applied to every kernel."""
-    return _assemble({name: fn(kern) for name, kern in _iter_kernels(banks)}, banks.size)
+    """The record with ``fn`` applied to every kernel (see ``GroupingBanks``)."""
+    return _assemble({name: fn(kern) for name, kern in _iter_kernels(banks)})
 
 
 def save_banks(banks: GroupingBanks, path) -> None:
@@ -211,17 +195,15 @@ def load_banks(path) -> GroupingBanks:
         size = int(lines[1].split()[1])
     except (IndexError, ValueError) as exc:
         raise FormatError(f"{path}:2: malformed size line") from exc
-    if size < 1:
-        raise FormatError(f"{path}:2: kernel size {size} is not positive")
-    known = {f"{kind} {t}" for kind in ("even", "odd", "vm_left", "vm_right")
-             for t in range(len(THETAS))} | {"cs on"}
+    if size < 1 or size % 2 == 0:
+        raise FormatError(f"{path}:2: kernel size {size} is not a positive odd number")
     kernels = {}
     i = 2
     while i < len(lines):
         if not lines[i].startswith("kernel "):
             raise FormatError(f"{path}:{i + 1}: expected kernel header")
         name = lines[i][len("kernel ") :]
-        if name not in known:
+        if name not in KERNEL_NAMES:
             raise FormatError(f"{path}:{i + 1}: unknown kernel {name!r}")
         if name in kernels:
             raise FormatError(f"{path}:{i + 1}: repeated kernel {name!r}")
@@ -239,6 +221,6 @@ def load_banks(path) -> GroupingBanks:
         kernels[name] = np.array(rows, dtype=np.float64)
         i += 1 + size
     try:
-        return _assemble(kernels, size)
+        return _assemble(kernels)
     except KeyError as exc:
         raise FormatError(f"{path}: missing kernel {exc}") from exc

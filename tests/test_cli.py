@@ -87,7 +87,7 @@ def write_eval_inputs(root, outside=False):
     cfg = EngineConfig(resolution=Resolution.HW_80)
     rows = ["video,frame,subject,x,y"]
     for video in ("v1", "v2"):
-        write_maps(list(rng.random((3, 60, 80))), root / "maps" / video, cfg, "hw80")
+        write_maps(list(rng.random((3, 60, 80))), root / "maps" / video, cfg)
         rows += [f"{video},{frame},s{n},{rng.integers(0, 80)},{rng.integers(0, 60)}"
                  for frame in range(3) for n in range(4)]
     if outside:

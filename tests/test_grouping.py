@@ -128,7 +128,7 @@ class TestCorrelate:
         rng = np.random.default_rng(21)
         for _ in range(5):
             m = rng.random((9, 11))
-            for kern in (banks5.edge.even[1], banks5.vm.left[2], banks5.cs.on):
+            for kern in (banks5.even[1], banks5.vm_left[2], banks5.cs_on):
                 np.testing.assert_allclose(
                     correlate(m, kern), naive_correlate(m, kern), atol=1e-12
                 )
@@ -142,8 +142,8 @@ class TestCorrelate:
             m = rng.random(shape)
             fft_shape = grouping._fft_shape(shape, (banks11.size, banks11.size))
             shared_map = grouping._Spectrum(m, fft_shape)
-            for kern in (banks11.edge.even[1], banks11.edge.odd[3],
-                         banks11.vm.left[2], banks11.cs.on):
+            for kern in (banks11.even[1], banks11.odd[3],
+                         banks11.vm_left[2], banks11.cs_on):
                 shared_kern = grouping._Spectrum(kern, fft_shape, kernel=True)
                 expected = naive_correlate(m, kern)
                 for args in ((m, kern), (shared_map, kern), (m, shared_kern),
@@ -153,8 +153,8 @@ class TestCorrelate:
     def test_kernel_spectra_match_rfft2_at_reference_level_shapes(self, banks11):
         # a kernel's spectrum is a product with cached DFT slabs; the
         # padded rfft2 it replaces is the oracle
-        kernels = (*banks11.edge.even, *banks11.edge.odd, banks11.cs.on,
-                   *banks11.vm.left, *banks11.vm.right)
+        kernels = (*banks11.even, *banks11.odd, banks11.cs_on,
+                   *banks11.vm_left, *banks11.vm_right)
         assert len(kernels) == 17
         for w, h in reference_level_dims(640, 480, 10):
             fft_shape = grouping._fft_shape((h, w), (banks11.size, banks11.size))
@@ -168,12 +168,12 @@ class TestCorrelate:
         m = np.random.default_rng(37).random((13, 17))
         other = grouping._Spectrum(m, grouping._fft_shape((30, 17), (11, 11)))
         with pytest.raises(DimensionError):
-            correlate(other, banks11.cs.on)
+            correlate(other, banks11.cs_on)
 
     def test_direct_path_bit_identical_at_5x5(self, banks5):
         assert banks5.size < grouping.FFT_MIN_KERNEL
         m = np.random.default_rng(33).random((60, 80))
-        for kern in (banks5.edge.even[1], banks5.vm.left[2], banks5.cs.on):
+        for kern in (banks5.even[1], banks5.vm_left[2], banks5.cs_on):
             np.testing.assert_array_equal(
                 correlate(m, kern), ndimage.correlate(m, kern, mode="constant", cval=0.0)
             )
@@ -181,7 +181,7 @@ class TestCorrelate:
 
 class TestComplexEdges:
     def test_constant_map_silent_interior(self, banks5):
-        edges = complex_edges(np.full((20, 20), 50.0), banks5.edge)
+        edges = complex_edges(np.full((20, 20), 50.0), banks5)
         assert edges.shape == (4, 20, 20)
         for e in edges:
             assert np.max(np.abs(interior(e, 3))) < 1e-9
@@ -189,7 +189,7 @@ class TestComplexEdges:
     def test_vertical_step_prefers_vertical_orientation(self, banks5):
         m = np.zeros((21, 21))
         m[:, 11:] = 100.0
-        edges = complex_edges(m, banks5.edge)
+        edges = complex_edges(m, banks5)
         ti = THETAS.index(np.pi / 2)
         col = 10
         responses = [e[10, col] for e in edges]
@@ -198,49 +198,49 @@ class TestComplexEdges:
     def test_horizontal_step_prefers_horizontal_orientation(self, banks5):
         m = np.zeros((21, 21))
         m[11:, :] = 100.0
-        edges = complex_edges(m, banks5.edge)
+        edges = complex_edges(m, banks5)
         responses = [e[10, 10] for e in edges]
         assert int(np.argmax(responses)) == THETAS.index(0.0)
 
     def test_polarity_invariant(self, banks5):
         rng = np.random.default_rng(22)
         m = rng.uniform(0, 200, size=(16, 16))
-        a = complex_edges(m, banks5.edge)
-        b = complex_edges(200.0 - m, banks5.edge)
+        a = complex_edges(m, banks5)
+        b = complex_edges(200.0 - m, banks5)
         for ea, eb in zip(a, b):
             np.testing.assert_allclose(interior(ea, 3), interior(eb, 3), atol=1e-9)
 
     def test_map_smaller_than_kernel_rejected(self, banks5):
         with pytest.raises(DimensionError):
-            complex_edges(np.zeros((3, 3)), banks5.edge)
+            complex_edges(np.zeros((3, 3)), banks5)
 
 
 class TestCenterSurround:
     def test_constant_map_silent_interior(self, banks5):
-        on, off = center_surround(np.full((16, 16), 80.0), banks5.cs)
+        on, off = center_surround(np.full((16, 16), 80.0), banks5)
         assert np.max(interior(on, 3)) < 1e-9
         assert np.max(interior(off, 3)) < 1e-9
 
     def test_bright_dot_drives_on(self, banks5):
         m = np.zeros((15, 15))
         m[7, 7] = 100.0
-        on, off = center_surround(m, banks5.cs)
+        on, off = center_surround(m, banks5)
         assert on[7, 7] > 0
         assert off[7, 7] == 0.0
-        np.testing.assert_allclose(on[7, 7], (banks5.cs.on[2, 2] * 100.0), atol=1e-9)
+        np.testing.assert_allclose(on[7, 7], (banks5.cs_on[2, 2] * 100.0), atol=1e-9)
 
     def test_dark_dot_drives_off(self, banks5):
         m = np.full((15, 15), 100.0)
         m[7, 7] = 0.0
-        on, off = center_surround(m, banks5.cs)
+        on, off = center_surround(m, banks5)
         assert off[7, 7] > 0
         assert on[7, 7] == 0.0
 
     def test_off_is_inverted_on(self, banks5):
         rng = np.random.default_rng(23)
         m = rng.random((12, 12)) * 50
-        on, off = center_surround(m, banks5.cs)
-        resp = correlate(m, banks5.cs.on)
+        on, off = center_surround(m, banks5)
+        resp = correlate(m, banks5.cs_on)
         np.testing.assert_allclose(on - off, resp, atol=1e-12)
         assert np.all((on == 0) | (off == 0))
 
@@ -249,10 +249,10 @@ class TestVonMisesFilter:
     def test_axes_are_theta_side_polarity(self, banks5):
         rng = np.random.default_rng(36)
         on, off = rng.random((2, 9, 11))
-        out = von_mises_filter(on, off, banks5.vm)
+        out = von_mises_filter(on, off, banks5)
         assert out.shape == (4, 2, 2, 9, 11)
         for ti in range(4):
-            for side, kern in enumerate((banks5.vm.left[ti], banks5.vm.right[ti])):
+            for side, kern in enumerate((banks5.vm_left[ti], banks5.vm_right[ti])):
                 np.testing.assert_array_equal(out[ti, side, 0], correlate(on, kern))
                 np.testing.assert_array_equal(out[ti, side, 1], correlate(off, kern))
 
@@ -323,11 +323,11 @@ class TestBorderOwnership:
         """The field at every level, computed as reference mode does: a
         sqrt(2) pyramid and the bilinear across-scale von Mises sum."""
         pyr = build_reference_pyramid(map_, depth)
-        edges = [complex_edges(level, banks.edge) for level in pyr.levels]
+        edges = [complex_edges(level, banks) for level in pyr.levels]
         vm = []
         for level in pyr.levels:
-            on, off = center_surround(level, banks.cs)
-            vm.append(von_mises_filter(on, off, banks.vm))
+            on, off = center_surround(level, banks)
+            vm.append(von_mises_filter(on, off, banks))
         summed = [np.empty_like(r) for r in vm]
         for idx in np.ndindex(vm[0].shape[:3]):
             series = von_mises_sum([r[idx] for r in vm], bilinear_axis)
@@ -343,7 +343,7 @@ class TestBorderOwnership:
 
     def test_zero_center_surround_means_zero_ownership(self, banks5):
         m = np.zeros((12, 12))
-        edges = [complex_edges(m, banks5.edge)]
+        edges = [complex_edges(m, banks5)]
         silent = np.zeros((4, 2, 2, 12, 12))
         field = border_ownership(edges, [silent])
         assert field[0].shape == (4, 2, 12, 12)
@@ -374,10 +374,10 @@ class TestBorderOwnership:
     def test_polarity_swap_preserves_sums(self, banks5):
         rng = np.random.default_rng(26)
         m = rng.uniform(0, 100, size=(16, 16))
-        edges = [complex_edges(m, banks5.edge)]
-        on, off = center_surround(m, banks5.cs)
-        vm_a = [von_mises_filter(on, off, banks5.vm)]
-        vm_b = [von_mises_filter(off, on, banks5.vm)]
+        edges = [complex_edges(m, banks5)]
+        on, off = center_surround(m, banks5)
+        vm_a = [von_mises_filter(on, off, banks5)]
+        vm_b = [von_mises_filter(off, on, banks5)]
         fa = border_ownership(edges, vm_a)
         fb = border_ownership(edges, vm_b)
         for ti in range(4):
@@ -422,26 +422,26 @@ class TestGroupingActivity:
 
     def test_zero_field_zero_grouping(self, banks5):
         field = [np.zeros((4, 2, 8, 8))]
-        out = grouping_activity(bo_masks(field), field, banks5.vm, w_p=1.0)
+        out = grouping_activity(bo_masks(field), field, banks5, w_p=1.0)
         assert np.all(out[0] == 0.0)
 
     def test_wp_zero_drops_inhibition(self, banks5):
         rng = np.random.default_rng(28)
         field = self._field(rng)
         masks = bo_masks(field)
-        out = grouping_activity(masks, field, banks5.vm, w_p=0.0)
+        out = grouping_activity(masks, field, banks5, w_p=0.0)
         expected = np.zeros((14, 14))
         for ti in range(4):
-            expected += correlate(masks[0][ti, 0] * field[0][ti, 0], banks5.vm.right[ti])
-            expected += correlate(masks[0][ti, 1] * field[0][ti, 1], banks5.vm.left[ti])
+            expected += correlate(masks[0][ti, 0] * field[0][ti, 0], banks5.vm_right[ti])
+            expected += correlate(masks[0][ti, 1] * field[0][ti, 1], banks5.vm_left[ti])
         np.testing.assert_allclose(out[0], np.maximum(expected, 0.0), atol=1e-12)
 
     def test_positive_scaling_covariance(self, banks5):
         rng = np.random.default_rng(29)
         field = self._field(rng)
         scaled = [3.0 * bo for bo in field]
-        a = grouping_activity(bo_masks(field), field, banks5.vm, w_p=1.0)
-        b = grouping_activity(bo_masks(scaled), scaled, banks5.vm, w_p=1.0)
+        a = grouping_activity(bo_masks(field), field, banks5, w_p=1.0)
+        b = grouping_activity(bo_masks(scaled), scaled, banks5, w_p=1.0)
         np.testing.assert_allclose(b[0], 3.0 * a[0], atol=1e-9)
 
     def test_losing_side_contributes_only_inhibition(self, banks5):
@@ -452,8 +452,8 @@ class TestGroupingActivity:
         br = rng.random((10, 10))  # strictly smaller
         field = [stack_sides((bl,) * 4, (br,) * 4)]
         masks = bo_masks(field)
-        out_low = grouping_activity(masks, field, banks5.vm, w_p=0.0)[0]
-        out_high = grouping_activity(masks, field, banks5.vm, w_p=1.0)[0]
+        out_low = grouping_activity(masks, field, banks5, w_p=0.0)[0]
+        out_high = grouping_activity(masks, field, banks5, w_p=1.0)[0]
         assert np.all(out_high <= out_low + 1e-12)
 
     @pytest.mark.parametrize("w_p", [0.0, 0.5, 1.0, 2.0])
@@ -463,9 +463,9 @@ class TestGroupingActivity:
         rng = np.random.default_rng(38)
         field = [rng.random((len(THETAS), 2, *shape)) for shape in ((23, 31), (24, 32))]
         masks = bo_masks(field)
-        fast = grouping_activity(masks, field, banks11.vm, w_p)
+        fast = grouping_activity(masks, field, banks11, w_p)
         monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
-        oracle = grouping_activity(masks, field, banks11.vm, w_p)
+        oracle = grouping_activity(masks, field, banks11, w_p)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0

@@ -131,16 +131,16 @@ class TestFixedArith:
         np.testing.assert_array_equal(arith.modulate(edge, evidence), [2, 4, -2, -4, 2])
 
     def test_center_surround_matches_naive_mac(self, arith, raw_banks, raw_map):
-        on, off = center_surround(raw_map, raw_banks.cs, arith)
-        expected, saturated = naive_mac(raw_map, raw_banks.cs.on, arith.fmt)
+        on, off = center_surround(raw_map, raw_banks, arith)
+        expected, saturated = naive_mac(raw_map, raw_banks.cs_on, arith.fmt)
         np.testing.assert_array_equal(on, np.maximum(expected, 0))
         np.testing.assert_array_equal(off, np.maximum(-expected, 0))
         assert arith.saturations == saturated
 
     def test_complex_edges_match_naive_mac(self, arith, raw_banks, raw_map):
-        edges = complex_edges(raw_map, raw_banks.edge, arith)
+        edges = complex_edges(raw_map, raw_banks, arith)
         total = 0
-        for got, even_k, odd_k in zip(edges, raw_banks.edge.even, raw_banks.edge.odd):
+        for got, even_k, odd_k in zip(edges, raw_banks.even, raw_banks.odd):
             even, sat_even = naive_mac(raw_map, even_k, arith.fmt)
             odd, sat_odd = naive_mac(raw_map, odd_k, arith.fmt)
             total += sat_even + sat_odd

@@ -3,12 +3,15 @@
 The kernel-bank text round trip is pinned in test_kernels.py
 (``TestBankIO``) for the 5x5 and 11x11 banks.
 """
+import json
+
 import numpy as np
 import pytest
 
-from podvs.config import EngineConfig
-from podvs.errors import FormatError
+from podvs.config import EngineConfig, Resolution
+from podvs.errors import DimensionError, FormatError
 from podvs.io import (
+    ARCHIVE_METADATA,
     read_maps,
     read_pgm16,
     read_pnm,
@@ -74,10 +77,24 @@ class TestArchiveDirectory:
     def test_write_maps_refuses_a_non_empty_directory(self, tmp_path):
         (tmp_path / "000000.pgm").write_bytes(b"")
         with pytest.raises(FormatError, match="not empty"):
-            write_maps([np.zeros((60, 80))], tmp_path, EngineConfig(), "reference")
+            write_maps([np.zeros((60, 80))], tmp_path, EngineConfig())
 
     def test_empty_and_new_directories_are_accepted(self, tmp_path):
         require_empty_archive(tmp_path)
         require_empty_archive(tmp_path / "new")
-        write_maps([np.full((3, 4), 0.25)], tmp_path, EngineConfig(), "reference")
-        np.testing.assert_array_equal(read_maps(tmp_path)[0], np.full((3, 4), 16384 / 65535))
+        write_maps([np.full((60, 80), 0.25)], tmp_path, EngineConfig(resolution=Resolution.HW_80))
+        np.testing.assert_array_equal(read_maps(tmp_path)[0], np.full((60, 80), 16384 / 65535))
+
+    def test_metadata_records_the_config_mode(self, tmp_path):
+        cfg = EngineConfig(resolution=Resolution.HW_112)
+        write_maps([np.zeros((84, 112))] * 2, tmp_path, cfg)
+        meta = json.loads((tmp_path / ARCHIVE_METADATA).read_text())
+        assert meta["mode"] == "hw112"
+        assert (meta["width"], meta["height"], meta["frames"]) == (112, 84, 2)
+
+    def test_a_map_of_another_shape_writes_nothing(self, tmp_path):
+        cfg = EngineConfig(resolution=Resolution.HW_80)
+        for out in (tmp_path, tmp_path / "new"):
+            with pytest.raises(DimensionError, match=r"\[\(3, 4\)\] in a hw80 archive"):
+                write_maps([np.zeros((60, 80)), np.zeros((3, 4))], out, cfg)
+        assert list(tmp_path.iterdir()) == []

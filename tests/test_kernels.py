@@ -1,8 +1,23 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from podvs.errors import ConfigError
-from podvs.kernels import THETAS, _iter_kernels, build_banks, load_banks, map_kernels, save_banks
+from podvs.errors import ConfigError, DimensionError
+from podvs.kernels import (
+    KERNEL_NAMES,
+    THETAS,
+    _assemble,
+    _iter_kernels,
+    build_banks,
+    load_banks,
+    map_kernels,
+    save_banks,
+)
+
+#: A 5x5 bank file as ``save_banks(build_banks(5))`` wrote it when each
+#: kernel family had its own record class.
+SAVED_5X5 = Path(__file__).parent / "data" / "kernel_bank_5x5.txt"
 
 
 @pytest.fixture(params=[5, 11], ids=["5x5", "11x11"])
@@ -16,54 +31,54 @@ def rot180(k):
 
 class TestEdgeBank:
     def test_even_symmetric_under_rotation(self, banks):
-        for even in banks.edge.even:
+        for even in banks.even:
             np.testing.assert_array_equal(even, rot180(even))
 
     def test_odd_antisymmetric(self, banks):
-        for odd in banks.edge.odd:
+        for odd in banks.odd:
             np.testing.assert_array_equal(odd, -rot180(odd))
 
     def test_odd_zero_dc(self, banks):
-        for odd in banks.edge.odd:
+        for odd in banks.odd:
             assert abs(odd.sum()) < 1e-15
 
     def test_even_zero_dc(self, banks):
-        for even in banks.edge.even:
+        for even in banks.even:
             assert abs(even.sum()) < 1e-12
 
     def test_unit_l2_norm(self, banks):
-        for kern in (*banks.edge.even, *banks.edge.odd):
+        for kern in (*banks.even, *banks.odd):
             assert np.sum(kern**2) == pytest.approx(1.0, abs=1e-12)
 
     def test_four_orientations(self, banks):
-        assert len(banks.edge.even) == len(banks.edge.odd) == len(THETAS) == 4
+        assert len(banks.even) == len(banks.odd) == len(THETAS) == 4
 
 
 class TestCenterSurround:
     def test_zero_dc(self, banks):
-        assert abs(banks.cs.on.sum()) < 1e-12
+        assert abs(banks.cs_on.sum()) < 1e-12
 
     def test_excitatory_center(self, banks):
         c = banks.size // 2
-        assert banks.cs.on[c, c] > 0
+        assert banks.cs_on[c, c] > 0
 
     def test_inhibitory_surround(self, banks):
-        assert banks.cs.on[0, 0] < 0
+        assert banks.cs_on[0, 0] < 0
 
 
 class TestVonMises:
     def test_right_is_rotated_left(self, banks):
-        for left, right in zip(banks.vm.left, banks.vm.right):
+        for left, right in zip(banks.vm_left, banks.vm_right):
             np.testing.assert_array_equal(right, rot180(left))
 
     def test_nonnegative_unit_mass(self, banks):
-        for kern in (*banks.vm.left, *banks.vm.right):
+        for kern in (*banks.vm_left, *banks.vm_right):
             assert np.all(kern >= 0)
             assert kern.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_annular_center_suppressed(self, banks):
         c = banks.size // 2
-        for kern in banks.vm.left:
+        for kern in banks.vm_left:
             assert kern[c, c] < kern.max() / 10
 
     def test_side_direction(self):
@@ -71,9 +86,9 @@ class TestVonMises:
         # along +x, so its mass sits in the dx > 0 half
         banks = build_banks(5)
         ti = THETAS.index(np.pi / 2)
-        right = banks.vm.right[ti]
+        right = banks.vm_right[ti]
         assert right[:, 3:].sum() > right[:, :2].sum()
-        left = banks.vm.left[ti]
+        left = banks.vm_left[ti]
         assert left[:, :2].sum() > left[:, 3:].sum()
 
 
@@ -82,14 +97,14 @@ class TestBankIO:
         path = tmp_path / "banks.txt"
         save_banks(banks, path)
         loaded = load_banks(path)
-        for a, b in zip(banks.edge.even, loaded.edge.even):
+        for a, b in zip(banks.even, loaded.even):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(banks.edge.odd, loaded.edge.odd):
+        for a, b in zip(banks.odd, loaded.odd):
             np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(banks.cs.on, loaded.cs.on)
-        for a, b in zip(banks.vm.left, loaded.vm.left):
+        np.testing.assert_array_equal(banks.cs_on, loaded.cs_on)
+        for a, b in zip(banks.vm_left, loaded.vm_left):
             np.testing.assert_array_equal(a, b)
-        for a, b in zip(banks.vm.right, loaded.vm.right):
+        for a, b in zip(banks.vm_right, loaded.vm_right):
             np.testing.assert_array_equal(a, b)
 
     def test_every_kernel_read_only(self, banks, tmp_path):
@@ -107,6 +122,36 @@ class TestBankIO:
         for name, kernel in _iter_kernels(banks):
             np.testing.assert_array_equal(doubled[name], 2.0 * kernel)
         assert map_kernels(banks, np.negative).size == banks.size
+
+    def test_saved_names_are_kernel_names_in_order(self, banks, tmp_path):
+        path = tmp_path / "banks.txt"
+        save_banks(banks, path)
+        names = [ln[len("kernel "):] for ln in path.read_text().splitlines()
+                 if ln.startswith("kernel ")]
+        assert tuple(names) == KERNEL_NAMES
+        assert len(set(KERNEL_NAMES)) == 17
+
+    def test_earlier_saved_file_loads_and_saves_unchanged(self, tmp_path):
+        loaded = dict(_iter_kernels(load_banks(SAVED_5X5)))
+        for name, kernel in _iter_kernels(build_banks(5)):
+            np.testing.assert_array_equal(loaded[name], kernel)
+        path = tmp_path / "banks.txt"
+        save_banks(build_banks(5), path)
+        assert path.read_bytes() == SAVED_5X5.read_bytes()
+
+    def test_kernel_of_another_size_rejected(self):
+        kernels = dict(_iter_kernels(build_banks(5)))
+        kernels["odd 2"] = build_banks(7).odd[2]
+        with pytest.raises(DimensionError, match="'odd 2'"):
+            _assemble(kernels)
+
+    def test_map_kernels_to_an_even_size_rejected(self):
+        with pytest.raises(DimensionError, match="odd size"):
+            map_kernels(build_banks(5), lambda k: k[:-1, :-1])
+
+    def test_size_read_from_the_kernels(self, banks):
+        assert banks.size == len(banks.cs_on) == banks.even[0].shape[1]
+        assert map_kernels(banks, lambda k: k[1:-1, 1:-1]).size == banks.size - 2
 
     def test_rejects_even_size(self):
         with pytest.raises(ConfigError):
