@@ -6,9 +6,10 @@ Within one feature channel and one pyramid level the chain is:
    quadrature kernel pairs;
 2. ON/OFF center-surround responses (OFF is the inverted ON response,
    rectified after inversion);
-3. von Mises association-field filtering of ON/OFF on both sides of
-   every orientation, then summed across pyramid levels (coarser levels
-   contribute with weight halved per level of separation);
+3. von Mises association-field filtering of ON/OFF (or their sum; see
+   below) on both sides of every orientation, then summed across
+   pyramid levels (coarser levels contribute with weight halved per
+   level of separation);
 4. border-ownership responses: the edge response gated multiplicatively
    by the side's center-surround evidence, with the light and dark
    paths summed for polarity invariance;
@@ -17,9 +18,10 @@ Within one feature channel and one pyramid level the chain is:
    side inhibits with weight w_p.
 
 Per level, the intermediates are float64 arrays with named leading axes:
-edges (4, h, w) [theta], von Mises responses (4, 2, 2, h, w) [theta, side,
+edges (4, h, w) [theta], von Mises responses (4, 2, p, h, w) [theta, side,
 polarity], border ownership and masks (4, 2, h, w) [theta, side]; theta
-follows ``THETAS``, side is (left, right) and polarity (ON, OFF).
+follows ``THETAS``, side is (left, right) and polarity (ON, OFF), p = 2,
+or their sum, p = 1 (see below).
 
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
@@ -27,22 +29,38 @@ of border responses.  With kernels of half-width half = size // 2, the
 band reaches 2*half px into each level through center-surround and von
 Mises filtering (steps 2-3; stages P3-P4 of ``hwmodel``), is scaled by
 size_j/size_k when the across-scale sum (P5) carries level k into the
-finer level j, and grows by another half px in the grouping correlation
-(step 5; P7).
+finer level j, plus one px where the resampler has a second tap (the
+bilinear one of reference mode), and grows by another half px in the
+grouping correlation (step 5; P7).
 
 ``correlate`` sums these correlations directly for the 5x5 banks of the
 reduced modes and takes the FFT for the 11x11 reference banks, where it
 is 2-3 times faster on every level size (``FFT_MIN_KERNEL``); the two
 agree up to rounding.  On that FFT path the float chain shares spectra
 within one ``grouping_pyramid`` call: each level is transformed once for
-its 8 edge kernels and the center-surround kernel, ON and OFF once each
-for the 8 von Mises kernels, and each kernel's spectrum is made once,
-used on every map that meets it and dropped, so no spectrum outlives
-the call.  Grouping (P7) is summed in the frequency domain there: by
-linearity corr(m*bo_own, k) - w_p*corr(m*bo_other, k) equals
+its 8 edge kernels and the center-surround kernel, and each kernel's
+spectrum is made once, used on every map that meets it and dropped, so
+no spectrum outlives the call.
+
+The float FFT path also sums ON and OFF before the von Mises stage when
+every von Mises tap is non-negative (``_sums_polarities``), as in every
+bank ``build_banks`` makes.  Border ownership is rect(edge*vm_on) +
+rect(edge*vm_off), and there every factor is non-negative: edges are
+magnitudes, ON and OFF are rectified, the kernels are non-negative, and
+the across-scale sum's weights are (bilinear and 1-tap resampling,
+halving).  Both rects are then identities and correlation and P5 are
+linear, so the sum is edge*P5(corr(ON + OFF, k)), equal up to rounding;
+and ON + OFF is |cs| bit for bit, since one of the two is exactly 0.
+One transform of ON + OFF meets the 8 von Mises kernels, and P5 sums 8
+series per channel instead of 16.  Kernels with a negative tap (loaded
+from a file), the fixed-point backend and the 5x5 direct path keep ON
+and OFF apart, with their rects and their bits.
+
+Grouping (P7) is summed in the frequency domain on the float FFT path:
+by linearity corr(m*bo_own, k) - w_p*corr(m*bo_other, k) equals
 corr(m*(bo_own - w_p*bo_other), k), and the sum over theta and both
 sides needs one inverse transform per level.  A level of one channel
-then takes 11 forward and 26 inverse real transforms (123 unshared) and
+then takes 10 forward and 18 inverse real transforms (123 unshared) and
 25 kernel spectra from cached DFT slabs (``_Spectrum``).  The fixed-point
 backend keeps the hardware's rounding after every correlation, and on
 the direct 5x5 path the regrouped sum would change the float maps' bits,
@@ -143,8 +161,9 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     On the FFT path either argument may instead be a ``_Spectrum`` made
     by the chain, whose ``shape`` is the spatial one: ``grouping_pyramid``
     passes a level's spectrum to its 9 edge and center-surround
-    correlations, and ``von_mises_filter`` passes ON and OFF spectra and
-    each von Mises kernel's spectrum to its 16.  A shared spectrum is the
+    correlations, and ``von_mises_filter`` passes the spectrum of ON +
+    OFF (or of ON and of OFF) and each von Mises kernel's spectrum to its
+    8 (or 16).  A shared spectrum is the
     one the call would have made, so the result is the same bits.
     """
     if not isinstance(map_, _Spectrum):
@@ -221,21 +240,35 @@ def center_surround(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT):
     return _rect(resp), _rect(-resp)
 
 
+def _sums_polarities(arith, banks: GroupingBanks) -> bool:
+    """Whether the chain sums ON and OFF before the von Mises stage: on
+    the float FFT path, with every von Mises tap non-negative."""
+    vm = banks.vm_left + banks.vm_right
+    return _shares_spectra(arith, banks.size) and all(np.all(k >= 0) for k in vm)
+
+
 def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks,
                      arith=FLOAT) -> np.ndarray:
-    """The 16 responses of one level to banks.vm_left/vm_right, shape
-    (4, 2, 2, h, w) [theta, side (left, right), polarity (on, off)]."""
-    out = np.empty((len(THETAS), 2, 2, *on.shape))
+    """The responses of one level to banks.vm_left/vm_right, shape
+    (4, 2, p, h, w) [theta, side (left, right), polarity].
+
+    The polarity axis holds (ON, OFF), p = 2, except where
+    ``_sums_polarities`` holds: there it holds the one response to
+    ON + OFF, p = 1, which ``border_ownership`` reads as their summed
+    evidence (see the module docstring).
+    """
     shared = _shares_spectra(arith, banks.size)
+    polarities = (on + off,) if _sums_polarities(arith, banks) else (on, off)
+    out = np.empty((len(THETAS), 2, len(polarities), *on.shape))
     if shared:
         fft_shape = _fft_shape(on.shape, (banks.size, banks.size))
-        on, off = _Spectrum(on, fft_shape), _Spectrum(off, fft_shape)
+        polarities = tuple(_Spectrum(p, fft_shape) for p in polarities)
     for ti, kernels in enumerate(zip(banks.vm_left, banks.vm_right)):
         for side, kern in enumerate(kernels):
             if shared:
                 kern = _Spectrum(kern, fft_shape, kernel=True)
-            out[ti, side, 0] = arith.correlate(on, kern)
-            out[ti, side, 1] = arith.correlate(off, kern)
+            for p, evidence in enumerate(polarities):
+                out[ti, side, p] = arith.correlate(evidence, kern)
     return out
 
 
@@ -285,20 +318,20 @@ def von_mises_sum(levels, axis=bilinear_axis, arith=FLOAT):
 def border_ownership(edges, vm_summed_levels, arith=FLOAT) -> list:
     """Border-ownership responses from edges and summed side evidence.
 
-    Takes per level the (4, h, w) edges and the (4, 2, 2, h, w) summed
-    von Mises responses, and returns per level a (4, 2, h, w) array
-    [theta, side].  For each orientation and side, the light (ON) and
-    dark (OFF) paths are rectified separately and summed, which makes
-    the result invariant to stimulus polarity outside the zero-padding
-    band described in the module docstring.
+    Takes per level the (4, h, w) edges and the (4, 2, p, h, w) summed
+    von Mises responses of ``von_mises_filter``, and returns per level a
+    (4, 2, h, w) array [theta, side].  For each orientation and side,
+    the light (ON) and dark (OFF) paths are rectified separately and
+    summed, ON first, which makes the result invariant to stimulus
+    polarity outside the zero-padding band described in the module
+    docstring.  With p = 1 the one path holds their summed evidence.
     """
     out = []
     for edges_l, vm_l in zip(edges, vm_summed_levels):
         bo = np.empty(vm_l.shape[:2] + vm_l.shape[3:])
         for ti, side in np.ndindex(bo.shape[:2]):
-            on = _rect(arith.modulate(edges_l[ti], vm_l[ti, side, 0]))
-            off = _rect(arith.modulate(edges_l[ti], vm_l[ti, side, 1]))
-            bo[ti, side] = arith.clip(on + off)
+            paths = (_rect(arith.modulate(edges_l[ti], vm)) for vm in vm_l[ti, side])
+            bo[ti, side] = arith.clip(functools.reduce(np.add, paths))
         out.append(bo)
     return out
 
@@ -375,8 +408,10 @@ def grouping_pyramid(
     The pyramid and the banks hold numbers in the backend's format (raw
     words for the fixed-point backend).  ``axis`` is the mode's
     resampling along one axis for the across-scale sum (see
-    ``von_mises_sum``).  Returns the per-level grouping maps, finest
-    first, in that same format.
+    ``von_mises_sum``); where ON and OFF are summed before the von Mises
+    stage, its weights must be non-negative, as those of
+    ``bilinear_axis`` and ``shift_axis`` are.  Returns the per-level
+    grouping maps, finest first, in that same format.
     """
     edges, vm = [], []
     for level in channel_pyr.levels:

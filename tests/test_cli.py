@@ -1,9 +1,14 @@
 """Exit codes and outputs of the command-line surface."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import podvs
 from podvs.cli import cli
 from podvs.config import EngineConfig, Resolution
 from podvs.io import ARCHIVE_METADATA, read_maps, write_maps
@@ -128,6 +133,14 @@ class TestProfile:
     def test_default_parallelism_succeeds(self, capsys):
         assert cli(["profile", "--mode", "hw80"]) == 0
         assert "derived frame rate" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("module", ["podvs", "podvs.cli"])
+    def test_runs_as_a_module(self, module):
+        env = {**os.environ, "PYTHONPATH": str(Path(podvs.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-m", module, "profile", "--mode", "hw80"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "hardware profile, 80x60" in proc.stdout
 
     def test_config_resolution_selects_the_mode(self, tmp_path, capsys):
         config = tmp_path / "c.txt"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -79,6 +80,24 @@ def pairwise_von_mises_sum(levels, axis, arith=FLOAT):
     return out
 
 
+def with_negative_von_mises(banks):
+    """A copy of ``banks`` whose von Mises kernels have negative taps:
+    each kernel less its mean."""
+    def zero_mean(kernels):
+        return tuple(k - k.mean() for k in kernels)
+    return dataclasses.replace(banks, vm_left=zero_mean(banks.vm_left),
+                               vm_right=zero_mean(banks.vm_right))
+
+
+#: The grouping chains of the reduced and the reference modes: bank size,
+#: map shape, pyramid, across-scale axis, and the px that the axis's
+#: second tap adds to ``zero_pad_reach`` (none for the 1-tap shift).
+CHAINS = {
+    "5x5-shift": (5, (60, 80), build_hw_pyramid, shift_axis, 0),
+    "11x11-bilinear": (11, (120, 160), lambda m: build_reference_pyramid(m, 3), bilinear_axis, 1),
+}
+
+
 def interior(map_, margin):
     return map_[margin:-margin, margin:-margin]
 
@@ -89,7 +108,9 @@ def zero_pad_reach(shapes, size):
 
     Center-surround and von Mises filtering (P3-P4) each spread the border
     band by half a kernel; the across-scale sum (P5) scales level k's band
-    by size_j/size_k into level j; grouping (P7) adds another half.
+    by size_j/size_k into level j; grouping (P7) adds another half.  A
+    resampler with a second tap (bilinear) reaches one px further, which
+    this does not count.
     """
     half = size // 2
     return [
@@ -246,15 +267,27 @@ class TestCenterSurround:
 
 
 class TestVonMisesFilter:
-    def test_axes_are_theta_side_polarity(self, banks5):
+    def test_axes_are_theta_side_polarity(self, banks5, banks11):
+        # the polarity axis holds (ON, OFF), except on the float FFT path
+        # with non-negative von Mises kernels: there it holds the response
+        # to ON + OFF
         rng = np.random.default_rng(36)
         on, off = rng.random((2, 9, 11))
-        out = von_mises_filter(on, off, banks5)
-        assert out.shape == (4, 2, 2, 9, 11)
-        for ti in range(4):
-            for side, kern in enumerate((banks5.vm_left[ti], banks5.vm_right[ti])):
-                np.testing.assert_array_equal(out[ti, side, 0], correlate(on, kern))
-                np.testing.assert_array_equal(out[ti, side, 1], correlate(off, kern))
+        fixed = FixedArith(EngineConfig(resolution=Resolution.REFERENCE))
+        cases = [
+            (banks11, FLOAT, (on + off,)),
+            (banks5, FLOAT, (on, off)),
+            (banks11, fixed, (on, off)),
+            (with_negative_von_mises(banks11), FLOAT, (on, off)),
+        ]
+        for banks, arith, polarities in cases:
+            out = von_mises_filter(on, off, banks, arith)
+            assert out.shape == (4, 2, len(polarities), 9, 11)
+            for ti in range(4):
+                for side, kern in enumerate((banks.vm_left[ti], banks.vm_right[ti])):
+                    for p, evidence in enumerate(polarities):
+                        np.testing.assert_array_equal(out[ti, side, p],
+                                                      arith.correlate(evidence, kern))
 
 
 class TestVonMisesSum:
@@ -482,33 +515,39 @@ class TestGroupingPyramid:
         assert 22 <= y < 38
         assert 30 <= x < 46
 
-    def test_polarity_invariance_interior(self, banks5):
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_polarity_invariance_interior(self, chain):
+        size, shape, build, axis, second_tap = CHAINS[chain]
+        banks = build_banks(size)
         rng = np.random.default_rng(31)
-        m = rng.uniform(0, 120, size=(60, 80))
-        pyr_a = build_hw_pyramid(m)
-        pyr_b = build_hw_pyramid(120.0 - m)
-        out_a = grouping_pyramid(pyr_a, banks5, 1.0, shift_axis)
-        out_b = grouping_pyramid(pyr_b, banks5, 1.0, shift_axis)
+        m = rng.uniform(0, 120, size=shape)
+        out_a = grouping_pyramid(build(m), banks, 1.0, axis)
+        out_b = grouping_pyramid(build(120.0 - m), banks, 1.0, axis)
         # zero padding turns the input's DC offset of 120 into a border
         # band; invariance holds outside it
-        margins = zero_pad_reach([a.shape for a in out_a], banks5.size)
+        margins = zero_pad_reach([a.shape for a in out_a], size)
         for a, b, margin in zip(out_a, out_b, margins):
+            margin += second_tap
             np.testing.assert_allclose(
                 interior(a, margin), interior(b, margin), atol=1e-6
             )
 
-    def test_reference_chain_matches_slow_oracle(self, banks11, monkeypatch):
+    @pytest.mark.parametrize("negative_vm", [False, True], ids=["built", "negative-vm"])
+    def test_reference_chain_matches_slow_oracle(self, banks11, monkeypatch, negative_vm):
         # the reference chain (11x11 banks, sqrt(2) pyramid, bilinear sum)
-        # through FFT correlation and the sparse sum, against direct
-        # correlation and the pairwise gather loop
+        # through FFT correlation, ON + OFF summed before the von Mises
+        # stage and the sparse sum, against direct correlation, separate
+        # polarities and the pairwise gather loop; von Mises kernels with
+        # negative taps keep the polarities apart on both sides
+        banks = with_negative_von_mises(banks11) if negative_vm else banks11
         rng = np.random.default_rng(35)
         m = ndimage.uniform_filter(rng.uniform(0, 255, size=(72, 96)), 3)
         m[20:50, 30:60] += 80.0
         pyr = build_reference_pyramid(m, 5)
-        fast = grouping_pyramid(pyr, banks11, 1.0)
-        monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
+        fast = grouping_pyramid(pyr, banks, 1.0)
+        monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks.size + 1)
         monkeypatch.setattr(grouping, "von_mises_sum", pairwise_von_mises_sum)
-        oracle = grouping_pyramid(pyr, banks11, 1.0)
+        oracle = grouping_pyramid(pyr, banks, 1.0)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0
