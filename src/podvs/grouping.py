@@ -17,11 +17,22 @@ Within one feature channel and one pyramid level the chain is:
    border-ownership annularly toward the owned side while the opposing
    side inhibits with weight w_p.
 
-Per level, the intermediates are float64 arrays with named leading axes:
-edges (4, h, w) [theta], von Mises responses (4, 2, p, h, w) [theta, side,
+Per level, the intermediates are arrays with named leading axes: edges
+(4, h, w) [theta], von Mises responses (4, 2, p, h, w) [theta, side,
 polarity], border ownership and masks (4, 2, h, w) [theta, side]; theta
 follows ``THETAS``, side is (left, right) and polarity (ON, OFF), p = 2,
-or their sum, p = 1 (see below).
+or their sum, p = 1 (see below).  All are float64 except the masks,
+which are boolean.
+
+A ``grouping_pyramid`` call works in place where the hardware does.  From
+P3-P4 on it holds, per level, the edges and the von Mises stack.  P5
+writes each summed series back into that stack, P6 writes border
+ownership over its first polarity (``border_ownership``), and the edges
+are dropped before P7, which adds only the boolean masks, an eighth of a
+float stack, and per-map temporaries.  No ownership stack and no float
+mask stack stand beside the von Mises one: a call peaks at about 15
+times its input pyramid's bytes (120x160, depth 5, tracemalloc), against
+20 with both.
 
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
@@ -36,11 +47,14 @@ grouping correlation (step 5; P7).
 ``correlate`` sums these correlations directly for the 5x5 banks of the
 reduced modes and takes the FFT for the 11x11 reference banks, where it
 is 2-3 times faster on every level size (``FFT_MIN_KERNEL``); the two
-agree up to rounding.  On that FFT path the float chain shares spectra
-within one ``grouping_pyramid`` call: each level is transformed once for
-its 8 edge kernels and the center-surround kernel, and each kernel's
-spectrum is made once, used on every map that meets it and dropped, so
-no spectrum outlives the call.
+agree up to rounding.  The FFT pads each axis of length n to a fast
+length of at least n + size // 2, the least that keeps the circular
+product's wrap-around out of the 'same' window (``_fft_shape``): 486x648
+for a 480x640 level, not the 500x675 of the full linear length.  On that
+FFT path the float chain shares spectra within one ``grouping_pyramid``
+call: each level is transformed once for its 8 edge kernels and the
+center-surround kernel, and each kernel's spectrum is made once, used on
+every map that meets it and dropped, so no spectrum outlives the call.
 
 The float FFT path also sums ON and OFF before the von Mises stage when
 every von Mises tap is non-negative (``_sums_polarities``), as in every
@@ -90,9 +104,17 @@ FFT_MIN_KERNEL = 9
 
 
 def _fft_shape(map_shape, kernel_shape) -> tuple:
-    """Padded shape of the FFT correlation: a fast length of at least
-    (h + kh - 1, w + kw - 1), so the circular product is the linear one."""
-    return tuple(next_fast_len(n + k - 1, real=True) for n, k in zip(map_shape, kernel_shape))
+    """Padded shape of the FFT correlation: per axis, a fast length N of
+    at least n + k // 2, the least that keeps wrap-around out of the
+    'same' window.
+
+    A circular product of length N is the linear one (indices 0 to
+    n + k - 2) with index i + N folded onto i.  The window starts at
+    k - 1 - k // 2, so no folded index reaches it while
+    N + k - 1 - k // 2 > n + k - 2.  The full linear length, n + k - 1,
+    pads k - 1 - k // 2 more than that (5 px for 11x11 kernels).
+    """
+    return tuple(next_fast_len(n + k // 2, real=True) for n, k in zip(map_shape, kernel_shape))
 
 
 def _shares_spectra(arith, size: int) -> bool:
@@ -151,12 +173,13 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     Kernels with a side below ``FFT_MIN_KERNEL`` (the 5x5 banks of the
     reduced modes) take the direct sum of ``ndimage.correlate``.  Larger
     ones (the 11x11 reference banks) take the FFT: map and flipped
-    kernel are zero-padded to a fast length of at least (h + k - 1,
-    w + k - 1), so the circular product is the linear one, and the
-    'same' window is cut from it.  That equals the direct sum up to
-    rounding: at most 2.4e-15 measured on uniform [0, 1) maps from 20x28
-    to 640x480 with the 11x11 banks.  Where the direct sum is exactly
-    zero, the FFT leaves noise of that size.
+    kernel are zero-padded to a fast length of at least (h + kh // 2,
+    w + kw // 2), where the circular product's wrap-around stays outside
+    the 'same' window (``_fft_shape``), and that window is cut from it.
+    That equals the direct sum up to rounding: at most 2.4e-15 measured
+    on uniform [0, 1) maps from 20x28 to 640x480 with the 11x11 banks.
+    Where the direct sum is exactly zero, the FFT leaves noise of that
+    size.
 
     On the FFT path either argument may instead be a ``_Spectrum`` made
     by the chain, whose ``shape`` is the spatial one: ``grouping_pyramid``
@@ -325,28 +348,32 @@ def border_ownership(edges, vm_summed_levels, arith=FLOAT) -> list:
     summed, ON first, which makes the result invariant to stimulus
     polarity outside the zero-padding band described in the module
     docstring.  With p = 1 the one path holds their summed evidence.
+
+    The von Mises input is overwritten, as P5's sum is in hardware: each
+    (theta, side) result goes into ``vm[theta, side, 0]``, after both of
+    its polarities are read, and the returned arrays are those views.
     """
     out = []
     for edges_l, vm_l in zip(edges, vm_summed_levels):
-        bo = np.empty(vm_l.shape[:2] + vm_l.shape[3:])
-        for ti, side in np.ndindex(bo.shape[:2]):
+        for ti, side in np.ndindex(vm_l.shape[:2]):
             paths = (_rect(arith.modulate(edges_l[ti], vm)) for vm in vm_l[ti, side])
-            bo[ti, side] = arith.clip(functools.reduce(np.add, paths))
-        out.append(bo)
+            vm_l[ti, side, 0] = arith.clip(functools.reduce(np.add, paths))
+        out.append(vm_l[:, :, 0])
     return out
 
 
 def bo_masks(bo_levels) -> list:
-    """Binary winner masks, per level a (4, 2, h, w) array [theta, side]
-    of 1.0 and 0.0; ties go left.
+    """Boolean winner masks, per level a (4, 2, h, w) array [theta, side];
+    ties go left.
 
-    mask[:, 0] + mask[:, 1] == 1 everywhere, so masking is a multiply.
+    Exactly one side wins everywhere, so masking is a multiply: True
+    weighs 1.0 and False 0.0.
     """
     out = []
     for bo in bo_levels:
-        masks = np.empty_like(bo)
+        masks = np.empty(bo.shape, dtype=bool)
         np.greater_equal(bo[:, 0], bo[:, 1], out=masks[:, 0])
-        np.subtract(1.0, masks[:, 0], out=masks[:, 1])
+        np.logical_not(masks[:, 0], out=masks[:, 1])
         out.append(masks)
     return out
 
@@ -424,6 +451,6 @@ def grouping_pyramid(
         # one (theta, side, polarity) series, summed across levels in place
         for vm_l, summed in zip(vm, von_mises_sum([v[idx] for v in vm], axis, arith)):
             vm_l[idx] = summed
-    bo = border_ownership(edges, vm, arith)
+    bo = border_ownership(edges, vm, arith)  # written over vm
     del edges, vm  # not needed in P7: free them before its temporaries
     return grouping_activity(bo_masks(bo), bo, banks, w_p, arith)

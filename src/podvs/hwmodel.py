@@ -32,6 +32,7 @@ sit about 13 percent above what the measured 112x84 rate allows.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -136,7 +137,15 @@ def round_shift(raw, shift: int):
 
 
 def saturate(raw, fmt: FixedFormat):
-    """Clamp raw words into the format; returns (raw, overflow count)."""
+    """Clamp raw words into the format; returns (raw, overflow count).
+
+    When every word is in range, and for an empty array, the input
+    itself comes back, not a copy: every caller passes a fresh temporary.
+    Otherwise the words come back clamped in a copy, and the input is
+    left as it was.
+    """
+    if raw.size == 0 or (raw.min() >= fmt.min_raw and raw.max() <= fmt.max_raw):
+        return raw, 0
     overflow = int(np.count_nonzero((raw < fmt.min_raw) | (raw > fmt.max_raw)))
     return np.clip(raw, fmt.min_raw, fmt.max_raw), overflow
 
@@ -389,6 +398,12 @@ def _require_hw(cfg: EngineConfig) -> None:
 # The fixed-point backend and the pipeline that runs it
 # --------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _coefficient(value: float):
+    """A scalar quantized once into the kernel coefficient format."""
+    return quantize(np.float64(value), KERNEL_FORMAT)[0]
+
+
 class FixedArith(_Flags):
     """Fixed-point backend of the grouping chain (see grouping.FloatArith).
 
@@ -438,8 +453,7 @@ class FixedArith(_Flags):
         return round_shift(edge * evidence, self.fmt.fraction_bits + self.gain_shift)
 
     def weigh(self, raw, w_p: float):
-        w_p_raw = quantize(np.float64(w_p), KERNEL_FORMAT)[0]
-        return round_shift(raw * w_p_raw, KERNEL_FORMAT.fraction_bits)
+        return round_shift(raw * _coefficient(w_p), KERNEL_FORMAT.fraction_bits)
 
     def halve(self, raw, n: int):
         return np.floor(raw * 2.0 ** -n)

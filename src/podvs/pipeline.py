@@ -78,11 +78,13 @@ class Pipeline:
         validate_frame(frame, self.cfg)
         self.history.push(frame)
         channels = extract_all(self.history, self.kernel_strong, self.kernel_weak)
-        gray = self._grouping(channels[ChannelId.O_0], oriented=True)
-        grouped = {
-            cid: gray if cid in ORIENTATION_CHANNELS else self._grouping(arr, oriented=False)
-            for cid, arr in channels.items()
-        }
+        for cid in ORIENTATION_CHANNELS[1:]:
+            del channels[cid]  # the same gray array as O_0's
+        grouped = {}
+        for cid in list(channels):
+            # popped, so each map is freed once it is grouped
+            grouped[cid] = self._grouping(channels.pop(cid), cid in ORIENTATION_CHANNELS)
+        grouped.update(dict.fromkeys(ORIENTATION_CHANNELS, grouped[ChannelId.O_0]))
         return fuse(grouped, self.cfg)
 
 

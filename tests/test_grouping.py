@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -170,6 +171,28 @@ class TestCorrelate:
                 for args in ((m, kern), (shared_map, kern), (m, shared_kern),
                              (shared_map, shared_kern)):
                     np.testing.assert_allclose(correlate(*args), expected, atol=1e-12)
+
+    def test_fft_padding_is_the_least_without_wrap_around(self):
+        # A corner-delta kernel shifts the map by the full half-width, as
+        # far as any kernel tap reaches.  At 21x28 the padding (27, 36) is
+        # below the full linear length's fast length (32, 40), and one px
+        # less than n + k // 2 (25, 32) is a fast length itself, so a pad
+        # one px short would fold the map's far edge into the window.
+        shape, size = (21, 28), 11
+        fft_shape = grouping._fft_shape(shape, (size, size))
+        assert all(n >= m + size // 2 for n, m in zip(fft_shape, shape))
+        assert all(n < scipy.fft.next_fast_len(m + size - 1, real=True)
+                   for n, m in zip(fft_shape, shape))
+        assert all(scipy.fft.next_fast_len(m + size // 2 - 1, real=True) == m + size // 2 - 1
+                   for m in shape)
+        m = np.random.default_rng(41).uniform(1.0, 2.0, size=shape)
+        for y, x in ((0, 0), (0, size - 1), (size - 1, 0), (size - 1, size - 1)):
+            kern = np.zeros((size, size))
+            kern[y, x] = 1.0
+            np.testing.assert_allclose(
+                correlate(m, kern), ndimage.correlate(m, kern, mode="constant", cval=0.0),
+                atol=1e-12,
+            )
 
     def test_kernel_spectra_match_rfft2_at_reference_level_shapes(self, banks11):
         # a kernel's spectrum is a product with cached DFT slabs; the
@@ -404,6 +427,20 @@ class TestBorderOwnership:
         assert left[8] == pytest.approx(right[7], abs=1e-9)
         assert right[8] == pytest.approx(left[7], abs=1e-9)
 
+    @pytest.mark.parametrize("size", [5, 11])
+    def test_written_over_the_von_mises_stack(self, size):
+        # each (theta, side) result goes into vm[theta, side, 0] once both
+        # polarities are read (p = 2 at 5x5, p = 1 at 11x11 in float)
+        banks = build_banks(size)
+        m = self._light_square()
+        edges = [complex_edges(m, banks)]
+        vm = [von_mises_filter(*center_surround(m, banks), banks)]
+        evidence = vm[0].copy()
+        bo = border_ownership(edges, vm)
+        assert np.shares_memory(bo[0], vm[0])
+        expected = np.maximum(edges[0][:, None, None] * evidence, 0.0).sum(axis=2)
+        np.testing.assert_array_equal(bo[0], expected)
+
     def test_polarity_swap_preserves_sums(self, banks5):
         rng = np.random.default_rng(26)
         m = rng.uniform(0, 100, size=(16, 16))
@@ -437,6 +474,15 @@ class TestMasks:
         (masks,) = bo_masks([stack_sides((left,), (right,))])
         assert np.all(masks[0, 1][1:, :] == 1.0)
         assert np.all(masks[0, 0][0, :] == 1.0)  # 0 >= 0 tie
+
+    def test_boolean_masks_weigh_as_the_float_ones(self):
+        # True * x is 1.0 * x and False * x is 0.0 * x, signed zeros too
+        rng = np.random.default_rng(42)
+        field = [rng.standard_normal((4, 2, 6, 6))]
+        (masks,) = bo_masks(field)
+        assert masks.dtype == bool
+        as_float = masks.astype(np.float64)
+        assert (masks * field[0]).tobytes() == (as_float * field[0]).tobytes()
 
     def test_partition(self):
         rng = np.random.default_rng(27)
@@ -531,6 +577,20 @@ class TestGroupingPyramid:
             np.testing.assert_allclose(
                 interior(a, margin), interior(b, margin), atol=1e-6
             )
+
+    def test_reference_chain_peak_memory(self, banks11):
+        # border ownership is written over the von Mises stack and the
+        # masks are boolean, so a call holds no third same-size stack
+        m = np.random.default_rng(43).uniform(0, 255, size=(120, 160))
+        pyr = build_reference_pyramid(m, 5)
+        grouping_pyramid(pyr, banks11, 1.0)  # fills the process-wide operator caches
+        tracemalloc.start()
+        try:
+            grouping_pyramid(pyr, banks11, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * sum(level.nbytes for level in pyr.levels)
 
     @pytest.mark.parametrize("negative_vm", [False, True], ids=["built", "negative-vm"])
     def test_reference_chain_matches_slow_oracle(self, banks11, monkeypatch, negative_vm):

@@ -18,6 +18,7 @@ from podvs.hwmodel import (
     frame_rate,
     quantize,
     round_shift,
+    saturate,
 )
 from podvs.kernels import _iter_kernels, build_banks
 
@@ -121,6 +122,29 @@ class TestFixedArith:
         assert arith.saturations == 3
         arith.clip(np.array([top + 1]))
         assert arith.saturations == 4
+
+    def test_saturate_clamps_a_copy(self, arith):
+        fmt = arith.fmt
+        raw = np.array([fmt.max_raw + 3.0, 0.0, fmt.min_raw - 1.0, fmt.max_raw])
+        before = raw.copy()
+        out, saturated = saturate(raw, fmt)
+        np.testing.assert_array_equal(out, [fmt.max_raw, 0.0, fmt.min_raw, fmt.max_raw])
+        assert saturated == 2
+        np.testing.assert_array_equal(raw, before)
+
+    def test_saturate_returns_words_in_range_as_they_are(self, arith):
+        fmt = arith.fmt
+        for raw in (np.array([fmt.min_raw, 0.0, fmt.max_raw]), np.empty((0, 3))):
+            out, saturated = saturate(raw, fmt)
+            assert out is raw and saturated == 0
+
+    @pytest.mark.parametrize("w_p", [0.0, 0.5, 1.0, 1.3])
+    def test_weigh_by_the_quantized_weight(self, arith, raw_map, w_p):
+        w_p_raw = quantize(np.float64(w_p), KERNEL_FORMAT)[0]
+        np.testing.assert_array_equal(
+            arith.weigh(raw_map, w_p),
+            round_shift(raw_map * w_p_raw, KERNEL_FORMAT.fraction_bits),
+        )
 
     def test_modulate_rounds_half_to_even(self, arith):
         one = 1 << (arith.fmt.fraction_bits + arith.gain_shift)
