@@ -30,9 +30,7 @@ writes each summed series back into that stack, P6 writes border
 ownership over its first polarity (``border_ownership``), and the edges
 are dropped before P7, which adds only the boolean masks, an eighth of a
 float stack, and per-map temporaries.  No ownership stack and no float
-mask stack stand beside the von Mises one: a call peaks at about 15
-times its input pyramid's bytes (120x160, depth 5, tracemalloc), against
-20 with both.
+mask stack stand beside the von Mises one.
 
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
@@ -49,8 +47,7 @@ reduced modes and takes the FFT for the 11x11 reference banks, where it
 is 2-3 times faster on every level size (``FFT_MIN_KERNEL``); the two
 agree up to rounding.  The FFT pads each axis of length n to a fast
 length of at least n + size // 2, the least that keeps the circular
-product's wrap-around out of the 'same' window (``_fft_shape``): 486x648
-for a 480x640 level, not the 500x675 of the full linear length.  On that
+product's wrap-around out of the 'same' window (``_fft_shape``).  On that
 FFT path the float chain shares spectra within one ``grouping_pyramid``
 call: each level is transformed once for its 8 edge kernels and the
 center-surround kernel, and each kernel's spectrum is made once, used on

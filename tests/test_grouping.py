@@ -490,8 +490,10 @@ class TestMasks:
         masks = bo_masks(field)
         for lvl in range(2):
             assert masks[lvl].shape == (4, 2, 6, 6)
+            # exactly one side wins: on bool masks '+' is a logical OR,
+            # so count the winners as integers
             np.testing.assert_array_equal(
-                masks[lvl][:, 0] + masks[lvl][:, 1], np.ones((4, 6, 6))
+                masks[lvl].sum(axis=1, dtype=int), np.ones((4, 6, 6), int)
             )
 
 
