@@ -93,8 +93,11 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
     Per channel: N1 on every pyramid level, collapse to the base
     resolution, N2 on the conspicuity map; the nine results are summed
     in fixed channel order and the final map rescaled to [0, 1].
-    Channels that share one pyramid object (the orientation channels)
-    share one conspicuity map, which is still added once per channel.
+    Channels that share one pyramid object share one conspicuity map,
+    still added once per channel: the orientation channels, and the
+    all-zero channels, which ``Pipeline.step`` in reference mode does not
+    group but gives one pyramid of zeros (the reduced modes wait until
+    the benchmark's tests stop pinning their correlation counts).
     """
     if set(grouping_pyramids) != set(ChannelId):
         missing = set(ChannelId) - set(grouping_pyramids)

@@ -2,9 +2,14 @@
 
 A Pipeline instance owns its frame history; everything downstream of
 channel extraction is pure.  The nine channels have six distinct inputs
-(the four orientation channels share the gray frame), and each runs
-through the grouping chain once, serially, in the instance's ``arith``
-backend: float64 here, fixed point in ``hwmodel.HwPipeline``.
+(the four orientation channels share the gray frame), each grouped at
+most once, serially, in the instance's ``arith`` backend: float64 here,
+fixed point in ``hwmodel.HwPipeline``.  A zero map groups to +0.0 on
+every level, so reference mode (the float FFT path,
+``grouping._shares_spectra``) skips inputs with no non-zero pixel, such
+as the colour-opponency maps of a gray frame: they share one pyramid of
+zeros.  The reduced modes group every input while the benchmark's tests
+pin their correlation counts.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ import numpy as np
 from .channels import ORIENTATION_CHANNELS, ChannelId, extract_all
 from .config import EngineConfig, FrameHistory, FrameRGB, Resolution, validate_frame
 from .errors import DimensionError
-from .grouping import FLOAT, grouping_pyramid
+from .grouping import FLOAT, _shares_spectra, grouping_pyramid
 from .kernels import GroupingBanks, build_banks
 from .normalize import fuse
 from .pyramid import (
@@ -80,10 +85,17 @@ class Pipeline:
         channels = extract_all(self.history, self.kernel_strong, self.kernel_weak)
         for cid in ORIENTATION_CHANNELS[1:]:
             del channels[cid]  # the same gray array as O_0's
-        grouped = {}
+        grouped, zeros = {}, None
+        # reference mode only: bench tests pin the reduced modes' correlate calls
+        skip_zero = _shares_spectra(self.arith, self.banks.size)
         for cid in list(channels):
-            # popped, so each map is freed once it is grouped
-            grouped[cid] = self._grouping(channels.pop(cid), cid in ORIENTATION_CHANNELS)
+            map_ = channels.pop(cid)  # popped, so each map is freed once it is grouped
+            if skip_zero and not map_.any():
+                zeros = zeros or [np.zeros(level.shape)
+                                  for level in build_channel_pyramid(map_, self.cfg).levels]
+                grouped[cid] = zeros
+            else:
+                grouped[cid] = self._grouping(map_, cid in ORIENTATION_CHANNELS)
         grouped.update(dict.fromkeys(ORIENTATION_CHANNELS, grouped[ChannelId.O_0]))
         return fuse(grouped, self.cfg)
 

@@ -26,8 +26,9 @@ from podvs.grouping import (
     von_mises_filter,
     von_mises_sum,
 )
-from podvs.hwmodel import FixedArith
+from podvs.hwmodel import FixedArith, HwPipeline
 from podvs.kernels import THETAS, build_banks
+from podvs.pipeline import Pipeline, build_channel_pyramid
 from podvs.pyramid import (
     HW_LEVELS,
     ImagePyramid,
@@ -637,3 +638,36 @@ class TestGroupingPyramid:
             digests.append(proc.stdout.strip())
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
+
+
+def assert_positive_zeros(levels, shapes):
+    """Every level has its pyramid level's shape and holds only +0.0."""
+    assert [level.shape for level in levels] == list(shapes)
+    for level in levels:
+        # not np.array_equal(level, 0), which is False for any 2-D array
+        assert not level.any()
+        assert not np.signbit(level).any()
+
+
+class TestZeroMap:
+    """A zero map groups to +0.0 on every level of every path: the fact
+    that lets ``Pipeline.step`` skip all-zero channel maps bit for bit."""
+
+    def test_float_fft_chain(self, banks11):
+        pyr = build_reference_pyramid(np.zeros((120, 160)), 5)
+        levels = grouping_pyramid(pyr, banks11, 1.0)
+        assert_positive_zeros(levels, [level.shape for level in pyr.levels])
+
+    @pytest.mark.parametrize("oriented", [False, True], ids=["temporal", "oriented"])
+    @pytest.mark.parametrize(
+        "engine, resolution",
+        [(Pipeline, Resolution.HW_80), (HwPipeline, Resolution.HW_112)],
+        ids=["float-5x5-hw80", "fixed-hw112"],
+    )
+    def test_reduced_chains(self, engine, resolution, oriented):
+        cfg = EngineConfig(resolution=resolution)
+        pipe = engine(cfg)
+        zero = np.zeros((cfg.height, cfg.width))
+        levels = pipe._grouping(zero, oriented)
+        shapes = [level.shape for level in build_channel_pyramid(zero, cfg).levels]
+        assert_positive_zeros(levels, shapes)

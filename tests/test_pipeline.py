@@ -2,8 +2,8 @@
 import numpy as np
 import pytest
 
-from podvs import synth
-from podvs.channels import ORIENTATION_CHANNELS, ChannelId
+from podvs import pipeline, synth
+from podvs.channels import ORIENTATION_CHANNELS, ChannelId, extract_all
 from podvs.config import EngineConfig, Resolution
 from podvs.errors import ConfigError, DimensionError
 from podvs.hwmodel import HwPipeline
@@ -91,6 +91,44 @@ class TestFuseSharedPyramid:
             shared[cid] = gray
             copies[cid] = [level.copy() for level in gray]
         np.testing.assert_array_equal(fuse(shared, hw80_cfg), fuse(copies, hw80_cfg))
+
+
+#: One 640x480 frame of a gray and of a colour clip, and how many of
+#: its six distinct channel maps have a non-zero pixel.
+ZERO_SKIP_FRAMES = {
+    "drifting_bar": (lambda: synth.drifting_bar_video(640, 480, frames=1)[0], 2),
+    "color_popout": (lambda: synth.color_popout_video(640, 480, frames=1)[0][0], 3),
+}
+
+
+class TestZeroChannelSkip:
+    """Reference mode groups only the channel maps with a non-zero pixel."""
+
+    @pytest.mark.parametrize("clip", sorted(ZERO_SKIP_FRAMES))
+    def test_640x480_frame_bit_identical(self, clip, monkeypatch):
+        make_frame, nonzero = ZERO_SKIP_FRAMES[clip]
+        frame = make_frame()
+        cfg = EngineConfig(resolution=Resolution.REFERENCE)
+        grouping_pyramid = pipeline.grouping_pyramid
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return grouping_pyramid(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "grouping_pyramid", counted)
+        fused = Pipeline(cfg).step(frame)
+        assert len(calls) == nonzero
+
+        # the unskipped chain: every distinct channel map grouped
+        engine = Pipeline(cfg)
+        engine.history.push(frame)
+        channels = extract_all(engine.history, engine.kernel_strong, engine.kernel_weak)
+        gray = engine._grouping(channels[ChannelId.O_0], True)
+        grouped = {cid: gray if cid in ORIENTATION_CHANNELS else engine._grouping(map_, False)
+                   for cid, map_ in channels.items()}
+        assert len(calls) == nonzero + 6
+        assert fused.tobytes() == fuse(grouped, cfg).tobytes()
 
 
 class TestFidelityGate:
