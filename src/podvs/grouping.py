@@ -47,36 +47,44 @@ reduced modes and takes the FFT for the 11x11 reference banks, where it
 is 2-3 times faster on every level size (``FFT_MIN_KERNEL``); the two
 agree up to rounding.  The FFT pads each axis of length n to a fast
 length of at least n + size // 2, the least that keeps the circular
-product's wrap-around out of the 'same' window (``_fft_shape``).  On that
-FFT path the float chain shares spectra within one ``grouping_pyramid``
-call: each level is transformed once for its 8 edge kernels and the
-center-surround kernel, and each kernel's spectrum is made once, used on
-every map that meets it and dropped, so no spectrum outlives the call.
+product's wrap-around out of the 'same' window (``_fft_shape``).
 
-The float FFT path also sums ON and OFF before the von Mises stage when
-every von Mises tap is non-negative (``_sums_polarities``), as in every
-bank ``build_banks`` makes.  Border ownership is rect(edge*vm_on) +
-rect(edge*vm_off), and there every factor is non-negative: edges are
-magnitudes, ON and OFF are rectified, the kernels are non-negative, and
-the across-scale sum's weights are (bilinear and 1-tap resampling,
-halving).  Both rects are then identities and correlation and P5 are
-linear, so the sum is edge*P5(corr(ON + OFF, k)), equal up to rounding;
-and ON + OFF is |cs| bit for bit, since one of the two is exactly 0.
-One transform of ON + OFF meets the 8 von Mises kernels, and P5 sums 8
-series per channel instead of 16.  Kernels with a negative tap (loaded
-from a file), the fixed-point backend and the 5x5 direct path keep ON
-and OFF apart, with their rects and their bits.
+The chain has two paths, and ``_shares_spectra`` alone picks one.  The
+shared path runs on the float backend with FFT-sized kernels and no
+negative von Mises tap: reference mode with the banks ``build_banks``
+makes.  The general path runs everywhere else (the fixed-point backend,
+the direct 5x5 path, and kernels with a negative tap, loaded from a
+file): every correlation takes its own transforms, ON and OFF stay apart
+with their rects, and P7 correlates each masked map on its own, so the
+fixed-point backend rounds after every correlation as the hardware does.
+The across-scale sum (P5) has one body, over cached sparse axis
+operators, for every backend and mode.  The shared path differs in three
+ways, all within one ``grouping_pyramid`` call:
 
-Grouping (P7) is summed in the frequency domain on the float FFT path:
-by linearity corr(m*bo_own, k) - w_p*corr(m*bo_other, k) equals
-corr(m*(bo_own - w_p*bo_other), k), and the sum over theta and both
-sides needs one inverse transform per level.  A level of one channel
-then takes 10 forward and 18 inverse real transforms (123 unshared) and
-25 kernel spectra from cached DFT slabs (``_Spectrum``).  The fixed-point
-backend keeps the hardware's rounding after every correlation, and on
-the direct 5x5 path the regrouped sum would change the float maps' bits,
-so both keep the per-correlation P7.  The across-scale sum (P5) has one
-body, over cached sparse axis operators, for every backend and mode.
+- Spectra are shared: each level is transformed once for its 8 edge
+  kernels and the center-surround kernel, and each kernel's spectrum is
+  made once, used on every map that meets it and dropped, so no
+  spectrum outlives the call.
+- ON and OFF are summed before the von Mises stage.  Border ownership
+  is rect(edge*vm_on) + rect(edge*vm_off), and there every factor is
+  non-negative: edges are magnitudes, ON and OFF are rectified, the
+  kernels are non-negative, and the across-scale sum's weights are
+  (bilinear and 1-tap resampling, halving).  Both rects are then
+  identities and correlation and P5 are linear, so the sum is
+  edge*P5(corr(ON + OFF, k)), equal up to rounding; and ON + OFF is |cs|
+  bit for bit, since one of the two is exactly 0.  One transform of
+  ON + OFF meets the 8 von Mises kernels, and P5 sums 8 series per
+  channel instead of 16.
+- Grouping (P7) is summed in the frequency domain: by linearity
+  corr(m*bo_own, k) - w_p*corr(m*bo_other, k) equals
+  corr(m*(bo_own - w_p*bo_other), k), and the sum over theta and both
+  sides needs one inverse transform per level.  On the direct 5x5 path
+  this regrouping would change the float maps' bits, which is why the
+  path needs FFT-sized kernels.
+
+A level of one channel then takes 10 forward and 18 inverse real
+transforms (123 on the general path) and 25 kernel spectra from cached
+DFT slabs (``_Spectrum``).
 
 Every stage takes an ``arith`` backend, ``FLOAT`` (the default) or the
 hardware's ``hwmodel.FixedArith``, and each filter one ``GroupingBanks``.
@@ -114,9 +122,13 @@ def _fft_shape(map_shape, kernel_shape) -> tuple:
     return tuple(next_fast_len(n + k // 2, real=True) for n, k in zip(map_shape, kernel_shape))
 
 
-def _shares_spectra(arith, size: int) -> bool:
-    """Whether the chain shares spectra: float backend on the FFT path."""
-    return arith is FLOAT and size >= FFT_MIN_KERNEL
+def _shares_spectra(arith, banks: GroupingBanks) -> bool:
+    """The chain's one path predicate: float backend, FFT-sized kernels
+    and no negative von Mises tap, as in every bank ``build_banks`` makes.
+    Where it holds the chain shares map spectra, sums ON and OFF before
+    the von Mises stage and sums P7 in the frequency domain."""
+    vm = banks.vm_left + banks.vm_right
+    return arith is FLOAT and banks.size >= FFT_MIN_KERNEL and all(np.all(k >= 0) for k in vm)
 
 
 @functools.lru_cache(maxsize=None)
@@ -182,9 +194,8 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     by the chain, whose ``shape`` is the spatial one: ``grouping_pyramid``
     passes a level's spectrum to its 9 edge and center-surround
     correlations, and ``von_mises_filter`` passes the spectrum of ON +
-    OFF (or of ON and of OFF) and each von Mises kernel's spectrum to its
-    8 (or 16).  A shared spectrum is the
-    one the call would have made, so the result is the same bits.
+    OFF and each von Mises kernel's spectrum to its 8.  A shared spectrum
+    is the one the call would have made, so the result is the same bits.
     """
     if not isinstance(map_, _Spectrum):
         map_ = np.asarray(map_, dtype=np.float64)
@@ -260,25 +271,18 @@ def center_surround(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT):
     return _rect(resp), _rect(-resp)
 
 
-def _sums_polarities(arith, banks: GroupingBanks) -> bool:
-    """Whether the chain sums ON and OFF before the von Mises stage: on
-    the float FFT path, with every von Mises tap non-negative."""
-    vm = banks.vm_left + banks.vm_right
-    return _shares_spectra(arith, banks.size) and all(np.all(k >= 0) for k in vm)
-
-
 def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks,
                      arith=FLOAT) -> np.ndarray:
     """The responses of one level to banks.vm_left/vm_right, shape
     (4, 2, p, h, w) [theta, side (left, right), polarity].
 
-    The polarity axis holds (ON, OFF), p = 2, except where
-    ``_sums_polarities`` holds: there it holds the one response to
+    The polarity axis holds (ON, OFF), p = 2, on the general path.  On
+    the shared path (``_shares_spectra``) it holds the one response to
     ON + OFF, p = 1, which ``border_ownership`` reads as their summed
     evidence (see the module docstring).
     """
-    shared = _shares_spectra(arith, banks.size)
-    polarities = (on + off,) if _sums_polarities(arith, banks) else (on, off)
+    shared = _shares_spectra(arith, banks)
+    polarities = (on + off,) if shared else (on, off)
     out = np.empty((len(THETAS), 2, len(polarities), *on.shape))
     if shared:
         fft_shape = _fft_shape(on.shape, (banks.size, banks.size))
@@ -377,7 +381,7 @@ def bo_masks(bo_levels) -> list:
 
 def _spectral_grouping_sum(mask, bo, banks: GroupingBanks, w_p: float) -> np.ndarray:
     """``grouping_activity``'s sum over theta and both sides before
-    rectification, for the float FFT path: each side's two correlations
+    rectification, on the shared path: each side's two correlations
     with one kernel are one correlation of m*(bo_own - w_p*bo_other), and
     the eight spectral products are summed before one inverse transform."""
     shape, kernel_shape = bo.shape[2:], (banks.size, banks.size)
@@ -399,12 +403,12 @@ def grouping_activity(masks, bo_levels, banks: GroupingBanks, w_p: float, arith=
     pointing at direction d means correlating with the opposite-side
     kernel (a true convolution): banks.vm_right for the left side,
     banks.vm_left for the right.  The same-location opposing response
-    inhibits with weight w_p.  On the float FFT path the sum is taken in
+    inhibits with weight w_p.  On the shared path the sum is taken in
     the frequency domain (see the module docstring).
     """
     out = []
     for mask, bo in zip(masks, bo_levels):
-        if _shares_spectra(arith, banks.size):
+        if _shares_spectra(arith, banks):
             out.append(_rect(_spectral_grouping_sum(mask, bo, banks, w_p)))
             continue
         for ti in range(len(THETAS)):
@@ -432,14 +436,15 @@ def grouping_pyramid(
     The pyramid and the banks hold numbers in the backend's format (raw
     words for the fixed-point backend).  ``axis`` is the mode's
     resampling along one axis for the across-scale sum (see
-    ``von_mises_sum``); where ON and OFF are summed before the von Mises
-    stage, its weights must be non-negative, as those of
+    ``von_mises_sum``); on the shared path, which sums ON and OFF before
+    the von Mises stage, its weights must be non-negative, as those of
     ``bilinear_axis`` and ``shift_axis`` are.  Returns the per-level
     grouping maps, finest first, in that same format.
     """
     edges, vm = [], []
+    shared = _shares_spectra(arith, banks)
     for level in channel_pyr.levels:
-        if _shares_spectra(arith, banks.size):
+        if shared:
             # one transform of the level for its edge and center-surround kernels
             level = _Spectrum(level, _fft_shape(level.shape, (banks.size, banks.size)))
         edges.append(complex_edges(level, banks, arith))

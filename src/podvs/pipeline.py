@@ -5,11 +5,11 @@ channel extraction is pure.  The nine channels have six distinct inputs
 (the four orientation channels share the gray frame), each grouped at
 most once, serially, in the instance's ``arith`` backend: float64 here,
 fixed point in ``hwmodel.HwPipeline``.  A zero map groups to +0.0 on
-every level, so reference mode (the float FFT path,
-``grouping._shares_spectra``) skips inputs with no non-zero pixel, such
-as the colour-opponency maps of a gray frame: they share one pyramid of
-zeros.  The reduced modes group every input while the benchmark's tests
-pin their correlation counts.
+every level, on both paths of the grouping chain, so reference mode
+skips inputs with no non-zero pixel, such as the colour-opponency maps
+of a gray frame: they share one pyramid of zeros.  The reduced modes
+group every input while the benchmark's tests pin their correlation
+counts.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import numpy as np
 from .channels import ORIENTATION_CHANNELS, ChannelId, extract_all
 from .config import EngineConfig, FrameHistory, FrameRGB, Resolution, validate_frame
 from .errors import DimensionError
-from .grouping import FLOAT, _shares_spectra, grouping_pyramid
+from .grouping import FLOAT, grouping_pyramid
 from .kernels import GroupingBanks, build_banks
 from .normalize import fuse
 from .pyramid import (
@@ -86,8 +86,9 @@ class Pipeline:
         for cid in ORIENTATION_CHANNELS[1:]:
             del channels[cid]  # the same gray array as O_0's
         grouped, zeros = {}, None
-        # reference mode only: bench tests pin the reduced modes' correlate calls
-        skip_zero = _shares_spectra(self.arith, self.banks.size)
+        # a zero map groups to +0.0 on every path; the reduced modes still
+        # group it, as bench tests pin their correlate calls
+        skip_zero = self.cfg.resolution is Resolution.REFERENCE
         for cid in list(channels):
             map_ = channels.pop(cid)  # popped, so each map is freed once it is grouped
             if skip_zero and not map_.any():

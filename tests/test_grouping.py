@@ -658,6 +658,15 @@ class TestZeroMap:
         levels = grouping_pyramid(pyr, banks11, 1.0)
         assert_positive_zeros(levels, [level.shape for level in pyr.levels])
 
+    def test_general_11x11_chain(self, banks11):
+        # a negative von Mises tap sends reference-sized banks down the
+        # general path, which reference mode's skip must cover as well
+        banks = with_negative_von_mises(banks11)
+        assert not grouping._shares_spectra(FLOAT, banks)
+        pyr = build_reference_pyramid(np.zeros((120, 160)), 5)
+        levels = grouping_pyramid(pyr, banks, 1.0)
+        assert_positive_zeros(levels, [level.shape for level in pyr.levels])
+
     @pytest.mark.parametrize("oriented", [False, True], ids=["temporal", "oriented"])
     @pytest.mark.parametrize(
         "engine, resolution",
