@@ -49,22 +49,19 @@ agree up to rounding.  The FFT pads each axis of length n to a fast
 length of at least n + size // 2, the least that keeps the circular
 product's wrap-around out of the 'same' window (``_fft_shape``).
 
-The chain has two paths, and ``_shares_spectra`` alone picks one.  The
-shared path runs on the float backend with FFT-sized kernels and no
-negative von Mises tap: reference mode with the banks ``build_banks``
-makes.  The general path runs everywhere else (the fixed-point backend,
-the direct 5x5 path, and kernels with a negative tap, loaded from a
-file): every correlation takes its own transforms, ON and OFF stay apart
-with their rects, and P7 correlates each masked map on its own, so the
-fixed-point backend rounds after every correlation as the hardware does.
-The across-scale sum (P5) has one body, over cached sparse axis
-operators, for every backend and mode.  The shared path differs in three
-ways, all within one ``grouping_pyramid`` call:
+The chain has two paths, picked by ``_shares_spectra`` alone.  The
+shared path is the float backend with FFT-sized kernels and no negative
+von Mises tap: reference mode with the banks ``build_banks`` makes.  The
+general path (fixed point, direct 5x5, a kernel with a negative tap)
+transforms anew for every correlation, keeps ON and OFF apart with
+their rects and runs P7 per correlation, so the fixed-point backend
+rounds after each one as the hardware does.  The shared path differs in
+three ways within one ``grouping_pyramid`` call:
 
-- Spectra are shared: each level is transformed once for its 8 edge
-  kernels and the center-surround kernel, and each kernel's spectrum is
-  made once, used on every map that meets it and dropped, so no
-  spectrum outlives the call.
+- Map spectra are shared within the call: a level's by its 8 edge
+  kernels and the center-surround kernel, that of ON + OFF by the 8 von
+  Mises kernels.  A kernel meets one map a level per stage, so its
+  spectrum is made where it is used (``_kernel_spectrum``).
 - ON and OFF are summed before the von Mises stage.  Border ownership
   is rect(edge*vm_on) + rect(edge*vm_off), and there every factor is
   non-negative: edges are magnitudes, ON and OFF are rectified, the
@@ -72,19 +69,20 @@ ways, all within one ``grouping_pyramid`` call:
   (bilinear and 1-tap resampling, halving).  Both rects are then
   identities and correlation and P5 are linear, so the sum is
   edge*P5(corr(ON + OFF, k)), equal up to rounding; and ON + OFF is |cs|
-  bit for bit, since one of the two is exactly 0.  One transform of
-  ON + OFF meets the 8 von Mises kernels, and P5 sums 8 series per
-  channel instead of 16.
-- Grouping (P7) is summed in the frequency domain: by linearity
-  corr(m*bo_own, k) - w_p*corr(m*bo_other, k) equals
-  corr(m*(bo_own - w_p*bo_other), k), and the sum over theta and both
-  sides needs one inverse transform per level.  On the direct 5x5 path
-  this regrouping would change the float maps' bits, which is why the
-  path needs FFT-sized kernels.
+  bit for bit, since one of the two is exactly 0.  P5 then sums 8
+  series per channel instead of 16.
+- Grouping (P7) is summed in the frequency domain: corr(m*bo_own, k) -
+  w_p*corr(m*bo_other, k) = corr(m*(bo_own - w_p*bo_other), k), so the
+  sum over theta and both sides takes one inverse transform per level
+  (on the direct 5x5 path it would change the float maps' bits).
 
-A level of one channel then takes 10 forward and 18 inverse real
-transforms (123 on the general path) and 25 kernel spectra from cached
-DFT slabs (``_Spectrum``).
+A level of one channel takes 10 forward and 18 inverse real transforms
+(123 on the general path) and 25 kernel spectra.  Every spectral product
+is map spectrum times kernel spectrum, in that order, in one place
+(``_spectral_product``), so sharing a map spectrum never changes a bit:
+numpy's complex product is not bitwise commutative (with FMA, about a
+third of a*b differ from b*a in the last bit), and numpy computes
+``a * b`` as ``b * a`` when b is a temporary of 256 KiB or more.
 
 Every stage takes an ``arith`` backend, ``FLOAT`` (the default) or the
 hardware's ``hwmodel.FixedArith``, and each filter one ``GroupingBanks``.
@@ -123,10 +121,8 @@ def _fft_shape(map_shape, kernel_shape) -> tuple:
 
 
 def _shares_spectra(arith, banks: GroupingBanks) -> bool:
-    """The chain's one path predicate: float backend, FFT-sized kernels
-    and no negative von Mises tap, as in every bank ``build_banks`` makes.
-    Where it holds the chain shares map spectra, sums ON and OFF before
-    the von Mises stage and sums P7 in the frequency domain."""
+    """The one path predicate: float backend, FFT-sized kernels and no
+    negative von Mises tap (the shared path; see the module docstring)."""
     vm = banks.vm_left + banks.vm_right
     return arith is FLOAT and banks.size >= FFT_MIN_KERNEL and all(np.all(k >= 0) for k in vm)
 
@@ -140,35 +136,35 @@ def _dft_slab(n: int, k: int, m: int) -> np.ndarray:
 
 
 class _Spectrum:
-    """Real FFT of a map, or of a flipped kernel, zero-padded to
-    ``fft_shape``; ``shape`` is the spatial shape it was made from, so
-    it stands in for that map or kernel in ``correlate``.  A kernel's is
-    F_H[:, :kh] @ flip(k) @ F_W[:kw, :W//2+1] over cached DFT slabs, within
-    1.1e-15 of ``rfft2``'s maximum for the 11x11 banks at 640x480 levels."""
+    """Real FFT of a map zero-padded to ``fft_shape``; ``shape`` is the
+    map's, so it stands in for the map in ``correlate``."""
 
-    def __init__(self, x, fft_shape, kernel: bool = False):
-        self.shape = x.shape
+    def __init__(self, map_, fft_shape):
+        self.shape = map_.shape
         self.fft_shape = fft_shape
-        if kernel:
-            (h, w), (kh, kw) = fft_shape, x.shape
-            self.values = _dft_slab(h, kh, h) @ x[::-1, ::-1] @ _dft_slab(w, kw, w // 2 + 1).T
-        else:
-            self.values = rfft2(x, fft_shape)
+        self.values = rfft2(map_, fft_shape)
 
 
-def _rfft(x, fft_shape, kernel: bool = False) -> np.ndarray:
-    """The spectrum of ``x`` at ``fft_shape``: shared if ``x`` is a
-    ``_Spectrum``, made now otherwise."""
-    if not isinstance(x, _Spectrum):
-        x = _Spectrum(x, fft_shape, kernel)
-    elif x.fft_shape != fft_shape:
-        raise DimensionError(f"spectrum padded to {x.fft_shape}, correlation needs {fft_shape}")
-    return x.values
+def _kernel_spectrum(kernel, fft_shape) -> np.ndarray:
+    """Real FFT of the flipped ``kernel`` zero-padded to ``fft_shape``, as
+    F_H[:, :kh] @ flip(k) @ F_W[:kw, :W//2+1] over cached DFT slabs: within
+    1.1e-15 of ``rfft2``'s maximum for the 11x11 banks at 640x480 levels."""
+    (h, w), (kh, kw) = fft_shape, kernel.shape
+    return _dft_slab(h, kh, h) @ kernel[::-1, ::-1] @ _dft_slab(w, kw, w // 2 + 1).T
 
 
-def _same_window(product, shape, kernel_shape) -> np.ndarray:
+def _spectral_product(map_, kernel, fft_shape) -> np.ndarray:
+    """The spectrum of ``map_`` (shared if it is a ``_Spectrum``) times
+    that of ``kernel``, in that order (see the module docstring)."""
+    if not isinstance(map_, _Spectrum):
+        map_ = _Spectrum(map_, fft_shape)
+    elif map_.fft_shape != fft_shape:
+        raise DimensionError(f"spectrum padded to {map_.fft_shape}, correlation needs {fft_shape}")
+    return np.multiply(map_.values, _kernel_spectrum(kernel, fft_shape))
+
+
+def _same_window(product, fft_shape, shape, kernel_shape) -> np.ndarray:
     """The 'same' (h, w) window of the inverse transform of a spectral product."""
-    fft_shape = _fft_shape(shape, kernel_shape)
     full = irfft2(product, fft_shape)
     # ndimage centres a kernel on index k // 2; flipped, that is k - 1 - k // 2
     (h, w), (kh, kw) = shape, kernel_shape
@@ -190,12 +186,11 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     Where the direct sum is exactly zero, the FFT leaves noise of that
     size.
 
-    On the FFT path either argument may instead be a ``_Spectrum`` made
-    by the chain, whose ``shape`` is the spatial one: ``grouping_pyramid``
-    passes a level's spectrum to its 9 edge and center-surround
-    correlations, and ``von_mises_filter`` passes the spectrum of ON +
-    OFF and each von Mises kernel's spectrum to its 8.  A shared spectrum
-    is the one the call would have made, so the result is the same bits.
+    On the FFT path the map may instead be a ``_Spectrum`` that the chain
+    shares: a level's in ``grouping_pyramid``, that of ON + OFF in
+    ``von_mises_filter``.  It is the spectrum the call would have made,
+    and it meets the kernel's in the one map-first product
+    (``_spectral_product``), so the result is the same bits.
     """
     if not isinstance(map_, _Spectrum):
         map_ = np.asarray(map_, dtype=np.float64)
@@ -203,8 +198,8 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     if min(kh, kw) < FFT_MIN_KERNEL:
         return ndimage.correlate(map_, kernel, mode="constant", cval=0.0)
     fft_shape = _fft_shape(map_.shape, kernel.shape)
-    product = _rfft(map_, fft_shape) * _rfft(kernel, fft_shape, kernel=True)
-    return _same_window(product, map_.shape, kernel.shape)
+    product = _spectral_product(map_, kernel, fft_shape)
+    return _same_window(product, fft_shape, map_.shape, kernel.shape)
 
 
 def _rect(x: np.ndarray) -> np.ndarray:
@@ -281,16 +276,13 @@ def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks,
     ON + OFF, p = 1, which ``border_ownership`` reads as their summed
     evidence (see the module docstring).
     """
-    shared = _shares_spectra(arith, banks)
-    polarities = (on + off,) if shared else (on, off)
+    if _shares_spectra(arith, banks):
+        polarities = (_Spectrum(on + off, _fft_shape(on.shape, (banks.size, banks.size))),)
+    else:
+        polarities = (on, off)
     out = np.empty((len(THETAS), 2, len(polarities), *on.shape))
-    if shared:
-        fft_shape = _fft_shape(on.shape, (banks.size, banks.size))
-        polarities = tuple(_Spectrum(p, fft_shape) for p in polarities)
     for ti, kernels in enumerate(zip(banks.vm_left, banks.vm_right)):
         for side, kern in enumerate(kernels):
-            if shared:
-                kern = _Spectrum(kern, fft_shape, kernel=True)
             for p, evidence in enumerate(polarities):
                 out[ti, side, p] = arith.correlate(evidence, kern)
     return out
@@ -390,8 +382,8 @@ def _spectral_grouping_sum(mask, bo, banks: GroupingBanks, w_p: float) -> np.nda
     for ti in range(len(THETAS)):
         for own, kern in enumerate((banks.vm_right[ti], banks.vm_left[ti])):
             grp = mask[ti, own] * (bo[ti, own] - w_p * bo[ti, 1 - own])
-            total = total + _rfft(grp, fft_shape) * _rfft(kern, fft_shape, kernel=True)
-    return _same_window(total, shape, kernel_shape)
+            total = total + _spectral_product(grp, kern, fft_shape)
+    return _same_window(total, fft_shape, shape, kernel_shape)
 
 
 def grouping_activity(masks, bo_levels, banks: GroupingBanks, w_p: float, arith=FLOAT) -> list:

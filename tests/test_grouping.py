@@ -157,8 +157,7 @@ class TestCorrelate:
                 )
 
     def test_fft_path_matches_naive_at_11x11(self, banks11):
-        # also with the map's or the kernel's spectrum shared, as the
-        # chain passes them
+        # also with the map's spectrum shared, as the chain passes it
         assert banks11.size >= grouping.FFT_MIN_KERNEL
         rng = np.random.default_rng(32)
         for shape in ((13, 17), (24, 11)):
@@ -167,11 +166,23 @@ class TestCorrelate:
             shared_map = grouping._Spectrum(m, fft_shape)
             for kern in (banks11.even[1], banks11.odd[3],
                          banks11.vm_left[2], banks11.cs_on):
-                shared_kern = grouping._Spectrum(kern, fft_shape, kernel=True)
                 expected = naive_correlate(m, kern)
-                for args in ((m, kern), (shared_map, kern), (m, shared_kern),
-                             (shared_map, shared_kern)):
-                    np.testing.assert_allclose(correlate(*args), expected, atol=1e-12)
+                for map_ in (m, shared_map):
+                    np.testing.assert_allclose(correlate(map_, kern), expected, atol=1e-12)
+
+    def test_shared_map_spectrum_is_bit_neutral_at_reference_size(self, banks11):
+        # numpy's complex product is not bitwise commutative, and from 256
+        # KiB on it computes named * temporary as temporary * named; so a
+        # shared spectrum keeps the bits only with one product order, and
+        # only maps this large show it
+        kernels = (*banks11.even, *banks11.odd, banks11.cs_on,
+                   *banks11.vm_left, *banks11.vm_right)
+        assert len(kernels) == 17
+        m = np.random.default_rng(44).uniform(0, 255, size=(480, 640))
+        shared = grouping._Spectrum(m, grouping._fft_shape(m.shape, (banks11.size, banks11.size)))
+        assert shared.values.nbytes >= 256 * 1024
+        for kern in kernels:
+            assert correlate(shared, kern).tobytes() == correlate(m, kern).tobytes()
 
     def test_fft_padding_is_the_least_without_wrap_around(self):
         # A corner-delta kernel shifts the map by the full half-width, as
@@ -205,7 +216,7 @@ class TestCorrelate:
             fft_shape = grouping._fft_shape((h, w), (banks11.size, banks11.size))
             for kern in kernels:
                 expected = scipy.fft.rfft2(kern[::-1, ::-1], fft_shape)
-                got = grouping._Spectrum(kern, fft_shape, kernel=True).values
+                got = grouping._kernel_spectrum(kern, fft_shape)
                 assert got.shape == expected.shape
                 assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
