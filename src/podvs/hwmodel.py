@@ -241,8 +241,10 @@ def channel_pass_cycles(resolution: Resolution) -> int:
     return sum(c.cycles for c in stage_costs(resolution).values())
 
 
-#: Default number of channels the board runs in parallel per mode.
-DEFAULT_PARALLEL = {Resolution.HW_112: 1, Resolution.HW_80: 2}
+#: Measured board anchors: (resolution, channels in parallel, frames/s).
+_ANCHORS = ((Resolution.HW_112, 1, 2.079), (Resolution.HW_80, 2, 5.190))
+#: Default number of channels the board runs in parallel per mode: the anchors'.
+DEFAULT_PARALLEL = {resolution: parallel for resolution, parallel, _ in _ANCHORS}
 
 
 def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
@@ -253,10 +255,6 @@ def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
         raise ConfigError(f"channels_parallel must be >= 1 and <= {CHANNEL_PASSES}, the "
                           f"channels of a frame; got {channels_parallel}")
     return channels_parallel
-
-
-#: Measured board anchors: (resolution, channels in parallel, frames/s).
-_ANCHORS = ((Resolution.HW_112, 1, 2.079), (Resolution.HW_80, 2, 5.190))
 
 
 def _calibrate():

@@ -86,8 +86,7 @@ class Pipeline:
         for cid in ORIENTATION_CHANNELS[1:]:
             del channels[cid]  # the same gray array as O_0's
         grouped, zeros = {}, None
-        # a zero map groups to +0.0 on every path; the reduced modes still
-        # group it, as bench tests pin their correlate calls
+        # reference mode only: bench tests pin the reduced modes' correlate calls
         skip_zero = self.cfg.resolution is Resolution.REFERENCE
         for cid in list(channels):
             map_ = channels.pop(cid)  # popped, so each map is freed once it is grouped

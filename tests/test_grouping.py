@@ -303,9 +303,9 @@ class TestCenterSurround:
 
 class TestVonMisesFilter:
     def test_axes_are_theta_side_polarity(self, banks5, banks11):
-        # the polarity axis holds (ON, OFF), except on the float FFT path
-        # with non-negative von Mises kernels: there it holds the response
-        # to ON + OFF
+        # the polarity axis holds (ON, OFF), except on the shared path
+        # (float, 11x11, non-negative von Mises kernels): there it holds the
+        # response to ON + OFF
         rng = np.random.default_rng(36)
         on, off = rng.random((2, 9, 11))
         fixed = FixedArith(EngineConfig(resolution=Resolution.REFERENCE))
@@ -551,7 +551,7 @@ class TestGroupingActivity:
 
     @pytest.mark.parametrize("w_p", [0.0, 0.5, 1.0, 2.0])
     def test_frequency_domain_sum_matches_direct_at_11x11(self, banks11, monkeypatch, w_p):
-        # the float FFT path sums P7 over theta and both sides as spectra;
+        # the shared path sums P7 over theta and both sides as spectra;
         # the oracle makes the 16 direct correlations of each level
         rng = np.random.default_rng(38)
         field = [rng.random((len(THETAS), 2, *shape)) for shape in ((23, 31), (24, 32))]

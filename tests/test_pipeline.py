@@ -21,6 +21,22 @@ FIDELITY_CLIPS = ("red_bar", "onset_bar")
 #: Lowest per-clip mean PCC allowed; the gate clips measure 0.99872
 #: (red_bar) and 0.99908 (onset_bar).
 FIDELITY_PCC_FLOOR = 0.998
+#: The fixed-versus-float gate at 112x84, clip by clip: frames run (None:
+#: all) and the floor of their mean PCC, just below the value measured (in
+#: the comment).  The static clips repeat one frame, and the history pads
+#: with clones of the first, so frame 0 is their steady state and stands
+#: for the clip.  onset_square and drifting_bar (24 frames each) are left
+#: out to keep the suite fast.
+CLIP_FIDELITY_112 = {
+    "red_bar": (1, 0.9765),  # 0.97692
+    "static_square": (1, 0.992),  # 0.99237
+    "color_popout": (1, 0.9985),  # 0.99859
+    "band": (1, 0.9995),  # 0.99961
+    "bright_dot": (1, 0.9997),  # 0.99976
+    "two_dots": (1, 0.9998),  # 0.99986
+    "vertical_bar": (1, 0.99998),  # 0.99999
+    "onset_bar": (None, 0.9992),  # 0.99928, mean over its 8 frames
+}
 
 
 def run(engine, frames):
@@ -30,6 +46,11 @@ def run(engine, frames):
 @pytest.fixture(scope="module")
 def frames80():
     return synth.all_videos(80, 60)["onset_square"][8:11]
+
+
+@pytest.fixture(scope="module")
+def videos112():
+    return synth.all_videos(112, 84)
 
 
 @pytest.fixture(scope="module", params=sorted(ENGINES))
@@ -139,3 +160,15 @@ class TestFidelityGate:
         ref = run(Pipeline(hw80_cfg), frames)
         mean_pcc = float(np.mean([pcc(a, b) for a, b in zip(fixed, ref)]))
         assert mean_pcc >= FIDELITY_PCC_FLOOR
+
+    @pytest.mark.parametrize("clip", sorted(CLIP_FIDELITY_112))
+    def test_every_clip_at_112x84(self, clip, videos112):
+        count, floor = CLIP_FIDELITY_112[clip]
+        frames = videos112[clip]
+        if count == 1:  # a static clip: every frame is its first
+            assert all(np.array_equal(getattr(f, c), getattr(frames[0], c))
+                       for f in frames for c in "rgb")
+        cfg = EngineConfig(resolution=Resolution.HW_112)
+        fixed = run(HwPipeline(cfg), frames[:count])
+        ref = run(Pipeline(cfg), frames[:count])
+        assert float(np.mean([pcc(a, b) for a, b in zip(fixed, ref)])) >= floor
