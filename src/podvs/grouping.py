@@ -49,19 +49,31 @@ agree up to rounding.  The FFT pads each axis of length n to a fast
 length of at least n + size // 2, the least that keeps the circular
 product's wrap-around out of the 'same' window (``_fft_shape``).
 
+Within one ``grouping_pyramid`` call a map that several kernels meet is
+shared among them in the form the backend's ``share`` makes of it: a
+level by its 8 edge kernels and the center-surround kernel, each von
+Mises input by the 8 von Mises kernels.  One shared form is alive at a
+time: the level's is dropped before ON's is made, and ON's before OFF's.
+At FFT sizes the float backend shares the map's spectrum; a kernel meets
+one map a level per stage, so its spectrum is made where it is used
+(``_kernel_spectrum``).  The fixed-point backend shares the stack of the
+map's 25 shifted copies, the 5x5 windows that the board's MAC banks read
+once for every kernel (``hwmodel._Patches``), and each kernel reduces it
+with one matrix-vector product.  Its words are integers that sum exactly
+in any order, so this keeps every fixed-point bit.  The float 5x5 path
+shares nothing and keeps ``ndimage.correlate``'s bits: a patch product
+sums in another order, and while N1 normalization keeps only strict
+local maxima (ties and plateaus count as none), a last-bit change can
+move a fused map by percent.
+
 The chain has two paths, picked by ``_shares_spectra`` alone.  The
 shared path is the float backend with FFT-sized kernels and no negative
 von Mises tap: reference mode with the banks ``build_banks`` makes.  The
 general path (fixed point, direct 5x5, a kernel with a negative tap)
-transforms anew for every correlation, keeps ON and OFF apart with
-their rects and runs P7 per correlation, so the fixed-point backend
-rounds after each one as the hardware does.  The shared path differs in
-three ways within one ``grouping_pyramid`` call:
+keeps ON and OFF apart with their rects and runs P7 per correlation, so
+the fixed-point backend rounds after each one as the hardware does.  The
+shared path differs in two ways:
 
-- Map spectra are shared within the call: a level's by its 8 edge
-  kernels and the center-surround kernel, that of ON + OFF by the 8 von
-  Mises kernels.  A kernel meets one map a level per stage, so its
-  spectrum is made where it is used (``_kernel_spectrum``).
 - ON and OFF are summed before the von Mises stage.  Border ownership
   is rect(edge*vm_on) + rect(edge*vm_off), and there every factor is
   non-negative: edges are magnitudes, ON and OFF are rectified, the
@@ -77,12 +89,13 @@ three ways within one ``grouping_pyramid`` call:
   (on the direct 5x5 path it would change the float maps' bits).
 
 A level of one channel takes 10 forward and 18 inverse real transforms
-(123 on the general path) and 25 kernel spectra.  Every spectral product
-is map spectrum times kernel spectrum, in that order, in one place
-(``_spectral_product``), so sharing a map spectrum never changes a bit:
-numpy's complex product is not bitwise commutative (with FMA, about a
-third of a*b differ from b*a in the last bit), and numpy computes
-``a * b`` as ``b * a`` when b is a temporary of 256 KiB or more.
+(19 and 41 on the general path at FFT sizes) and 25 kernel spectra.
+Every spectral product is map spectrum times kernel spectrum, in that
+order, in one place (``_spectral_product``), so sharing a map spectrum
+never changes a bit: numpy's complex product is not bitwise commutative
+(with FMA, about a third of a*b differ from b*a in the last bit), and
+numpy computes ``a * b`` as ``b * a`` when b is a temporary of 256 KiB
+or more.
 
 Every stage takes an ``arith`` backend, ``FLOAT`` (the default) or the
 hardware's ``hwmodel.FixedArith``, and each filter one ``GroupingBanks``.
@@ -187,10 +200,11 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     size.
 
     On the FFT path the map may instead be a ``_Spectrum`` that the chain
-    shares: a level's in ``grouping_pyramid``, that of ON + OFF in
-    ``von_mises_filter``.  It is the spectrum the call would have made,
-    and it meets the kernel's in the one map-first product
-    (``_spectral_product``), so the result is the same bits.
+    shares (``FloatArith.share``): a level's in ``grouping_pyramid``,
+    each von Mises input's in ``von_mises_filter``.  It is the spectrum
+    the call would have made, and it meets the kernel's in the one
+    map-first product (``_spectral_product``), so the result is the same
+    bits.
     """
     if not isinstance(map_, _Spectrum):
         map_ = np.asarray(map_, dtype=np.float64)
@@ -211,10 +225,11 @@ class FloatArith:
 
     A backend moves maps into and out of its number format (``ingest``,
     where ``oriented`` marks the gray input of the orientation channels,
-    and ``finish``) and supplies the chain's arithmetic: ``correlate``
-    (zero-padded), ``magnitude`` sqrt(e^2 + o^2), ``modulate`` (the
-    border-ownership product), ``weigh`` by w_p, ``halve`` n times, and
-    ``clip`` of a stage result into range.
+    and ``finish``) and supplies the chain's arithmetic: ``share`` of a
+    map among the kernels that meet it, ``correlate`` (zero-padded),
+    ``magnitude`` sqrt(e^2 + o^2), ``modulate`` (the border-ownership
+    product), ``weigh`` by w_p, ``halve`` n times, and ``clip`` of a
+    stage result into range.
     """
 
     def ingest(self, map_, oriented: bool):
@@ -222,6 +237,13 @@ class FloatArith:
 
     def finish(self, map_):
         return map_
+
+    def share(self, map_, size: int):
+        """The form of ``map_`` its size x size kernels share: its spectrum
+        at FFT sizes, else the map itself (see the module docstring)."""
+        if size < FFT_MIN_KERNEL:
+            return map_
+        return _Spectrum(map_, _fft_shape(map_.shape, (size, size)))
 
     def correlate(self, map_, kernel):
         return correlate(map_, kernel)
@@ -274,17 +296,18 @@ def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks,
     The polarity axis holds (ON, OFF), p = 2, on the general path.  On
     the shared path (``_shares_spectra``) it holds the one response to
     ON + OFF, p = 1, which ``border_ownership`` reads as their summed
-    evidence (see the module docstring).
+    evidence (see the module docstring).  Each polarity is shared among
+    the 8 kernels in the backend's form (``share``).
     """
-    if _shares_spectra(arith, banks):
-        polarities = (_Spectrum(on + off, _fft_shape(on.shape, (banks.size, banks.size))),)
-    else:
-        polarities = (on, off)
-    out = np.empty((len(THETAS), 2, len(polarities), *on.shape))
-    for ti, kernels in enumerate(zip(banks.vm_left, banks.vm_right)):
-        for side, kern in enumerate(kernels):
-            for p, evidence in enumerate(polarities):
+    summed = _shares_spectra(arith, banks)
+    out = np.empty((len(THETAS), 2, 1 if summed else 2, *on.shape))
+    for p in range(out.shape[2]):
+        # one shared form per polarity, dropped before the next is made
+        evidence = arith.share(on + off if summed else (on, off)[p], banks.size)
+        for ti, kernels in enumerate(zip(banks.vm_left, banks.vm_right)):
+            for side, kern in enumerate(kernels):
                 out[ti, side, p] = arith.correlate(evidence, kern)
+        del evidence
     return out
 
 
@@ -434,13 +457,14 @@ def grouping_pyramid(
     grouping maps, finest first, in that same format.
     """
     edges, vm = [], []
-    shared = _shares_spectra(arith, banks)
     for level in channel_pyr.levels:
-        if shared:
-            # one transform of the level for its edge and center-surround kernels
-            level = _Spectrum(level, _fft_shape(level.shape, (banks.size, banks.size)))
-        edges.append(complex_edges(level, banks, arith))
-        vm.append(von_mises_filter(*center_surround(level, banks, arith), banks, arith))
+        # one shared form of the level for its edge and center-surround
+        # kernels, dropped before von_mises_filter shares ON
+        shared = arith.share(level, banks.size)
+        edges.append(complex_edges(shared, banks, arith))
+        on, off = center_surround(shared, banks, arith)
+        del shared
+        vm.append(von_mises_filter(on, off, banks, arith))
     for idx in np.ndindex(vm[0].shape[:3]):
         # one (theta, side, polarity) series, summed across levels in place
         for vm_l, summed in zip(vm, von_mises_sum([v[idx] for v in vm], axis, arith)):

@@ -19,9 +19,15 @@ integer-valued float64 arrays, with single wide accumulators for the
 weighted sums, round-to-nearest-even on the one rounding per operation
 and saturation on range overflow.  Every word, coefficient, product and
 accumulator is an integer below 2**53, which float64 holds exactly, so
-the MAC is the float chain's own ``ndimage.correlate`` and the rounding
-a power-of-two scale and ``np.rint``.  Normalization and fusion run on
-the host in floating point, exactly like the reference pipeline.
+every order of summation gives the same bits, and the rounding is a
+power-of-two scale and ``np.rint``.  The MAC follows the board's banks,
+which read each 5x5 window once for all the kernels that meet it: the
+backend's ``share`` lays a map out as one stack of its k*k shifted
+copies (``_Patches``), which P3's 9 kernels on a level and P4's 8 on a
+polarity each reduce with one matrix-vector product.  P7's 16 maps each
+meet one kernel and take ``ndimage.correlate``.  Normalization and
+fusion run on the host in floating point, exactly like the reference
+pipeline.
 
 Each stage also carries a cycle/block-memory cost model reproducing the
 published per-stage accounting; the derived frame rate additionally
@@ -38,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
 from .config import EngineConfig, Resolution
@@ -160,16 +167,36 @@ class _Flags:
         self.saturations += int(n)
 
 
+class _Patches:
+    """The size x size shifted copies of a map zero-padded by size // 2,
+    one (size * size, h * w) array: row dy * size + dx holds the
+    neighbour at offset (dy, dx) of every pixel, the window a MAC bank
+    reads once for every kernel.  ``shape`` is the map's, so it stands in
+    for the map in ``fixed_correlate``."""
+
+    def __init__(self, map_, size: int):
+        self.shape = map_.shape
+        padded = np.pad(np.asarray(map_, dtype=np.float64), size // 2)
+        windows = sliding_window_view(padded, self.shape)
+        self.values = np.ascontiguousarray(windows).reshape(size * size, -1)
+
+
 def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedFormat,
                     flags: _Flags):
     """Zero-padded correlation with MAC semantics at every pixel.
 
-    Words and coefficients are integers and ``FixedArith``'s check keeps
-    the accumulator below 2**48, inside float64's exact integers, so
-    the float64 sum is the exact MAC result whatever its order.
+    ``raw_map`` is a map of words, reduced by ``ndimage.correlate``, or
+    the ``_Patches`` that the chain shares among the kernels meeting one
+    map, reduced by one matrix-vector product.  Words and coefficients
+    are integers and ``FixedArith``'s check keeps the accumulator below
+    2**48, inside float64's exact integers, so either float64 sum is the
+    exact MAC result whatever its order.
     """
-    acc = ndimage.correlate(np.asarray(raw_map, dtype=np.float64), kernel_raw,
-                            mode="constant", cval=0.0)
+    if isinstance(raw_map, _Patches):
+        acc = (kernel_raw.ravel() @ raw_map.values).reshape(raw_map.shape)
+    else:
+        acc = ndimage.correlate(np.asarray(raw_map, dtype=np.float64), kernel_raw,
+                                mode="constant", cval=0.0)
     shift = in_fmt.fraction_bits + KERNEL_FORMAT.fraction_bits - out_fmt.fraction_bits
     out, sat = saturate(round_shift(acc, shift), out_fmt)
     flags.add(sat)
@@ -438,6 +465,9 @@ class FixedArith(_Flags):
 
     def finish(self, raw):
         return dequantize(raw, self.fmt)
+
+    def share(self, raw, size: int):
+        return _Patches(raw, size)
 
     def correlate(self, raw, kernel_raw):
         return fixed_correlate(raw, kernel_raw, self.fmt, self.fmt, self)

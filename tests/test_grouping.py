@@ -57,6 +57,40 @@ levels = grouping_pyramid(build_reference_pyramid(m, 6), build_banks(11), 1.0)
 print(hashlib.sha256(b"".join(level.tobytes() for level in levels)).hexdigest())
 """
 
+#: SHA-256 of the fixed-point grouping levels of a seeded 112x84 map of
+#: words, and the words saturated on the way.
+FIXED_DIGEST = """
+import hashlib
+import numpy as np
+from podvs.config import EngineConfig, Resolution
+from podvs.grouping import grouping_pyramid
+from podvs.hwmodel import FixedArith, HwPipeline
+from podvs.pyramid import build_hw_pyramid, shift_axis
+cfg = EngineConfig(resolution=Resolution.HW_112)
+arith = FixedArith(cfg)
+words = np.random.default_rng(44).integers(-(1 << 16), 1 << 16, size=(84, 112)).astype(float)
+levels = grouping_pyramid(build_hw_pyramid(words), HwPipeline(cfg).banks, 1.0, shift_axis, arith)
+print(hashlib.sha256(b"".join(level.tobytes() for level in levels)).hexdigest(), arith.saturations)
+"""
+#: ``FIXED_DIGEST``'s output, recorded when the fixed-point MAC was
+#: ``ndimage.correlate`` alone.  Words are integers and sum exactly, so it
+#: holds on every platform and in every order of summation.
+FIXED_DIGEST_PIN = "0d0d684f2cfb10f7ecee435fad8f57192c3e1987d5bafec8e2565a979b0b84ed 187"
+
+
+def run_at_blas_threads(script: str) -> list:
+    """``script``'s standard output in a process per BLAS thread count,
+    1 and 2: BLAS reads its thread count at start-up."""
+    src = str(Path(grouping.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src}
+        env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, check=True, timeout=120)
+        outputs.append(proc.stdout.strip())
+    return outputs
+
 
 @pytest.fixture(scope="module")
 def banks5():
@@ -637,18 +671,31 @@ class TestGroupingPyramid:
             np.testing.assert_array_equal(a, b)
 
     def test_reference_chain_bit_identical_with_blas_threads(self):
-        # kernel spectra are BLAS complex products, and BLAS reads its
-        # thread count at start-up, so each count runs in its own process
-        src = str(Path(grouping.__file__).parents[1])
-        digests = []
-        for threads in ("1", "2"):
-            env = {**os.environ, "PYTHONPATH": src}
-            env.update(dict.fromkeys(BLAS_THREAD_VARS, threads))
-            proc = subprocess.run([sys.executable, "-c", REFERENCE_DIGEST], env=env,
-                                  capture_output=True, text=True, check=True, timeout=120)
-            digests.append(proc.stdout.strip())
+        # kernel spectra are BLAS complex products
+        digests = run_at_blas_threads(REFERENCE_DIGEST)
         assert len(digests[0]) == 64
         assert digests[0] == digests[1]
+
+    def test_fixed_chain_bit_pin_with_blas_threads(self):
+        # P3 and P4 reduce shared patch stacks by BLAS matrix-vector products
+        assert run_at_blas_threads(FIXED_DIGEST) == [FIXED_DIGEST_PIN] * 2
+
+    def test_fixed_chain_peak_memory(self):
+        # one patch stack is alive at a time: the level's is dropped
+        # before ON's is made, and ON's before OFF's (28.2x the pyramid's
+        # bytes measured; 42.3x with the level's stack held through P4)
+        cfg = EngineConfig(resolution=Resolution.HW_112)
+        arith, banks = FixedArith(cfg), HwPipeline(cfg).banks
+        words = np.random.default_rng(45).integers(0, 1 << 14, size=(84, 112)).astype(float)
+        pyr = build_hw_pyramid(words)
+        grouping_pyramid(pyr, banks, 1.0, shift_axis, arith)  # fills the operator caches
+        tracemalloc.start()
+        try:
+            grouping_pyramid(pyr, banks, 1.0, shift_axis, arith)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * sum(level.nbytes for level in pyr.levels)
 
 
 def assert_positive_zeros(levels, shapes):

@@ -203,7 +203,8 @@ class TestFixedCorrelate:
     @pytest.mark.parametrize("shape", LEVEL_SHAPES)
     def test_matches_mac_loop(self, hw80_cfg, word_bits, shape):
         cfg = EngineConfig(resolution=Resolution.HW_80, word_bits=word_bits)
-        fmt = FixedArith(cfg).fmt
+        arith = FixedArith(cfg)
+        fmt = arith.fmt
         kernels = [kernel for _, kernel in _iter_kernels(HwPipeline(hw80_cfg).banks)]
         assert len(kernels) == 17
         rng = np.random.default_rng(word_bits * 1000 + shape[1])
@@ -216,7 +217,25 @@ class TestFixedCorrelate:
             np.testing.assert_array_equal(got, expected)
             assert flags.saturations == saturated
             total += saturated
+            # the same words as the patch stack that P3 and P4 share among kernels
+            shared_flags = _Flags()
+            shared = fixed_correlate(arith.share(raw, kernel.shape[0]), kernel, fmt, fmt,
+                                     shared_flags)
+            assert shared.tobytes() == got.tobytes()
+            assert shared_flags.saturations == saturated
         assert total > 0  # full-range words do overflow some sums
+
+    def test_shared_patches_sum_negative_zeros_to_positive_zero(self, hw80_cfg):
+        # as ndimage.correlate does; round_shift leaves -0.0 where a
+        # negative value rounds to zero
+        arith = FixedArith(hw80_cfg)
+        words = -np.zeros(LEVEL_SHAPES[-1])
+        for _, kernel in _iter_kernels(HwPipeline(hw80_cfg).banks):
+            plain = fixed_correlate(words, kernel, arith.fmt, arith.fmt, _Flags())
+            shared = fixed_correlate(arith.share(words, kernel.shape[0]), kernel, arith.fmt,
+                                     arith.fmt, _Flags())
+            assert shared.tobytes() == plain.tobytes()
+            assert not np.signbit(shared).any()
 
 
 class TestRoundShift:

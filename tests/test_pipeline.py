@@ -37,6 +37,17 @@ CLIP_FIDELITY_112 = {
     "vertical_bar": (1, 0.99998),  # 0.99999
     "onset_bar": (None, 0.9992),  # 0.99928, mean over its 8 frames
 }
+#: The same gate at 80x60, on the same clips.
+CLIP_FIDELITY_80 = {
+    "red_bar": (1, 0.9985),  # 0.99872
+    "onset_bar": (None, 0.999),  # 0.99908, mean over its 8 frames
+    "color_popout": (1, 0.9994),  # 0.99949
+    "static_square": (1, 0.9997),  # 0.99976
+    "bright_dot": (1, 0.9999),  # 0.99991
+    "two_dots": (1, 0.9999),  # 0.99994
+    "vertical_bar": (1, 0.99995),  # 0.99998
+    "band": (1, 0.99999),  # 0.999997
+}
 
 
 def run(engine, frames):
@@ -51,6 +62,23 @@ def frames80():
 @pytest.fixture(scope="module")
 def videos112():
     return synth.all_videos(112, 84)
+
+
+@pytest.fixture(scope="module")
+def videos80():
+    return synth.all_videos(80, 60)
+
+
+def clip_fidelity(frames, count, resolution) -> float:
+    """Mean fixed-versus-float PCC over a clip's first ``count`` frames
+    (None: all); a static clip (``count`` 1) must repeat its first frame."""
+    if count == 1:  # a static clip: every frame is its first
+        assert all(np.array_equal(getattr(f, c), getattr(frames[0], c))
+                   for f in frames for c in "rgb")
+    cfg = EngineConfig(resolution=resolution)
+    fixed = run(HwPipeline(cfg), frames[:count])
+    ref = run(Pipeline(cfg), frames[:count])
+    return float(np.mean([pcc(a, b) for a, b in zip(fixed, ref)]))
 
 
 @pytest.fixture(scope="module", params=sorted(ENGINES))
@@ -164,11 +192,9 @@ class TestFidelityGate:
     @pytest.mark.parametrize("clip", sorted(CLIP_FIDELITY_112))
     def test_every_clip_at_112x84(self, clip, videos112):
         count, floor = CLIP_FIDELITY_112[clip]
-        frames = videos112[clip]
-        if count == 1:  # a static clip: every frame is its first
-            assert all(np.array_equal(getattr(f, c), getattr(frames[0], c))
-                       for f in frames for c in "rgb")
-        cfg = EngineConfig(resolution=Resolution.HW_112)
-        fixed = run(HwPipeline(cfg), frames[:count])
-        ref = run(Pipeline(cfg), frames[:count])
-        assert float(np.mean([pcc(a, b) for a, b in zip(fixed, ref)])) >= floor
+        assert clip_fidelity(videos112[clip], count, Resolution.HW_112) >= floor
+
+    @pytest.mark.parametrize("clip", sorted(CLIP_FIDELITY_80))
+    def test_every_clip_at_80x60(self, clip, videos80):
+        count, floor = CLIP_FIDELITY_80[clip]
+        assert clip_fidelity(videos80[clip], count, Resolution.HW_80) >= floor
