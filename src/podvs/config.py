@@ -80,10 +80,11 @@ class EngineConfig:
     fraction_bits: int = 8              # fixed-point fraction bits
 
     def __post_init__(self):
-        if self.frame_rate <= 0:
-            raise ConfigError("frame rate must be positive")
-        if self.inhibition_weight < 0:
-            raise ConfigError("inhibition_weight must be >= 0")
+        if not 0 < self.frame_rate < np.inf:
+            raise ConfigError(f"frame_rate must be positive and finite, got {self.frame_rate}")
+        if not 0 <= self.inhibition_weight < np.inf:
+            raise ConfigError("inhibition_weight must be >= 0 and finite, "
+                              f"got {self.inhibition_weight}")
         if self.maxima_radius < 1:
             raise ConfigError("maxima_radius must be >= 1")
         if not 0.0 < self.maxima_threshold < 1.0:

@@ -58,27 +58,27 @@ At FFT sizes the float backend shares the map's spectrum; a kernel meets
 one map a level per stage, so its spectrum is made where it is used
 (``_kernel_spectrum``).  The fixed-point backend shares the stack of the
 map's 25 shifted copies, the 5x5 windows that the board's MAC banks read
-once for every kernel (``hwmodel._Patches``), and each kernel reduces it
-with one matrix-vector product.  Its words are integers that sum exactly
-in any order, so this keeps every fixed-point bit.  The float 5x5 path
+once for every kernel (``hwmodel.patch_stack``), and each kernel reduces
+it with one matrix-vector product.  Its words are integers that sum
+exactly in any order, so this keeps every fixed-point bit.  The float 5x5 path
 shares nothing and keeps ``ndimage.correlate``'s bits: a patch product
 sums in another order, and while N1 normalization keeps only strict
 local maxima (ties and plateaus count as none), a last-bit change can
 move a fused map by percent.
 
 The chain has two paths, picked by ``_shares_spectra`` alone.  The
-shared path is the float backend with FFT-sized kernels and no negative
-von Mises tap: reference mode with the banks ``build_banks`` makes.  The
-general path (fixed point, direct 5x5, a kernel with a negative tap)
-keeps ON and OFF apart with their rects and runs P7 per correlation, so
-the fixed-point backend rounds after each one as the hardware does.  The
-shared path differs in two ways:
+shared path is the float backend with FFT-sized kernels: reference mode.
+The general path (fixed point or direct 5x5) keeps ON and OFF apart with
+their rects and runs P7 per correlation, so the fixed-point backend
+rounds after each one as the hardware does.  The shared path differs in
+two ways:
 
 - ON and OFF are summed before the von Mises stage.  Border ownership
   is rect(edge*vm_on) + rect(edge*vm_off), and there every factor is
   non-negative: edges are magnitudes, ON and OFF are rectified, the
-  kernels are non-negative, and the across-scale sum's weights are
-  (bilinear and 1-tap resampling, halving).  Both rects are then
+  von Mises kernels are (``GroupingBanks`` admits no negative tap), and
+  so are the across-scale sum's weights (the pyramids' bilinear and
+  1-tap resamplers, halving).  Both rects are then
   identities and correlation and P5 are linear, so the sum is
   edge*P5(corr(ON + OFF, k)), equal up to rounding; and ON + OFF is |cs|
   bit for bit, since one of the two is exactly 0.  P5 then sums 8
@@ -89,7 +89,7 @@ shared path differs in two ways:
   (on the direct 5x5 path it would change the float maps' bits).
 
 A level of one channel takes 10 forward and 18 inverse real transforms
-(19 and 41 on the general path at FFT sizes) and 25 kernel spectra.
+and 25 kernel spectra.
 Every spectral product is map spectrum times kernel spectrum, in that
 order, in one place (``_spectral_product``), so sharing a map spectrum
 never changes a bit: numpy's complex product is not bitwise commutative
@@ -110,7 +110,7 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 
 from .errors import DimensionError
 from .kernels import THETAS, GroupingBanks
-from .pyramid import ImagePyramid, bilinear_axis
+from .pyramid import ImagePyramid
 
 #: Smallest kernel side that ``correlate`` runs through the FFT.  Measured
 #: on one thread over 30x40 to 640x480 maps, direct correlation wins at
@@ -134,10 +134,8 @@ def _fft_shape(map_shape, kernel_shape) -> tuple:
 
 
 def _shares_spectra(arith, banks: GroupingBanks) -> bool:
-    """The one path predicate: float backend, FFT-sized kernels and no
-    negative von Mises tap (the shared path; see the module docstring)."""
-    vm = banks.vm_left + banks.vm_right
-    return arith is FLOAT and banks.size >= FFT_MIN_KERNEL and all(np.all(k >= 0) for k in vm)
+    """The one path predicate: float backend and FFT-sized kernels (the shared path)."""
+    return arith is FLOAT and banks.size >= FFT_MIN_KERNEL
 
 
 @functools.lru_cache(maxsize=None)
@@ -325,24 +323,25 @@ def _sum_operators(axis, shapes: tuple, j: int):
     return cols, rows
 
 
-def von_mises_sum(levels, axis=bilinear_axis, arith=FLOAT):
+def von_mises_sum(levels, axis, arith=FLOAT):
     """Across-scale accumulation of one response pyramid.
 
     out[j] = sum over k >= j of 2**-(k - j) * levels[k] resampled to
     level j, so a level keeps its own response and gains coarser context
     with weight halved per level of separation (in place in hardware).
 
-    ``axis(n_in, n_out)`` resamples along one axis as a sparse matrix:
-    ``bilinear_axis`` in reference mode, the 1-tap ``shift_axis`` in the
-    reduced modes.  Each coarser level k is halved in the backend's
-    arithmetic and resampled along x (X_k), the results are stacked below
-    level j, and one cached row operator [I | Y_{j+1} | ...] resamples
-    along y and sums.  Level j sits first in the stack so that each sum
-    starts from it and adds the coarser levels finest first: the order
-    of the pairwise ``nn_shift_resample`` loop, whose bits the reduced
-    modes keep (fixed-point words are integers and sum exactly in any
-    order).  With bilinear weights the sum equals that loop within
-    1.6e-15 on uniform [0, 1) levels of the 640x480 reference shapes.
+    ``axis(n_in, n_out)``, the pyramid's ``ImagePyramid.axis``, resamples
+    along one axis as a sparse matrix: ``bilinear_axis`` in reference
+    mode, the 1-tap ``shift_axis`` in the reduced modes.  Each coarser
+    level k is halved in the backend's arithmetic and resampled along x
+    (X_k), the results are stacked below level j, and one cached row
+    operator [I | Y_{j+1} | ...] resamples along y and sums.  Level j
+    sits first in the stack so that each sum starts from it and adds the
+    coarser levels finest first: the order of the pairwise
+    ``nn_shift_resample`` loop, whose bits the reduced modes keep
+    (fixed-point words are integers and sum exactly in any order).  With
+    bilinear weights the sum equals that loop within 1.6e-15 on uniform
+    [0, 1) levels of the 640x480 reference shapes.
     """
     shapes = tuple(level.shape for level in levels)
     out = []
@@ -439,22 +438,14 @@ def grouping_activity(masks, bo_levels, banks: GroupingBanks, w_p: float, arith=
     return out
 
 
-def grouping_pyramid(
-    channel_pyr: ImagePyramid,
-    banks: GroupingBanks,
-    w_p: float,
-    axis=bilinear_axis,
-    arith=FLOAT,
-):
+def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, w_p: float, arith=FLOAT):
     """Full grouping chain for one channel's pyramid.
 
     The pyramid and the banks hold numbers in the backend's format (raw
-    words for the fixed-point backend).  ``axis`` is the mode's
-    resampling along one axis for the across-scale sum (see
-    ``von_mises_sum``); on the shared path, which sums ON and OFF before
-    the von Mises stage, its weights must be non-negative, as those of
-    ``bilinear_axis`` and ``shift_axis`` are.  Returns the per-level
-    grouping maps, finest first, in that same format.
+    words for the fixed-point backend), as do the per-level grouping maps
+    it returns, finest first.  P5 reads the levels through the pyramid's
+    ``axis`` (``von_mises_sum``); its weights, and the banks' von Mises
+    taps, are non-negative, as the shared path needs (module docstring).
     """
     edges, vm = [], []
     for level in channel_pyr.levels:
@@ -467,7 +458,8 @@ def grouping_pyramid(
         vm.append(von_mises_filter(on, off, banks, arith))
     for idx in np.ndindex(vm[0].shape[:3]):
         # one (theta, side, polarity) series, summed across levels in place
-        for vm_l, summed in zip(vm, von_mises_sum([v[idx] for v in vm], axis, arith)):
+        series = [v[idx] for v in vm]
+        for vm_l, summed in zip(vm, von_mises_sum(series, channel_pyr.axis, arith)):
             vm_l[idx] = summed
     bo = border_ownership(edges, vm, arith)  # written over vm
     del edges, vm  # not needed in P7: free them before its temporaries

@@ -23,7 +23,7 @@ every order of summation gives the same bits, and the rounding is a
 power-of-two scale and ``np.rint``.  The MAC follows the board's banks,
 which read each 5x5 window once for all the kernels that meet it: the
 backend's ``share`` lays a map out as one stack of its k*k shifted
-copies (``_Patches``), which P3's 9 kernels on a level and P4's 8 on a
+copies (``patch_stack``), which P3's 9 kernels on a level and P4's 8 on a
 polarity each reduce with one matrix-vector product.  P7's 16 maps each
 meet one kernel and take ``ndimage.correlate``.  Normalization and
 fusion run on the host in floating point, exactly like the reference
@@ -167,18 +167,22 @@ class _Flags:
         self.saturations += int(n)
 
 
+@dataclass(frozen=True)
 class _Patches:
+    """A ``patch_stack`` and its map's ``shape``: it stands in for the map."""
+
+    shape: tuple
+    values: np.ndarray
+
+
+def patch_stack(map_, size: int) -> _Patches:
     """The size x size shifted copies of a map zero-padded by size // 2,
     one (size * size, h * w) array: row dy * size + dx holds the
     neighbour at offset (dy, dx) of every pixel, the window a MAC bank
-    reads once for every kernel.  ``shape`` is the map's, so it stands in
-    for the map in ``fixed_correlate``."""
-
-    def __init__(self, map_, size: int):
-        self.shape = map_.shape
-        padded = np.pad(np.asarray(map_, dtype=np.float64), size // 2)
-        windows = sliding_window_view(padded, self.shape)
-        self.values = np.ascontiguousarray(windows).reshape(size * size, -1)
+    reads once for every kernel."""
+    padded = np.pad(np.asarray(map_, dtype=np.float64), size // 2)
+    windows = sliding_window_view(padded, map_.shape)
+    return _Patches(map_.shape, np.ascontiguousarray(windows).reshape(size * size, -1))
 
 
 def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedFormat,
@@ -467,7 +471,7 @@ class FixedArith(_Flags):
         return dequantize(raw, self.fmt)
 
     def share(self, raw, size: int):
-        return _Patches(raw, size)
+        return patch_stack(raw, size)
 
     def correlate(self, raw, kernel_raw):
         return fixed_correlate(raw, kernel_raw, self.fmt, self.fmt, self)

@@ -11,13 +11,15 @@ resolutions); its size is read from the kernels:
 * annular von Mises association fields, one pair per orientation
   pointing at the two sides of the oriented border.
 
-Symmetries the grouping stage relies on are enforced exactly by
-construction (explicit symmetrization, 180-degree rotation for the
-opposite-side von Mises kernel).  ``KERNEL_NAMES`` spells the names of
-the kernels once, in the order of the plain-text file through which
-``save_banks`` and ``load_banks`` share bit-identical coefficients;
-``load_banks`` and ``map_kernels`` (one function over every kernel, as
-the fixed-point model quantizes them) key their kernels by those names.
+``build_banks`` makes the edge pairs exactly (anti)symmetric.  Every
+record holds two invariants the grouping stage relies on: no von Mises
+tap is negative (the shared path sums ON and OFF first), and vm_right[i]
+is exactly vm_left[i] rotated by 180 degrees (P4's two sides; P7
+convolves with one by correlating with the other).  ``KERNEL_NAMES``
+spells the kernels' names once, in the order of the plain-text file
+through which ``save_banks`` and ``load_banks`` share bit-identical
+coefficients; ``load_banks`` and ``map_kernels`` (one function over every
+kernel, as the fixed-point model quantizes them) key kernels by them.
 """
 from __future__ import annotations
 
@@ -112,7 +114,8 @@ class GroupingBanks:
     even[i], odd[i] are the quadrature pair for THETAS[i]; cs_on is the
     ON-center kernel (OFF is its negation downstream); vm_left[i] points
     along THETAS[i] + pi/2 (downward normal in image coordinates) and
-    vm_right[i] is its exact 180-degree rotation.
+    vm_right[i] is its exact 180-degree rotation.  A misshapen kernel raises
+    ``DimensionError``, one that breaks an invariant ``ConfigError``.
     """
 
     even: tuple
@@ -126,6 +129,11 @@ class GroupingBanks:
             if kern.shape != (self.size, self.size) or self.size % 2 == 0:
                 raise DimensionError(f"kernel {name!r} is {kern.shape}, not "
                                      f"{self.size}x{self.size} with an odd size")
+            field, i = _slot(name)
+            if field.startswith("vm_") and np.any(kern < 0):
+                raise ConfigError(f"von Mises kernel {name!r} has a negative tap")
+            if field == "vm_right" and not np.array_equal(kern, _rot180(self.vm_left[i])):
+                raise ConfigError(f"kernel {name!r} is not 'vm_left {i}' rotated by 180 degrees")
         for _, kern in _iter_kernels(self):
             kern.setflags(write=False)
 
@@ -185,7 +193,7 @@ def save_banks(banks: GroupingBanks, path) -> None:
 def load_banks(path) -> GroupingBanks:
     """Read banks written by save_banks; bit-exact round trip.
 
-    Malformed input raises ``FormatError`` naming the file and line.
+    Malformed input raises ``FormatError`` naming the file and line or kernel.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
@@ -224,3 +232,5 @@ def load_banks(path) -> GroupingBanks:
         return _assemble(kernels)
     except KeyError as exc:
         raise FormatError(f"{path}: missing kernel {exc}") from exc
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from exc

@@ -4,12 +4,13 @@ A Pipeline instance owns its frame history; everything downstream of
 channel extraction is pure.  The nine channels have six distinct inputs
 (the four orientation channels share the gray frame), each grouped at
 most once, serially, in the instance's ``arith`` backend: float64 here,
-fixed point in ``hwmodel.HwPipeline``.  A zero map groups to +0.0 on
-every level, on both paths of the grouping chain, so reference mode
-skips inputs with no non-zero pixel, such as the colour-opponency maps
-of a gray frame: they share one pyramid of zeros.  The reduced modes
-group every input while the benchmark's tests pin their correlation
-counts.
+fixed point in ``hwmodel.HwPipeline``.  The mode's pyramid carries its
+resampler into the grouping chain (``build_channel_pyramid``).  A zero
+map groups to +0.0 on every level, on both paths of the chain, so
+reference mode skips inputs with no non-zero pixel, such as the
+colour-opponency maps of a gray frame: they share one pyramid of zeros.
+The reduced modes group every input while the benchmark's tests pin
+their correlation counts.
 """
 from __future__ import annotations
 
@@ -23,13 +24,7 @@ from .errors import DimensionError
 from .grouping import FLOAT, grouping_pyramid
 from .kernels import GroupingBanks, build_banks
 from .normalize import fuse
-from .pyramid import (
-    ImagePyramid,
-    bilinear_axis,
-    build_hw_pyramid,
-    build_reference_pyramid,
-    shift_axis,
-)
+from .pyramid import ImagePyramid, build_hw_pyramid, build_reference_pyramid
 from .pyramid import bilinear_resize  # noqa: F401  (bench/tests reads pipeline.bilinear_resize)
 from .temporal import STRONGLY_PHASIC, WEAKLY_PHASIC, make_kernel
 
@@ -47,13 +42,6 @@ def build_channel_pyramid(map_: np.ndarray, cfg: EngineConfig) -> ImagePyramid:
     if cfg.resolution is Resolution.REFERENCE:
         return build_reference_pyramid(map_, cfg.pyramid_depth)
     return build_hw_pyramid(map_)
-
-
-def mode_upsampler(cfg: EngineConfig):
-    """The configured mode's one-axis resampling for the across-scale sum."""
-    if cfg.resolution is Resolution.REFERENCE:
-        return bilinear_axis
-    return shift_axis
 
 
 class Pipeline:
@@ -74,8 +62,7 @@ class Pipeline:
 
     def _grouping(self, channel_map: np.ndarray, oriented: bool):
         pyr = build_channel_pyramid(self.arith.ingest(channel_map, oriented), self.cfg)
-        levels = grouping_pyramid(pyr, self.banks, self.cfg.inhibition_weight,
-                                  mode_upsampler(self.cfg), self.arith)
+        levels = grouping_pyramid(pyr, self.banks, self.cfg.inhibition_weight, self.arith)
         return [self.arith.finish(level) for level in levels]
 
     def step(self, frame: FrameRGB) -> np.ndarray:

@@ -18,6 +18,7 @@ floor(x*src/dst); those deviations are deterministic and frozen.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,28 +73,6 @@ def shift_index(x, src_dim: int, dst_dim: int):
     return (np.asarray(x, dtype=np.int64) * q) >> s
 
 
-@dataclass(frozen=True)
-class ImagePyramid:
-    """Ordered stack of maps, level 0 finest; strictly shrinking."""
-
-    levels: tuple
-
-    def __post_init__(self):
-        if not self.levels:
-            raise DimensionError("pyramid must have at least one level")
-        for fine, coarse in zip(self.levels, self.levels[1:]):
-            if not (coarse.shape[0] < fine.shape[0] and coarse.shape[1] < fine.shape[1]):
-                raise DimensionError(
-                    f"levels must strictly shrink: {fine.shape} -> {coarse.shape}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
-
-
 def reference_level_dims(width: int, height: int, depth: int):
     """(width, height) per level, shrinking by sqrt(2), rounded half-up."""
     dims = []
@@ -138,6 +117,31 @@ def bilinear_axis(n_in: int, n_out: int) -> sparse.csr_matrix:
         (np.concatenate([1 - w, w]), (np.concatenate([rows, rows]), np.concatenate([i0, i1]))),
         shape=(n_out, n_in),
     )
+
+
+@dataclass(frozen=True)
+class ImagePyramid:
+    """Ordered stack of maps, level 0 finest; strictly shrinking.  The
+    across-scale sum reads them through ``axis``, the resampler they were
+    built with: ``shift_axis`` (hardware) or ``bilinear_axis`` (others)."""
+
+    levels: tuple
+    axis: Callable[[int, int], sparse.csr_matrix] = bilinear_axis
+
+    def __post_init__(self):
+        if not self.levels:
+            raise DimensionError("pyramid must have at least one level")
+        for fine, coarse in zip(self.levels, self.levels[1:]):
+            if not (coarse.shape[0] < fine.shape[0] and coarse.shape[1] < fine.shape[1]):
+                raise DimensionError(
+                    f"levels must strictly shrink: {fine.shape} -> {coarse.shape}"
+                )
+
+    def __len__(self) -> int:
+        return len(self.levels)
+
+    def __getitem__(self, i):
+        return self.levels[i]
 
 
 def build_reference_pyramid(map_: np.ndarray, depth: int) -> ImagePyramid:
@@ -188,7 +192,7 @@ def build_hw_pyramid(map_: np.ndarray) -> ImagePyramid:
     levels = [np.asarray(map_)]
     for dw, dh in sizes[1:]:
         levels.append(nn_shift_resample(levels[0], dh, dw))
-    return ImagePyramid(tuple(levels))
+    return ImagePyramid(tuple(levels), shift_axis)
 
 
 def collapse(pyr: ImagePyramid, out_h: int, out_w: int) -> np.ndarray:

@@ -56,7 +56,7 @@ class TestParseConfig:
         assert cfg.pyramid_depth == 3
 
     def test_zero_frame_rate_rejected(self):
-        with pytest.raises(ConfigError, match="frame rate must be positive"):
+        with pytest.raises(ConfigError, match="frame_rate must be positive"):
             parse_config("frame_rate=0\n")
 
     def test_unknown_key_rejected(self):
@@ -97,6 +97,10 @@ class TestParseConfig:
             ("maxima_threshold=0", "maxima_threshold must be in"),
             ("maxima_threshold=1.5", "maxima_threshold must be in"),
             ("inhibition_weight=-1", "inhibition_weight must be >= 0"),
+            ("frame_rate=nan", "frame_rate must be positive and finite, got nan"),
+            ("frame_rate=inf", "frame_rate must be positive and finite, got inf"),
+            ("inhibition_weight=nan", "inhibition_weight must be >= 0 and finite, got nan"),
+            ("inhibition_weight=inf", "inhibition_weight must be >= 0 and finite, got inf"),
             ("word_bits=7", "word_bits must be >= fraction_bits"),
             ("word_bits=12\nfraction_bits=13", "word_bits must be >= fraction_bits"),
         ]:

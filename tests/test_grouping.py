@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -65,11 +64,11 @@ import numpy as np
 from podvs.config import EngineConfig, Resolution
 from podvs.grouping import grouping_pyramid
 from podvs.hwmodel import FixedArith, HwPipeline
-from podvs.pyramid import build_hw_pyramid, shift_axis
+from podvs.pyramid import build_hw_pyramid
 cfg = EngineConfig(resolution=Resolution.HW_112)
 arith = FixedArith(cfg)
 words = np.random.default_rng(44).integers(-(1 << 16), 1 << 16, size=(84, 112)).astype(float)
-levels = grouping_pyramid(build_hw_pyramid(words), HwPipeline(cfg).banks, 1.0, shift_axis, arith)
+levels = grouping_pyramid(build_hw_pyramid(words), HwPipeline(cfg).banks, 1.0, arith)
 print(hashlib.sha256(b"".join(level.tobytes() for level in levels)).hexdigest(), arith.saturations)
 """
 #: ``FIXED_DIGEST``'s output, recorded when the fixed-point MAC was
@@ -116,21 +115,12 @@ def pairwise_von_mises_sum(levels, axis, arith=FLOAT):
     return out
 
 
-def with_negative_von_mises(banks):
-    """A copy of ``banks`` whose von Mises kernels have negative taps:
-    each kernel less its mean."""
-    def zero_mean(kernels):
-        return tuple(k - k.mean() for k in kernels)
-    return dataclasses.replace(banks, vm_left=zero_mean(banks.vm_left),
-                               vm_right=zero_mean(banks.vm_right))
-
-
 #: The grouping chains of the reduced and the reference modes: bank size,
-#: map shape, pyramid, across-scale axis, and the px that the axis's
-#: second tap adds to ``zero_pad_reach`` (none for the 1-tap shift).
+#: map shape, pyramid, and the px that the pyramid's across-scale axis
+#: adds to ``zero_pad_reach`` with its second tap (none for the 1-tap shift).
 CHAINS = {
-    "5x5-shift": (5, (60, 80), build_hw_pyramid, shift_axis, 0),
-    "11x11-bilinear": (11, (120, 160), lambda m: build_reference_pyramid(m, 3), bilinear_axis, 1),
+    "5x5-shift": (5, (60, 80), build_hw_pyramid, 0),
+    "11x11-bilinear": (11, (120, 160), lambda m: build_reference_pyramid(m, 3), 1),
 }
 
 
@@ -338,8 +328,7 @@ class TestCenterSurround:
 class TestVonMisesFilter:
     def test_axes_are_theta_side_polarity(self, banks5, banks11):
         # the polarity axis holds (ON, OFF), except on the shared path
-        # (float, 11x11, non-negative von Mises kernels): there it holds the
-        # response to ON + OFF
+        # (float, 11x11): there it holds the response to ON + OFF
         rng = np.random.default_rng(36)
         on, off = rng.random((2, 9, 11))
         fixed = FixedArith(EngineConfig(resolution=Resolution.REFERENCE))
@@ -347,7 +336,6 @@ class TestVonMisesFilter:
             (banks11, FLOAT, (on + off,)),
             (banks5, FLOAT, (on, off)),
             (banks11, fixed, (on, off)),
-            (with_negative_von_mises(banks11), FLOAT, (on, off)),
         ]
         for banks, arith, polarities in cases:
             out = von_mises_filter(on, off, banks, arith)
@@ -362,18 +350,18 @@ class TestVonMisesFilter:
 class TestVonMisesSum:
     def test_single_level_identity(self):
         level = np.random.default_rng(24).random((8, 8))
-        out = von_mises_sum([level])
+        out = von_mises_sum([level], bilinear_axis)
         np.testing.assert_array_equal(out[0], level)
 
     def test_zero_coarse_level_identity_on_fine(self):
         rng = np.random.default_rng(25)
         fine = rng.random((8, 8))
-        out = von_mises_sum([fine, np.zeros((5, 5))])
+        out = von_mises_sum([fine, np.zeros((5, 5))], bilinear_axis)
         np.testing.assert_allclose(out[0], fine, atol=1e-15)
 
     def test_constant_levels_closed_form(self):
         levels = [np.full((8, 8), 1.0), np.full((6, 6), 2.0), np.full((4, 4), 4.0)]
-        out = von_mises_sum(levels)
+        out = von_mises_sum(levels, bilinear_axis)
         # weight 2**-(k-j): level 0 gets 1 + 2/2 + 4/4, level 1 gets 2 + 4/2
         np.testing.assert_allclose(out[0], 3.0, atol=1e-12)
         np.testing.assert_allclose(out[1], 4.0, atol=1e-12)
@@ -388,7 +376,7 @@ class TestVonMisesSum:
     def test_fused_bilinear_sum_matches_pairwise_on_reference_shapes(self):
         rng = np.random.default_rng(34)
         levels = [rng.random((h, w)) for w, h in reference_level_dims(640, 480, 10)]
-        fused = von_mises_sum(levels)
+        fused = von_mises_sum(levels, bilinear_axis)
         oracle = pairwise_von_mises_sum(levels, bilinear_axis)
         for a, b in zip(fused, oracle):
             assert a.shape == b.shape
@@ -609,14 +597,27 @@ class TestGroupingPyramid:
         assert 22 <= y < 38
         assert 30 <= x < 46
 
+    def test_hw_pyramid_sums_through_its_shift_addresses(self, banks5, monkeypatch):
+        # the pyramid carries its resampler: grouped without naming one, a
+        # hardware pyramid's across-scale sum reads the frozen shift
+        # addresses, as the pairwise nearest-neighbour loop does
+        m = np.random.default_rng(46).uniform(0, 120, size=(60, 80))
+        grouped = grouping_pyramid(build_hw_pyramid(m), banks5, 1.0)
+        def shift_sum(levels, axis, arith):
+            return pairwise_von_mises_sum(levels, shift_axis, arith)
+        monkeypatch.setattr(grouping, "von_mises_sum", shift_sum)
+        oracle = grouping_pyramid(build_hw_pyramid(m), banks5, 1.0)
+        for a, b in zip(grouped, oracle):
+            assert a.tobytes() == b.tobytes()
+
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_polarity_invariance_interior(self, chain):
-        size, shape, build, axis, second_tap = CHAINS[chain]
+        size, shape, build, second_tap = CHAINS[chain]
         banks = build_banks(size)
         rng = np.random.default_rng(31)
         m = rng.uniform(0, 120, size=shape)
-        out_a = grouping_pyramid(build(m), banks, 1.0, axis)
-        out_b = grouping_pyramid(build(120.0 - m), banks, 1.0, axis)
+        out_a = grouping_pyramid(build(m), banks, 1.0)
+        out_b = grouping_pyramid(build(120.0 - m), banks, 1.0)
         # zero padding turns the input's DC offset of 120 into a border
         # band; invariance holds outside it
         margins = zero_pad_reach([a.shape for a in out_a], size)
@@ -640,22 +641,19 @@ class TestGroupingPyramid:
             tracemalloc.stop()
         assert peak <= 16 * sum(level.nbytes for level in pyr.levels)
 
-    @pytest.mark.parametrize("negative_vm", [False, True], ids=["built", "negative-vm"])
-    def test_reference_chain_matches_slow_oracle(self, banks11, monkeypatch, negative_vm):
+    def test_reference_chain_matches_slow_oracle(self, banks11, monkeypatch):
         # the reference chain (11x11 banks, sqrt(2) pyramid, bilinear sum)
         # through FFT correlation, ON + OFF summed before the von Mises
         # stage and the sparse sum, against direct correlation, separate
-        # polarities and the pairwise gather loop; von Mises kernels with
-        # negative taps keep the polarities apart on both sides
-        banks = with_negative_von_mises(banks11) if negative_vm else banks11
+        # polarities and the pairwise gather loop
         rng = np.random.default_rng(35)
         m = ndimage.uniform_filter(rng.uniform(0, 255, size=(72, 96)), 3)
         m[20:50, 30:60] += 80.0
         pyr = build_reference_pyramid(m, 5)
-        fast = grouping_pyramid(pyr, banks, 1.0)
-        monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks.size + 1)
+        fast = grouping_pyramid(pyr, banks11, 1.0)
+        monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
         monkeypatch.setattr(grouping, "von_mises_sum", pairwise_von_mises_sum)
-        oracle = grouping_pyramid(pyr, banks, 1.0)
+        oracle = grouping_pyramid(pyr, banks11, 1.0)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0
@@ -688,10 +686,10 @@ class TestGroupingPyramid:
         arith, banks = FixedArith(cfg), HwPipeline(cfg).banks
         words = np.random.default_rng(45).integers(0, 1 << 14, size=(84, 112)).astype(float)
         pyr = build_hw_pyramid(words)
-        grouping_pyramid(pyr, banks, 1.0, shift_axis, arith)  # fills the operator caches
+        grouping_pyramid(pyr, banks, 1.0, arith)  # fills the operator caches
         tracemalloc.start()
         try:
-            grouping_pyramid(pyr, banks, 1.0, shift_axis, arith)
+            grouping_pyramid(pyr, banks, 1.0, arith)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -714,15 +712,6 @@ class TestZeroMap:
     def test_float_fft_chain(self, banks11):
         pyr = build_reference_pyramid(np.zeros((120, 160)), 5)
         levels = grouping_pyramid(pyr, banks11, 1.0)
-        assert_positive_zeros(levels, [level.shape for level in pyr.levels])
-
-    def test_general_11x11_chain(self, banks11):
-        # a negative von Mises tap sends reference-sized banks down the
-        # general path, which reference mode's skip must cover as well
-        banks = with_negative_von_mises(banks11)
-        assert not grouping._shares_spectra(FLOAT, banks)
-        pyr = build_reference_pyramid(np.zeros((120, 160)), 5)
-        levels = grouping_pyramid(pyr, banks, 1.0)
         assert_positive_zeros(levels, [level.shape for level in pyr.levels])
 
     @pytest.mark.parametrize("oriented", [False, True], ids=["temporal", "oriented"])

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from podvs.errors import ConfigError, DimensionError
+from podvs.errors import ConfigError, DimensionError, FormatError
 from podvs.kernels import (
     KERNEL_NAMES,
     THETAS,
@@ -110,7 +110,7 @@ class TestBankIO:
     def test_every_kernel_read_only(self, banks, tmp_path):
         path = tmp_path / "banks.txt"
         save_banks(banks, path)
-        for made in (banks, load_banks(path), map_kernels(banks, np.negative)):
+        for made in (banks, load_banks(path), map_kernels(banks, np.abs)):
             kernels = [kernel for _, kernel in _iter_kernels(made)]
             assert len(kernels) == 17
             assert not any(kernel.flags.writeable for kernel in kernels)
@@ -121,7 +121,7 @@ class TestBankIO:
         doubled = dict(_iter_kernels(map_kernels(banks, lambda k: 2.0 * k)))
         for name, kernel in _iter_kernels(banks):
             np.testing.assert_array_equal(doubled[name], 2.0 * kernel)
-        assert map_kernels(banks, np.negative).size == banks.size
+        assert map_kernels(banks, np.abs).size == banks.size
 
     def test_saved_names_are_kernel_names_in_order(self, banks, tmp_path):
         path = tmp_path / "banks.txt"
@@ -145,6 +145,30 @@ class TestBankIO:
         with pytest.raises(DimensionError, match="'odd 2'"):
             _assemble(kernels)
 
+    @pytest.mark.parametrize("name, change, message", [
+        ("vm_left 2", lambda k: k - k.mean(), "'vm_left 2' has a negative tap"),
+        ("vm_right 1", lambda k: k[::-1, ::-1], "'vm_right 1' is not 'vm_left 1' rotated"),
+    ], ids=["negative", "asymmetric"])
+    def test_broken_von_mises_invariant_rejected(self, banks, name, change, message):
+        kernels = dict(_iter_kernels(banks))
+        kernels[name] = change(kernels[name])
+        with pytest.raises(ConfigError, match=message):
+            _assemble(kernels)
+
+    @pytest.mark.parametrize("tap, message", [
+        ("0.5", "kernel 'vm_right 0' is not 'vm_left 0' rotated by 180 degrees"),
+        ("-0.001", "von Mises kernel 'vm_right 0' has a negative tap"),
+    ], ids=["asymmetric", "negative"])
+    def test_saved_file_with_a_changed_von_mises_tap_rejected(self, tap, message, tmp_path):
+        path = tmp_path / "banks.txt"
+        save_banks(build_banks(5), path)
+        lines = path.read_text().splitlines()
+        row = lines.index("kernel vm_right 0") + 1
+        lines[row] = " ".join([tap] + lines[row].split()[1:])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"banks.txt: {message}"):
+            load_banks(path)
+
     def test_map_kernels_to_an_even_size_rejected(self):
         with pytest.raises(DimensionError, match="odd size"):
             map_kernels(build_banks(5), lambda k: k[:-1, :-1])
@@ -167,8 +191,6 @@ class TestBankIO:
         ("unknown name", 105),
     ])
     def test_damaged_file_names_line(self, damage, line, tmp_path):
-        from podvs.errors import FormatError
-
         path = tmp_path / "banks.txt"
         save_banks(build_banks(5), path)
         lines = path.read_text().splitlines()
@@ -193,7 +215,5 @@ class TestBankIO:
     def test_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not a bank\n")
-        from podvs.errors import FormatError
-
         with pytest.raises(FormatError):
             load_banks(path)

@@ -14,13 +14,6 @@ from podvs.pipeline import Pipeline, run_sequence
 
 ENGINES = {"float": Pipeline, "fixed": HwPipeline}
 
-#: Clips of the fixed-versus-float fidelity gate at 80x60: the two with
-#: the lowest per-clip mean PCC over the whole synth suite (a color bar
-#: and a temporal onset), 12 frames in all.
-FIDELITY_CLIPS = ("red_bar", "onset_bar")
-#: Lowest per-clip mean PCC allowed; the gate clips measure 0.99872
-#: (red_bar) and 0.99908 (onset_bar).
-FIDELITY_PCC_FLOOR = 0.998
 #: The fixed-versus-float gate at 112x84, clip by clip: frames run (None:
 #: all) and the floor of their mean PCC, just below the value measured (in
 #: the comment).  The static clips repeat one frame, and the history pads
@@ -181,14 +174,6 @@ class TestZeroChannelSkip:
 
 
 class TestFidelityGate:
-    @pytest.mark.parametrize("clip", FIDELITY_CLIPS)
-    def test_fixed_tracks_float(self, clip, hw80_cfg):
-        frames = synth.fidelity_suite(80, 60)[clip]
-        fixed = run(HwPipeline(hw80_cfg), frames)
-        ref = run(Pipeline(hw80_cfg), frames)
-        mean_pcc = float(np.mean([pcc(a, b) for a, b in zip(fixed, ref)]))
-        assert mean_pcc >= FIDELITY_PCC_FLOOR
-
     @pytest.mark.parametrize("clip", sorted(CLIP_FIDELITY_112))
     def test_every_clip_at_112x84(self, clip, videos112):
         count, floor = CLIP_FIDELITY_112[clip]

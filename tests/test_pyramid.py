@@ -210,6 +210,11 @@ class TestHwPyramid:
         with pytest.raises(DimensionError):
             build_hw_pyramid(np.zeros((100, 100)))
 
+    def test_each_pyramid_carries_its_resampler(self):
+        assert build_hw_pyramid(np.zeros((60, 80))).axis is shift_axis
+        assert build_reference_pyramid(np.zeros((60, 80)), 3).axis is bilinear_axis
+        assert ImagePyramid((np.zeros((4, 4)),)).axis is bilinear_axis
+
     def test_stage_cycles(self):
         assert stage_costs(Resolution.HW_112)["P2"].cycles == 24000
         assert stage_costs(Resolution.HW_80)["P2"].cycles == 56 * 44 * 5
