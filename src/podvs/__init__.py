@@ -25,7 +25,7 @@ from .hwmodel import (
     HwProfile,
     quantize,
 )
-from .kernels import GroupingBanks, build_banks, load_banks, save_banks
+from .kernels import GroupingBanks, build_banks
 from .metrics import FixationSet, auc_roc, kld, nss, pcc
 from .normalize import fuse, local_maxima, normalize_n1, normalize_n2
 from .pipeline import Pipeline, run_sequence
@@ -47,7 +47,7 @@ __all__ = [
     "load_config", "parse_config", "validate_frame",
     "ConfigError", "DimensionError", "FormatError", "MetricError", "PodvsError",
     "FixedFormat", "HwPipeline", "HwProfile", "quantize",
-    "GroupingBanks", "build_banks", "load_banks", "save_banks",
+    "GroupingBanks", "build_banks",
     "FixationSet", "auc_roc", "kld", "nss", "pcc",
     "fuse", "local_maxima", "normalize_n1", "normalize_n2",
     "Pipeline", "run_sequence",

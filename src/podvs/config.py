@@ -7,6 +7,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import collections
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -16,6 +17,11 @@ from .errors import ConfigError, DimensionError
 
 #: Number of temporal taps: the current frame plus five previous ones.
 TAP_COUNT = 6
+
+#: Widths of the hardware model's MAC accumulator and of its signed kernel
+#: coefficients (``hwmodel.KERNEL_FORMAT``); they bound ``word_bits``.
+ACCUMULATOR_BITS = 48
+COEFFICIENT_BITS = 18
 
 
 class Resolution(Enum):
@@ -68,7 +74,8 @@ class EngineConfig:
     """Validated engine parameters.
 
     Unset keys take the defaults below; kernel size and pyramid depth
-    always follow the resolution mode.
+    always follow the resolution mode, and ``word_bits`` is at most what the
+    hardware model's MAC accumulator holds (26 at 5x5 kernels, 24 at 11x11).
     """
 
     resolution: Resolution = Resolution.REFERENCE
@@ -89,8 +96,17 @@ class EngineConfig:
             raise ConfigError("maxima_radius must be >= 1")
         if not 0.0 < self.maxima_threshold < 1.0:
             raise ConfigError("maxima_threshold must be in (0, 1)")
+        if self.fraction_bits < 0:
+            raise ConfigError(f"fraction_bits must be >= 0, got {self.fraction_bits}")
         if self.word_bits < self.fraction_bits or self.word_bits < 2:
             raise ConfigError("word_bits must be >= fraction_bits and >= 2")
+        # A k x k sum of word x coefficient products fits the accumulator;
+        # below 2**48 float64 holds it exactly, so the fixed-point model is exact.
+        k = self.kernel_size
+        acc_bits = self.word_bits + COEFFICIENT_BITS - 1 + math.ceil(math.log2(k * k))
+        if acc_bits > ACCUMULATOR_BITS:
+            raise ConfigError(f"word_bits={self.word_bits} overflows the {ACCUMULATOR_BITS}-bit "
+                              f"MAC accumulator at {k}x{k} kernels ({acc_bits} bits)")
 
     @property
     def width(self) -> int:
@@ -151,14 +167,9 @@ def parse_config(text: str) -> EngineConfig:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             values[key] = _PARSERS[key](val.strip())
-        except ConfigError:
-            raise
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    try:
-        return EngineConfig(**values)
-    except TypeError as exc:  # pragma: no cover - guarded by _PARSERS
-        raise ConfigError(str(exc)) from exc
+    return EngineConfig(**values)
 
 
 def load_config(path) -> EngineConfig:

@@ -47,14 +47,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import ndimage
 
-from .config import EngineConfig, Resolution
+from .config import COEFFICIENT_BITS, EngineConfig, Resolution
 from .errors import ConfigError
-from .kernels import GroupingBanks, map_kernels
+from .kernels import map_kernels
 from .normalize import fuse  # noqa: F401  (bench/tests reads hwmodel.fuse)
 from .pipeline import Pipeline
 from .pyramid import hw_level_sizes
 
-ACCUMULATOR_BITS = 48
 CLOCK_HZ = 100e6
 MAC_CYCLES_PER_PIXEL = 75  # 25 MACs at 3 CC each, all 9 kernels in parallel
 #: Passes through P1-P7 per frame: one per feature channel.
@@ -102,7 +101,7 @@ ORIENTATION_GAIN = 1.0 / 256.0
 #: pathological extremes saturate silently.
 TEMPORAL_GAIN = 1.0 / 8.0
 #: Kernel coefficients.
-KERNEL_FORMAT = FixedFormat(18, 14, signed=True)
+KERNEL_FORMAT = FixedFormat(COEFFICIENT_BITS, 14, signed=True)
 #: On-chip working gain cap: channel values enter the intermediate
 #: words scaled by a power of two so they occupy the word instead of
 #: its bottom bits.  The one value-by-value multiply in the pipeline
@@ -192,9 +191,9 @@ def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedForm
     ``raw_map`` is a map of words, reduced by ``ndimage.correlate``, or
     the ``_Patches`` that the chain shares among the kernels meeting one
     map, reduced by one matrix-vector product.  Words and coefficients
-    are integers and ``FixedArith``'s check keeps the accumulator below
-    2**48, inside float64's exact integers, so either float64 sum is the
-    exact MAC result whatever its order.
+    are integers and ``EngineConfig``'s word-layout check keeps the
+    accumulator below 2**48, inside float64's exact integers, so either
+    float64 sum is the exact MAC result whatever its order.
     """
     if isinstance(raw_map, _Patches):
         acc = (kernel_raw.ravel() @ raw_map.values).reshape(raw_map.shape)
@@ -445,15 +444,6 @@ class FixedArith(_Flags):
     def __init__(self, cfg: EngineConfig):
         super().__init__()
         self.fmt = FixedFormat(cfg.word_bits, cfg.fraction_bits, signed=True)
-        # A k x k weighted sum of word x coefficient products must fit
-        # the MAC accumulator.  Below 2**48 it is also an integer that
-        # float64 holds exactly, which is what makes the float64 words,
-        # products and sums of this backend exact.
-        acc_bits = (self.fmt.total_bits + KERNEL_FORMAT.total_bits - 1
-                    + math.ceil(math.log2(cfg.kernel_size ** 2)))
-        if acc_bits > ACCUMULATOR_BITS:
-            raise ConfigError(f"{cfg.word_bits}-bit words overflow the "
-                              f"{ACCUMULATOR_BITS}-bit MAC accumulator ({acc_bits} bits)")
         self.gain_shift = working_gain_shift(self.fmt)
 
     def ingest(self, channel_map, oriented: bool):
@@ -497,12 +487,13 @@ class FixedArith(_Flags):
 
 
 class HwPipeline(Pipeline):
-    """Pipeline with the fixed-point backend (reduced modes only); its
-    ``profile`` ledger counts frames and saturated words as it runs."""
+    """Pipeline with the fixed-point backend (reduced modes only) and its banks
+    quantized into ``KERNEL_FORMAT``; its ``profile`` ledger counts frames and
+    saturated words as it runs."""
 
-    def __init__(self, cfg: EngineConfig, banks: GroupingBanks | None = None):
+    def __init__(self, cfg: EngineConfig):
         self.profile = HwProfile(cfg)
-        super().__init__(cfg, banks)
+        super().__init__(cfg)
         self.arith = FixedArith(cfg)
         self.banks = map_kernels(self.banks, lambda k: quantize(k, KERNEL_FORMAT)[0])
 

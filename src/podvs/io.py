@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import EngineConfig, FixationRecord, FrameRGB
-from .errors import DimensionError, FormatError
+from .errors import ConfigError, DimensionError, FormatError
 from .metrics import FixationSet
 
 RAW_MAGIC = b"PSAL"
@@ -248,6 +248,6 @@ def read_fixations(path) -> FixationSet:
                         y=int(row[4]),
                     )
                 )
-            except ValueError as exc:
+            except (ValueError, ConfigError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return FixationSet(records)

@@ -11,15 +11,15 @@ resolutions); its size is read from the kernels:
 * annular von Mises association fields, one pair per orientation
   pointing at the two sides of the oriented border.
 
-``build_banks`` makes the edge pairs exactly (anti)symmetric.  Every
-record holds two invariants the grouping stage relies on: no von Mises
+Every engine builds its record with ``build_banks`` at its mode's kernel
+size, which makes the edge pairs exactly (anti)symmetric.  Every record
+holds two invariants the grouping stage relies on: no von Mises
 tap is negative (the shared path sums ON and OFF first), and vm_right[i]
 is exactly vm_left[i] rotated by 180 degrees (P4's two sides; P7
 convolves with one by correlating with the other).  ``KERNEL_NAMES``
-spells the kernels' names once, in the order of the plain-text file
-through which ``save_banks`` and ``load_banks`` share bit-identical
-coefficients; ``load_banks`` and ``map_kernels`` (one function over every
-kernel, as the fixed-point model quantizes them) key kernels by them.
+spells the kernels' names once: the record's invariant errors name a
+kernel by it, and ``map_kernels`` (one function over every kernel, as
+the fixed-point model quantizes them) keys kernels by it.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, FormatError
+from .errors import ConfigError, DimensionError
 
 #: Edge orientations, in radians.  theta is the orientation of the edge
 #: itself; the carrier of its quadrature pair runs along the normal.
@@ -102,7 +102,7 @@ def _von_mises(size: int, direction: float) -> np.ndarray:
     return kern / kern.sum()
 
 
-#: Names of the 17 kernels, in file order; "odd 2" is odd[2] of ``GroupingBanks``.
+#: Names of the 17 kernels, in record order; "odd 2" is odd[2] of ``GroupingBanks``.
 KERNEL_NAMES = (*(f"{k} {i}" for i in range(len(THETAS)) for k in ("even", "odd")), "cs on",
                 *(f"{k} {i}" for i in range(len(THETAS)) for k in ("vm_left", "vm_right")))
 
@@ -178,59 +178,3 @@ def _assemble(kernels_by_name: dict) -> GroupingBanks:
 def map_kernels(banks: GroupingBanks, fn) -> GroupingBanks:
     """The record with ``fn`` applied to every kernel (see ``GroupingBanks``)."""
     return _assemble({name: fn(kern) for name, kern in _iter_kernels(banks)})
-
-
-def save_banks(banks: GroupingBanks, path) -> None:
-    """Write every kernel as a plain-text numeric grid."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"podvs-kernel-bank 1\nsize {banks.size}\n")
-        for name, kern in _iter_kernels(banks):
-            fh.write(f"kernel {name}\n")
-            for row in kern:
-                fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
-
-
-def load_banks(path) -> GroupingBanks:
-    """Read banks written by save_banks; bit-exact round trip.
-
-    Malformed input raises ``FormatError`` naming the file and line or kernel.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or not lines[0].startswith("podvs-kernel-bank"):
-        raise FormatError(f"{path}: not a kernel bank file")
-    try:
-        size = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise FormatError(f"{path}:2: malformed size line") from exc
-    if size < 1 or size % 2 == 0:
-        raise FormatError(f"{path}:2: kernel size {size} is not a positive odd number")
-    kernels = {}
-    i = 2
-    while i < len(lines):
-        if not lines[i].startswith("kernel "):
-            raise FormatError(f"{path}:{i + 1}: expected kernel header")
-        name = lines[i][len("kernel ") :]
-        if name not in KERNEL_NAMES:
-            raise FormatError(f"{path}:{i + 1}: unknown kernel {name!r}")
-        if name in kernels:
-            raise FormatError(f"{path}:{i + 1}: repeated kernel {name!r}")
-        rows = []
-        for j in range(i + 1, i + 1 + size):
-            if j == len(lines):
-                raise FormatError(f"{path}:{j + 1}: kernel {name!r} ends after {len(rows)} rows")
-            try:
-                rows.append([float(v) for v in lines[j].split()])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{j + 1}: {exc}") from exc
-            if len(rows[-1]) != size or not np.all(np.isfinite(rows[-1])):
-                raise FormatError(f"{path}:{j + 1}: kernel {name!r} row is not "
-                                  f"{size} finite values")
-        kernels[name] = np.array(rows, dtype=np.float64)
-        i += 1 + size
-    try:
-        return _assemble(kernels)
-    except KeyError as exc:
-        raise FormatError(f"{path}: missing kernel {exc}") from exc
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from exc

@@ -22,7 +22,7 @@ from .channels import ORIENTATION_CHANNELS, ChannelId, extract_all
 from .config import EngineConfig, FrameHistory, FrameRGB, Resolution, validate_frame
 from .errors import DimensionError
 from .grouping import FLOAT, grouping_pyramid
-from .kernels import GroupingBanks, build_banks
+from .kernels import build_banks
 from .normalize import fuse
 from .pyramid import ImagePyramid, build_hw_pyramid, build_reference_pyramid
 from .pyramid import bilinear_resize  # noqa: F401  (bench/tests reads pipeline.bilinear_resize)
@@ -45,16 +45,11 @@ def build_channel_pyramid(map_: np.ndarray, cfg: EngineConfig) -> ImagePyramid:
 
 
 class Pipeline:
-    """Stateful per-frame saliency computation for one video."""
+    """Stateful per-frame saliency for one video; kernels from ``build_banks``."""
 
-    def __init__(self, cfg: EngineConfig, banks: GroupingBanks | None = None):
+    def __init__(self, cfg: EngineConfig):
         self.cfg = cfg
-        self.banks = banks if banks is not None else build_banks(cfg.kernel_size)
-        if self.banks.size != cfg.kernel_size:
-            raise DimensionError(
-                f"banks are {self.banks.size}x{self.banks.size}, "
-                f"config wants {cfg.kernel_size}"
-            )
+        self.banks = build_banks(cfg.kernel_size)
         self.kernel_strong = make_kernel(STRONGLY_PHASIC, cfg.frame_period_ms)
         self.kernel_weak = make_kernel(WEAKLY_PHASIC, cfg.frame_period_ms)
         self.history = FrameHistory()

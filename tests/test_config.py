@@ -103,6 +103,11 @@ class TestParseConfig:
             ("inhibition_weight=inf", "inhibition_weight must be >= 0 and finite, got inf"),
             ("word_bits=7", "word_bits must be >= fraction_bits"),
             ("word_bits=12\nfraction_bits=13", "word_bits must be >= fraction_bits"),
+            ("resolution=80x60\nfraction_bits=-1", "fraction_bits must be >= 0, got -1"),
+            ("resolution=80x60\nword_bits=60", "word_bits=60 overflows the 48-bit MAC accumulator"),
+            ("resolution=80x60\nword_bits=27",
+             r"word_bits=27 overflows the 48-bit MAC accumulator at 5x5 kernels \(49 bits\)"),
+            ("word_bits=25", r"word_bits=25 overflows .* at 11x11 kernels \(49 bits\)"),
         ]:
             with pytest.raises(ConfigError, match=message):
                 parse_config(text + "\n")

@@ -1,8 +1,4 @@
-"""Round trips and format errors of the map archive and frame readers.
-
-The kernel-bank text round trip is pinned in test_kernels.py
-(``TestBankIO``) for the 5x5 and 11x11 banks.
-"""
+"""Round trips and format errors of the map archive, frame and fixation readers."""
 import json
 
 import numpy as np
@@ -12,6 +8,7 @@ from podvs.config import EngineConfig, Resolution
 from podvs.errors import DimensionError, FormatError
 from podvs.io import (
     ARCHIVE_METADATA,
+    read_fixations,
     read_maps,
     read_pgm16,
     read_pnm,
@@ -98,3 +95,15 @@ class TestArchiveDirectory:
             with pytest.raises(DimensionError, match=r"\[\(3, 4\)\] in a hw80 archive"):
                 write_maps([np.zeros((60, 80)), np.zeros((3, 4))], out, cfg)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestReadFixations:
+    @pytest.mark.parametrize("row, message", [
+        ("a,-1,s1,3,4", "negative frame index -1"),
+        ("a,2,s1,-1,4", r"negative fixation coordinate \(-1, 4\)"),
+    ], ids=["frame", "coordinate"])
+    def test_negative_value_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "fix.csv"
+        path.write_text(f"video,frame,subject,x,y\na,0,s1,1,2\n{row}\n")
+        with pytest.raises(FormatError, match=f"fix.csv:3: {message}"):
+            read_fixations(path)

@@ -3,21 +3,33 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from podvs.errors import ConfigError, DimensionError, FormatError
+from podvs.errors import ConfigError, DimensionError
 from podvs.kernels import (
     KERNEL_NAMES,
     THETAS,
     _assemble,
     _iter_kernels,
     build_banks,
-    load_banks,
     map_kernels,
-    save_banks,
 )
 
-#: A 5x5 bank file as ``save_banks(build_banks(5))`` wrote it when each
-#: kernel family had its own record class.
-SAVED_5X5 = Path(__file__).parent / "data" / "kernel_bank_5x5.txt"
+#: ``build_banks(size)`` coefficients as pinned: a header line, a "size n"
+#: line, then per kernel a "kernel <name>" line and n rows of n values, each
+#: printed with 17 significant digits (exact for float64).
+PINNED = {size: Path(__file__).parent / "data" / f"kernel_bank_{size}x{size}.txt"
+          for size in (5, 11)}
+
+
+def read_pinned(path):
+    """(size, {kernel name: kernel}) of a pinned coefficient file, in file order."""
+    lines = path.read_text().splitlines()
+    size = int(lines[1].split()[1])
+    kernels = {}
+    for i in range(2, len(lines), size + 1):
+        rows = lines[i + 1 : i + 1 + size]
+        kernels[lines[i].removeprefix("kernel ")] = np.array(
+            [[float(v) for v in row.split()] for row in rows])
+    return size, kernels
 
 
 @pytest.fixture(params=[5, 11], ids=["5x5", "11x11"])
@@ -93,24 +105,16 @@ class TestVonMises:
 
 
 class TestBankIO:
-    def test_round_trip_bit_exact(self, banks, tmp_path):
-        path = tmp_path / "banks.txt"
-        save_banks(banks, path)
-        loaded = load_banks(path)
-        for a, b in zip(banks.even, loaded.even):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(banks.odd, loaded.odd):
-            np.testing.assert_array_equal(a, b)
-        np.testing.assert_array_equal(banks.cs_on, loaded.cs_on)
-        for a, b in zip(banks.vm_left, loaded.vm_left):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(banks.vm_right, loaded.vm_right):
-            np.testing.assert_array_equal(a, b)
+    @pytest.mark.parametrize("size", sorted(PINNED))
+    def test_coefficients_match_the_pinned_file(self, size):
+        pinned_size, pinned = read_pinned(PINNED[size])
+        assert pinned_size == size
+        assert tuple(pinned) == KERNEL_NAMES and len(set(KERNEL_NAMES)) == 17
+        for name, kernel in _iter_kernels(build_banks(size)):
+            np.testing.assert_array_equal(kernel, pinned[name], err_msg=name)
 
-    def test_every_kernel_read_only(self, banks, tmp_path):
-        path = tmp_path / "banks.txt"
-        save_banks(banks, path)
-        for made in (banks, load_banks(path), map_kernels(banks, np.abs)):
+    def test_every_kernel_read_only(self, banks):
+        for made in (banks, map_kernels(banks, np.abs)):
             kernels = [kernel for _, kernel in _iter_kernels(made)]
             assert len(kernels) == 17
             assert not any(kernel.flags.writeable for kernel in kernels)
@@ -122,22 +126,6 @@ class TestBankIO:
         for name, kernel in _iter_kernels(banks):
             np.testing.assert_array_equal(doubled[name], 2.0 * kernel)
         assert map_kernels(banks, np.abs).size == banks.size
-
-    def test_saved_names_are_kernel_names_in_order(self, banks, tmp_path):
-        path = tmp_path / "banks.txt"
-        save_banks(banks, path)
-        names = [ln[len("kernel "):] for ln in path.read_text().splitlines()
-                 if ln.startswith("kernel ")]
-        assert tuple(names) == KERNEL_NAMES
-        assert len(set(KERNEL_NAMES)) == 17
-
-    def test_earlier_saved_file_loads_and_saves_unchanged(self, tmp_path):
-        loaded = dict(_iter_kernels(load_banks(SAVED_5X5)))
-        for name, kernel in _iter_kernels(build_banks(5)):
-            np.testing.assert_array_equal(loaded[name], kernel)
-        path = tmp_path / "banks.txt"
-        save_banks(build_banks(5), path)
-        assert path.read_bytes() == SAVED_5X5.read_bytes()
 
     def test_kernel_of_another_size_rejected(self):
         kernels = dict(_iter_kernels(build_banks(5)))
@@ -155,20 +143,6 @@ class TestBankIO:
         with pytest.raises(ConfigError, match=message):
             _assemble(kernels)
 
-    @pytest.mark.parametrize("tap, message", [
-        ("0.5", "kernel 'vm_right 0' is not 'vm_left 0' rotated by 180 degrees"),
-        ("-0.001", "von Mises kernel 'vm_right 0' has a negative tap"),
-    ], ids=["asymmetric", "negative"])
-    def test_saved_file_with_a_changed_von_mises_tap_rejected(self, tap, message, tmp_path):
-        path = tmp_path / "banks.txt"
-        save_banks(build_banks(5), path)
-        lines = path.read_text().splitlines()
-        row = lines.index("kernel vm_right 0") + 1
-        lines[row] = " ".join([tap] + lines[row].split()[1:])
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"banks.txt: {message}"):
-            load_banks(path)
-
     def test_map_kernels_to_an_even_size_rejected(self):
         with pytest.raises(DimensionError, match="odd size"):
             map_kernels(build_banks(5), lambda k: k[:-1, :-1])
@@ -180,40 +154,3 @@ class TestBankIO:
     def test_rejects_even_size(self):
         with pytest.raises(ConfigError):
             build_banks(6)
-
-    @pytest.mark.parametrize("damage, line", [
-        ("truncated", 59),
-        ("non-numeric", 4),
-        ("short row", 5),
-        ("nan", 4),
-        ("zero size", 2),
-        ("repeated name", 105),
-        ("unknown name", 105),
-    ])
-    def test_damaged_file_names_line(self, damage, line, tmp_path):
-        path = tmp_path / "banks.txt"
-        save_banks(build_banks(5), path)
-        lines = path.read_text().splitlines()
-        if damage == "truncated":
-            lines = lines[:58]  # inside the tenth kernel
-        elif damage == "non-numeric":
-            lines[3] = lines[3].replace(" ", " x", 1)
-        elif damage == "short row":
-            lines[4] = lines[4].rsplit(" ", 1)[0]
-        elif damage == "nan":
-            lines[3] = "nan " + lines[3].split(" ", 1)[1]
-        elif damage.endswith("name"):
-            # a zeroed 5x5 block appended after the 17 saved kernels
-            name = "even 0" if damage == "repeated name" else "bogus"
-            lines += [f"kernel {name}"] + [" ".join(["0"] * 5)] * 5
-        else:
-            lines[1] = "size 0"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"banks.txt:{line}: "):
-            load_banks(path)
-
-    def test_rejects_garbage_file(self, tmp_path):
-        path = tmp_path / "bad.txt"
-        path.write_text("not a bank\n")
-        with pytest.raises(FormatError):
-            load_banks(path)

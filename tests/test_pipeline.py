@@ -7,7 +7,6 @@ from podvs.channels import ORIENTATION_CHANNELS, ChannelId, extract_all
 from podvs.config import EngineConfig, Resolution
 from podvs.errors import ConfigError, DimensionError
 from podvs.hwmodel import HwPipeline
-from podvs.kernels import build_banks
 from podvs.metrics import pcc
 from podvs.normalize import fuse
 from podvs.pipeline import Pipeline, run_sequence
@@ -111,11 +110,6 @@ class TestEngines:
     def test_hw_pipeline_rejects_reference_mode(self):
         with pytest.raises(ConfigError):
             HwPipeline(EngineConfig(resolution=Resolution.REFERENCE))
-
-    @pytest.mark.parametrize("arith", sorted(ENGINES))
-    def test_bank_size_mismatch(self, arith, hw80_cfg):
-        with pytest.raises(DimensionError):
-            ENGINES[arith](hw80_cfg, build_banks(7))
 
 
 class TestFuseSharedPyramid:

@@ -6,10 +6,14 @@ Runs each clip of ``synth.all_videos`` at 80x60 and 112x84 through
 ``Pipeline`` (float) and ``HwPipeline`` (fixed point) and prints, per
 resolution, the first 8 hex digits of the SHA-256 of each clip's float64
 maps as ``float/fixed``, then the saturated-word count of each fixed-point
-run.  Two checkouts give the same maps iff they print the same lines, so
-a claim of bit identity takes one run on each side.  The float bits rest
-on the numpy and scipy builds (versions, BLAS, SIMD targets), so compare
-runs made on one machine.  The program runs from this checkout's src/.
+run.  It then prints the digest of the first two 640x480 frames of
+``drifting_bar`` and of ``color_popout`` through ``Pipeline``, which run
+the reference chain (11x11 kernels, FFT correlation) and its zero-map
+skip; these take about 1.2 s a frame.  Two checkouts give the same maps
+iff they print the same lines, so a claim of bit identity takes one run
+on each side.  The float bits rest on the numpy and scipy builds
+(versions, BLAS, SIMD targets), so compare runs made on one machine.
+The program runs from this checkout's src/.
 """
 from __future__ import annotations
 
@@ -30,6 +34,10 @@ def digest(maps) -> str:
     return hashlib.sha256(np.stack(maps).astype(np.float64).tobytes()).hexdigest()[:8]
 
 
+#: 640x480 frames of each reference-mode clip.
+REFERENCE_FRAMES = 2
+
+
 def main() -> None:
     for resolution in (Resolution.HW_80, Resolution.HW_112):
         cfg = EngineConfig(resolution=resolution)
@@ -43,6 +51,12 @@ def main() -> None:
             saturations.append(f"`{name}` {hw.profile.saturations}")
         print(f"{resolution}: {', '.join(digests)}")
         print(f"{resolution} saturated words: {', '.join(saturations)}")
+    cfg = EngineConfig(resolution=Resolution.REFERENCE)
+    clips = {"color_popout": synth.color_popout_video(cfg.width, cfg.height, REFERENCE_FRAMES)[0],
+             "drifting_bar": synth.drifting_bar_video(cfg.width, cfg.height, REFERENCE_FRAMES)}
+    digests = [f"`{name}` {digest(run_sequence(frames, Pipeline(cfg))[0])}"
+               for name, frames in clips.items()]
+    print(f"{cfg.resolution} float, {REFERENCE_FRAMES} frames: {', '.join(digests)}")
 
 
 if __name__ == "__main__":
