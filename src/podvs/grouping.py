@@ -56,15 +56,16 @@ Mises input by the 8 von Mises kernels.  One shared form is alive at a
 time: the level's is dropped before ON's is made, and ON's before OFF's.
 At FFT sizes the float backend shares the map's spectrum; a kernel meets
 one map a level per stage, so its spectrum is made where it is used
-(``_kernel_spectrum``).  The fixed-point backend shares the stack of the
-map's 25 shifted copies, the 5x5 windows that the board's MAC banks read
-once for every kernel (``hwmodel.patch_stack``), and each kernel reduces
-it with one matrix-vector product.  Its words are integers that sum
-exactly in any order, so this keeps every fixed-point bit.  The float 5x5 path
-shares nothing and keeps ``ndimage.correlate``'s bits: a patch product
-sums in another order, and while N1 normalization keeps only strict
-local maxima (ties and plateaus count as none), a last-bit change can
-move a fused map by percent.
+(``_kernel_spectrum``).  The fixed-point backend shares the map's row
+stack, its 5 column-shifted copies zero-padded as the board's line
+buffers hold them (``hwmodel.row_stack``), and each kernel reduces it
+with one small matrix product; the maps of P7, which meet one kernel
+each, are laid out the same way one at a time.  Its words are integers
+that sum exactly in any order, so this keeps every fixed-point bit.  The
+float 5x5 path shares nothing and keeps ``ndimage.correlate``'s bits: a
+matrix product sums in another order, and while N1 normalization keeps
+only strict local maxima (ties and plateaus count as none), a last-bit
+change can move a fused map by percent.
 
 The chain has two paths, picked by ``_shares_spectra`` alone.  The
 shared path is the float backend with FFT-sized kernels: reference mode.

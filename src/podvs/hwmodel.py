@@ -21,13 +21,14 @@ and saturation on range overflow.  Every word, coefficient, product and
 accumulator is an integer below 2**53, which float64 holds exactly, so
 every order of summation gives the same bits, and the rounding is a
 power-of-two scale and ``np.rint``.  The MAC follows the board's banks,
-which read each 5x5 window once for all the kernels that meet it: the
-backend's ``share`` lays a map out as one stack of its k*k shifted
-copies (``patch_stack``), which P3's 9 kernels on a level and P4's 8 on a
-polarity each reduce with one matrix-vector product.  P7's 16 maps each
-meet one kernel and take ``ndimage.correlate``.  Normalization and
-fusion run on the host in floating point, exactly like the reference
-pipeline.
+whose line buffers hold the rows a 5x5 window spans: a map is laid out
+as its row stack (``row_stack``), the k column-shifted copies of the map
+zero-padded by k // 2, and each kernel reduces it with one (k, k) by
+(k, n) matrix product and a sum of k row-shifted slices.  The backend's
+``share`` hands one row stack to every kernel that meets the map (P3's 9
+on a level, P4's 8 on a polarity); P7's 16 maps each meet one kernel and
+get a row stack of their own.  Normalization and fusion run on the host
+in floating point, exactly like the reference pipeline.
 
 Each stage also carries a cycle/block-memory cost model reproducing the
 published per-stage accounting; the derived frame rate additionally
@@ -44,8 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
-from scipy import ndimage
 
 from .config import COEFFICIENT_BITS, EngineConfig, Resolution
 from .errors import ConfigError
@@ -167,41 +166,51 @@ class _Flags:
 
 
 @dataclass(frozen=True)
-class _Patches:
-    """A ``patch_stack`` and its map's ``shape``: it stands in for the map."""
+class _Rows:
+    """A ``row_stack`` and its map's ``shape``: it stands in for the map."""
 
     shape: tuple
     values: np.ndarray
 
 
-def patch_stack(map_, size: int) -> _Patches:
-    """The size x size shifted copies of a map zero-padded by size // 2,
-    one (size * size, h * w) array: row dy * size + dx holds the
-    neighbour at offset (dy, dx) of every pixel, the window a MAC bank
-    reads once for every kernel."""
-    padded = np.pad(np.asarray(map_, dtype=np.float64), size // 2)
-    windows = sliding_window_view(padded, map_.shape)
-    return _Patches(map_.shape, np.ascontiguousarray(windows).reshape(size * size, -1))
+def row_stack(map_, size: int) -> _Rows:
+    """The size column-shifted copies of a map zero-padded by size // 2,
+    one (size, (h + 2 * (size // 2)) * w) array, the software form of the
+    board's line buffers: row dx is the padded map's columns dx to dx + w,
+    flattened, so tap (dy, dx) of pixel (y, x) is word (y + dy) * w + x
+    of row dx."""
+    h, w = map_.shape
+    half = size // 2
+    padded = np.zeros((h + 2 * half, w + 2 * half))
+    padded[half : half + h, half : half + w] = map_
+    rows = np.empty((size, h + 2 * half, w))
+    for dx in range(size):
+        rows[dx] = padded[:, dx : dx + w]
+    return _Rows(map_.shape, rows.reshape(size, -1))
 
 
 def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedFormat,
                     flags: _Flags):
     """Zero-padded correlation with MAC semantics at every pixel.
 
-    ``raw_map`` is a map of words, reduced by ``ndimage.correlate``, or
-    the ``_Patches`` that the chain shares among the kernels meeting one
-    map, reduced by one matrix-vector product.  Words and coefficients
-    are integers and ``EngineConfig``'s word-layout check keeps the
-    accumulator below 2**48, inside float64's exact integers, so either
-    float64 sum is the exact MAC result whatever its order.
+    ``raw_map`` is a map of words, laid out here as its ``row_stack``, or
+    the row stack that the chain shares among the kernels meeting one map.
+    One matrix product weighs every row with every kernel row, r = kernel
+    @ rows, and the accumulator sums the size slices r[dy] shifted by dy
+    map rows, starting from +0.0 as a cleared register does.  Words and
+    coefficients are integers and ``EngineConfig``'s word-layout check
+    keeps the accumulator below 2**48, inside float64's exact integers,
+    so every partial sum is exact: the bits depend neither on the order
+    of summation nor on the BLAS thread count.
     """
-    if isinstance(raw_map, _Patches):
-        acc = (kernel_raw.ravel() @ raw_map.values).reshape(raw_map.shape)
-    else:
-        acc = ndimage.correlate(np.asarray(raw_map, dtype=np.float64), kernel_raw,
-                                mode="constant", cval=0.0)
+    if not isinstance(raw_map, _Rows):
+        raw_map = row_stack(raw_map, kernel_raw.shape[0])
+    h, w = raw_map.shape
+    acc = np.zeros(h * w)
+    for dy, products in enumerate(kernel_raw @ raw_map.values):
+        acc += products[dy * w : dy * w + h * w]
     shift = in_fmt.fraction_bits + KERNEL_FORMAT.fraction_bits - out_fmt.fraction_bits
-    out, sat = saturate(round_shift(acc, shift), out_fmt)
+    out, sat = saturate(round_shift(acc.reshape(h, w), shift), out_fmt)
     flags.add(sat)
     return out
 
@@ -461,7 +470,7 @@ class FixedArith(_Flags):
         return dequantize(raw, self.fmt)
 
     def share(self, raw, size: int):
-        return patch_stack(raw, size)
+        return row_stack(raw, size)
 
     def correlate(self, raw, kernel_raw):
         return fixed_correlate(raw, kernel_raw, self.fmt, self.fmt, self)

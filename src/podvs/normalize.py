@@ -97,7 +97,11 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
     still added once per channel: the orientation channels, and the
     all-zero channels, which ``Pipeline.step`` in reference mode does not
     group but gives one pyramid of zeros (the reduced modes wait until
-    the benchmark's tests stop pinning their correlation counts).
+    the benchmark's tests stop pinning their correlation counts).  A
+    pyramid with no non-zero pixel on any level (in every mode, the
+    opponency channels of a gray frame) normalizes to zeros without the
+    work: N1 scales each level by (0 - 0)**2, and N2's rescale maps a
+    constant conspicuity map to zeros.
     """
     if set(grouping_pyramids) != set(ChannelId):
         missing = set(ChannelId) - set(grouping_pyramids)
@@ -108,9 +112,12 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
         pyramid = grouping_pyramids[cid]
         normalized = next((m for p, m in done if p is pyramid), None)
         if normalized is None:
-            levels = [normalize_n1(level, cfg) for level in pyramid]
-            conspicuity = collapse(ImagePyramid(tuple(levels)), cfg.height, cfg.width)
-            normalized = normalize_n2(conspicuity, cfg)
+            if any(level.any() for level in pyramid):
+                levels = [normalize_n1(level, cfg) for level in pyramid]
+                conspicuity = collapse(ImagePyramid(tuple(levels)), cfg.height, cfg.width)
+                normalized = normalize_n2(conspicuity, cfg)
+            else:
+                normalized = np.zeros((cfg.height, cfg.width))
             done.append((pyramid, normalized))
         total += normalized
     return rescale_to_range(total)

@@ -10,7 +10,8 @@ map groups to +0.0 on every level, on both paths of the chain, so
 reference mode skips inputs with no non-zero pixel, such as the
 colour-opponency maps of a gray frame: they share one pyramid of zeros.
 The reduced modes group every input while the benchmark's tests pin
-their correlation counts.
+their correlation counts.  In every mode ``fuse`` turns a pyramid of
+zeros into a zero conspicuity map without normalizing its levels.
 """
 from __future__ import annotations
 

@@ -675,13 +675,13 @@ class TestGroupingPyramid:
         assert digests[0] == digests[1]
 
     def test_fixed_chain_bit_pin_with_blas_threads(self):
-        # P3 and P4 reduce shared patch stacks by BLAS matrix-vector products
+        # P3, P4 and P7 reduce row stacks by BLAS matrix products
         assert run_at_blas_threads(FIXED_DIGEST) == [FIXED_DIGEST_PIN] * 2
 
     def test_fixed_chain_peak_memory(self):
-        # one patch stack is alive at a time: the level's is dropped
-        # before ON's is made, and ON's before OFF's (28.2x the pyramid's
-        # bytes measured; 42.3x with the level's stack held through P4)
+        # one row stack is alive at a time: the level's is dropped
+        # before ON's is made, and ON's before OFF's (29.0x the pyramid's
+        # bytes measured)
         cfg = EngineConfig(resolution=Resolution.HW_112)
         arith, banks = FixedArith(cfg), HwPipeline(cfg).banks
         words = np.random.default_rng(45).integers(0, 1 << 14, size=(84, 112)).astype(float)

@@ -196,6 +196,17 @@ class TestQuantizedBanks:
             assert not kernel.flags.writeable
 
 
+#: Maps smaller than a 5x5 kernel (the benchmark's tests use 4x6), int64
+#: words and a non-contiguous view, cut from an int64 array of words.
+EDGE_MAPS = {
+    "1x1": lambda words: words[:1, :1].astype(np.float64),
+    "2x3": lambda words: words[:2, :3].astype(np.float64),
+    "4x6": lambda words: words[:4, :6].astype(np.float64),
+    "int64": lambda words: words[:9, :11].copy(),
+    "strided-view": lambda words: words.astype(np.float64)[1::2, ::-3],
+}
+
+
 class TestFixedCorrelate:
     """``fixed_correlate`` against the int64 MAC loop, on full-range words."""
 
@@ -217,13 +228,27 @@ class TestFixedCorrelate:
             np.testing.assert_array_equal(got, expected)
             assert flags.saturations == saturated
             total += saturated
-            # the same words as the patch stack that P3 and P4 share among kernels
+            # the same words as the row stack that P3 and P4 share among kernels
             shared_flags = _Flags()
             shared = fixed_correlate(arith.share(raw, kernel.shape[0]), kernel, fmt, fmt,
                                      shared_flags)
             assert shared.tobytes() == got.tobytes()
             assert shared_flags.saturations == saturated
         assert total > 0  # full-range words do overflow some sums
+
+    @pytest.mark.parametrize("cut", sorted(EDGE_MAPS))
+    def test_both_forms_match_mac_loop_on_edge_maps(self, arith, raw_banks, cut):
+        fmt = arith.fmt
+        words = np.random.default_rng(52).integers(fmt.min_raw, fmt.max_raw + 1, size=(20, 30))
+        raw = EDGE_MAPS[cut](words)
+        for _, kernel in _iter_kernels(raw_banks):
+            expected, saturated = mac_loop(raw, kernel, fmt)
+            for form in (raw, arith.share(raw, kernel.shape[0])):
+                flags = _Flags()
+                got = fixed_correlate(form, kernel, fmt, fmt, flags)
+                assert got.dtype == np.float64
+                np.testing.assert_array_equal(got, expected)
+                assert flags.saturations == saturated
 
     def test_shared_patches_sum_negative_zeros_to_positive_zero(self, hw80_cfg):
         # as ndimage.correlate does; round_shift leaves -0.0 where a

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from podvs import normalize
 from podvs.channels import ChannelId
 from podvs.config import EngineConfig, Resolution
 from podvs.errors import DimensionError
@@ -11,6 +12,7 @@ from podvs.normalize import (
     normalize_n2,
     rescale_to_range,
 )
+from podvs.pyramid import ImagePyramid, collapse
 
 
 class TestLocalMaxima:
@@ -162,3 +164,32 @@ class TestFuse:
         a = fuse(base, hw112_cfg)
         b = fuse(scaled, hw112_cfg)
         np.testing.assert_allclose(a, b, atol=1e-9)
+
+    def test_zero_pyramids_skip_normalization_bit_identical(self, hw112_cfg, monkeypatch):
+        # the opponency channels of a gray frame group to zeros on every
+        # level, +0.0 or -0.0; fuse gives them a zero conspicuity map
+        # without finding local maxima, in the bits of the full path
+        rng = np.random.default_rng(46)
+        shapes = [(84, 112), (60, 80), (44, 56)]
+        zero = {ChannelId.RG: 0.0, ChannelId.GR: 0.0, ChannelId.BY: -0.0, ChannelId.YB: 0.0}
+        pyrs = {cid: [np.full(s, zero[cid]) if cid in zero else rng.random(s) ** 4
+                      for s in shapes] for cid in ChannelId}
+
+        def full_path(levels):
+            n1 = [normalize_n1(level, hw112_cfg) for level in levels]
+            conspicuity = collapse(ImagePyramid(tuple(n1)), hw112_cfg.height, hw112_cfg.width)
+            return normalize_n2(conspicuity, hw112_cfg)
+
+        expected = rescale_to_range(sum(full_path(pyrs[cid]) for cid in ChannelId))
+        searched = []
+
+        def recorded(map_, cfg):
+            searched.append(map_)
+            return local_maxima(map_, cfg)
+
+        monkeypatch.setattr(normalize, "local_maxima", recorded)
+        fused = fuse(pyrs, hw112_cfg)
+        assert fused.tobytes() == expected.tobytes()
+        # N1 on each level and N2 on the conspicuity map of the 5 non-zero channels
+        assert len(searched) == 5 * (len(shapes) + 1)
+        assert all(map_.any() for map_ in searched)
