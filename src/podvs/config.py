@@ -76,26 +76,18 @@ class EngineConfig:
     Unset keys take the defaults below; kernel size and pyramid depth
     always follow the resolution mode, and ``word_bits`` is at most what the
     hardware model's MAC accumulator holds (26 at 5x5 kernels, 24 at 11x11).
+    The paper's fixed parameters are constants, not keys: unit inhibition
+    in P7 and N(.)'s peak rule, ``normalize.MAXIMA_RADIUS`` and ``MAXIMA_THRESHOLD``.
     """
 
     resolution: Resolution = Resolution.REFERENCE
     frame_rate: float = 24.0
-    inhibition_weight: float = 1.0      # w_p in the grouping stage
-    maxima_radius: int = 1              # local-maxima neighborhood radius
-    maxima_threshold: float = 0.05      # fraction of the global max
     word_bits: int = 18                 # fixed-point intermediate width
     fraction_bits: int = 8              # fixed-point fraction bits
 
     def __post_init__(self):
         if not 0 < self.frame_rate < np.inf:
             raise ConfigError(f"frame_rate must be positive and finite, got {self.frame_rate}")
-        if not 0 <= self.inhibition_weight < np.inf:
-            raise ConfigError("inhibition_weight must be >= 0 and finite, "
-                              f"got {self.inhibition_weight}")
-        if self.maxima_radius < 1:
-            raise ConfigError("maxima_radius must be >= 1")
-        if not 0.0 < self.maxima_threshold < 1.0:
-            raise ConfigError("maxima_threshold must be in (0, 1)")
         if self.fraction_bits < 0:
             raise ConfigError(f"fraction_bits must be >= 0, got {self.fraction_bits}")
         if self.word_bits < self.fraction_bits or self.word_bits < 2:
@@ -127,16 +119,6 @@ class EngineConfig:
     @property
     def frame_period_ms(self) -> float:
         return 1000.0 / self.frame_rate
-
-    def to_text(self) -> str:
-        """Serialize as flat key=value lines (the config-file format)."""
-        lines = []
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(f.default, float):
-                value = float(value)  # str of a float is its repr
-            lines.append(f"{f.name}={value}")
-        return "\n".join(lines) + "\n"
 
 
 #: Text-to-value converter per config key: the type of the field's default.

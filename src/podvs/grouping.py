@@ -15,7 +15,7 @@ Within one feature channel and one pyramid level the chain is:
    paths summed for polarity invariance;
 5. winner masks per side, and grouping activity that integrates masked
    border-ownership annularly toward the owned side while the opposing
-   side inhibits with weight w_p.
+   side inhibits with the paper's unit weight: own minus opposing.
 
 Per level, the intermediates are arrays with named leading axes: edges
 (4, h, w) [theta], von Mises responses (4, 2, p, h, w) [theta, side,
@@ -85,9 +85,9 @@ two ways:
   bit for bit, since one of the two is exactly 0.  P5 then sums 8
   series per channel instead of 16.
 - Grouping (P7) is summed in the frequency domain: corr(m*bo_own, k) -
-  w_p*corr(m*bo_other, k) = corr(m*(bo_own - w_p*bo_other), k), so the
-  sum over theta and both sides takes one inverse transform per level
-  (on the direct 5x5 path it would change the float maps' bits).
+  corr(m*bo_other, k) = corr(m*(bo_own - bo_other), k), so the sum over
+  theta and both sides takes one inverse transform per level (on the
+  direct 5x5 path it would change the float maps' bits).
 
 A level of one channel takes 10 forward and 18 inverse real transforms
 and 25 kernel spectra.
@@ -227,8 +227,8 @@ class FloatArith:
     and ``finish``) and supplies the chain's arithmetic: ``share`` of a
     map among the kernels that meet it, ``correlate`` (zero-padded),
     ``magnitude`` sqrt(e^2 + o^2), ``modulate`` (the border-ownership
-    product), ``weigh`` by w_p, ``halve`` n times, and ``clip`` of a
-    stage result into range.
+    product), ``halve`` n times, and ``clip`` of a stage result into
+    range.  P7's unit-weight inhibition is a plain subtraction.
     """
 
     def ingest(self, map_, oriented: bool):
@@ -252,9 +252,6 @@ class FloatArith:
 
     def modulate(self, edge, evidence):
         return edge * evidence
-
-    def weigh(self, x, w_p: float):
-        return w_p * x
 
     def halve(self, x, n: int):
         return (2.0 ** -n) * x
@@ -394,22 +391,22 @@ def bo_masks(bo_levels) -> list:
     return out
 
 
-def _spectral_grouping_sum(mask, bo, banks: GroupingBanks, w_p: float) -> np.ndarray:
+def _spectral_grouping_sum(mask, bo, banks: GroupingBanks) -> np.ndarray:
     """``grouping_activity``'s sum over theta and both sides before
     rectification, on the shared path: each side's two correlations
-    with one kernel are one correlation of m*(bo_own - w_p*bo_other), and
+    with one kernel are one correlation of m*(bo_own - bo_other), and
     the eight spectral products are summed before one inverse transform."""
     shape, kernel_shape = bo.shape[2:], (banks.size, banks.size)
     fft_shape = _fft_shape(shape, kernel_shape)
     total = 0.0
     for ti in range(len(THETAS)):
         for own, kern in enumerate((banks.vm_right[ti], banks.vm_left[ti])):
-            grp = mask[ti, own] * (bo[ti, own] - w_p * bo[ti, 1 - own])
+            grp = mask[ti, own] * (bo[ti, own] - bo[ti, 1 - own])
             total = total + _spectral_product(grp, kern, fft_shape)
     return _same_window(total, fft_shape, shape, kernel_shape)
 
 
-def grouping_activity(masks, bo_levels, banks: GroupingBanks, w_p: float, arith=FLOAT) -> list:
+def grouping_activity(masks, bo_levels, banks: GroupingBanks, arith=FLOAT) -> list:
     """Per-level grouping maps rect(sum over theta of GrpSum).
 
     ``masks`` and ``bo_levels`` hold per level a (4, 2, h, w) array
@@ -417,20 +414,21 @@ def grouping_activity(masks, bo_levels, banks: GroupingBanks, w_p: float, arith=
     border-ownership activity toward the owned side, which for a kernel
     pointing at direction d means correlating with the opposite-side
     kernel (a true convolution): banks.vm_right for the left side,
-    banks.vm_left for the right.  The same-location opposing response
-    inhibits with weight w_p.  On the shared path the sum is taken in
-    the frequency domain (see the module docstring).
+    banks.vm_left for the right.  The same-location opposing response,
+    masked and integrated alike, inhibits with unit weight: it is
+    subtracted.  On the shared path the sum is taken in the frequency
+    domain (see the module docstring).
     """
     out = []
     for mask, bo in zip(masks, bo_levels):
         if _shares_spectra(arith, banks):
-            out.append(_rect(_spectral_grouping_sum(mask, bo, banks, w_p)))
+            out.append(_rect(_spectral_grouping_sum(mask, bo, banks)))
             continue
         for ti in range(len(THETAS)):
             # conv with vm_left == corr with vm_right, and vice versa
             grp_left, grp_right = (
                 arith.correlate(mask[ti, own] * bo[ti, own], kern)
-                - arith.weigh(arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern), w_p)
+                - arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern)
                 for own, kern in enumerate((banks.vm_right[ti], banks.vm_left[ti]))
             )
             grp_sum = grp_left + grp_right
@@ -439,7 +437,7 @@ def grouping_activity(masks, bo_levels, banks: GroupingBanks, w_p: float, arith=
     return out
 
 
-def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, w_p: float, arith=FLOAT):
+def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith=FLOAT):
     """Full grouping chain for one channel's pyramid.
 
     The pyramid and the banks hold numbers in the backend's format (raw
@@ -464,4 +462,4 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, w_p: float
             vm_l[idx] = summed
     bo = border_ownership(edges, vm, arith)  # written over vm
     del edges, vm  # not needed in P7: free them before its temporaries
-    return grouping_activity(bo_masks(bo), bo, banks, w_p, arith)
+    return grouping_activity(bo_masks(bo), bo, banks, arith)

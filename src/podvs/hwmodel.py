@@ -10,7 +10,7 @@ The hardware splits a frame into seven stages per feature channel:
   P5  across-level von Mises sum (in place, power-of-two weights)
   P6  border-ownership responses
   P7  winner masks (computed on the host, as in the real system) and
-      the grouping responses
+      the grouping responses, own minus opposing side (unit inhibition)
 
 P2-P7 are the float pipeline's own chain (``pyramid.build_hw_pyramid``
 and ``grouping.py``) run with the ``FixedArith`` backend below, whose
@@ -39,7 +39,6 @@ sit about 13 percent above what the measured 112x84 rate allows.
 """
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass
@@ -216,12 +215,10 @@ def fixed_correlate(raw_map, kernel_raw, in_fmt: FixedFormat, out_fmt: FixedForm
 
 
 def _isqrt(values: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(n)) for non-negative integers below 2**52."""
-    n = np.asarray(values, dtype=np.float64)
-    s = np.floor(np.sqrt(n))
-    s = np.where((s + 1) * (s + 1) <= n, s + 1, s)
-    s = np.where(s * s > n, s - 1, s)
-    return s
+    """Elementwise floor(sqrt(n)) for non-negative integers up to 2**52:
+    float64's sqrt is correctly rounded, hence monotone, and its floor is
+    exact at both ends, k**2 - 1 and k**2, of every k <= 2**26."""
+    return np.floor(np.sqrt(np.asarray(values, dtype=np.float64)))
 
 
 def complex_edge_fixed(even_raw, odd_raw):
@@ -435,12 +432,6 @@ def _require_hw(cfg: EngineConfig) -> None:
 # The fixed-point backend and the pipeline that runs it
 # --------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def _coefficient(value: float):
-    """A scalar quantized once into the kernel coefficient format."""
-    return quantize(np.float64(value), KERNEL_FORMAT)[0]
-
-
 class FixedArith(_Flags):
     """Fixed-point backend of the grouping chain (see grouping.FloatArith).
 
@@ -482,9 +473,6 @@ class FixedArith(_Flags):
         # Both operands carry the working gain; the product restores
         # single-gain scaling by shifting the extra factor out.
         return round_shift(edge * evidence, self.fmt.fraction_bits + self.gain_shift)
-
-    def weigh(self, raw, w_p: float):
-        return round_shift(raw * _coefficient(w_p), KERNEL_FORMAT.fraction_bits)
 
     def halve(self, raw, n: int):
         return np.floor(raw * 2.0 ** -n)

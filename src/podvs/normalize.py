@@ -7,9 +7,9 @@ comparable peaks are suppressed.  The second operator (N2) first
 rescales the map to a fixed range so that channels of different
 modality compete fairly, then applies the same peak statistic.
 
-The local maxima behind that statistic are set by the ``EngineConfig``
-fields ``maxima_radius`` (neighborhood radius) and ``maxima_threshold``
-(fraction of the global maximum), which the config checks once.
+The local maxima behind that statistic follow one fixed rule,
+``MAXIMA_RADIUS`` and ``MAXIMA_THRESHOLD``, so the operators take only
+the map.
 """
 from __future__ import annotations
 
@@ -21,31 +21,36 @@ from .config import EngineConfig
 from .errors import DimensionError
 from .pyramid import ImagePyramid, collapse
 
+#: Neighborhood radius of a local maximum: its 3x3 neighbors.
+MAXIMA_RADIUS = 1
+#: Fraction of the global maximum that a local maximum must reach.
+MAXIMA_THRESHOLD = 0.05
 
-def local_maxima(map_: np.ndarray, cfg: EngineConfig = EngineConfig()):
-    """Pixels strictly above every neighbor within ``cfg.maxima_radius``.
 
-    Only peaks reaching ``cfg.maxima_threshold`` * global_max are kept.
+def local_maxima(map_: np.ndarray):
+    """Pixels strictly above every neighbor within ``MAXIMA_RADIUS``.
+
+    Only peaks reaching ``MAXIMA_THRESHOLD`` * global_max are kept.
     Returns a list of (x, y, value); on a constant map there are no
     strict maxima and the list is empty.
     """
     map_ = np.asarray(map_, dtype=np.float64)
     if map_.size == 0:
         raise DimensionError("empty map")
-    radius = cfg.maxima_radius
-    footprint = np.ones((2 * radius + 1, 2 * radius + 1), dtype=bool)
-    footprint[radius, radius] = False
+    r = MAXIMA_RADIUS
+    footprint = np.ones((2 * r + 1, 2 * r + 1), dtype=bool)
+    footprint[r, r] = False
     neighbor_max = ndimage.maximum_filter(
         map_, footprint=footprint, mode="constant", cval=-np.inf
     )
-    floor = cfg.maxima_threshold * float(map_.max())
+    floor = MAXIMA_THRESHOLD * float(map_.max())
     ys, xs = np.nonzero((map_ > neighbor_max) & (map_ >= floor))
     return [(int(x), int(y), float(map_[y, x])) for y, x in zip(ys, xs)]
 
 
-def _peak_factor(map_: np.ndarray, cfg: EngineConfig) -> float:
+def _peak_factor(map_: np.ndarray) -> float:
     m = float(map_.max())
-    values = [v for _, _, v in local_maxima(map_, cfg)]
+    values = [v for _, _, v in local_maxima(map_)]
     # One instance at the global maximum belongs to m itself; the rest
     # are the "other" maxima.  A plateau global max never enters values.
     if m in values:
@@ -54,10 +59,10 @@ def _peak_factor(map_: np.ndarray, cfg: EngineConfig) -> float:
     return (m - mbar) ** 2
 
 
-def normalize_n1(map_: np.ndarray, cfg: EngineConfig = EngineConfig()) -> np.ndarray:
+def normalize_n1(map_: np.ndarray) -> np.ndarray:
     """Promote single-peak maps: map * (m - mbar)**2."""
     map_ = np.asarray(map_, dtype=np.float64)
-    return map_ * _peak_factor(map_, cfg)
+    return map_ * _peak_factor(map_)
 
 
 def rescale_to_range(map_: np.ndarray) -> np.ndarray:
@@ -77,14 +82,14 @@ def rescale_to_range(map_: np.ndarray) -> np.ndarray:
     return (map_ - lo) * (1.0 / (hi - lo))
 
 
-def normalize_n2(map_: np.ndarray, cfg: EngineConfig = EngineConfig()) -> np.ndarray:
+def normalize_n2(map_: np.ndarray) -> np.ndarray:
     """Range-normalize to [0, 1], then apply the N1 statistic.
 
     The rescale step makes the operator invariant to any positive
     affine transform of the input, so channels with incomparable units
     can be fused.
     """
-    return normalize_n1(rescale_to_range(map_), cfg)
+    return normalize_n1(rescale_to_range(map_))
 
 
 def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
@@ -94,14 +99,15 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
     resolution, N2 on the conspicuity map; the nine results are summed
     in fixed channel order and the final map rescaled to [0, 1].
     Channels that share one pyramid object share one conspicuity map,
-    still added once per channel: the orientation channels, and the
-    all-zero channels, which ``Pipeline.step`` in reference mode does not
-    group but gives one pyramid of zeros (the reduced modes wait until
-    the benchmark's tests stop pinning their correlation counts).  A
-    pyramid with no non-zero pixel on any level (in every mode, the
-    opponency channels of a gray frame) normalizes to zeros without the
-    work: N1 scales each level by (0 - 0)**2, and N2's rescale maps a
-    constant conspicuity map to zeros.
+    still added once per channel: the orientation channels.  A pyramid
+    with no non-zero pixel on any level (in every mode, the opponency
+    channels of a gray frame) normalizes to zeros without the work: N1
+    scales each level by (0 - 0)**2, and N2's rescale maps a constant
+    conspicuity map to zeros.  So its level shapes are never read, and
+    ``Pipeline.step`` in reference mode, which does not group an
+    all-zero map, passes the map itself as a one-level pyramid (the
+    reduced modes wait until the benchmark's tests stop pinning their
+    correlation counts).  ``cfg`` gives the output shape.
     """
     if set(grouping_pyramids) != set(ChannelId):
         missing = set(ChannelId) - set(grouping_pyramids)
@@ -113,9 +119,9 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
         normalized = next((m for p, m in done if p is pyramid), None)
         if normalized is None:
             if any(level.any() for level in pyramid):
-                levels = [normalize_n1(level, cfg) for level in pyramid]
+                levels = [normalize_n1(level) for level in pyramid]
                 conspicuity = collapse(ImagePyramid(tuple(levels)), cfg.height, cfg.width)
-                normalized = normalize_n2(conspicuity, cfg)
+                normalized = normalize_n2(conspicuity)
             else:
                 normalized = np.zeros((cfg.height, cfg.width))
             done.append((pyramid, normalized))

@@ -5,13 +5,14 @@ channel extraction is pure.  The nine channels have six distinct inputs
 (the four orientation channels share the gray frame), each grouped at
 most once, serially, in the instance's ``arith`` backend: float64 here,
 fixed point in ``hwmodel.HwPipeline``.  The mode's pyramid carries its
-resampler into the grouping chain (``build_channel_pyramid``).  A zero
-map groups to +0.0 on every level, on both paths of the chain, so
-reference mode skips inputs with no non-zero pixel, such as the
-colour-opponency maps of a gray frame: they share one pyramid of zeros.
-The reduced modes group every input while the benchmark's tests pin
-their correlation counts.  In every mode ``fuse`` turns a pyramid of
-zeros into a zero conspicuity map without normalizing its levels.
+resampler into the grouping chain (``build_channel_pyramid``), which
+inhibits with unit weight.  A zero map groups to +0.0 on every level,
+on both paths of the chain, so reference mode skips inputs with no
+non-zero pixel, such as the colour-opponency maps of a gray frame, and
+passes each as its own one-level pyramid: in every mode ``fuse`` turns
+a pyramid of zeros into a zero conspicuity map without reading its
+levels.  The reduced modes group every input while the benchmark's
+tests pin their correlation counts.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ class Pipeline:
 
     def _grouping(self, channel_map: np.ndarray, oriented: bool):
         pyr = build_channel_pyramid(self.arith.ingest(channel_map, oriented), self.cfg)
-        levels = grouping_pyramid(pyr, self.banks, self.cfg.inhibition_weight, self.arith)
+        levels = grouping_pyramid(pyr, self.banks, self.arith)
         return [self.arith.finish(level) for level in levels]
 
     def step(self, frame: FrameRGB) -> np.ndarray:
@@ -68,15 +69,13 @@ class Pipeline:
         channels = extract_all(self.history, self.kernel_strong, self.kernel_weak)
         for cid in ORIENTATION_CHANNELS[1:]:
             del channels[cid]  # the same gray array as O_0's
-        grouped, zeros = {}, None
+        grouped = {}
         # reference mode only: bench tests pin the reduced modes' correlate calls
         skip_zero = self.cfg.resolution is Resolution.REFERENCE
         for cid in list(channels):
             map_ = channels.pop(cid)  # popped, so each map is freed once it is grouped
             if skip_zero and not map_.any():
-                zeros = zeros or [np.zeros(level.shape)
-                                  for level in build_channel_pyramid(map_, self.cfg).levels]
-                grouped[cid] = zeros
+                grouped[cid] = [map_]  # fuse reads no level of a zero pyramid
             else:
                 grouped[cid] = self._grouping(map_, cid in ORIENTATION_CHANNELS)
         grouped.update(dict.fromkeys(ORIENTATION_CHANNELS, grouped[ChannelId.O_0]))

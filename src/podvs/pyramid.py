@@ -153,7 +153,7 @@ def build_reference_pyramid(map_: np.ndarray, depth: int) -> ImagePyramid:
         raise DimensionError(
             f"depth {depth} would shrink {w}x{h} below 2x2"
         )
-    levels = [map_.astype(np.float64)]
+    levels = [map_]
     for dw, dh in dims[1:]:
         levels.append(bilinear_resize(map_, dh, dw))
     return ImagePyramid(tuple(levels))

@@ -52,7 +52,7 @@ from podvs.grouping import grouping_pyramid
 from podvs.kernels import build_banks
 from podvs.pyramid import build_reference_pyramid
 m = np.random.default_rng(40).uniform(0, 255, size=(240, 320))
-levels = grouping_pyramid(build_reference_pyramid(m, 6), build_banks(11), 1.0)
+levels = grouping_pyramid(build_reference_pyramid(m, 6), build_banks(11))
 print(hashlib.sha256(b"".join(level.tobytes() for level in levels)).hexdigest())
 """
 
@@ -68,7 +68,7 @@ from podvs.pyramid import build_hw_pyramid
 cfg = EngineConfig(resolution=Resolution.HW_112)
 arith = FixedArith(cfg)
 words = np.random.default_rng(44).integers(-(1 << 16), 1 << 16, size=(84, 112)).astype(float)
-levels = grouping_pyramid(build_hw_pyramid(words), HwPipeline(cfg).banks, 1.0, arith)
+levels = grouping_pyramid(build_hw_pyramid(words), HwPipeline(cfg).banks, arith)
 print(hashlib.sha256(b"".join(level.tobytes() for level in levels)).hexdigest(), arith.saturations)
 """
 #: ``FIXED_DIGEST``'s output, recorded when the fixed-point MAC was
@@ -537,50 +537,53 @@ class TestGroupingActivity:
 
     def test_zero_field_zero_grouping(self, banks5):
         field = [np.zeros((4, 2, 8, 8))]
-        out = grouping_activity(bo_masks(field), field, banks5, w_p=1.0)
+        out = grouping_activity(bo_masks(field), field, banks5)
         assert np.all(out[0] == 0.0)
 
-    def test_wp_zero_drops_inhibition(self, banks5):
+    def test_own_minus_opposing(self, banks5):
+        # per theta and side, the masked own response integrated toward
+        # the owned side, minus the masked opposing one: unit inhibition
         rng = np.random.default_rng(28)
         field = self._field(rng)
         masks = bo_masks(field)
-        out = grouping_activity(masks, field, banks5, w_p=0.0)
+        out = grouping_activity(masks, field, banks5)
         expected = np.zeros((14, 14))
         for ti in range(4):
-            expected += correlate(masks[0][ti, 0] * field[0][ti, 0], banks5.vm_right[ti])
-            expected += correlate(masks[0][ti, 1] * field[0][ti, 1], banks5.vm_left[ti])
+            for own, kern in enumerate((banks5.vm_right[ti], banks5.vm_left[ti])):
+                mask, bo = masks[0][ti, own], field[0][ti]
+                expected += correlate(mask * bo[own], kern) - correlate(mask * bo[1 - own], kern)
         np.testing.assert_allclose(out[0], np.maximum(expected, 0.0), atol=1e-12)
 
     def test_positive_scaling_covariance(self, banks5):
         rng = np.random.default_rng(29)
         field = self._field(rng)
         scaled = [3.0 * bo for bo in field]
-        a = grouping_activity(bo_masks(field), field, banks5, w_p=1.0)
-        b = grouping_activity(bo_masks(scaled), scaled, banks5, w_p=1.0)
+        a = grouping_activity(bo_masks(field), field, banks5)
+        b = grouping_activity(bo_masks(scaled), scaled, banks5)
         np.testing.assert_allclose(b[0], 3.0 * a[0], atol=1e-9)
 
     def test_losing_side_contributes_only_inhibition(self, banks5):
         # where the left mask wins everywhere, the right response enters
-        # only through the subtracted w_p term
+        # only through the subtracted term, so it can only lower the
+        # left side's own sum
         rng = np.random.default_rng(30)
         bl = rng.random((10, 10)) + 2.0
         br = rng.random((10, 10))  # strictly smaller
         field = [stack_sides((bl,) * 4, (br,) * 4)]
-        masks = bo_masks(field)
-        out_low = grouping_activity(masks, field, banks5, w_p=0.0)[0]
-        out_high = grouping_activity(masks, field, banks5, w_p=1.0)[0]
-        assert np.all(out_high <= out_low + 1e-12)
+        out = grouping_activity(bo_masks(field), field, banks5)[0]
+        own_only = sum(correlate(bl, banks5.vm_right[ti]) for ti in range(4))
+        assert np.all(out <= own_only + 1e-12)
+        assert np.any(out < own_only - 1e-3)
 
-    @pytest.mark.parametrize("w_p", [0.0, 0.5, 1.0, 2.0])
-    def test_frequency_domain_sum_matches_direct_at_11x11(self, banks11, monkeypatch, w_p):
+    def test_frequency_domain_sum_matches_direct_at_11x11(self, banks11, monkeypatch):
         # the shared path sums P7 over theta and both sides as spectra;
         # the oracle makes the 16 direct correlations of each level
         rng = np.random.default_rng(38)
         field = [rng.random((len(THETAS), 2, *shape)) for shape in ((23, 31), (24, 32))]
         masks = bo_masks(field)
-        fast = grouping_activity(masks, field, banks11, w_p)
+        fast = grouping_activity(masks, field, banks11)
         monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
-        oracle = grouping_activity(masks, field, banks11, w_p)
+        oracle = grouping_activity(masks, field, banks11)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0
@@ -592,7 +595,7 @@ class TestGroupingPyramid:
         m = np.zeros((60, 80))
         m[22:38, 30:46] = 120.0
         pyr = ImagePyramid((m,))
-        out = grouping_pyramid(pyr, banks5, w_p=1.0)
+        out = grouping_pyramid(pyr, banks5)
         y, x = np.unravel_index(np.argmax(out[0]), out[0].shape)
         assert 22 <= y < 38
         assert 30 <= x < 46
@@ -602,11 +605,11 @@ class TestGroupingPyramid:
         # hardware pyramid's across-scale sum reads the frozen shift
         # addresses, as the pairwise nearest-neighbour loop does
         m = np.random.default_rng(46).uniform(0, 120, size=(60, 80))
-        grouped = grouping_pyramid(build_hw_pyramid(m), banks5, 1.0)
+        grouped = grouping_pyramid(build_hw_pyramid(m), banks5)
         def shift_sum(levels, axis, arith):
             return pairwise_von_mises_sum(levels, shift_axis, arith)
         monkeypatch.setattr(grouping, "von_mises_sum", shift_sum)
-        oracle = grouping_pyramid(build_hw_pyramid(m), banks5, 1.0)
+        oracle = grouping_pyramid(build_hw_pyramid(m), banks5)
         for a, b in zip(grouped, oracle):
             assert a.tobytes() == b.tobytes()
 
@@ -616,8 +619,8 @@ class TestGroupingPyramid:
         banks = build_banks(size)
         rng = np.random.default_rng(31)
         m = rng.uniform(0, 120, size=shape)
-        out_a = grouping_pyramid(build(m), banks, 1.0)
-        out_b = grouping_pyramid(build(120.0 - m), banks, 1.0)
+        out_a = grouping_pyramid(build(m), banks)
+        out_b = grouping_pyramid(build(120.0 - m), banks)
         # zero padding turns the input's DC offset of 120 into a border
         # band; invariance holds outside it
         margins = zero_pad_reach([a.shape for a in out_a], size)
@@ -632,10 +635,10 @@ class TestGroupingPyramid:
         # masks are boolean, so a call holds no third same-size stack
         m = np.random.default_rng(43).uniform(0, 255, size=(120, 160))
         pyr = build_reference_pyramid(m, 5)
-        grouping_pyramid(pyr, banks11, 1.0)  # fills the process-wide operator caches
+        grouping_pyramid(pyr, banks11)  # fills the process-wide operator caches
         tracemalloc.start()
         try:
-            grouping_pyramid(pyr, banks11, 1.0)
+            grouping_pyramid(pyr, banks11)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -650,10 +653,10 @@ class TestGroupingPyramid:
         m = ndimage.uniform_filter(rng.uniform(0, 255, size=(72, 96)), 3)
         m[20:50, 30:60] += 80.0
         pyr = build_reference_pyramid(m, 5)
-        fast = grouping_pyramid(pyr, banks11, 1.0)
+        fast = grouping_pyramid(pyr, banks11)
         monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
         monkeypatch.setattr(grouping, "von_mises_sum", pairwise_von_mises_sum)
-        oracle = grouping_pyramid(pyr, banks11, 1.0)
+        oracle = grouping_pyramid(pyr, banks11)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0
@@ -662,9 +665,9 @@ class TestGroupingPyramid:
     def test_reference_chain_bit_identical_with_fft_workers(self, banks11):
         m = np.random.default_rng(39).uniform(0, 255, size=(72, 96))
         pyr = build_reference_pyramid(m, 4)
-        single = grouping_pyramid(pyr, banks11, 1.0)
+        single = grouping_pyramid(pyr, banks11)
         with scipy.fft.set_workers(2):
-            threaded = grouping_pyramid(pyr, banks11, 1.0)
+            threaded = grouping_pyramid(pyr, banks11)
         for a, b in zip(single, threaded):
             np.testing.assert_array_equal(a, b)
 
@@ -686,10 +689,10 @@ class TestGroupingPyramid:
         arith, banks = FixedArith(cfg), HwPipeline(cfg).banks
         words = np.random.default_rng(45).integers(0, 1 << 14, size=(84, 112)).astype(float)
         pyr = build_hw_pyramid(words)
-        grouping_pyramid(pyr, banks, 1.0, arith)  # fills the operator caches
+        grouping_pyramid(pyr, banks, arith)  # fills the operator caches
         tracemalloc.start()
         try:
-            grouping_pyramid(pyr, banks, 1.0, arith)
+            grouping_pyramid(pyr, banks, arith)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -711,7 +714,7 @@ class TestZeroMap:
 
     def test_float_fft_chain(self, banks11):
         pyr = build_reference_pyramid(np.zeros((120, 160)), 5)
-        levels = grouping_pyramid(pyr, banks11, 1.0)
+        levels = grouping_pyramid(pyr, banks11)
         assert_positive_zeros(levels, [level.shape for level in pyr.levels])
 
     @pytest.mark.parametrize("oriented", [False, True], ids=["temporal", "oriented"])

@@ -6,7 +6,7 @@ import pytest
 
 from podvs.config import EngineConfig, Resolution
 from podvs.errors import ConfigError
-from podvs.grouping import center_surround, complex_edges
+from podvs.grouping import bo_masks, center_surround, complex_edges, grouping_activity
 from podvs.hwmodel import (
     KERNEL_FORMAT,
     FixedArith,
@@ -14,13 +14,14 @@ from podvs.hwmodel import (
     HwPipeline,
     HwProfile,
     _Flags,
+    _isqrt,
     fixed_correlate,
     frame_rate,
     quantize,
     round_shift,
     saturate,
 )
-from podvs.kernels import _iter_kernels, build_banks
+from podvs.kernels import THETAS, _iter_kernels, build_banks
 
 #: Level shapes of the two reduced modes (112x84 and 80x60 pyramids).
 LEVEL_SHAPES = [(84, 112), (60, 80), (44, 56), (30, 40)]
@@ -138,14 +139,6 @@ class TestFixedArith:
             out, saturated = saturate(raw, fmt)
             assert out is raw and saturated == 0
 
-    @pytest.mark.parametrize("w_p", [0.0, 0.5, 1.0, 1.3])
-    def test_weigh_by_the_quantized_weight(self, arith, raw_map, w_p):
-        w_p_raw = quantize(np.float64(w_p), KERNEL_FORMAT)[0]
-        np.testing.assert_array_equal(
-            arith.weigh(raw_map, w_p),
-            round_shift(raw_map * w_p_raw, KERNEL_FORMAT.fraction_bits),
-        )
-
     def test_modulate_rounds_half_to_even(self, arith):
         one = 1 << (arith.fmt.fraction_bits + arith.gain_shift)
         half = one // 2
@@ -174,6 +167,28 @@ class TestFixedArith:
         assert total > 0
         assert arith.saturations == total
 
+    def test_grouping_activity_matches_naive_mac(self, arith, raw_banks):
+        # P7: every masked correlation through the MAC, own minus opposing
+        # (unit inhibition), summed over theta and both sides, then one
+        # clip and one rect
+        fmt = arith.fmt
+        rng = np.random.default_rng(53)
+        bo = rng.integers(0, fmt.max_raw + 1, size=(len(THETAS), 2, 7, 9)).astype(np.float64)
+        (masks,) = bo_masks([bo])
+        (got,) = grouping_activity([masks], [bo], raw_banks, arith)
+        total = np.zeros((7, 9), dtype=np.int64)
+        saturated = 0
+        for ti in range(len(THETAS)):
+            for own, kern in enumerate((raw_banks.vm_right[ti], raw_banks.vm_left[ti])):
+                mask = masks[ti, own]
+                own_words, own_sat = naive_mac(mask * bo[ti, own], kern, fmt)
+                other_words, other_sat = naive_mac(mask * bo[ti, 1 - own], kern, fmt)
+                total += own_words - other_words
+                saturated += own_sat + other_sat
+        saturated += int(np.count_nonzero((total < fmt.min_raw) | (total > fmt.max_raw)))
+        np.testing.assert_array_equal(got, np.maximum(np.clip(total, fmt.min_raw, fmt.max_raw), 0))
+        assert arith.saturations == saturated
+
     def test_words_fit_float64(self):
         FixedFormat(53, 8)
         with pytest.raises(ConfigError):
@@ -184,6 +199,18 @@ class TestFixedArith:
         FixedArith(EngineConfig(resolution=Resolution.HW_80, word_bits=26))
         with pytest.raises(ConfigError):
             FixedArith(EngineConfig(resolution=Resolution.HW_80, word_bits=27))
+
+
+class TestIsqrt:
+    def test_exact_at_both_ends_of_every_root(self):
+        # the float64 root is monotone in n, so its floor is the integer
+        # root on all of [k**2, (k+1)**2 - 1] iff it is at both ends; the
+        # top k reach 2**52, past any sum of two squared 26-bit words
+        for k in (np.arange(1, 2**18 + 1, dtype=np.int64),
+                  np.arange(2**26 - 2**18 + 1, 2**26 + 1, dtype=np.int64)):
+            square = k * k
+            np.testing.assert_array_equal(_isqrt(square.astype(np.float64)), k)
+            np.testing.assert_array_equal(_isqrt((square - 1).astype(np.float64)), k - 1)
 
 
 class TestQuantizedBanks:

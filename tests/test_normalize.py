@@ -3,7 +3,6 @@ import pytest
 
 from podvs import normalize
 from podvs.channels import ChannelId
-from podvs.config import EngineConfig, Resolution
 from podvs.errors import DimensionError
 from podvs.normalize import (
     fuse,
@@ -28,7 +27,7 @@ class TestLocalMaxima:
         m = np.zeros((9, 9))
         m[2, 2] = 10.0
         m[6, 6] = 4.0
-        found = sorted(local_maxima(m, EngineConfig(maxima_radius=1, maxima_threshold=0.05)))
+        found = sorted(local_maxima(m))
         assert found == [(2, 2, 10.0), (6, 6, 4.0)]
 
     def test_threshold_floor(self):
@@ -46,8 +45,9 @@ class TestLocalMaxima:
         m = np.zeros((9, 9))
         m[4, 2] = 1.0
         m[4, 4] = 0.9
-        assert len(local_maxima(m, EngineConfig(maxima_radius=1, maxima_threshold=0.05))) == 2
-        assert len(local_maxima(m, EngineConfig(maxima_radius=2, maxima_threshold=0.05))) == 1
+        # two pixels apart, each is outside the other's MAXIMA_RADIUS = 1 neighborhood
+        assert normalize.MAXIMA_RADIUS == 1
+        assert len(local_maxima(m)) == 2
 
 
 class TestN1:
@@ -176,16 +176,16 @@ class TestFuse:
                       for s in shapes] for cid in ChannelId}
 
         def full_path(levels):
-            n1 = [normalize_n1(level, hw112_cfg) for level in levels]
+            n1 = [normalize_n1(level) for level in levels]
             conspicuity = collapse(ImagePyramid(tuple(n1)), hw112_cfg.height, hw112_cfg.width)
-            return normalize_n2(conspicuity, hw112_cfg)
+            return normalize_n2(conspicuity)
 
         expected = rescale_to_range(sum(full_path(pyrs[cid]) for cid in ChannelId))
         searched = []
 
-        def recorded(map_, cfg):
+        def recorded(map_):
             searched.append(map_)
-            return local_maxima(map_, cfg)
+            return local_maxima(map_)
 
         monkeypatch.setattr(normalize, "local_maxima", recorded)
         fused = fuse(pyrs, hw112_cfg)
