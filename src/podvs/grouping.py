@@ -269,25 +269,26 @@ def _check_size(map_: np.ndarray, size: int) -> None:
 
 
 def complex_edges(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT) -> np.ndarray:
-    """Complex responses sqrt(e^2 + o^2) to banks.even/odd, shape (4, h, w) [theta]."""
+    """Complex responses sqrt(e^2 + o^2) to the even/odd pairs of banks.p3[:8],
+    shape (4, h, w) [theta]."""
     _check_size(map_, banks.size)
     out = np.empty((len(THETAS), *map_.shape))
-    for ti, (even, odd) in enumerate(zip(banks.even, banks.odd)):
+    for ti, (even, odd) in enumerate(zip(banks.p3[:8:2], banks.p3[1:8:2])):
         out[ti] = arith.magnitude(arith.correlate(map_, even), arith.correlate(map_, odd))
     return out
 
 
 def center_surround(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT):
-    """(ON, OFF) responses to banks.cs_on; inversion happens before rectification."""
+    """(ON, OFF) responses to banks.p3[8]; inversion happens before rectification."""
     _check_size(map_, banks.size)
-    resp = arith.correlate(map_, banks.cs_on)
+    resp = arith.correlate(map_, banks.p3[8])
     return _rect(resp), _rect(-resp)
 
 
 def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks,
                      arith=FLOAT) -> np.ndarray:
-    """The responses of one level to banks.vm_left/vm_right, shape
-    (4, 2, p, h, w) [theta, side (left, right), polarity].
+    """The responses of one level to the kernels banks.vm[theta, side],
+    shape (4, 2, p, h, w) [theta, side (left, right), polarity].
 
     The polarity axis holds (ON, OFF), p = 2, on the general path.  On
     the shared path (``_shares_spectra``) it holds the one response to
@@ -300,9 +301,8 @@ def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks,
     for p in range(out.shape[2]):
         # one shared form per polarity, dropped before the next is made
         evidence = arith.share(on + off if summed else (on, off)[p], banks.size)
-        for ti, kernels in enumerate(zip(banks.vm_left, banks.vm_right)):
-            for side, kern in enumerate(kernels):
-                out[ti, side, p] = arith.correlate(evidence, kern)
+        for ti, side in np.ndindex(banks.vm.shape[:2]):
+            out[ti, side, p] = arith.correlate(evidence, banks.vm[ti, side])
         del evidence
     return out
 
@@ -400,7 +400,7 @@ def _spectral_grouping_sum(mask, bo, banks: GroupingBanks) -> np.ndarray:
     fft_shape = _fft_shape(shape, kernel_shape)
     total = 0.0
     for ti in range(len(THETAS)):
-        for own, kern in enumerate((banks.vm_right[ti], banks.vm_left[ti])):
+        for own, kern in enumerate(banks.vm[ti, ::-1]):
             grp = mask[ti, own] * (bo[ti, own] - bo[ti, 1 - own])
             total = total + _spectral_product(grp, kern, fft_shape)
     return _same_window(total, fft_shape, shape, kernel_shape)
@@ -413,11 +413,11 @@ def grouping_activity(masks, bo_levels, banks: GroupingBanks, arith=FLOAT) -> li
     [theta, side].  The annular integration pushes masked
     border-ownership activity toward the owned side, which for a kernel
     pointing at direction d means correlating with the opposite-side
-    kernel (a true convolution): banks.vm_right for the left side,
-    banks.vm_left for the right.  The same-location opposing response,
-    masked and integrated alike, inhibits with unit weight: it is
-    subtracted.  On the shared path the sum is taken in the frequency
-    domain (see the module docstring).
+    kernel (a true convolution): side s correlates with banks.vm[theta,
+    1 - s], P4's stack with the sides swapped.  The same-location
+    opposing response, masked and integrated alike, inhibits with unit
+    weight: it is subtracted.  On the shared path the sum is taken in
+    the frequency domain (see the module docstring).
     """
     out = []
     for mask, bo in zip(masks, bo_levels):
@@ -425,11 +425,11 @@ def grouping_activity(masks, bo_levels, banks: GroupingBanks, arith=FLOAT) -> li
             out.append(_rect(_spectral_grouping_sum(mask, bo, banks)))
             continue
         for ti in range(len(THETAS)):
-            # conv with vm_left == corr with vm_right, and vice versa
+            # conv with one side's kernel == corr with the other side's
             grp_left, grp_right = (
                 arith.correlate(mask[ti, own] * bo[ti, own], kern)
                 - arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern)
-                for own, kern in enumerate((banks.vm_right[ti], banks.vm_left[ti]))
+                for own, kern in enumerate(banks.vm[ti, ::-1])
             )
             grp_sum = grp_left + grp_right
             total = grp_sum if ti == 0 else total + grp_sum

@@ -484,7 +484,7 @@ class FixedArith(_Flags):
 
 
 class HwPipeline(Pipeline):
-    """Pipeline with the fixed-point backend (reduced modes only) and its banks
+    """Pipeline with the fixed-point backend (reduced modes only) and its kernel stacks
     quantized into ``KERNEL_FORMAT``; its ``profile`` ledger counts frames and
     saturated words as it runs."""
 

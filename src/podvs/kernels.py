@@ -2,7 +2,9 @@
 
 One frozen ``GroupingBanks`` record holds all 17 kernels, square and
 sized per the resolution mode (11x11 at 640x480, 5x5 at the reduced
-resolutions); its size is read from the kernels:
+resolutions), as the two stages that read them hold them: P3's 9 MAC
+banks as one (9, k, k) stack and P4's 16 von Mises units as one
+(4, 2, k, k) [theta, side] stack.  Its size is read from the stacks:
 
 * quadrature even/odd oriented band-pass pairs for edge extraction,
   one pair per edge orientation in {0, pi/4, pi/2, 3pi/4};
@@ -12,14 +14,15 @@ resolutions); its size is read from the kernels:
   pointing at the two sides of the oriented border.
 
 Every engine builds its record with ``build_banks`` at its mode's kernel
-size, which makes the edge pairs exactly (anti)symmetric.  Every record
-holds two invariants the grouping stage relies on: no von Mises
-tap is negative (the shared path sums ON and OFF first), and vm_right[i]
-is exactly vm_left[i] rotated by 180 degrees (P4's two sides; P7
-convolves with one by correlating with the other).  ``KERNEL_NAMES``
-spells the kernels' names once: the record's invariant errors name a
-kernel by it, and ``map_kernels`` (one function over every kernel, as
-the fixed-point model quantizes them) keys kernels by it.
+size, which makes the edge pairs exactly (anti)symmetric.  The record is
+built from the left von Mises kernels alone and makes each right one
+their exact 180-degree rotation (P4's two sides; P7 convolves with one
+by correlating with the other), so no record holds an unrotated pair.
+It admits no negative von Mises tap (the shared path sums ON and OFF
+first).  ``KERNEL_NAMES`` names the 17 kernels in the order of
+``GroupingBanks.kernels``, as the pinned coefficient files name them;
+``map_kernels`` applies one elementwise function to both stacks, as the
+fixed-point model quantizes them.
 """
 from __future__ import annotations
 
@@ -44,10 +47,6 @@ def _grid(size: int):
     return dy, dx
 
 
-def _rot180(k: np.ndarray) -> np.ndarray:
-    return k[::-1, ::-1]
-
-
 def _gabor_pair(size: int, theta: float):
     """Even (cos) and odd (sin) oriented band-pass kernels.
 
@@ -65,8 +64,8 @@ def _gabor_pair(size: int, theta: float):
     even = envelope * np.cos(2 * math.pi * u / lam)
     odd = envelope * np.sin(2 * math.pi * u / lam)
     # Exact symmetry/antisymmetry under 180-degree rotation.
-    even = (even + _rot180(even)) / 2.0
-    odd = (odd - _rot180(odd)) / 2.0
+    even = (even + even[::-1, ::-1]) / 2.0
+    odd = (odd - odd[::-1, ::-1]) / 2.0
     even = even - even.mean()
     even /= np.sqrt(np.sum(even**2))
     odd /= np.sqrt(np.sum(odd**2))
@@ -102,79 +101,63 @@ def _von_mises(size: int, direction: float) -> np.ndarray:
     return kern / kern.sum()
 
 
-#: Names of the 17 kernels, in record order; "odd 2" is odd[2] of ``GroupingBanks``.
+#: Names of the 17 kernels, in ``GroupingBanks.kernels`` order: "odd 2" is
+#: p3[5], "cs on" p3[8] and "vm_right 1" vm[1, 1].
 KERNEL_NAMES = (*(f"{k} {i}" for i in range(len(THETAS)) for k in ("even", "odd")), "cs on",
                 *(f"{k} {i}" for i in range(len(THETAS)) for k in ("vm_left", "vm_right")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroupingBanks:
-    """The 17 kernels, all read-only and size x size with an odd size.
+    """P3's and P4's kernels as two read-only stacks of size x size kernels,
+    size odd.
 
-    even[i], odd[i] are the quadrature pair for THETAS[i]; cs_on is the
-    ON-center kernel (OFF is its negation downstream); vm_left[i] points
-    along THETAS[i] + pi/2 (downward normal in image coordinates) and
-    vm_right[i] is its exact 180-degree rotation.  A misshapen kernel raises
-    ``DimensionError``, one that breaks an invariant ``ConfigError``.
+    ``p3`` is (9, size, size): even[i], odd[i] for each THETAS[i] in turn (the
+    quadrature pairs), then the ON-center kernel (OFF is its negation
+    downstream).  ``vm`` is (4, 2, size, size) [theta, side]: vm[i, 0] points
+    along THETAS[i] + pi/2 (downward normal in image coordinates), and the
+    record builds vm[i, 1] as its 180-degree rotation from the left kernels
+    alone, ``vm_left`` (4, size, size).  A misshapen stack raises
+    ``DimensionError``, a negative von Mises tap ``ConfigError``.
     """
 
-    even: tuple
-    odd: tuple
-    cs_on: np.ndarray
-    vm_left: tuple
-    vm_right: tuple
+    p3: np.ndarray
+    vm: np.ndarray
 
-    def __post_init__(self):
-        for name, kern in _iter_kernels(self):
-            if kern.shape != (self.size, self.size) or self.size % 2 == 0:
-                raise DimensionError(f"kernel {name!r} is {kern.shape}, not "
-                                     f"{self.size}x{self.size} with an odd size")
-            field, i = _slot(name)
-            if field.startswith("vm_") and np.any(kern < 0):
-                raise ConfigError(f"von Mises kernel {name!r} has a negative tap")
-            if field == "vm_right" and not np.array_equal(kern, _rot180(self.vm_left[i])):
-                raise ConfigError(f"kernel {name!r} is not 'vm_left {i}' rotated by 180 degrees")
-        for _, kern in _iter_kernels(self):
-            kern.setflags(write=False)
+    def __init__(self, p3: np.ndarray, vm_left: np.ndarray):
+        size = p3.shape[-1]
+        if p3.shape != (9, size, size) or vm_left.shape != (4, size, size) or size % 2 == 0:
+            raise DimensionError(f"kernel stacks are {p3.shape} and {vm_left.shape}, not "
+                                 f"(9, k, k) and (4, k, k) with an odd k")
+        negative = np.any(vm_left < 0, axis=(1, 2))
+        if negative.any():
+            raise ConfigError(f"von Mises kernel 'vm_left {negative.argmax()}' has a negative tap")
+        vm = np.stack([vm_left, vm_left[:, ::-1, ::-1]], axis=1)
+        for name, stack in (("p3", p3), ("vm", vm)):
+            stack.setflags(write=False)
+            object.__setattr__(self, name, stack)
 
     @property
     def size(self) -> int:
-        return len(self.cs_on)
+        return self.p3.shape[-1]
+
+    @property
+    def kernels(self) -> tuple:
+        """The 17 kernels, read-only views in ``KERNEL_NAMES`` order."""
+        return (*self.p3, *self.vm.reshape(-1, self.size, self.size))
 
 
 def build_banks(size: int) -> GroupingBanks:
     """Construct all kernel banks for one odd kernel size."""
     if size < 3 or size % 2 == 0:
         raise ConfigError(f"kernel size must be odd and >= 3, got {size}")
-    even, odd = zip(*(_gabor_pair(size, theta) for theta in THETAS))
-    left = tuple(_von_mises(size, theta + math.pi / 2) for theta in THETAS)
-    return GroupingBanks(even, odd, _center_surround(size), left,
-                         tuple(_rot180(k).copy() for k in left))
-
-
-def _slot(name: str):
-    """(field, theta index) of a kernel name; cs_on has no index (None)."""
-    field, _, i = name.partition(" ")
-    return (field, int(i)) if i.isdigit() else (name.replace(" ", "_"), None)
-
-
-def _iter_kernels(banks: GroupingBanks):
-    """(name, kernel) pairs of every kernel, in ``KERNEL_NAMES`` order."""
-    for name in KERNEL_NAMES:
-        field, i = _slot(name)
-        yield name, getattr(banks, field) if i is None else getattr(banks, field)[i]
-
-
-def _assemble(kernels_by_name: dict) -> GroupingBanks:
-    """Banks from kernels keyed by ``KERNEL_NAMES``; a missing name raises ``KeyError``."""
-    fields = {}
-    for name in KERNEL_NAMES:
-        field, i = _slot(name)
-        kern = kernels_by_name[name]
-        fields[field] = kern if i is None else fields.get(field, ()) + (kern,)
-    return GroupingBanks(**fields)
+    p3 = np.stack([*(k for theta in THETAS for k in _gabor_pair(size, theta)),
+                   _center_surround(size)])
+    return GroupingBanks(p3, np.stack([_von_mises(size, theta + math.pi / 2) for theta in THETAS]))
 
 
 def map_kernels(banks: GroupingBanks, fn) -> GroupingBanks:
-    """The record with ``fn`` applied to every kernel (see ``GroupingBanks``)."""
-    return _assemble({name: fn(kern) for name, kern in _iter_kernels(banks)})
+    """The record with the elementwise ``fn`` applied to both stacks; ``fn``
+    commutes with the rotation, so the right side is rebuilt from the
+    mapped left one."""
+    return GroupingBanks(fn(banks.p3), fn(banks.vm[:, 0]))

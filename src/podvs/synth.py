@@ -44,12 +44,19 @@ def _paint(frame_gray: np.ndarray, square: SquareSpec, value: int) -> None:
     frame_gray[square.y0 : square.y1, square.x0 : square.x1] = value
 
 
+def _check_size(width: int, height: int) -> None:
+    if min(width, height) < MIN_SIDE:
+        raise DimensionError(f"synthetic videos need at least {MIN_SIDE}x{MIN_SIDE} px, "
+                             f"got {width}x{height}")
+
+
 def onset_square_video(width: int = 112, height: int = 84, frames: int = 24):
     """Gray scene with static dot distractors; a white square appears.
 
     The square turns on at ONSET_FRAME and stays.  Returns
     (frames, square).
     """
+    _check_size(width, height)
     rng = np.random.default_rng(1201)
     bg = np.full((height, width), 96, dtype=np.uint8)
     # sparse static distractor dots, kept away from the square's area
@@ -71,6 +78,7 @@ def onset_square_video(width: int = 112, height: int = 84, frames: int = 24):
 
 def static_square_video(width: int = 112, height: int = 84, frames: int = 12):
     """Single bright square on a dark background, present throughout."""
+    _check_size(width, height)
     square = SquareSpec(x0=int(width * 0.30), y0=int(height * 0.30), size=max(10, height // 4))
     bg = np.full((height, width), 24, dtype=np.uint8)
     out = []
@@ -83,6 +91,7 @@ def static_square_video(width: int = 112, height: int = 84, frames: int = 12):
 
 def drifting_bar_video(width: int = 112, height: int = 84, frames: int = 24):
     """A bright vertical bar drifting rightward over a textured field."""
+    _check_size(width, height)
     rng = np.random.default_rng(7777)
     texture = rng.integers(64, 128, size=(height, width), dtype=np.uint8)
     out = []
@@ -97,6 +106,7 @@ def drifting_bar_video(width: int = 112, height: int = 84, frames: int = 24):
 
 def color_popout_video(width: int = 112, height: int = 84, frames: int = 12):
     """A red patch among gray distractors; drives the opponency channels."""
+    _check_size(width, height)
     rng = np.random.default_rng(4242)
     r = np.full((height, width), 90, dtype=np.uint8)
     g = r.copy()
@@ -115,15 +125,8 @@ def color_popout_video(width: int = 112, height: int = 84, frames: int = 12):
     return [frame] * frames, patch
 
 
-def _check_size(width: int, height: int) -> None:
-    if min(width, height) < MIN_SIDE:
-        raise DimensionError(f"synthetic videos need at least {MIN_SIDE}x{MIN_SIDE} px, "
-                             f"got {width}x{height}")
-
-
 def suite(width: int = 112, height: int = 84) -> dict:
     """The behavioral stimuli (pop-out assertions target these)."""
-    _check_size(width, height)
     return {
         "onset_square": onset_square_video(width, height)[0],
         "static_square": static_square_video(width, height)[0],

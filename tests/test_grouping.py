@@ -175,7 +175,7 @@ class TestCorrelate:
         rng = np.random.default_rng(21)
         for _ in range(5):
             m = rng.random((9, 11))
-            for kern in (banks5.even[1], banks5.vm_left[2], banks5.cs_on):
+            for kern in (banks5.p3[2], banks5.vm[2, 0], banks5.p3[8]):
                 np.testing.assert_allclose(
                     correlate(m, kern), naive_correlate(m, kern), atol=1e-12
                 )
@@ -188,8 +188,8 @@ class TestCorrelate:
             m = rng.random(shape)
             fft_shape = grouping._fft_shape(shape, (banks11.size, banks11.size))
             shared_map = grouping._Spectrum(m, fft_shape)
-            for kern in (banks11.even[1], banks11.odd[3],
-                         banks11.vm_left[2], banks11.cs_on):
+            for kern in (banks11.p3[2], banks11.p3[7],
+                         banks11.vm[2, 0], banks11.p3[8]):
                 expected = naive_correlate(m, kern)
                 for map_ in (m, shared_map):
                     np.testing.assert_allclose(correlate(map_, kern), expected, atol=1e-12)
@@ -199,8 +199,7 @@ class TestCorrelate:
         # KiB on it computes named * temporary as temporary * named; so a
         # shared spectrum keeps the bits only with one product order, and
         # only maps this large show it
-        kernels = (*banks11.even, *banks11.odd, banks11.cs_on,
-                   *banks11.vm_left, *banks11.vm_right)
+        kernels = banks11.kernels
         assert len(kernels) == 17
         m = np.random.default_rng(44).uniform(0, 255, size=(480, 640))
         shared = grouping._Spectrum(m, grouping._fft_shape(m.shape, (banks11.size, banks11.size)))
@@ -233,8 +232,7 @@ class TestCorrelate:
     def test_kernel_spectra_match_rfft2_at_reference_level_shapes(self, banks11):
         # a kernel's spectrum is a product with cached DFT slabs; the
         # padded rfft2 it replaces is the oracle
-        kernels = (*banks11.even, *banks11.odd, banks11.cs_on,
-                   *banks11.vm_left, *banks11.vm_right)
+        kernels = banks11.kernels
         assert len(kernels) == 17
         for w, h in reference_level_dims(640, 480, 10):
             fft_shape = grouping._fft_shape((h, w), (banks11.size, banks11.size))
@@ -248,12 +246,12 @@ class TestCorrelate:
         m = np.random.default_rng(37).random((13, 17))
         other = grouping._Spectrum(m, grouping._fft_shape((30, 17), (11, 11)))
         with pytest.raises(DimensionError):
-            correlate(other, banks11.cs_on)
+            correlate(other, banks11.p3[8])
 
     def test_direct_path_bit_identical_at_5x5(self, banks5):
         assert banks5.size < grouping.FFT_MIN_KERNEL
         m = np.random.default_rng(33).random((60, 80))
-        for kern in (banks5.even[1], banks5.vm_left[2], banks5.cs_on):
+        for kern in (banks5.p3[2], banks5.vm[2, 0], banks5.p3[8]):
             np.testing.assert_array_equal(
                 correlate(m, kern), ndimage.correlate(m, kern, mode="constant", cval=0.0)
             )
@@ -307,7 +305,7 @@ class TestCenterSurround:
         on, off = center_surround(m, banks5)
         assert on[7, 7] > 0
         assert off[7, 7] == 0.0
-        np.testing.assert_allclose(on[7, 7], (banks5.cs_on[2, 2] * 100.0), atol=1e-9)
+        np.testing.assert_allclose(on[7, 7], (banks5.p3[8][2, 2] * 100.0), atol=1e-9)
 
     def test_dark_dot_drives_off(self, banks5):
         m = np.full((15, 15), 100.0)
@@ -320,7 +318,7 @@ class TestCenterSurround:
         rng = np.random.default_rng(23)
         m = rng.random((12, 12)) * 50
         on, off = center_surround(m, banks5)
-        resp = correlate(m, banks5.cs_on)
+        resp = correlate(m, banks5.p3[8])
         np.testing.assert_allclose(on - off, resp, atol=1e-12)
         assert np.all((on == 0) | (off == 0))
 
@@ -341,7 +339,7 @@ class TestVonMisesFilter:
             out = von_mises_filter(on, off, banks, arith)
             assert out.shape == (4, 2, len(polarities), 9, 11)
             for ti in range(4):
-                for side, kern in enumerate((banks.vm_left[ti], banks.vm_right[ti])):
+                for side, kern in enumerate((banks.vm[ti, 0], banks.vm[ti, 1])):
                     for p, evidence in enumerate(polarities):
                         np.testing.assert_array_equal(out[ti, side, p],
                                                       arith.correlate(evidence, kern))
@@ -549,7 +547,7 @@ class TestGroupingActivity:
         out = grouping_activity(masks, field, banks5)
         expected = np.zeros((14, 14))
         for ti in range(4):
-            for own, kern in enumerate((banks5.vm_right[ti], banks5.vm_left[ti])):
+            for own, kern in enumerate((banks5.vm[ti, 1], banks5.vm[ti, 0])):
                 mask, bo = masks[0][ti, own], field[0][ti]
                 expected += correlate(mask * bo[own], kern) - correlate(mask * bo[1 - own], kern)
         np.testing.assert_allclose(out[0], np.maximum(expected, 0.0), atol=1e-12)
@@ -571,7 +569,7 @@ class TestGroupingActivity:
         br = rng.random((10, 10))  # strictly smaller
         field = [stack_sides((bl,) * 4, (br,) * 4)]
         out = grouping_activity(bo_masks(field), field, banks5)[0]
-        own_only = sum(correlate(bl, banks5.vm_right[ti]) for ti in range(4))
+        own_only = sum(correlate(bl, banks5.vm[ti, 1]) for ti in range(4))
         assert np.all(out <= own_only + 1e-12)
         assert np.any(out < own_only - 1e-3)
 

@@ -21,7 +21,7 @@ from podvs.hwmodel import (
     round_shift,
     saturate,
 )
-from podvs.kernels import THETAS, _iter_kernels, build_banks
+from podvs.kernels import KERNEL_NAMES, THETAS, build_banks
 
 #: Level shapes of the two reduced modes (112x84 and 80x60 pyramids).
 LEVEL_SHAPES = [(84, 112), (60, 80), (44, 56), (30, 40)]
@@ -149,7 +149,7 @@ class TestFixedArith:
 
     def test_center_surround_matches_naive_mac(self, arith, raw_banks, raw_map):
         on, off = center_surround(raw_map, raw_banks, arith)
-        expected, saturated = naive_mac(raw_map, raw_banks.cs_on, arith.fmt)
+        expected, saturated = naive_mac(raw_map, raw_banks.p3[8], arith.fmt)
         np.testing.assert_array_equal(on, np.maximum(expected, 0))
         np.testing.assert_array_equal(off, np.maximum(-expected, 0))
         assert arith.saturations == saturated
@@ -157,7 +157,7 @@ class TestFixedArith:
     def test_complex_edges_match_naive_mac(self, arith, raw_banks, raw_map):
         edges = complex_edges(raw_map, raw_banks, arith)
         total = 0
-        for got, even_k, odd_k in zip(edges, raw_banks.even, raw_banks.odd):
+        for got, even_k, odd_k in zip(edges, raw_banks.p3[:8:2], raw_banks.p3[1:8:2]):
             even, sat_even = naive_mac(raw_map, even_k, arith.fmt)
             odd, sat_odd = naive_mac(raw_map, odd_k, arith.fmt)
             total += sat_even + sat_odd
@@ -179,7 +179,7 @@ class TestFixedArith:
         total = np.zeros((7, 9), dtype=np.int64)
         saturated = 0
         for ti in range(len(THETAS)):
-            for own, kern in enumerate((raw_banks.vm_right[ti], raw_banks.vm_left[ti])):
+            for own, kern in enumerate((raw_banks.vm[ti, 1], raw_banks.vm[ti, 0])):
                 mask = masks[ti, own]
                 own_words, own_sat = naive_mac(mask * bo[ti, own], kern, fmt)
                 other_words, other_sat = naive_mac(mask * bo[ti, 1 - own], kern, fmt)
@@ -215,8 +215,8 @@ class TestIsqrt:
 
 class TestQuantizedBanks:
     def test_each_kernel_is_its_quantized_float_kernel(self, raw_banks):
-        floats = dict(_iter_kernels(build_banks(5)))
-        raw = dict(_iter_kernels(raw_banks))
+        floats = dict(zip(KERNEL_NAMES, build_banks(5).kernels))
+        raw = dict(zip(KERNEL_NAMES, raw_banks.kernels))
         assert raw.keys() == floats.keys() and len(raw) == 17
         for name, kernel in raw.items():
             np.testing.assert_array_equal(kernel, quantize(floats[name], KERNEL_FORMAT)[0])
@@ -243,7 +243,7 @@ class TestFixedCorrelate:
         cfg = EngineConfig(resolution=Resolution.HW_80, word_bits=word_bits)
         arith = FixedArith(cfg)
         fmt = arith.fmt
-        kernels = [kernel for _, kernel in _iter_kernels(HwPipeline(hw80_cfg).banks)]
+        kernels = list(HwPipeline(hw80_cfg).banks.kernels)
         assert len(kernels) == 17
         rng = np.random.default_rng(word_bits * 1000 + shape[1])
         total = 0
@@ -268,7 +268,7 @@ class TestFixedCorrelate:
         fmt = arith.fmt
         words = np.random.default_rng(52).integers(fmt.min_raw, fmt.max_raw + 1, size=(20, 30))
         raw = EDGE_MAPS[cut](words)
-        for _, kernel in _iter_kernels(raw_banks):
+        for kernel in raw_banks.kernels:
             expected, saturated = mac_loop(raw, kernel, fmt)
             for form in (raw, arith.share(raw, kernel.shape[0])):
                 flags = _Flags()
@@ -282,7 +282,7 @@ class TestFixedCorrelate:
         # negative value rounds to zero
         arith = FixedArith(hw80_cfg)
         words = -np.zeros(LEVEL_SHAPES[-1])
-        for _, kernel in _iter_kernels(HwPipeline(hw80_cfg).banks):
+        for kernel in HwPipeline(hw80_cfg).banks.kernels:
             plain = fixed_correlate(words, kernel, arith.fmt, arith.fmt, _Flags())
             shared = fixed_correlate(arith.share(words, kernel.shape[0]), kernel, arith.fmt,
                                      arith.fmt, _Flags())
