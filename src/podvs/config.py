@@ -166,21 +166,28 @@ def load_config(path) -> EngineConfig:
 
 @dataclass(frozen=True)
 class FrameRGB:
-    """One 8-bit RGB video frame, stored as three (height, width) planes."""
+    """One 8-bit RGB video frame, stored as three (height, width) planes.
+
+    The planes are read-only uint8 copies of the arrays passed in, so a
+    caller that reuses its buffers changes no frame already made, and the
+    caller's arrays stay writable.
+    """
 
     r: np.ndarray
     g: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
+        for name in "rgb":
+            plane = np.array(getattr(self, name), dtype=np.uint8, order="C")
+            plane.setflags(write=False)
+            object.__setattr__(self, name, plane)
         shapes = {self.r.shape, self.g.shape, self.b.shape}
         if len(shapes) != 1:
             raise DimensionError(f"color planes disagree: {sorted(shapes)}")
         h, w = self.r.shape
         if h <= 0 or w <= 0:
             raise DimensionError(f"degenerate frame {w}x{h}")
-        for plane in (self.r, self.g, self.b):
-            plane.setflags(write=False)
 
     @property
     def width(self) -> int:
@@ -192,16 +199,11 @@ class FrameRGB:
 
     @classmethod
     def from_planes(cls, r, g, b) -> "FrameRGB":
-        return cls(
-            np.ascontiguousarray(r, dtype=np.uint8),
-            np.ascontiguousarray(g, dtype=np.uint8),
-            np.ascontiguousarray(b, dtype=np.uint8),
-        )
+        return cls(r, g, b)
 
     @classmethod
     def from_gray(cls, gray) -> "FrameRGB":
-        gray = np.ascontiguousarray(gray, dtype=np.uint8)
-        return cls(gray, gray.copy(), gray.copy())
+        return cls(gray, gray, gray)
 
 
 def validate_frame(frame: FrameRGB, cfg: EngineConfig) -> None:

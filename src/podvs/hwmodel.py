@@ -31,11 +31,12 @@ get a row stack of their own.  Normalization and fusion run on the host
 in floating point, exactly like the reference pipeline.
 
 Each stage also carries a cycle/block-memory cost model reproducing the
-published per-stage accounting; the derived frame rate additionally
-uses two documented calibration constants (a stage-overlap factor and a
-host/transfer allowance per channel pass) fitted once to the two
-measured board rates, because the stated per-stage cycle counts alone
-sit about 13 percent above what the measured 112x84 rate allows.
+published per-stage accounting.  The derived frame rate is not read from
+it: it is the measured board rate of the mode (``_ANCHORS``) scaled by
+the channels run in parallel.  The cycle table is compared with those
+anchors, not fitted to them: a 112x84 channel pass models about 13
+percent more cycles than the measured rate allows, an 80x60 pass about
+28 percent fewer.
 """
 from __future__ import annotations
 
@@ -56,8 +57,6 @@ CLOCK_HZ = 100e6
 MAC_CYCLES_PER_PIXEL = 75  # 25 MACs at 3 CC each, all 9 kernels in parallel
 #: Passes through P1-P7 per frame: one per feature channel.
 CHANNEL_PASSES = 9
-
-STAGE_ORDER = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
 
 
 @dataclass(frozen=True)
@@ -252,8 +251,7 @@ def stage_costs(resolution: Resolution) -> dict:
     The per-pixel costs follow the published FSM structure: a 5x5 patch
     load is 25 CC, the weighted sum 75 CC (25 MACs, 3 CC each), the
     square root 10 CC, and single-word operations 1 CC.  P1 transfer
-    runs on the host link and carries no FPGA cycles here; its time
-    lives in the calibrated host allowance.
+    runs on the host link and carries no FPGA cycles here.
     """
     px = _pixel_counts(resolution)
     total_px = sum(px)
@@ -277,10 +275,10 @@ def channel_pass_cycles(resolution: Resolution) -> int:
     return sum(c.cycles for c in stage_costs(resolution).values())
 
 
-#: Measured board anchors: (resolution, channels in parallel, frames/s).
-_ANCHORS = ((Resolution.HW_112, 1, 2.079), (Resolution.HW_80, 2, 5.190))
+#: Measured board anchors: resolution -> (channels in parallel, frames/s).
+_ANCHORS = {Resolution.HW_112: (1, 2.079), Resolution.HW_80: (2, 5.190)}
 #: Default number of channels the board runs in parallel per mode: the anchors'.
-DEFAULT_PARALLEL = {resolution: parallel for resolution, parallel, _ in _ANCHORS}
+DEFAULT_PARALLEL = {resolution: parallel for resolution, (parallel, _) in _ANCHORS.items()}
 
 
 def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
@@ -293,35 +291,12 @@ def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
     return channels_parallel
 
 
-def _calibrate():
-    """Fit (overlap factor, host seconds per channel pass) to the anchors.
-
-    frame_time = (passes / parallel) * (overlap * cycles / clock + host),
-    with ``CHANNEL_PASSES`` passes.  One multiplicative and one additive
-    constant reproduce both measured rates; the paper's ideal-FPGA rates
-    then follow from pure passes/parallel scaling.
-    """
-    (r1, c1, f1), (r2, c2, f2) = _ANCHORS
-    t1 = c1 / (CHANNEL_PASSES * f1)
-    t2 = c2 / (CHANNEL_PASSES * f2)
-    s1 = channel_pass_cycles(r1) / CLOCK_HZ
-    s2 = channel_pass_cycles(r2) / CLOCK_HZ
-    overlap = (t1 - t2) / (s1 - s2)
-    host = t1 - overlap * s1
-    return overlap, host
-
-
-OVERLAP_FACTOR, HOST_SECONDS_PER_PASS = _calibrate()
-
-
 def frame_rate(resolution: Resolution, channels_parallel: int | None = None) -> float:
-    """Modeled frames per second for a given channel parallelism."""
-    channels_parallel = _parallelism(resolution, channels_parallel)
-    per_pass = (
-        OVERLAP_FACTOR * channel_pass_cycles(resolution) / CLOCK_HZ
-        + HOST_SECONDS_PER_PASS
-    )
-    return 1.0 / ((CHANNEL_PASSES / channels_parallel) * per_pass)
+    """Board frames per second for a given channel parallelism: the mode's
+    measured anchor rate, scaled by channels_parallel over the anchor's."""
+    _require_hw(resolution)
+    parallel, rate = _ANCHORS[resolution]
+    return rate * _parallelism(resolution, channels_parallel) / parallel
 
 
 def _stage_display(name: str, bits: int) -> str:
@@ -338,7 +313,7 @@ class HwProfile:
     """Cycle and block-memory ledger for a hardware-model run."""
 
     def __init__(self, cfg: EngineConfig, channels_parallel: int | None = None):
-        _require_hw(cfg)
+        _require_hw(cfg.resolution)
         self.resolution = cfg.resolution
         self.channels_parallel = _parallelism(cfg.resolution, channels_parallel)
         self.stage = stage_costs(cfg.resolution)
@@ -373,8 +348,6 @@ class HwProfile:
             "frames": self.frames,
             "total_cycles": self.total_cycles,
             "derived_frame_rate_hz": self.derived_frame_rate,
-            "overlap_factor": OVERLAP_FACTOR,
-            "host_seconds_per_pass": HOST_SECONDS_PER_PASS,
             "saturations": self.saturations,
         }
         return json.dumps(doc, indent=2)
@@ -385,8 +358,7 @@ class HwProfile:
             f"{self.channels_parallel} channel(s) in parallel, "
             f"{CLOCK_HZ / 1e6:g} MHz clock",
         ]
-        for name in STAGE_ORDER:
-            cost = self.stage[name]
+        for name, cost in self.stage.items():
             lines.append(
                 f"  {name}: {cost.cycles} CC  {cost.bram_bits} bits"
                 f" ({_stage_display(name, cost.bram_bits)})"
@@ -409,22 +381,15 @@ class HwProfile:
         )
         lines.append(f"  per channel pass: {channel_pass_cycles(self.resolution)} CC")
         lines.append(f"  per frame ({CHANNEL_PASSES} channels): {self.frame_cycles} CC")
-        lines.append(
-            "  P7 winner masks run on the host: zero FPGA cycles, time"
-            " covered by the host allowance"
-        )
-        lines.append(
-            f"  calibration: overlap={OVERLAP_FACTOR:.6f}, "
-            f"host={HOST_SECONDS_PER_PASS * 1e3:.3f} ms/channel pass"
-        )
+        lines.append("  P7 winner masks run on the host: zero FPGA cycles")
         lines.append(f"  derived frame rate: {self.derived_frame_rate:.3f} Hz")
         lines.append(f"  frames processed: {self.frames}")
         lines.append(f"  saturated words: {self.saturations}")
         return "\n".join(lines) + "\n"
 
 
-def _require_hw(cfg: EngineConfig) -> None:
-    if cfg.resolution is Resolution.REFERENCE:
+def _require_hw(resolution: Resolution) -> None:
+    if resolution is Resolution.REFERENCE:
         raise ConfigError("hardware model requires a reduced-resolution mode")
 
 

@@ -107,7 +107,7 @@ KERNEL_NAMES = (*(f"{k} {i}" for i in range(len(THETAS)) for k in ("even", "odd"
                 *(f"{k} {i}" for i in range(len(THETAS)) for k in ("vm_left", "vm_right")))
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class GroupingBanks:
     """P3's and P4's kernels as two read-only stacks of size x size kernels,
     size odd.
@@ -118,7 +118,8 @@ class GroupingBanks:
     along THETAS[i] + pi/2 (downward normal in image coordinates), and the
     record builds vm[i, 1] as its 180-degree rotation from the left kernels
     alone, ``vm_left`` (4, size, size).  A misshapen stack raises
-    ``DimensionError``, a negative von Mises tap ``ConfigError``.
+    ``DimensionError``, a negative von Mises tap ``ConfigError``.  Two
+    records are equal only if they are one object.
     """
 
     p3: np.ndarray

@@ -40,6 +40,12 @@ class SquareSpec:
         return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
 
 
+def _square(width: int, height: int, x0: int, y0: int, size: int) -> SquareSpec:
+    """The square at (x0, y0) inside the frame, its size clamped so that it
+    ends at the frame's edge at the latest: the square is what gets painted."""
+    return SquareSpec(x0, y0, min(size, width - x0, height - y0))
+
+
 def _paint(frame_gray: np.ndarray, square: SquareSpec, value: int) -> None:
     frame_gray[square.y0 : square.y1, square.x0 : square.x1] = value
 
@@ -60,7 +66,7 @@ def onset_square_video(width: int = 112, height: int = 84, frames: int = 24):
     rng = np.random.default_rng(1201)
     bg = np.full((height, width), 96, dtype=np.uint8)
     # sparse static distractor dots, kept away from the square's area
-    square = SquareSpec(x0=int(width * 0.60), y0=int(height * 0.55), size=max(8, height // 5))
+    square = _square(width, height, int(width * 0.60), int(height * 0.55), max(8, height // 5))
     for _ in range(40):
         x = int(rng.integers(2, width - 4))
         y = int(rng.integers(2, height - 4))
@@ -79,7 +85,7 @@ def onset_square_video(width: int = 112, height: int = 84, frames: int = 24):
 def static_square_video(width: int = 112, height: int = 84, frames: int = 12):
     """Single bright square on a dark background, present throughout."""
     _check_size(width, height)
-    square = SquareSpec(x0=int(width * 0.30), y0=int(height * 0.30), size=max(10, height // 4))
+    square = _square(width, height, int(width * 0.30), int(height * 0.30), max(10, height // 4))
     bg = np.full((height, width), 24, dtype=np.uint8)
     out = []
     for _ in range(frames):
@@ -117,7 +123,7 @@ def color_popout_video(width: int = 112, height: int = 84, frames: int = 12):
         v = int(rng.integers(70, 120))
         for plane in (r, g, b):
             plane[y : y + 3, x : x + 3] = v
-    patch = SquareSpec(x0=int(width * 0.55), y0=int(height * 0.35), size=max(8, height // 6))
+    patch = _square(width, height, int(width * 0.55), int(height * 0.35), max(8, height // 6))
     r[patch.y0 : patch.y1, patch.x0 : patch.x1] = 220
     g[patch.y0 : patch.y1, patch.x0 : patch.x1] = 40
     b[patch.y0 : patch.y1, patch.x0 : patch.x1] = 40

@@ -125,6 +125,30 @@ class TestFrameValidation:
         with pytest.raises(ValueError):
             frame.r[0, 0] = 1
 
+    def test_reused_buffer_leaves_pushed_frames_alone(self):
+        buf = np.full((3, 4, 5), 10, dtype=np.uint8)
+        hist = FrameHistory()
+        hist.push(FrameRGB.from_planes(buf[0], buf[1], buf[2]))
+        buf[:] = 20
+        hist.push(FrameRGB.from_planes(buf[0], buf[1], buf[2]))
+        assert hist.frame_at(1).r[0, 0] == 10
+        assert hist.frame_at(0).r[0, 0] == 20
+
+    @pytest.mark.parametrize("make", [
+        lambda a: FrameRGB.from_gray(a),
+        lambda a: FrameRGB.from_planes(a, a, a),
+        lambda a: FrameRGB(a, a.copy(), a.copy()),
+    ], ids=["from_gray", "from_planes", "constructor"])
+    def test_caller_arrays_stay_writable_and_unshared(self, make):
+        gray = np.full((4, 5), 7, dtype=np.uint8)
+        frame = make(gray)
+        assert gray.flags.writeable
+        gray[:] = 99
+        for plane in (frame.r, frame.g, frame.b):
+            assert not plane.flags.writeable
+            assert not np.shares_memory(plane, gray)
+            assert np.all(plane == 7)
+
 
 class TestFrameHistory:
     def test_warmup_pads_with_earliest(self):

@@ -8,6 +8,8 @@ from podvs.config import EngineConfig, Resolution
 from podvs.errors import ConfigError
 from podvs.grouping import bo_masks, center_surround, complex_edges, grouping_activity
 from podvs.hwmodel import (
+    CHANNEL_PASSES,
+    CLOCK_HZ,
     KERNEL_FORMAT,
     FixedArith,
     FixedFormat,
@@ -15,6 +17,7 @@ from podvs.hwmodel import (
     HwProfile,
     _Flags,
     _isqrt,
+    channel_pass_cycles,
     fixed_correlate,
     frame_rate,
     quantize,
@@ -316,6 +319,11 @@ class TestHwProfile:
             HwProfile(hw80_cfg, channels_parallel=channels)
 
 
+#: Measured board rates: (resolution, channels in parallel, frames/s).
+BOARD_ANCHORS = [(Resolution.HW_112, 1, 2.079), (Resolution.HW_80, 2, 5.190)]
+ANCHOR_IDS = ["112x84", "80x60"]
+
+
 class TestFrameRate:
     def test_calibration_reproduces_board_anchors(self):
         # measured: 2.079 Hz at 112x84 with one channel, 5.190 Hz at
@@ -329,6 +337,33 @@ class TestFrameRate:
         rate = frame_rate(Resolution.HW_80, 9)
         assert rate == pytest.approx(23.355, abs=5e-4)
         assert math.floor(rate * 100) / 100 == 23.35
+
+    @pytest.mark.parametrize("resolution, parallel, rate", BOARD_ANCHORS, ids=ANCHOR_IDS)
+    @pytest.mark.parametrize("channels", range(1, 10))
+    def test_rate_is_the_anchor_scaled_by_parallelism(self, resolution, parallel, rate,
+                                                      channels):
+        assert frame_rate(resolution, channels) == pytest.approx(rate * channels / parallel,
+                                                                 rel=1e-12)
+
+    @pytest.mark.parametrize("anchor, modelled_ms, allowed_ms, ratio", [
+        (BOARD_ANCHORS[0], 60.24, 53.44, 1.127),
+        (BOARD_ANCHORS[1], 30.64, 42.82, 0.716),
+    ], ids=ANCHOR_IDS)
+    def test_cycle_table_against_the_anchors(self, anchor, modelled_ms, allowed_ms, ratio):
+        # the published per-stage cycles of one channel pass, at the clock,
+        # beside the time a pass may take at the measured rate: about 13
+        # percent above it at 112x84, 28 percent below it at 80x60
+        resolution, parallel, rate = anchor
+        modelled = channel_pass_cycles(resolution) / CLOCK_HZ
+        allowed = parallel / (CHANNEL_PASSES * rate)
+        assert modelled * 1e3 == pytest.approx(modelled_ms, abs=5e-3)
+        assert allowed * 1e3 == pytest.approx(allowed_ms, abs=5e-3)
+        assert modelled / allowed == pytest.approx(ratio, abs=5e-4)
+
+    @pytest.mark.parametrize("channels", [None, 2])
+    def test_reference_mode_has_no_board_rate(self, channels):
+        with pytest.raises(ConfigError, match="reduced-resolution mode"):
+            frame_rate(Resolution.REFERENCE, channels)
 
     @pytest.mark.parametrize("channels", [10, 18])
     def test_more_channels_than_a_frame_has_rejected(self, channels):

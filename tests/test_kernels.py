@@ -155,6 +155,10 @@ class TestBankIO:
         with pytest.raises(ConfigError):
             build_banks(6)
 
+    def test_equality_is_identity(self, banks):
+        assert (build_banks(banks.size) == build_banks(banks.size)) is False
+        assert banks == banks
+
 
 class TestStacks:
     @pytest.mark.parametrize("make", [

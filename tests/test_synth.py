@@ -57,3 +57,22 @@ def test_generator_draws_its_default_clip_at_the_requested_size(name, width, hei
             x0, y0, x1, y1 = _box_of(bar)
             assert np.count_nonzero(bar) == (x1 - x0) * (y1 - y0)
             assert 0 < y0 and y1 < height and x1 <= width
+
+
+#: Each target clip's painted target, as a mask of one frame.
+PAINTED = {
+    "onset_square_video": lambda f: f.r == 255,
+    "static_square_video": lambda f: f.r == 220,
+    "color_popout_video": lambda f: (f.r == 220) & (f.g == 40),
+}
+BOX_SIZES = [(8, 8), (16, 12), (40, 30), (80, 60), (112, 84)]
+
+
+@pytest.mark.parametrize("name", sorted(PAINTED))
+@pytest.mark.parametrize("width, height", BOX_SIZES, ids=[f"{w}x{h}" for w, h in BOX_SIZES])
+def test_target_box_is_the_painted_region(name, width, height):
+    frames, box = GENERATORS[name](width, height)
+    assert 0 <= box.x0 < box.x1 <= width and 0 <= box.y0 < box.y1 <= height
+    inside = np.zeros((height, width), dtype=bool)
+    inside[box.y0 : box.y1, box.x0 : box.x1] = True
+    np.testing.assert_array_equal(PAINTED[name](frames[-1]), inside)
