@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .config import EngineConfig, Resolution, load_config
+from .config import EngineConfig, Resolution, load_settings
 from .errors import PodvsError
-from .hwmodel import HwPipeline, HwProfile
+from .hwmodel import ANCHORS, HwPipeline, HwProfile
 from .io import (
     read_fixations,
     read_frames,
@@ -47,10 +46,12 @@ _MODE_RESOLUTION = {res.mode: res for res in Resolution}
 
 
 def _config_for(args, default_mode: str) -> EngineConfig:
-    """Resolution from ``--mode``, else from the config file, else default_mode."""
-    cfg = load_config(args.config) if args.config else EngineConfig()
-    mode = args.mode or (None if args.config else default_mode)
-    return replace(cfg, resolution=_MODE_RESOLUTION[mode]) if mode else cfg
+    """Resolution from ``--mode``, else from the config file, else default_mode;
+    the file's other settings are validated under that resolution."""
+    settings = load_settings(args.config) if args.config else {}
+    if args.mode or not args.config:
+        settings["resolution"] = _MODE_RESOLUTION[args.mode or default_mode]
+    return EngineConfig(**settings)
 
 
 def _cmd_run(args) -> int:
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("profile", help="hardware cycle and memory ledger")
-    p.add_argument("--mode", choices=[r.mode for r in Resolution if r is not Resolution.REFERENCE],
+    p.add_argument("--mode", choices=[r.mode for r in ANCHORS],
                    help="default: the config file's resolution, else hw112")
     p.add_argument("--config", help="engine config file")
     p.add_argument("--channels", type=int, default=None, help="channels in parallel")
@@ -184,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="emit the synthetic test videos")
     p.add_argument("--out", required=True)
-    p.add_argument("--width", type=int, default=112)
-    p.add_argument("--height", type=int, default=84)
+    p.add_argument("--width", type=int, default=Resolution.HW_112.width)
+    p.add_argument("--height", type=int, default=Resolution.HW_112.height)
     p.set_defaults(func=_cmd_synth)
 
     return parser

@@ -13,7 +13,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, FormatError
 
 #: Number of temporal taps: the current frame plus five previous ones.
 TAP_COUNT = 6
@@ -25,15 +25,13 @@ COEFFICIENT_BITS = 18
 
 
 class Resolution(Enum):
-    """Input resolution mode.
+    """Input resolution mode: frame size, grouping kernel size and ``mode``
+    name.  Its pyramid levels are ``pyramid``'s (``REFERENCE_DEPTH``,
+    ``HW_LEVELS``); the modes the board runs are ``hwmodel.ANCHORS``."""
 
-    Each mode pins the grouping kernel size and pyramid depth and has a
-    ``mode`` name; mixed combinations are not constructible.
-    """
-
-    REFERENCE = (640, 480, 11, 10, "reference")
-    HW_112 = (112, 84, 5, 3, "hw112")
-    HW_80 = (80, 60, 5, 3, "hw80")
+    REFERENCE = (640, 480, 11, "reference")
+    HW_112 = (112, 84, 5, "hw112")
+    HW_80 = (80, 60, 5, "hw80")
 
     @property
     def width(self) -> int:
@@ -48,12 +46,8 @@ class Resolution(Enum):
         return self.value[2]
 
     @property
-    def pyramid_depth(self) -> int:
-        return self.value[3]
-
-    @property
     def mode(self) -> str:
-        return self.value[4]
+        return self.value[3]
 
     @classmethod
     def from_string(cls, text: str) -> "Resolution":
@@ -73,8 +67,8 @@ class Resolution(Enum):
 class EngineConfig:
     """Validated engine parameters.
 
-    Unset keys take the defaults below; kernel size and pyramid depth
-    always follow the resolution mode, and ``word_bits`` is at most what the
+    Unset keys take the defaults below; the frame and kernel sizes always
+    follow the resolution mode, and ``word_bits`` is at most what the
     hardware model's MAC accumulator holds (26 at 5x5 kernels, 24 at 11x11).
     The paper's fixed parameters are constants, not keys: unit inhibition
     in P7 and N(.)'s peak rule, ``normalize.MAXIMA_RADIUS`` and ``MAXIMA_THRESHOLD``.
@@ -113,10 +107,6 @@ class EngineConfig:
         return self.resolution.kernel_size
 
     @property
-    def pyramid_depth(self) -> int:
-        return self.resolution.pyramid_depth
-
-    @property
     def frame_period_ms(self) -> float:
         return 1000.0 / self.frame_rate
 
@@ -128,11 +118,11 @@ _PARSERS = {
 }
 
 
-def parse_config(text: str) -> EngineConfig:
-    """Parse key=value lines into a validated config.
+def _settings(text: str) -> dict:
+    """Parse key=value lines into {key: value}, each value of its field's type.
 
     Blank lines and lines starting with '#' are ignored; unknown keys
-    are errors.
+    are errors.  The values are checked together by ``EngineConfig``.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -151,17 +141,28 @@ def parse_config(text: str) -> EngineConfig:
             values[key] = _PARSERS[key](val.strip())
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-    return EngineConfig(**values)
+    return values
 
 
-def load_config(path) -> EngineConfig:
-    """Read and parse a config file.  An empty file yields the defaults."""
+def parse_config(text: str) -> EngineConfig:
+    """Parse key=value lines into a validated config."""
+    return EngineConfig(**_settings(text))
+
+
+def load_settings(path) -> dict:
+    """A config file's settings, parsed but not yet validated together, so
+    that a caller can set the resolution before the word width is checked."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text)
+    return _settings(text)
+
+
+def load_config(path) -> EngineConfig:
+    """Read and parse a config file.  An empty file yields the defaults."""
+    return EngineConfig(**load_settings(path))
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,8 @@ class FrameRGB:
 
     The planes are read-only uint8 copies of the arrays passed in, so a
     caller that reuses its buffers changes no frame already made, and the
-    caller's arrays stay writable.
+    caller's arrays stay writable.  Planes of other types must hold only
+    integers in 0..255, or ``FormatError`` is raised: no sample wraps.
     """
 
     r: np.ndarray
@@ -179,7 +181,12 @@ class FrameRGB:
 
     def __post_init__(self):
         for name in "rgb":
-            plane = np.array(getattr(self, name), dtype=np.uint8, order="C")
+            plane = np.asarray(getattr(self, name))
+            if plane.dtype != np.uint8:
+                bad = plane[(plane < 0) | (plane > 255) | (plane != np.trunc(plane))]
+                if bad.size:
+                    raise FormatError(f"{name} plane holds {bad[0].item()!r}, not an 8-bit sample")
+            plane = np.array(plane, dtype=np.uint8, order="C")
             plane.setflags(write=False)
             object.__setattr__(self, name, plane)
         shapes = {self.r.shape, self.g.shape, self.b.shape}

@@ -32,11 +32,11 @@ in floating point, exactly like the reference pipeline.
 
 Each stage also carries a cycle/block-memory cost model reproducing the
 published per-stage accounting.  The derived frame rate is not read from
-it: it is the measured board rate of the mode (``_ANCHORS``) scaled by
-the channels run in parallel.  The cycle table is compared with those
-anchors, not fitted to them: a 112x84 channel pass models about 13
-percent more cycles than the measured rate allows, an 80x60 pass about
-28 percent fewer.
+it: it is the measured board rate of the mode (``ANCHORS``, which lists
+the board's modes) scaled by the channels run in parallel.  The cycle
+table is compared with those anchors, not fitted to them: a 112x84
+channel pass models about 13 percent more cycles than the measured rate
+allows, an 80x60 pass about 28 percent fewer.
 """
 from __future__ import annotations
 
@@ -240,11 +240,6 @@ class StageCost:
     bram_bits: int
 
 
-def _pixel_counts(resolution: Resolution):
-    sizes = hw_level_sizes(resolution.width, resolution.height)
-    return [w * h for w, h in sizes]
-
-
 def stage_costs(resolution: Resolution) -> dict:
     """Cycles and BRAM bits per stage for one channel pass.
 
@@ -253,7 +248,7 @@ def stage_costs(resolution: Resolution) -> dict:
     square root 10 CC, and single-word operations 1 CC.  P1 transfer
     runs on the host link and carries no FPGA cycles here.
     """
-    px = _pixel_counts(resolution)
+    px = [w * h for w, h in hw_level_sizes(resolution.width, resolution.height)]
     total_px = sum(px)
     levels = len(px)
     p3_per_pixel = 25 + MAC_CYCLES_PER_PIXEL + 10 + 1 + 3   # load, MACs, sqrt, invert, store
@@ -275,16 +270,17 @@ def channel_pass_cycles(resolution: Resolution) -> int:
     return sum(c.cycles for c in stage_costs(resolution).values())
 
 
-#: Measured board anchors: resolution -> (channels in parallel, frames/s).
-_ANCHORS = {Resolution.HW_112: (1, 2.079), Resolution.HW_80: (2, 5.190)}
-#: Default number of channels the board runs in parallel per mode: the anchors'.
-DEFAULT_PARALLEL = {resolution: parallel for resolution, (parallel, _) in _ANCHORS.items()}
+#: The board's modes and their measured anchors: resolution -> (channels
+#: in parallel, frames/s).  The anchor's parallelism is the mode's default.
+ANCHORS = {Resolution.HW_112: (1, 2.079), Resolution.HW_80: (2, 5.190)}
 
 
 def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
-    """The requested channel parallelism, or the mode's default."""
+    """The requested channel parallelism, or the mode's anchor's."""
+    if resolution not in ANCHORS:
+        raise ConfigError("hardware model requires a reduced-resolution mode")
     if channels_parallel is None:
-        return DEFAULT_PARALLEL[resolution]
+        return ANCHORS[resolution][0]
     if not 1 <= channels_parallel <= CHANNEL_PASSES:
         raise ConfigError(f"channels_parallel must be >= 1 and <= {CHANNEL_PASSES}, the "
                           f"channels of a frame; got {channels_parallel}")
@@ -294,9 +290,9 @@ def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
 def frame_rate(resolution: Resolution, channels_parallel: int | None = None) -> float:
     """Board frames per second for a given channel parallelism: the mode's
     measured anchor rate, scaled by channels_parallel over the anchor's."""
-    _require_hw(resolution)
-    parallel, rate = _ANCHORS[resolution]
-    return rate * _parallelism(resolution, channels_parallel) / parallel
+    n = _parallelism(resolution, channels_parallel)
+    parallel, rate = ANCHORS[resolution]
+    return rate * n / parallel
 
 
 def _stage_display(name: str, bits: int) -> str:
@@ -313,7 +309,6 @@ class HwProfile:
     """Cycle and block-memory ledger for a hardware-model run."""
 
     def __init__(self, cfg: EngineConfig, channels_parallel: int | None = None):
-        _require_hw(cfg.resolution)
         self.resolution = cfg.resolution
         self.channels_parallel = _parallelism(cfg.resolution, channels_parallel)
         self.stage = stage_costs(cfg.resolution)
@@ -386,11 +381,6 @@ class HwProfile:
         lines.append(f"  frames processed: {self.frames}")
         lines.append(f"  saturated words: {self.saturations}")
         return "\n".join(lines) + "\n"
-
-
-def _require_hw(resolution: Resolution) -> None:
-    if resolution is Resolution.REFERENCE:
-        raise ConfigError("hardware model requires a reduced-resolution mode")
 
 
 # --------------------------------------------------------------------

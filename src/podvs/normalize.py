@@ -17,9 +17,8 @@ import numpy as np
 from scipy import ndimage
 
 from .channels import ChannelId
-from .config import EngineConfig
 from .errors import DimensionError
-from .pyramid import ImagePyramid, collapse
+from .pyramid import collapse
 
 #: Neighborhood radius of a local maximum: its 3x3 neighbors.
 MAXIMA_RADIUS = 1
@@ -92,7 +91,7 @@ def normalize_n2(map_: np.ndarray) -> np.ndarray:
     return normalize_n1(rescale_to_range(map_))
 
 
-def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
+def fuse(grouping_pyramids: dict) -> np.ndarray:
     """Conspicuity formation and linear fusion into one saliency map.
 
     Per channel: N1 on every pyramid level, collapse to the base
@@ -103,27 +102,29 @@ def fuse(grouping_pyramids: dict, cfg: EngineConfig) -> np.ndarray:
     with no non-zero pixel on any level (in every mode, the opponency
     channels of a gray frame) normalizes to zeros without the work: N1
     scales each level by (0 - 0)**2, and N2's rescale maps a constant
-    conspicuity map to zeros.  So its level shapes are never read, and
-    ``Pipeline.step`` in reference mode, which does not group an
-    all-zero map, passes the map itself as a one-level pyramid (the
-    reduced modes wait until the benchmark's tests stop pinning their
-    correlation counts).  ``cfg`` gives the output shape.
+    conspicuity map to zeros.  So ``Pipeline.step`` in reference mode,
+    which does not group an all-zero map, passes the map itself as a
+    one-level pyramid.  The output has level 0's shape, the frame's,
+    which every pyramid must share.
     """
     if set(grouping_pyramids) != set(ChannelId):
         missing = set(ChannelId) - set(grouping_pyramids)
         raise DimensionError(f"missing channels: {sorted(c.value for c in missing)}")
-    total = np.zeros((cfg.height, cfg.width), dtype=np.float64)
+    shapes = {pyramid[0].shape for pyramid in grouping_pyramids.values()}
+    if len(shapes) != 1:
+        raise DimensionError(f"pyramids disagree on their level-0 shape: {sorted(shapes)}")
+    (shape,) = shapes
+    total = np.zeros(shape)
     done = []  # (pyramid, normalized conspicuity map) pairs
     for cid in ChannelId:
         pyramid = grouping_pyramids[cid]
         normalized = next((m for p, m in done if p is pyramid), None)
         if normalized is None:
             if any(level.any() for level in pyramid):
-                levels = [normalize_n1(level) for level in pyramid]
-                conspicuity = collapse(ImagePyramid(tuple(levels)), cfg.height, cfg.width)
+                conspicuity = collapse([normalize_n1(level) for level in pyramid], *shape)
                 normalized = normalize_n2(conspicuity)
             else:
-                normalized = np.zeros((cfg.height, cfg.width))
+                normalized = np.zeros(shape)
             done.append((pyramid, normalized))
         total += normalized
     return rescale_to_range(total)

@@ -10,9 +10,9 @@ inhibits with unit weight.  A zero map groups to +0.0 on every level,
 on both paths of the chain, so reference mode skips inputs with no
 non-zero pixel, such as the colour-opponency maps of a gray frame, and
 passes each as its own one-level pyramid: in every mode ``fuse`` turns
-a pyramid of zeros into a zero conspicuity map without reading its
-levels.  The reduced modes group every input while the benchmark's
-tests pin their correlation counts.
+a pyramid of zeros into a zero conspicuity map without normalizing it.
+The reduced modes group every input while the benchmark's tests pin
+their correlation counts.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .errors import DimensionError
 from .grouping import FLOAT, grouping_pyramid
 from .kernels import build_banks
 from .normalize import fuse
-from .pyramid import ImagePyramid, build_hw_pyramid, build_reference_pyramid
+from .pyramid import REFERENCE_DEPTH, ImagePyramid, build_hw_pyramid, build_reference_pyramid
 from .pyramid import bilinear_resize  # noqa: F401  (bench/tests reads pipeline.bilinear_resize)
 from .temporal import STRONGLY_PHASIC, WEAKLY_PHASIC, make_kernel
 
@@ -34,15 +34,15 @@ from .temporal import STRONGLY_PHASIC, WEAKLY_PHASIC, make_kernel
 def build_channel_pyramid(map_: np.ndarray, cfg: EngineConfig) -> ImagePyramid:
     """Pyramid for one channel map under the configured mode.
 
-    Reference mode shrinks by sqrt(2) with bilinear resampling; the
-    reduced modes use the fixed hardware level structure (nearest
-    neighbor through the frozen shift addresses) regardless of the
-    arithmetic, so fixed-versus-float comparisons isolate precision.
-    Nearest-neighbor levels keep the map's element type, so raw
-    fixed-point words go through unchanged.
+    Reference mode shrinks by sqrt(2) over ``REFERENCE_DEPTH`` bilinear
+    levels; the reduced modes use ``pyramid.HW_LEVELS`` (nearest neighbor
+    through the frozen shift addresses) regardless of the arithmetic, so
+    fixed-versus-float comparisons isolate precision.  Nearest-neighbor
+    levels keep the map's element type, so raw fixed-point words go
+    through unchanged.
     """
     if cfg.resolution is Resolution.REFERENCE:
-        return build_reference_pyramid(map_, cfg.pyramid_depth)
+        return build_reference_pyramid(map_, REFERENCE_DEPTH)
     return build_hw_pyramid(map_)
 
 
@@ -79,7 +79,7 @@ class Pipeline:
             else:
                 grouped[cid] = self._grouping(map_, cid in ORIENTATION_CHANNELS)
         grouped.update(dict.fromkeys(ORIENTATION_CHANNELS, grouped[ChannelId.O_0]))
-        return fuse(grouped, self.cfg)
+        return fuse(grouped)
 
 
 def run_sequence(frames, engine: Pipeline):

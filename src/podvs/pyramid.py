@@ -1,10 +1,10 @@
 """Multi-resolution decomposition and across-scale collapse.
 
-Two pyramid flavors:
+Two pyramid flavors, the levels of every mode:
 
-* reference: levels shrink in steps of sqrt(2) from the base resolution
-  (rounded half-up), resampled with bilinear interpolation;
-* hardware: the three fixed level sizes of the reduced-resolution modes,
+* reference: ``REFERENCE_DEPTH`` levels shrinking by sqrt(2) from the base
+  resolution (rounded half-up), resampled with bilinear interpolation;
+* hardware: the three level sizes of each reduced mode (``HW_LEVELS``),
   subsampled nearest-neighbor with the source address computed by the
   frozen shift-based multiply approximation below (every level reads
   directly from the root image, as the parallel downsamplers do).
@@ -56,6 +56,8 @@ HW_LEVELS = {
     (112, 84): ((112, 84), (80, 60), (56, 44)),
     (80, 60): ((80, 60), (56, 44), (40, 30)),
 }
+#: Reference pyramid levels, shrinking by sqrt(2) (``reference_level_dims``).
+REFERENCE_DEPTH = 10
 
 
 def shift_params(src_dim: int, dst_dim: int):
@@ -195,10 +197,10 @@ def build_hw_pyramid(map_: np.ndarray) -> ImagePyramid:
     return ImagePyramid(tuple(levels), shift_axis)
 
 
-def collapse(pyr: ImagePyramid, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinearly rescale every level to a common size and sum."""
+def collapse(levels, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinearly rescale every level (of any sequence) to one size and sum."""
     acc = np.zeros((out_h, out_w), dtype=np.float64)
-    for level in pyr.levels:
+    for level in levels:
         acc += bilinear_resize(level, out_h, out_w)
     return acc
 

@@ -2,7 +2,8 @@
 
 Deterministic stimuli used by the behavioral tests and the `synth`
 subcommand.  Every generator is seeded with a fixed constant, so the
-emitted frames are bitwise stable across runs.
+emitted frames are bitwise stable across runs, and takes the frame size
+from its caller: the engine's sizes are ``config.Resolution``'s.
 """
 from __future__ import annotations
 
@@ -36,9 +37,6 @@ class SquareSpec:
     def y1(self) -> int:
         return self.y0 + self.size
 
-    def contains(self, x: int, y: int) -> bool:
-        return self.x0 <= x < self.x1 and self.y0 <= y < self.y1
-
 
 def _square(width: int, height: int, x0: int, y0: int, size: int) -> SquareSpec:
     """The square at (x0, y0) inside the frame, its size clamped so that it
@@ -56,7 +54,7 @@ def _check_size(width: int, height: int) -> None:
                              f"got {width}x{height}")
 
 
-def onset_square_video(width: int = 112, height: int = 84, frames: int = 24):
+def onset_square_video(width: int, height: int, frames: int = 24):
     """Gray scene with static dot distractors; a white square appears.
 
     The square turns on at ONSET_FRAME and stays.  Returns
@@ -82,7 +80,7 @@ def onset_square_video(width: int = 112, height: int = 84, frames: int = 24):
     return out, square
 
 
-def static_square_video(width: int = 112, height: int = 84, frames: int = 12):
+def static_square_video(width: int, height: int, frames: int = 12):
     """Single bright square on a dark background, present throughout."""
     _check_size(width, height)
     square = _square(width, height, int(width * 0.30), int(height * 0.30), max(10, height // 4))
@@ -95,7 +93,7 @@ def static_square_video(width: int = 112, height: int = 84, frames: int = 12):
     return out, square
 
 
-def drifting_bar_video(width: int = 112, height: int = 84, frames: int = 24):
+def drifting_bar_video(width: int, height: int, frames: int = 24):
     """A bright vertical bar drifting rightward over a textured field."""
     _check_size(width, height)
     rng = np.random.default_rng(7777)
@@ -110,7 +108,7 @@ def drifting_bar_video(width: int = 112, height: int = 84, frames: int = 24):
     return out
 
 
-def color_popout_video(width: int = 112, height: int = 84, frames: int = 12):
+def color_popout_video(width: int, height: int, frames: int = 12):
     """A red patch among gray distractors; drives the opponency channels."""
     _check_size(width, height)
     rng = np.random.default_rng(4242)
@@ -131,7 +129,7 @@ def color_popout_video(width: int = 112, height: int = 84, frames: int = 12):
     return [frame] * frames, patch
 
 
-def suite(width: int = 112, height: int = 84) -> dict:
+def suite(width: int, height: int) -> dict:
     """The behavioral stimuli (pop-out assertions target these)."""
     return {
         "onset_square": onset_square_video(width, height)[0],
@@ -146,7 +144,7 @@ def _texture(width: int, height: int) -> np.ndarray:
     return rng.integers(40, 80, size=(height, width)).astype(np.uint8)
 
 
-def fidelity_suite(width: int = 112, height: int = 84) -> dict:
+def fidelity_suite(width: int, height: int) -> dict:
     """Frozen stimuli for fixed-versus-float fidelity scoring.
 
     The masked-mean NSS of two near-identical maps equals the mean of
@@ -202,7 +200,7 @@ def fidelity_suite(width: int = 112, height: int = 84) -> dict:
     return videos
 
 
-def all_videos(width: int = 112, height: int = 84) -> dict:
+def all_videos(width: int, height: int) -> dict:
     """Every built-in stimulus, behavioral and fidelity."""
     videos = dict(suite(width, height))
     videos.update(fidelity_suite(width, height))

@@ -11,7 +11,7 @@ import pytest
 import podvs
 from podvs.cli import cli
 from podvs.config import EngineConfig, Resolution
-from podvs.io import ARCHIVE_METADATA, read_maps, write_maps
+from podvs.io import ARCHIVE_METADATA, read_frames, read_maps, write_maps
 from podvs.synth import MIN_SIDE, all_videos, color_popout_video
 
 STAGES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
@@ -79,6 +79,14 @@ class TestRun:
         assert cli(args) == 0
         assert "hardware profile, 80x60" in capsys.readouterr().out
         assert json.loads((out / ARCHIVE_METADATA).read_text())["mode"] == "hw80"
+
+    def test_config_is_validated_under_the_mode_flag(self, tmp_path, capsys):
+        # word_bits=26 overflows the accumulator at 11x11 kernels, not at 5x5
+        config = tmp_path / "c.txt"
+        config.write_text("word_bits=26\n")
+        assert run_hw80(write_frames(tmp_path / "frames", count=1), tmp_path / "hw",
+                        "--config", str(config)) == 0
+        assert "hardware profile, 80x60" in capsys.readouterr().out
 
     def test_missing_in_is_a_usage_error(self, tmp_path, capsys):
         assert cli(["run", "--mode", "hw80", "--out", str(tmp_path / "out")]) == 2
@@ -154,6 +162,30 @@ class TestProfile:
         assert cli(["profile", "--mode", "hw112", "--config", str(config)]) == 0
         assert capsys.readouterr().out.startswith("hardware profile, 112x84,")
 
+    @pytest.mark.parametrize("text", ["word_bits=25\n", "word_bits=26\n",
+                                      "resolution=640x480\nword_bits=25\n"],
+                             ids=["25", "26", "file-says-640x480"])
+    def test_config_is_validated_under_the_mode_flag(self, tmp_path, capsys, text):
+        # 25 and 26 overflow the accumulator at 11x11 kernels, not at 5x5
+        config = tmp_path / "c.txt"
+        config.write_text(text)
+        assert cli(["profile", "--mode", "hw80", "--config", str(config)]) == 0
+        assert capsys.readouterr().out.startswith("hardware profile, 80x60,")
+
+    def test_word_bits_too_wide_for_the_mode_flag_is_a_data_error(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("word_bits=27\n")
+        assert cli(["profile", "--mode", "hw80", "--config", str(config)]) == 1
+        assert "word_bits=27 overflows the 48-bit MAC accumulator at 5x5 kernels" in (
+            capsys.readouterr().err)
+
+    def test_config_without_resolution_is_validated_at_640x480(self, tmp_path, capsys):
+        config = tmp_path / "c.txt"
+        config.write_text("word_bits=25\n")
+        assert cli(["profile", "--config", str(config)]) == 1
+        assert "word_bits=25 overflows the 48-bit MAC accumulator at 11x11 kernels" in (
+            capsys.readouterr().err)
+
     def test_config_without_resolution_reads_the_reference_mode(self, tmp_path, capsys):
         config = tmp_path / "c.txt"
         config.write_text("frame_rate=30\n")
@@ -203,3 +235,14 @@ class TestSynth:
             files = sorted((out / name).glob("*.ppm"))
             assert len(files) == len(frames)
             assert files[0].read_bytes().startswith(f"P6\n{MIN_SIDE} {MIN_SIDE}\n".encode())
+
+    @pytest.mark.parametrize("width,height", [(MIN_SIDE, MIN_SIDE), (80, 60)])
+    def test_frames_read_back_equal_the_generated_ones(self, tmp_path, capsys, width, height):
+        out = tmp_path / "videos"
+        assert cli(["synth", "--out", str(out), "--width", str(width), "--height", str(height)]) == 0
+        for name, frames in all_videos(width, height).items():
+            read = read_frames(out / name)
+            assert len(read) == len(frames)
+            for got, made in zip(read, frames):
+                for plane in "rgb":
+                    np.testing.assert_array_equal(getattr(got, plane), getattr(made, plane))

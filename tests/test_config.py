@@ -12,16 +12,22 @@ from podvs.config import (
     parse_config,
     validate_frame,
 )
-from podvs.errors import ConfigError, DimensionError
+from podvs.errors import ConfigError, DimensionError, FormatError
+from podvs.pipeline import build_channel_pyramid
 
 from conftest import gray_frame
 
 
+def built_depth(cfg):
+    """Levels of the pyramid the engine builds for a channel map under cfg."""
+    return len(build_channel_pyramid(np.zeros((cfg.height, cfg.width)), cfg))
+
+
 class TestResolutionModes:
     def test_mode_pins_kernel_and_depth(self):
-        assert (Resolution.REFERENCE.kernel_size, Resolution.REFERENCE.pyramid_depth) == (11, 10)
-        assert (Resolution.HW_112.kernel_size, Resolution.HW_112.pyramid_depth) == (5, 3)
-        assert (Resolution.HW_80.kernel_size, Resolution.HW_80.pyramid_depth) == (5, 3)
+        for mode, kernel, depth in [(Resolution.REFERENCE, 11, 10), (Resolution.HW_112, 5, 3),
+                                    (Resolution.HW_80, 5, 3)]:
+            assert (mode.kernel_size, built_depth(EngineConfig(resolution=mode))) == (kernel, depth)
 
     def test_from_string(self):
         assert Resolution.from_string("112x84") is Resolution.HW_112
@@ -35,7 +41,7 @@ class TestResolutionModes:
     def test_no_mixed_combinations(self):
         # kernel size / depth are derived, not settable
         cfg = EngineConfig(resolution=Resolution.HW_112)
-        assert cfg.kernel_size == 5 and cfg.pyramid_depth == 3
+        assert cfg.kernel_size == 5 and built_depth(cfg) == 3
         assert not hasattr(EngineConfig, "kernel_size_field")
 
 
@@ -47,12 +53,12 @@ class TestParseConfig:
         assert cfg == EngineConfig()
         assert cfg.frame_rate == 24.0
         assert (cfg.width, cfg.height) == (640, 480)
-        assert cfg.kernel_size == 11 and cfg.pyramid_depth == 10
+        assert cfg.kernel_size == 11 and built_depth(cfg) == 10
 
     def test_hw_resolution_selects_rescaled_parameters(self):
         cfg = parse_config("resolution=112x84\n")
         assert cfg.kernel_size == 5
-        assert cfg.pyramid_depth == 3
+        assert built_depth(cfg) == 3
 
     def test_zero_frame_rate_rejected(self):
         with pytest.raises(ConfigError, match="frame_rate must be positive"):
@@ -148,6 +154,29 @@ class TestFrameValidation:
             assert not plane.flags.writeable
             assert not np.shares_memory(plane, gray)
             assert np.all(plane == 7)
+
+    @pytest.mark.parametrize("plane, shown", [
+        (np.array([[300, 2]], dtype=np.int16), "300"),
+        (np.array([[2, -1]], dtype=np.int64), "-1"),
+        (np.array([[0.0, 0.7]]), "0.7"),
+        (np.array([[np.nan, 1.0]]), "nan"),
+    ], ids=["above-255", "negative", "fraction", "nan"])
+    def test_samples_that_are_not_8_bit_rejected(self, plane, shown):
+        # uint8 would wrap 300 to 44 and -1 to 255, and truncate a [0, 1] frame to zeros
+        with pytest.raises(FormatError, match=f"^r plane holds {shown}, not an 8-bit sample"):
+            FrameRGB.from_gray(plane)
+        with pytest.raises(FormatError, match=f"^b plane holds {shown},"):
+            FrameRGB.from_planes(np.zeros(plane.shape), np.ones(plane.shape), plane)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float32, np.float64])
+    def test_in_range_integer_samples_of_any_type_accepted(self, dtype):
+        values = np.array([[0, 1, 128], [254, 255, 7]])
+        frame = FrameRGB.from_gray(values.astype(dtype))
+        expected = FrameRGB.from_gray(values.astype(np.uint8))
+        for name in "rgb":
+            plane = getattr(frame, name)
+            assert plane.dtype == np.uint8
+            np.testing.assert_array_equal(plane, getattr(expected, name))
 
 
 class TestFrameHistory:

@@ -63,6 +63,15 @@ class TestReadPnm:
         with pytest.raises(FormatError, match="maxval 1023"):
             read_pnm(path)
 
+    @pytest.mark.parametrize("magic, shape", [(b"P5", (2, 3)), (b"P6", (2, 3, 3))])
+    def test_comment_lines_between_header_tokens(self, tmp_path, magic, shape):
+        payload = bytes(range(np.prod(shape)))
+        path = tmp_path / "a.pnm"
+        path.write_bytes(magic + b"\n# made by hand\n3 # width\n#\n2\n# maxval next\n255\n"
+                         + payload)
+        expected = np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+        np.testing.assert_array_equal(read_pnm(path), expected)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "a.ppm"
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(11))

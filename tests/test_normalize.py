@@ -113,7 +113,7 @@ class TestFuse:
         }
 
     def test_all_zero_channels_zero_map(self, hw112_cfg):
-        out = fuse(self._pyramids(hw112_cfg, 0.0), hw112_cfg)
+        out = fuse(self._pyramids(hw112_cfg, 0.0))
         assert out.shape == (84, 112)
         assert np.all(out == 0.0)
 
@@ -121,18 +121,25 @@ class TestFuse:
         pyrs = self._pyramids(hw112_cfg, 0.0)
         del pyrs[ChannelId.RG]
         with pytest.raises(DimensionError):
-            fuse(pyrs, hw112_cfg)
+            fuse(pyrs)
+
+    def test_level_0_sizes_that_differ_rejected(self, hw112_cfg):
+        # the output is level 0's size, the frame's, which every pyramid shares
+        pyrs = self._pyramids(hw112_cfg, 1.0)
+        pyrs[ChannelId.BY] = [np.ones((60, 80)), np.ones((44, 56))]
+        with pytest.raises(DimensionError, match=r"level-0 shape: \[\(60, 80\), \(84, 112\)\]"):
+            fuse(pyrs)
 
     def test_single_active_channel(self, hw112_cfg):
         pyrs = self._pyramids(hw112_cfg, 0.0)
         peaked = np.zeros((84, 112))
         peaked[40, 50] = 3.0
         pyrs[ChannelId.INTENSITY] = [peaked, np.zeros((60, 80)), np.zeros((44, 56))]
-        out = fuse(pyrs, hw112_cfg)
+        out = fuse(pyrs)
         assert out.min() >= 0.0 and out.max() == pytest.approx(1.0)
         assert np.unravel_index(np.argmax(out), out.shape) == (40, 50)
 
-    def test_output_in_unit_range(self, hw112_cfg):
+    def test_output_in_unit_range(self):
         rng = np.random.default_rng(44)
         pyrs = {
             cid: [
@@ -142,11 +149,11 @@ class TestFuse:
             ]
             for cid in ChannelId
         }
-        out = fuse(pyrs, hw112_cfg)
+        out = fuse(pyrs)
         assert out.min() >= 0.0
         assert out.max() <= 1.0
 
-    def test_channel_gain_invariance_of_argmax(self, hw112_cfg):
+    def test_channel_gain_invariance_of_argmax(self):
         # positive per-channel rescaling before N2 cannot move the argmax
         rng = np.random.default_rng(45)
         base = {
@@ -161,8 +168,8 @@ class TestFuse:
             cid: [lvl * (3.0 + i) for lvl in levels]
             for i, (cid, levels) in enumerate(base.items())
         }
-        a = fuse(base, hw112_cfg)
-        b = fuse(scaled, hw112_cfg)
+        a = fuse(base)
+        b = fuse(scaled)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_zero_pyramids_skip_normalization_bit_identical(self, hw112_cfg, monkeypatch):
@@ -188,7 +195,7 @@ class TestFuse:
             return local_maxima(map_)
 
         monkeypatch.setattr(normalize, "local_maxima", recorded)
-        fused = fuse(pyrs, hw112_cfg)
+        fused = fuse(pyrs)
         assert fused.tobytes() == expected.tobytes()
         # N1 on each level and N2 on the conspicuity map of the 5 non-zero channels
         assert len(searched) == 5 * (len(shapes) + 1)

@@ -113,7 +113,7 @@ class TestEngines:
 
 
 class TestFuseSharedPyramid:
-    def test_shared_orientation_list_equals_copies(self, hw80_cfg):
+    def test_shared_orientation_list_equals_copies(self):
         rng = np.random.default_rng(41)
         shapes = ((60, 80), (44, 56), (30, 40))
 
@@ -126,7 +126,7 @@ class TestFuseSharedPyramid:
         for cid in ORIENTATION_CHANNELS:
             shared[cid] = gray
             copies[cid] = [level.copy() for level in gray]
-        np.testing.assert_array_equal(fuse(shared, hw80_cfg), fuse(copies, hw80_cfg))
+        np.testing.assert_array_equal(fuse(shared), fuse(copies))
 
 
 #: One 640x480 frame of a gray and of a colour clip, and how many of
@@ -164,7 +164,7 @@ class TestZeroChannelSkip:
         grouped = {cid: gray if cid in ORIENTATION_CHANNELS else engine._grouping(map_, False)
                    for cid, map_ in channels.items()}
         assert len(calls) == nonzero + 6
-        assert fused.tobytes() == fuse(grouped, cfg).tobytes()
+        assert fused.tobytes() == fuse(grouped).tobytes()
 
 
 class TestFidelityGate:

@@ -6,6 +6,7 @@ from podvs.errors import DimensionError
 from podvs.hwmodel import stage_costs
 from podvs.pyramid import (
     HW_LEVELS,
+    REFERENCE_DEPTH,
     SHIFT_TABLE,
     ImagePyramid,
     bilinear_axis,
@@ -48,7 +49,7 @@ def chain_resize_pairs():
     the three modes: the 640x480 reference pyramid build, ``collapse`` of
     each mode's levels to the frame size, and the reference mode's
     across-scale sum from every level into every finer one."""
-    depth = Resolution.REFERENCE.pyramid_depth
+    depth = REFERENCE_DEPTH
     ref = [(h, w) for w, h in reference_level_dims(640, 480, depth)]
     pairs = [(ref[0], shape) for shape in ref[1:]]
     pairs += [(shape, ref[0]) for shape in ref]
