@@ -18,7 +18,8 @@ the ``--config`` file (640x480 when the file has no ``resolution`` key),
 else from the subcommand's default: reference for ``run``, hw112 for
 ``profile``.
 
-Exit codes: 0 success, 1 data error, 2 usage error.
+Exit codes: 0 success; 1 a data or file error (a ``PodvsError`` or an
+``OSError``), reported as ``error: <message>`` on stderr; 2 usage error.
 """
 from __future__ import annotations
 
@@ -37,6 +38,7 @@ from .io import (
     read_maps,
     require_empty_archive,
     write_maps,
+    write_ppm,
 )
 from .metrics import auc_roc, kld, nss, pcc
 from .pipeline import Pipeline, run_sequence
@@ -131,16 +133,9 @@ def _cmd_synth(args) -> int:
         vdir = out_root / name
         vdir.mkdir(parents=True, exist_ok=True)
         for i, frame in enumerate(frames):
-            _write_ppm(frame, vdir / f"{i:06d}.ppm")
+            write_ppm(frame, vdir / f"{i:06d}.ppm")
         print(f"{name}: {len(frames)} frames -> {vdir}")
     return 0
-
-
-def _write_ppm(frame, path) -> None:
-    rgb = np.stack([frame.r, frame.g, frame.b], axis=-1)
-    with open(path, "wb") as fh:
-        fh.write(f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii"))
-        fh.write(rgb.tobytes())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -200,7 +195,7 @@ def cli(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 2
     try:
         return args.func(args)
-    except PodvsError as exc:
+    except (PodvsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

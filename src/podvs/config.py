@@ -155,7 +155,7 @@ def load_settings(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return _settings(text)
 
@@ -182,6 +182,8 @@ class FrameRGB:
     def __post_init__(self):
         for name in "rgb":
             plane = np.asarray(getattr(self, name))
+            if plane.ndim != 2:
+                raise DimensionError(f"{name} plane has shape {plane.shape}, not (height, width)")
             if plane.dtype != np.uint8:
                 bad = plane[(plane < 0) | (plane > 255) | (plane != np.trunc(plane))]
                 if bad.size:

@@ -98,8 +98,8 @@ never changes a bit: numpy's complex product is not bitwise commutative
 numpy computes ``a * b`` as ``b * a`` when b is a temporary of 256 KiB
 or more.
 
-Every stage takes an ``arith`` backend, ``FLOAT`` (the default) or the
-hardware's ``hwmodel.FixedArith``, and each filter one ``GroupingBanks``.
+Every stage takes an ``arith`` backend, with no default: ``FLOAT`` or the
+hardware's ``hwmodel.FixedArith``.  Each filter takes one ``GroupingBanks``.
 """
 from __future__ import annotations
 
@@ -268,7 +268,7 @@ def _check_size(map_: np.ndarray, size: int) -> None:
         raise DimensionError(f"map {map_.shape} smaller than kernel {size}x{size}")
 
 
-def complex_edges(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT) -> np.ndarray:
+def complex_edges(map_: np.ndarray, banks: GroupingBanks, arith) -> np.ndarray:
     """Complex responses sqrt(e^2 + o^2) to the even/odd pairs of banks.p3[:8],
     shape (4, h, w) [theta]."""
     _check_size(map_, banks.size)
@@ -278,15 +278,14 @@ def complex_edges(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT) -> np.nda
     return out
 
 
-def center_surround(map_: np.ndarray, banks: GroupingBanks, arith=FLOAT):
+def center_surround(map_: np.ndarray, banks: GroupingBanks, arith):
     """(ON, OFF) responses to banks.p3[8]; inversion happens before rectification."""
     _check_size(map_, banks.size)
     resp = arith.correlate(map_, banks.p3[8])
     return _rect(resp), _rect(-resp)
 
 
-def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks,
-                     arith=FLOAT) -> np.ndarray:
+def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks, arith) -> np.ndarray:
     """The responses of one level to the kernels banks.vm[theta, side],
     shape (4, 2, p, h, w) [theta, side (left, right), polarity].
 
@@ -321,7 +320,7 @@ def _sum_operators(axis, shapes: tuple, j: int):
     return cols, rows
 
 
-def von_mises_sum(levels, axis, arith=FLOAT):
+def von_mises_sum(levels, axis, arith):
     """Across-scale accumulation of one response pyramid.
 
     out[j] = sum over k >= j of 2**-(k - j) * levels[k] resampled to
@@ -351,7 +350,7 @@ def von_mises_sum(levels, axis, arith=FLOAT):
     return out
 
 
-def border_ownership(edges, vm_summed_levels, arith=FLOAT) -> list:
+def border_ownership(edges, vm_summed_levels, arith) -> list:
     """Border-ownership responses from edges and summed side evidence.
 
     Takes per level the (4, h, w) edges and the (4, 2, p, h, w) summed
@@ -406,7 +405,7 @@ def _spectral_grouping_sum(mask, bo, banks: GroupingBanks) -> np.ndarray:
     return _same_window(total, fft_shape, shape, kernel_shape)
 
 
-def grouping_activity(masks, bo_levels, banks: GroupingBanks, arith=FLOAT) -> list:
+def grouping_activity(masks, bo_levels, banks: GroupingBanks, arith) -> list:
     """Per-level grouping maps rect(sum over theta of GrpSum).
 
     ``masks`` and ``bo_levels`` hold per level a (4, 2, h, w) array
@@ -437,7 +436,7 @@ def grouping_activity(masks, bo_levels, banks: GroupingBanks, arith=FLOAT) -> li
     return out
 
 
-def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith=FLOAT):
+def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
     """Full grouping chain for one channel's pyramid.
 
     The pyramid and the banks hold numbers in the backend's format (raw

@@ -287,7 +287,7 @@ def _parallelism(resolution: Resolution, channels_parallel: int | None) -> int:
     return channels_parallel
 
 
-def frame_rate(resolution: Resolution, channels_parallel: int | None = None) -> float:
+def frame_rate(resolution: Resolution, channels_parallel: int) -> float:
     """Board frames per second for a given channel parallelism: the mode's
     measured anchor rate, scaled by channels_parallel over the anchor's."""
     n = _parallelism(resolution, channels_parallel)

@@ -13,6 +13,7 @@ import csv
 import json
 import re
 import struct
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,14 @@ def _frame_sort_key(path: Path):
     return (int(m.group(1)) if m else 0, path.name)
 
 
+def _read_text(path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise ``FormatError``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
 def read_frames(source) -> list:
     """Ordered frame list from a directory or a list file.
 
@@ -118,7 +127,7 @@ def read_frames(source) -> list:
     elif source.is_file():
         base = source.parent
         paths = []
-        for line in source.read_text(encoding="utf-8").splitlines():
+        for line in _read_text(source).splitlines():
             line = line.strip()
             if line and not line.startswith("#"):
                 p = Path(line)
@@ -134,13 +143,22 @@ def read_frames(source) -> list:
     return frames
 
 
+def _write_netpbm(path, magic: str, samples: np.ndarray, maxval: int) -> None:
+    """Write (H, W) or (H, W, 3) samples under the header ``read_pnm`` reads."""
+    h, w = samples.shape[:2]
+    with open(path, "wb") as fh:
+        fh.write(f"{magic}\n{w} {h}\n{maxval}\n".encode("ascii"))
+        fh.write(samples.tobytes())
+
+
+def write_ppm(frame: FrameRGB, path) -> None:
+    """Write a frame as a binary PPM (P6, 8-bit), as ``read_frame`` reads it."""
+    _write_netpbm(path, "P6", np.stack([frame.r, frame.g, frame.b], axis=-1), 255)
+
+
 def write_pgm16(map_: np.ndarray, path) -> None:
     """Write a [0, 1] map as a 16-bit big-endian PGM."""
-    samples = np.rint(np.clip(map_, 0.0, 1.0) * 65535).astype(">u2")
-    h, w = samples.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode("ascii"))
-        fh.write(samples.tobytes())
+    _write_netpbm(path, "P5", np.rint(np.clip(map_, 0.0, 1.0) * 65535).astype(">u2"), 65535)
 
 
 def read_pgm16(path) -> np.ndarray:
@@ -182,10 +200,11 @@ def require_empty_archive(out_dir) -> None:
         raise FormatError(f"{out_dir}: output directory is not empty")
 
 
-def write_maps(maps, out_dir, cfg: EngineConfig, raw: bool = False) -> None:
-    """Write a map archive: 16-bit PGMs, optional raw planes, metadata
-    with the mode of ``cfg.resolution``.  Maps that are not (cfg.height,
-    cfg.width) raise ``DimensionError`` before anything is written."""
+def write_maps(maps, out_dir, cfg: EngineConfig, raw: bool) -> None:
+    """Write a map archive: 16-bit PGMs, raw float32 planes too if ``raw``
+    (``podvs run --raw``), and metadata with the mode of ``cfg.resolution``.
+    Maps that are not (cfg.height, cfg.width) raise ``DimensionError``
+    before anything is written."""
     maps = list(maps)
     out_dir = Path(out_dir)
     require_empty_archive(out_dir)
@@ -226,28 +245,27 @@ def read_maps(archive_dir) -> list:
 def read_fixations(path) -> FixationSet:
     """Load the fixation CSV (header: video,frame,subject,x,y)."""
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [c.strip().lower() for c in header] != [
-            "video", "frame", "subject", "x", "y",
-        ]:
-            raise FormatError(f"{path}: expected header video,frame,subject,x,y")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 5:
-                raise FormatError(f"{path}:{lineno}: expected 5 columns")
-            try:
-                records.append(
-                    FixationRecord(
-                        video=row[0].strip(),
-                        frame=int(row[1]),
-                        subject=row[2].strip(),
-                        x=int(row[3]),
-                        y=int(row[4]),
-                    )
+    reader = csv.reader(StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or [c.strip().lower() for c in header] != [
+        "video", "frame", "subject", "x", "y",
+    ]:
+        raise FormatError(f"{path}: expected header video,frame,subject,x,y")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 5:
+            raise FormatError(f"{path}:{lineno}: expected 5 columns")
+        try:
+            records.append(
+                FixationRecord(
+                    video=row[0].strip(),
+                    frame=int(row[1]),
+                    subject=row[2].strip(),
+                    x=int(row[3]),
+                    y=int(row[4]),
                 )
-            except (ValueError, ConfigError) as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            )
+        except (ValueError, ConfigError) as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from exc
     return FixationSet(records)

@@ -6,9 +6,9 @@ center bias cancels.  PCC and the masked-mean NSS variant compare two
 saliency maps directly (here: hardware model versus reference).
 
 Note on NSS: this is not the z-scored scanpath statistic.  The
-reference map is thresholded at 0.7 into a binary fixation mask and the
-score is the plain mean of the test map over that mask, so 1.0 is a
-perfect score.
+reference map is thresholded (``podvs compare --threshold``, 0.7 by
+default) into a binary fixation mask and the score is the plain mean of
+the test map over that mask, so 1.0 is a perfect score.
 """
 from __future__ import annotations
 
@@ -120,11 +120,12 @@ def _auc_ties_half(pos: np.ndarray, neg: np.ndarray) -> float:
 
 
 def auc_roc(maps, fixations: FixationSet, negatives_pool: FixationSet,
-            video: str, seed: int = 0) -> FrameScores:
+            video: str, seed: int) -> FrameScores:
     """Shuffled AUC-ROC of one video's map sequence.
 
     Negatives are sampled from the other-video pool, as many per
-    resample as the frame has fixations.
+    resample as the frame has fixations, by a generator that ``seed``,
+    the video and the frame seed (``podvs eval --seed``, 0 by default).
     """
     return _shuffled(_auc_ties_half, maps, fixations, negatives_pool, video, seed)
 
@@ -153,13 +154,13 @@ def _in_unit_range(maps, video: str):
 
 
 def kld(maps, fixations: FixationSet, negatives_pool: FixationSet,
-        video: str, seed: int = 0) -> FrameScores:
+        video: str, seed: int) -> FrameScores:
     """Shuffled Kullback-Leibler divergence; higher means better.
 
     KL(true-fixation histogram || shuffled histogram) per frame, with
-    epsilon-smoothed histograms over [0, 1]; same sampling, averaging
-    and coverage rules as auc_roc.  A map with a value outside [0, 1] or
-    not finite raises ``MetricError``.
+    epsilon-smoothed histograms over [0, 1]; same sampling, seeding,
+    averaging and coverage rules as auc_roc.  A map with a value outside
+    [0, 1] or not finite raises ``MetricError``.
     """
     return _shuffled(_kl_divergence, _in_unit_range(maps, video), fixations,
                      negatives_pool, video, seed)
@@ -180,8 +181,9 @@ def pcc(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sum(da * db) / np.sqrt(var_a * var_b))
 
 
-def nss(reference: np.ndarray, test: np.ndarray, threshold: float = 0.7) -> float:
-    """Masked-mean NSS: mean of `test` where `reference` >= threshold.
+def nss(reference: np.ndarray, test: np.ndarray, threshold: float) -> float:
+    """Masked-mean NSS: mean of `test` where `reference` >= threshold
+    (``podvs compare --threshold``, 0.7 by default).
 
     Both maps are expected in [0, 1]; 1.0 is a perfect score.
     """

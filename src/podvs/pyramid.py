@@ -124,11 +124,11 @@ def bilinear_axis(n_in: int, n_out: int) -> sparse.csr_matrix:
 @dataclass(frozen=True)
 class ImagePyramid:
     """Ordered stack of maps, level 0 finest; strictly shrinking.  The
-    across-scale sum reads them through ``axis``, the resampler they were
-    built with: ``shift_axis`` (hardware) or ``bilinear_axis`` (others)."""
+    across-scale sum reads them through ``axis``, the resampler that each
+    builder states: ``shift_axis`` (hardware) or ``bilinear_axis`` (reference)."""
 
     levels: tuple
-    axis: Callable[[int, int], sparse.csr_matrix] = bilinear_axis
+    axis: Callable[[int, int], sparse.csr_matrix]
 
     def __post_init__(self):
         if not self.levels:
@@ -158,7 +158,7 @@ def build_reference_pyramid(map_: np.ndarray, depth: int) -> ImagePyramid:
     levels = [map_]
     for dw, dh in dims[1:]:
         levels.append(bilinear_resize(map_, dh, dw))
-    return ImagePyramid(tuple(levels))
+    return ImagePyramid(tuple(levels), bilinear_axis)
 
 
 def hw_level_sizes(width: int, height: int):

@@ -10,8 +10,8 @@ import pytest
 
 import podvs
 from podvs.cli import cli
-from podvs.config import EngineConfig, Resolution
-from podvs.io import ARCHIVE_METADATA, read_frames, read_maps, write_maps
+from podvs.config import EngineConfig, FrameRGB, Resolution
+from podvs.io import ARCHIVE_METADATA, read_frames, read_maps, write_maps, write_ppm
 from podvs.synth import MIN_SIDE, all_videos, color_popout_video
 
 STAGES = ("P1", "P2", "P3", "P4", "P5", "P6", "P7")
@@ -22,9 +22,7 @@ def write_frames(directory, count=3):
     directory.mkdir()
     frames, _ = color_popout_video(80, 60, frames=count)
     for i, frame in enumerate(frames):
-        rgb = np.stack([frame.r, frame.g, frame.b], axis=-1)
-        header = f"P6\n{frame.width} {frame.height}\n255\n".encode("ascii")
-        (directory / f"{i:06d}.ppm").write_bytes(header + rgb.tobytes())
+        write_ppm(frame, directory / f"{i:06d}.ppm")
     return directory
 
 
@@ -100,7 +98,7 @@ def write_eval_inputs(root, outside=False):
     cfg = EngineConfig(resolution=Resolution.HW_80)
     rows = ["video,frame,subject,x,y"]
     for video in ("v1", "v2"):
-        write_maps(list(rng.random((3, 60, 80))), root / "maps" / video, cfg)
+        write_maps(list(rng.random((3, 60, 80))), root / "maps" / video, cfg, raw=False)
         rows += [f"{video},{frame},s{n},{rng.integers(0, 80)},{rng.integers(0, 60)}"
                  for frame in range(3) for n in range(4)]
     if outside:
@@ -135,6 +133,71 @@ class TestCompare:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 3
         assert lines[-1].startswith("average: PCC")
+
+    def test_an_archive_against_itself_correlates_perfectly(self, tmp_path, capsys):
+        write_eval_inputs(tmp_path)
+        archive = str(tmp_path / "maps" / "v1")
+        assert cli(["compare", archive, archive]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("average: PCC 1.0000")
+
+    def test_archives_of_different_lengths_are_a_data_error(self, tmp_path, capsys):
+        cfg = EngineConfig(resolution=Resolution.HW_80)
+        maps = list(np.random.default_rng(5).random((3, 60, 80)))
+        write_maps(maps, tmp_path / "three", cfg, raw=False)
+        write_maps(maps[:2], tmp_path / "two", cfg, raw=False)
+        assert cli(["compare", str(tmp_path / "three"), str(tmp_path / "two")]) == 1
+        assert "error: archives differ in length: 3 vs 2" in capsys.readouterr().err
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 1 with ``error:`` and its path."""
+
+    @staticmethod
+    def assert_names(capsys, argv, path):
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(path) in err
+
+    def test_list_file_naming_a_missing_frame(self, tmp_path, capsys):
+        (tmp_path / "list.txt").write_text("missing.ppm\n")
+        self.assert_names(capsys, ["run", "--mode", "hw80", "--in", str(tmp_path / "list.txt"),
+                                   "--out", str(tmp_path / "out")], tmp_path / "missing.ppm")
+
+    def test_directory_named_like_a_frame(self, tmp_path, capsys):
+        (tmp_path / "frames" / "000001.ppm").mkdir(parents=True)
+        self.assert_names(capsys, ["run", "--mode", "hw80", "--in", str(tmp_path / "frames"),
+                                   "--out", str(tmp_path / "out")],
+                          tmp_path / "frames" / "000001.ppm")
+
+    def test_binary_file_as_the_list_file(self, tmp_path, capsys):
+        frame = FrameRGB.from_gray(np.full((60, 80), 200, dtype=np.uint8))
+        write_ppm(frame, tmp_path / "frame.ppm")
+        self.assert_names(capsys, ["run", "--mode", "hw80", "--in", str(tmp_path / "frame.ppm"),
+                                   "--out", str(tmp_path / "out")], tmp_path / "frame.ppm")
+
+    def test_missing_fixation_csv(self, tmp_path, capsys):
+        self.assert_names(capsys, ["eval", "--maps", str(tmp_path), "--fixations",
+                                   str(tmp_path / "missing.csv")], tmp_path / "missing.csv")
+
+    def test_fixation_csv_that_is_not_utf_8(self, tmp_path, capsys):
+        (tmp_path / "fix.csv").write_bytes(b"video,frame,subject,x,y\nv\xff,0,s1,1,2\n")
+        self.assert_names(capsys, ["eval", "--maps", str(tmp_path), "--fixations",
+                                   str(tmp_path / "fix.csv")], tmp_path / "fix.csv")
+
+    def test_config_that_is_not_utf_8(self, tmp_path, capsys):
+        (tmp_path / "c.txt").write_bytes(b"# \xff\nresolution=80x60\n")
+        self.assert_names(capsys, ["profile", "--config", str(tmp_path / "c.txt")],
+                          tmp_path / "c.txt")
+
+    def test_profile_json_in_a_missing_directory(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "p.json"
+        self.assert_names(capsys, ["profile", "--mode", "hw80", "--json", str(path)], path)
+
+    def test_synth_out_an_existing_file(self, tmp_path, capsys):
+        (tmp_path / "taken").write_text("")
+        self.assert_names(capsys, ["synth", "--out", str(tmp_path / "taken"), "--width", "80",
+                                   "--height", "60"], tmp_path / "taken")
 
 
 class TestProfile:

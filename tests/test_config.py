@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,11 @@ class TestFrameValidation:
                 np.zeros((4, 4), dtype=np.uint8),
                 np.zeros((4, 5), dtype=np.uint8),
             )
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 3)], ids=["1-D", "3-D"])
+    def test_planes_that_are_not_2_d_rejected(self, shape):
+        with pytest.raises(DimensionError, match=re.escape(f"r plane has shape {shape},")):
+            FrameRGB.from_gray(np.zeros(shape, dtype=np.uint8))
 
     def test_planes_read_only(self):
         frame = gray_frame(4, 4, 9)

@@ -48,11 +48,11 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 REFERENCE_DIGEST = """
 import hashlib
 import numpy as np
-from podvs.grouping import grouping_pyramid
+from podvs.grouping import FLOAT, grouping_pyramid
 from podvs.kernels import build_banks
 from podvs.pyramid import build_reference_pyramid
 m = np.random.default_rng(40).uniform(0, 255, size=(240, 320))
-levels = grouping_pyramid(build_reference_pyramid(m, 6), build_banks(11))
+levels = grouping_pyramid(build_reference_pyramid(m, 6), build_banks(11), FLOAT)
 print(hashlib.sha256(b"".join(level.tobytes() for level in levels)).hexdigest())
 """
 
@@ -101,7 +101,7 @@ def banks11():
     return build_banks(11)
 
 
-def pairwise_von_mises_sum(levels, axis, arith=FLOAT):
+def pairwise_von_mises_sum(levels, axis, arith):
     """``von_mises_sum``'s oracle: one gather resample per level pair,
     halved and added to level j in the backend's arithmetic."""
     upsample = gather_bilinear if axis is bilinear_axis else nn_shift_resample
@@ -259,7 +259,7 @@ class TestCorrelate:
 
 class TestComplexEdges:
     def test_constant_map_silent_interior(self, banks5):
-        edges = complex_edges(np.full((20, 20), 50.0), banks5)
+        edges = complex_edges(np.full((20, 20), 50.0), banks5, FLOAT)
         assert edges.shape == (4, 20, 20)
         for e in edges:
             assert np.max(np.abs(interior(e, 3))) < 1e-9
@@ -267,7 +267,7 @@ class TestComplexEdges:
     def test_vertical_step_prefers_vertical_orientation(self, banks5):
         m = np.zeros((21, 21))
         m[:, 11:] = 100.0
-        edges = complex_edges(m, banks5)
+        edges = complex_edges(m, banks5, FLOAT)
         ti = THETAS.index(np.pi / 2)
         col = 10
         responses = [e[10, col] for e in edges]
@@ -276,33 +276,33 @@ class TestComplexEdges:
     def test_horizontal_step_prefers_horizontal_orientation(self, banks5):
         m = np.zeros((21, 21))
         m[11:, :] = 100.0
-        edges = complex_edges(m, banks5)
+        edges = complex_edges(m, banks5, FLOAT)
         responses = [e[10, 10] for e in edges]
         assert int(np.argmax(responses)) == THETAS.index(0.0)
 
     def test_polarity_invariant(self, banks5):
         rng = np.random.default_rng(22)
         m = rng.uniform(0, 200, size=(16, 16))
-        a = complex_edges(m, banks5)
-        b = complex_edges(200.0 - m, banks5)
+        a = complex_edges(m, banks5, FLOAT)
+        b = complex_edges(200.0 - m, banks5, FLOAT)
         for ea, eb in zip(a, b):
             np.testing.assert_allclose(interior(ea, 3), interior(eb, 3), atol=1e-9)
 
     def test_map_smaller_than_kernel_rejected(self, banks5):
         with pytest.raises(DimensionError):
-            complex_edges(np.zeros((3, 3)), banks5)
+            complex_edges(np.zeros((3, 3)), banks5, FLOAT)
 
 
 class TestCenterSurround:
     def test_constant_map_silent_interior(self, banks5):
-        on, off = center_surround(np.full((16, 16), 80.0), banks5)
+        on, off = center_surround(np.full((16, 16), 80.0), banks5, FLOAT)
         assert np.max(interior(on, 3)) < 1e-9
         assert np.max(interior(off, 3)) < 1e-9
 
     def test_bright_dot_drives_on(self, banks5):
         m = np.zeros((15, 15))
         m[7, 7] = 100.0
-        on, off = center_surround(m, banks5)
+        on, off = center_surround(m, banks5, FLOAT)
         assert on[7, 7] > 0
         assert off[7, 7] == 0.0
         np.testing.assert_allclose(on[7, 7], (banks5.p3[8][2, 2] * 100.0), atol=1e-9)
@@ -310,14 +310,14 @@ class TestCenterSurround:
     def test_dark_dot_drives_off(self, banks5):
         m = np.full((15, 15), 100.0)
         m[7, 7] = 0.0
-        on, off = center_surround(m, banks5)
+        on, off = center_surround(m, banks5, FLOAT)
         assert off[7, 7] > 0
         assert on[7, 7] == 0.0
 
     def test_off_is_inverted_on(self, banks5):
         rng = np.random.default_rng(23)
         m = rng.random((12, 12)) * 50
-        on, off = center_surround(m, banks5)
+        on, off = center_surround(m, banks5, FLOAT)
         resp = correlate(m, banks5.p3[8])
         np.testing.assert_allclose(on - off, resp, atol=1e-12)
         assert np.all((on == 0) | (off == 0))
@@ -348,18 +348,18 @@ class TestVonMisesFilter:
 class TestVonMisesSum:
     def test_single_level_identity(self):
         level = np.random.default_rng(24).random((8, 8))
-        out = von_mises_sum([level], bilinear_axis)
+        out = von_mises_sum([level], bilinear_axis, FLOAT)
         np.testing.assert_array_equal(out[0], level)
 
     def test_zero_coarse_level_identity_on_fine(self):
         rng = np.random.default_rng(25)
         fine = rng.random((8, 8))
-        out = von_mises_sum([fine, np.zeros((5, 5))], bilinear_axis)
+        out = von_mises_sum([fine, np.zeros((5, 5))], bilinear_axis, FLOAT)
         np.testing.assert_allclose(out[0], fine, atol=1e-15)
 
     def test_constant_levels_closed_form(self):
         levels = [np.full((8, 8), 1.0), np.full((6, 6), 2.0), np.full((4, 4), 4.0)]
-        out = von_mises_sum(levels, bilinear_axis)
+        out = von_mises_sum(levels, bilinear_axis, FLOAT)
         # weight 2**-(k-j): level 0 gets 1 + 2/2 + 4/4, level 1 gets 2 + 4/2
         np.testing.assert_allclose(out[0], 3.0, atol=1e-12)
         np.testing.assert_allclose(out[1], 4.0, atol=1e-12)
@@ -367,15 +367,15 @@ class TestVonMisesSum:
 
     def test_custom_upsampler(self):
         levels = [np.zeros((60, 80)), np.arange(44 * 56, dtype=float).reshape(44, 56)]
-        out = von_mises_sum(levels, axis=shift_axis)
+        out = von_mises_sum(levels, axis=shift_axis, arith=FLOAT)
         expected = 0.5 * nn_shift_resample(levels[1], 60, 80)
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_fused_bilinear_sum_matches_pairwise_on_reference_shapes(self):
         rng = np.random.default_rng(34)
         levels = [rng.random((h, w)) for w, h in reference_level_dims(640, 480, 10)]
-        fused = von_mises_sum(levels, bilinear_axis)
-        oracle = pairwise_von_mises_sum(levels, bilinear_axis)
+        fused = von_mises_sum(levels, bilinear_axis, FLOAT)
+        oracle = pairwise_von_mises_sum(levels, bilinear_axis, FLOAT)
         for a, b in zip(fused, oracle):
             assert a.shape == b.shape
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
@@ -386,8 +386,8 @@ class TestVonMisesSum:
         # (level j first, then the coarser levels finest first) shows
         rng = np.random.default_rng(40)
         levels = [rng.random((h, w)) for w, h in HW_LEVELS[root]]
-        for a, b in zip(von_mises_sum(levels, shift_axis),
-                        pairwise_von_mises_sum(levels, shift_axis)):
+        for a, b in zip(von_mises_sum(levels, shift_axis, FLOAT),
+                        pairwise_von_mises_sum(levels, shift_axis, FLOAT)):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("root", sorted(HW_LEVELS))
@@ -411,17 +411,17 @@ class TestBorderOwnership:
         """The field at every level, computed as reference mode does: a
         sqrt(2) pyramid and the bilinear across-scale von Mises sum."""
         pyr = build_reference_pyramid(map_, depth)
-        edges = [complex_edges(level, banks) for level in pyr.levels]
+        edges = [complex_edges(level, banks, FLOAT) for level in pyr.levels]
         vm = []
         for level in pyr.levels:
-            on, off = center_surround(level, banks)
-            vm.append(von_mises_filter(on, off, banks))
+            on, off = center_surround(level, banks, FLOAT)
+            vm.append(von_mises_filter(on, off, banks, FLOAT))
         summed = [np.empty_like(r) for r in vm]
         for idx in np.ndindex(vm[0].shape[:3]):
-            series = von_mises_sum([r[idx] for r in vm], bilinear_axis)
+            series = von_mises_sum([r[idx] for r in vm], bilinear_axis, FLOAT)
             for lvl, arr in enumerate(series):
                 summed[lvl][idx] = arr
-        return border_ownership(edges, summed)
+        return border_ownership(edges, summed, FLOAT)
 
     @staticmethod
     def _light_square():
@@ -431,9 +431,9 @@ class TestBorderOwnership:
 
     def test_zero_center_surround_means_zero_ownership(self, banks5):
         m = np.zeros((12, 12))
-        edges = [complex_edges(m, banks5)]
+        edges = [complex_edges(m, banks5, FLOAT)]
         silent = np.zeros((4, 2, 2, 12, 12))
-        field = border_ownership(edges, [silent])
+        field = border_ownership(edges, [silent], FLOAT)
         assert field[0].shape == (4, 2, 12, 12)
         assert np.all(field[0] == 0.0)
 
@@ -465,10 +465,10 @@ class TestBorderOwnership:
         # polarities are read (p = 2 at 5x5, p = 1 at 11x11 in float)
         banks = build_banks(size)
         m = self._light_square()
-        edges = [complex_edges(m, banks)]
-        vm = [von_mises_filter(*center_surround(m, banks), banks)]
+        edges = [complex_edges(m, banks, FLOAT)]
+        vm = [von_mises_filter(*center_surround(m, banks, FLOAT), banks, FLOAT)]
         evidence = vm[0].copy()
-        bo = border_ownership(edges, vm)
+        bo = border_ownership(edges, vm, FLOAT)
         assert np.shares_memory(bo[0], vm[0])
         expected = np.maximum(edges[0][:, None, None] * evidence, 0.0).sum(axis=2)
         np.testing.assert_array_equal(bo[0], expected)
@@ -476,12 +476,12 @@ class TestBorderOwnership:
     def test_polarity_swap_preserves_sums(self, banks5):
         rng = np.random.default_rng(26)
         m = rng.uniform(0, 100, size=(16, 16))
-        edges = [complex_edges(m, banks5)]
-        on, off = center_surround(m, banks5)
-        vm_a = [von_mises_filter(on, off, banks5)]
-        vm_b = [von_mises_filter(off, on, banks5)]
-        fa = border_ownership(edges, vm_a)
-        fb = border_ownership(edges, vm_b)
+        edges = [complex_edges(m, banks5, FLOAT)]
+        on, off = center_surround(m, banks5, FLOAT)
+        vm_a = [von_mises_filter(on, off, banks5, FLOAT)]
+        vm_b = [von_mises_filter(off, on, banks5, FLOAT)]
+        fa = border_ownership(edges, vm_a, FLOAT)
+        fb = border_ownership(edges, vm_b, FLOAT)
         for ti in range(4):
             for side in range(2):
                 np.testing.assert_allclose(fa[0][ti, side], fb[0][ti, side], atol=1e-9)
@@ -535,7 +535,7 @@ class TestGroupingActivity:
 
     def test_zero_field_zero_grouping(self, banks5):
         field = [np.zeros((4, 2, 8, 8))]
-        out = grouping_activity(bo_masks(field), field, banks5)
+        out = grouping_activity(bo_masks(field), field, banks5, FLOAT)
         assert np.all(out[0] == 0.0)
 
     def test_own_minus_opposing(self, banks5):
@@ -544,7 +544,7 @@ class TestGroupingActivity:
         rng = np.random.default_rng(28)
         field = self._field(rng)
         masks = bo_masks(field)
-        out = grouping_activity(masks, field, banks5)
+        out = grouping_activity(masks, field, banks5, FLOAT)
         expected = np.zeros((14, 14))
         for ti in range(4):
             for own, kern in enumerate((banks5.vm[ti, 1], banks5.vm[ti, 0])):
@@ -556,8 +556,8 @@ class TestGroupingActivity:
         rng = np.random.default_rng(29)
         field = self._field(rng)
         scaled = [3.0 * bo for bo in field]
-        a = grouping_activity(bo_masks(field), field, banks5)
-        b = grouping_activity(bo_masks(scaled), scaled, banks5)
+        a = grouping_activity(bo_masks(field), field, banks5, FLOAT)
+        b = grouping_activity(bo_masks(scaled), scaled, banks5, FLOAT)
         np.testing.assert_allclose(b[0], 3.0 * a[0], atol=1e-9)
 
     def test_losing_side_contributes_only_inhibition(self, banks5):
@@ -568,7 +568,7 @@ class TestGroupingActivity:
         bl = rng.random((10, 10)) + 2.0
         br = rng.random((10, 10))  # strictly smaller
         field = [stack_sides((bl,) * 4, (br,) * 4)]
-        out = grouping_activity(bo_masks(field), field, banks5)[0]
+        out = grouping_activity(bo_masks(field), field, banks5, FLOAT)[0]
         own_only = sum(correlate(bl, banks5.vm[ti, 1]) for ti in range(4))
         assert np.all(out <= own_only + 1e-12)
         assert np.any(out < own_only - 1e-3)
@@ -579,9 +579,9 @@ class TestGroupingActivity:
         rng = np.random.default_rng(38)
         field = [rng.random((len(THETAS), 2, *shape)) for shape in ((23, 31), (24, 32))]
         masks = bo_masks(field)
-        fast = grouping_activity(masks, field, banks11)
+        fast = grouping_activity(masks, field, banks11, FLOAT)
         monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
-        oracle = grouping_activity(masks, field, banks11)
+        oracle = grouping_activity(masks, field, banks11, FLOAT)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0
@@ -592,8 +592,8 @@ class TestGroupingPyramid:
     def test_isolated_square_peaks_inside(self, banks5):
         m = np.zeros((60, 80))
         m[22:38, 30:46] = 120.0
-        pyr = ImagePyramid((m,))
-        out = grouping_pyramid(pyr, banks5)
+        pyr = ImagePyramid((m,), bilinear_axis)
+        out = grouping_pyramid(pyr, banks5, FLOAT)
         y, x = np.unravel_index(np.argmax(out[0]), out[0].shape)
         assert 22 <= y < 38
         assert 30 <= x < 46
@@ -603,11 +603,11 @@ class TestGroupingPyramid:
         # hardware pyramid's across-scale sum reads the frozen shift
         # addresses, as the pairwise nearest-neighbour loop does
         m = np.random.default_rng(46).uniform(0, 120, size=(60, 80))
-        grouped = grouping_pyramid(build_hw_pyramid(m), banks5)
+        grouped = grouping_pyramid(build_hw_pyramid(m), banks5, FLOAT)
         def shift_sum(levels, axis, arith):
             return pairwise_von_mises_sum(levels, shift_axis, arith)
         monkeypatch.setattr(grouping, "von_mises_sum", shift_sum)
-        oracle = grouping_pyramid(build_hw_pyramid(m), banks5)
+        oracle = grouping_pyramid(build_hw_pyramid(m), banks5, FLOAT)
         for a, b in zip(grouped, oracle):
             assert a.tobytes() == b.tobytes()
 
@@ -617,8 +617,8 @@ class TestGroupingPyramid:
         banks = build_banks(size)
         rng = np.random.default_rng(31)
         m = rng.uniform(0, 120, size=shape)
-        out_a = grouping_pyramid(build(m), banks)
-        out_b = grouping_pyramid(build(120.0 - m), banks)
+        out_a = grouping_pyramid(build(m), banks, FLOAT)
+        out_b = grouping_pyramid(build(120.0 - m), banks, FLOAT)
         # zero padding turns the input's DC offset of 120 into a border
         # band; invariance holds outside it
         margins = zero_pad_reach([a.shape for a in out_a], size)
@@ -633,10 +633,10 @@ class TestGroupingPyramid:
         # masks are boolean, so a call holds no third same-size stack
         m = np.random.default_rng(43).uniform(0, 255, size=(120, 160))
         pyr = build_reference_pyramid(m, 5)
-        grouping_pyramid(pyr, banks11)  # fills the process-wide operator caches
+        grouping_pyramid(pyr, banks11, FLOAT)  # fills the process-wide operator caches
         tracemalloc.start()
         try:
-            grouping_pyramid(pyr, banks11)
+            grouping_pyramid(pyr, banks11, FLOAT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -651,10 +651,10 @@ class TestGroupingPyramid:
         m = ndimage.uniform_filter(rng.uniform(0, 255, size=(72, 96)), 3)
         m[20:50, 30:60] += 80.0
         pyr = build_reference_pyramid(m, 5)
-        fast = grouping_pyramid(pyr, banks11)
+        fast = grouping_pyramid(pyr, banks11, FLOAT)
         monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
         monkeypatch.setattr(grouping, "von_mises_sum", pairwise_von_mises_sum)
-        oracle = grouping_pyramid(pyr, banks11)
+        oracle = grouping_pyramid(pyr, banks11, FLOAT)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0
@@ -663,9 +663,9 @@ class TestGroupingPyramid:
     def test_reference_chain_bit_identical_with_fft_workers(self, banks11):
         m = np.random.default_rng(39).uniform(0, 255, size=(72, 96))
         pyr = build_reference_pyramid(m, 4)
-        single = grouping_pyramid(pyr, banks11)
+        single = grouping_pyramid(pyr, banks11, FLOAT)
         with scipy.fft.set_workers(2):
-            threaded = grouping_pyramid(pyr, banks11)
+            threaded = grouping_pyramid(pyr, banks11, FLOAT)
         for a, b in zip(single, threaded):
             np.testing.assert_array_equal(a, b)
 
@@ -712,7 +712,7 @@ class TestZeroMap:
 
     def test_float_fft_chain(self, banks11):
         pyr = build_reference_pyramid(np.zeros((120, 160)), 5)
-        levels = grouping_pyramid(pyr, banks11)
+        levels = grouping_pyramid(pyr, banks11, FLOAT)
         assert_positive_zeros(levels, [level.shape for level in pyr.levels])
 
     @pytest.mark.parametrize("oriented", [False, True], ids=["temporal", "oriented"])

@@ -4,11 +4,12 @@ import json
 import numpy as np
 import pytest
 
-from podvs.config import EngineConfig, Resolution
+from podvs.config import EngineConfig, FrameRGB, Resolution
 from podvs.errors import DimensionError, FormatError
 from podvs.io import (
     ARCHIVE_METADATA,
     read_fixations,
+    read_frames,
     read_maps,
     read_pgm16,
     read_pnm,
@@ -16,6 +17,7 @@ from podvs.io import (
     require_empty_archive,
     write_maps,
     write_pgm16,
+    write_ppm,
     write_raw_map,
 )
 
@@ -79,30 +81,61 @@ class TestReadPnm:
             read_pnm(path)
 
 
+def gray(value, shape=(3, 4)):
+    return FrameRGB.from_gray(np.full(shape, value, dtype=np.uint8))
+
+
+class TestReadFrames:
+    def test_list_file_keeps_its_order_and_resolves_against_its_directory(self, tmp_path):
+        (tmp_path / "clip").mkdir()
+        for i, value in enumerate((10, 20, 30)):
+            write_ppm(gray(value), tmp_path / "clip" / f"{i + 1:06d}.ppm")
+        listing = tmp_path / "clip" / "frames.txt"
+        listing.write_text(f"# comment\n000003.ppm\n\n  # indented comment\n"
+                           f"{tmp_path / 'clip' / '000001.ppm'}\n000002.ppm\n")
+        frames = read_frames(listing)
+        assert [int(frame.r[0, 0]) for frame in frames] == [30, 10, 20]
+
+    def test_mixed_frame_sizes_rejected(self, tmp_path):
+        write_ppm(gray(1), tmp_path / "000001.ppm")
+        write_ppm(gray(2, shape=(4, 3)), tmp_path / "000002.ppm")
+        with pytest.raises(FormatError, match=r"mixed frame dimensions \[\(3, 4\), \(4, 3\)\]"):
+            read_frames(tmp_path)
+
+
 class TestArchiveDirectory:
     def test_write_maps_refuses_a_non_empty_directory(self, tmp_path):
         (tmp_path / "000000.pgm").write_bytes(b"")
         with pytest.raises(FormatError, match="not empty"):
-            write_maps([np.zeros((60, 80))], tmp_path, EngineConfig())
+            write_maps([np.zeros((60, 80))], tmp_path, EngineConfig(), raw=False)
 
     def test_empty_and_new_directories_are_accepted(self, tmp_path):
         require_empty_archive(tmp_path)
         require_empty_archive(tmp_path / "new")
-        write_maps([np.full((60, 80), 0.25)], tmp_path, EngineConfig(resolution=Resolution.HW_80))
+        write_maps([np.full((60, 80), 0.25)], tmp_path, EngineConfig(resolution=Resolution.HW_80),
+                   raw=False)
         np.testing.assert_array_equal(read_maps(tmp_path)[0], np.full((60, 80), 16384 / 65535))
 
     def test_metadata_records_the_config_mode(self, tmp_path):
         cfg = EngineConfig(resolution=Resolution.HW_112)
-        write_maps([np.zeros((84, 112))] * 2, tmp_path, cfg)
+        write_maps([np.zeros((84, 112))] * 2, tmp_path, cfg, raw=False)
         meta = json.loads((tmp_path / ARCHIVE_METADATA).read_text())
         assert meta["mode"] == "hw112"
         assert (meta["width"], meta["height"], meta["frames"]) == (112, 84, 2)
+
+    def test_read_maps_prefers_the_float32_planes(self, tmp_path):
+        maps = [np.full((60, 80), 0.1), np.full((60, 80), 0.7)]
+        write_maps(maps, tmp_path, EngineConfig(resolution=Resolution.HW_80), raw=True)
+        assert len(list(tmp_path.glob("*.pgm"))) == len(list(tmp_path.glob("*.psal"))) == 2
+        for got, written in zip(read_maps(tmp_path), maps):
+            np.testing.assert_array_equal(got, written.astype(np.float32))
+            assert not np.array_equal(got, np.rint(written * 65535) / 65535)
 
     def test_a_map_of_another_shape_writes_nothing(self, tmp_path):
         cfg = EngineConfig(resolution=Resolution.HW_80)
         for out in (tmp_path, tmp_path / "new"):
             with pytest.raises(DimensionError, match=r"\[\(3, 4\)\] in a hw80 archive"):
-                write_maps([np.zeros((60, 80)), np.zeros((3, 4))], out, cfg)
+                write_maps([np.zeros((60, 80)), np.zeros((3, 4))], out, cfg, raw=False)
         assert list(tmp_path.iterdir()) == []
 
 

@@ -59,8 +59,8 @@ class TestAucRoc:
         warped = [np.exp(3.0 * m) - m ** 2 for m in maps]
         fixations = _fixations()
         pool = fixations.pool_excluding("a")
-        assert (auc_roc(warped, fixations, pool, "a").score
-                == auc_roc(maps, fixations, pool, "a").score)
+        assert (auc_roc(warped, fixations, pool, "a", 0).score
+                == auc_roc(maps, fixations, pool, "a", 0).score)
 
 
 def _one_negative(positives, negative):
@@ -81,13 +81,13 @@ class TestShuffledScoresByHand:
         # positives 0.9 and 0.5 against negatives 0.5 and 0.5: two wins
         # and two ties of four pairs
         fixations, pool = _one_negative([(0, 0), (0, 1)], (0, 1))
-        out = auc_roc([self.MAP] * 3, fixations, pool, "a")
+        out = auc_roc([self.MAP] * 3, fixations, pool, "a", 0)
         assert out.score == 0.75
         assert (out.frames_scored, out.frames_skipped) == (2, 1)
 
     def test_auc_of_a_map_below_every_negative_is_zero(self):
         fixations, pool = _one_negative([(1, 0), (1, 1)], (0, 1))
-        assert auc_roc([self.MAP] * 2, fixations, pool, "a").score == 0.0
+        assert auc_roc([self.MAP] * 2, fixations, pool, "a", 0).score == 0.0
 
     def test_kld_of_disjoint_bins(self):
         # positives fill bin 2 of 20 twice, negatives bin 18; with
@@ -95,7 +95,7 @@ class TestShuffledScoresByHand:
         # (2 + eps)/Z log((2 + eps)/eps) + eps/Z log(eps/(2 + eps))
         eps = KLD_EPSILON
         fixations, pool = _one_negative([(1, 0), (1, 1)], (0, 0))
-        out = kld([self.MAP] * 3, fixations, pool, "a")
+        out = kld([self.MAP] * 3, fixations, pool, "a", 0)
         assert out.score == pytest.approx(2 / (2 + 20 * eps) * math.log((2 + eps) / eps),
                                           rel=1e-12)
         assert (out.frames_scored, out.frames_skipped) == (2, 1)
@@ -103,7 +103,7 @@ class TestShuffledScoresByHand:
     def test_kld_of_the_same_bin_is_zero(self):
         # 0.12 and 0.13 share bin 2 with the negative at 0.13
         fixations, pool = _one_negative([(1, 0), (1, 1)], (1, 1))
-        assert kld([self.MAP] * 2, fixations, pool, "a").score == 0.0
+        assert kld([self.MAP] * 2, fixations, pool, "a", 0).score == 0.0
 
 
 class TestKldRange:
@@ -116,12 +116,12 @@ class TestKldRange:
         broken = good.copy()
         broken[0, 1] = bad
         with pytest.raises(MetricError, match=r"'a' frame 1 has value .*, not in \[0, 1\]"):
-            kld([good, broken, good], fixations, pool, "a")
+            kld([good, broken, good], fixations, pool, "a", 0)
 
     def test_map_on_the_range_ends_scores(self):
         fixations, pool = _one_negative([(1, 0), (1, 1)], (0, 0))
         ends = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert kld([ends] * 2, fixations, pool, "a").score > 0
+        assert kld([ends] * 2, fixations, pool, "a", 0).score > 0
 
 
 class TestOffMapFixation:
@@ -144,9 +144,9 @@ class TestNss:
     def test_mean_of_test_map_over_reference_mask(self):
         reference = np.array([[0.9, 0.1], [0.7, 0.2]])
         test = np.array([[0.5, 1.0], [0.3, 1.0]])
-        assert nss(reference, test) == pytest.approx(0.4)
+        assert nss(reference, test, 0.7) == pytest.approx(0.4)
 
     def test_no_pixel_reaches_threshold(self):
         reference = np.full((H, W), 0.69)
         with pytest.raises(MetricError, match="threshold"):
-            nss(reference, reference)
+            nss(reference, reference, 0.7)

@@ -214,7 +214,8 @@ class TestHwPyramid:
     def test_each_pyramid_carries_its_resampler(self):
         assert build_hw_pyramid(np.zeros((60, 80))).axis is shift_axis
         assert build_reference_pyramid(np.zeros((60, 80)), 3).axis is bilinear_axis
-        assert ImagePyramid((np.zeros((4, 4)),)).axis is bilinear_axis
+        with pytest.raises(TypeError):
+            ImagePyramid((np.zeros((4, 4)),))
 
     def test_stage_cycles(self):
         assert stage_costs(Resolution.HW_112)["P2"].cycles == 24000
@@ -228,18 +229,18 @@ class TestHwPyramid:
 class TestCollapse:
     def test_single_level_identity_resize(self):
         m = np.arange(20.0).reshape(4, 5)
-        out = collapse(ImagePyramid((m,)), 4, 5)
+        out = collapse(ImagePyramid((m,), bilinear_axis), 4, 5)
         np.testing.assert_array_equal(out, m)
 
     def test_two_constant_levels_sum(self):
-        pyr = ImagePyramid((np.full((8, 8), 1.5), np.full((4, 4), 2.25)))
+        pyr = ImagePyramid((np.full((8, 8), 1.5), np.full((4, 4), 2.25)), bilinear_axis)
         out = collapse(pyr, 8, 8)
         np.testing.assert_allclose(out, 3.75, atol=1e-12)
 
     def test_matches_naive_resize_and_add(self):
         rng = np.random.default_rng(13)
         levels = (rng.random((9, 12)), rng.random((6, 8)), rng.random((4, 5)))
-        out = collapse(ImagePyramid(levels), 9, 12)
+        out = collapse(ImagePyramid(levels, bilinear_axis), 9, 12)
         expected = sum(naive_bilinear(lvl, 9, 12) for lvl in levels)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -247,8 +248,8 @@ class TestCollapse:
         rng = np.random.default_rng(14)
         levels = tuple(rng.random(s) for s in ((10, 10), (7, 7), (5, 5)))
         scaled = tuple(3.5 * lvl for lvl in levels)
-        a = collapse(ImagePyramid(scaled), 10, 10)
-        b = 3.5 * collapse(ImagePyramid(levels), 10, 10)
+        a = collapse(ImagePyramid(scaled, bilinear_axis), 10, 10)
+        b = 3.5 * collapse(ImagePyramid(levels, bilinear_axis), 10, 10)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_build_then_collapse_constant(self):
