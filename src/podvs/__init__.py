@@ -14,8 +14,6 @@ from .config import (
     FrameHistory,
     FrameRGB,
     Resolution,
-    load_config,
-    parse_config,
     validate_frame,
 )
 from .errors import ConfigError, DimensionError, FormatError, MetricError, PodvsError
@@ -44,7 +42,7 @@ __all__ = [
     "__version__",
     "ChannelId", "color_opponency", "extract_all", "to_intensity",
     "EngineConfig", "FixationRecord", "FrameHistory", "FrameRGB", "Resolution",
-    "load_config", "parse_config", "validate_frame",
+    "validate_frame",
     "ConfigError", "DimensionError", "FormatError", "MetricError", "PodvsError",
     "FixedFormat", "HwPipeline", "HwProfile", "quantize",
     "GroupingBanks", "build_banks",

@@ -13,6 +13,12 @@ and times it through ``pipeline.run_sequence``.  Every mode prints the
 measured frame rate; a fixed-point run also prints its hardware profile
 and writes it to ``profile.json`` in the archive.
 
+``compare`` prints ``PCC n/a`` for a frame with a map of zero variance
+(an all-black frame maps to zeros) and ``NSS n/a`` where no reference
+pixel reaches the threshold; each average is over the frames that define
+it and names how many do not.  It fails only when no frame defines a PCC
+or the archives differ in length or map shape.
+
 ``run`` and ``profile`` take the resolution from ``--mode``, else from
 the ``--config`` file (640x480 when the file has no ``resolution`` key),
 else from the subcommand's default: reference for ``run``, hw112 for
@@ -30,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import EngineConfig, Resolution, load_settings
-from .errors import PodvsError
+from .errors import MetricError, PodvsError
 from .hwmodel import ANCHORS, HwPipeline, HwProfile
 from .io import (
     read_fixations,
@@ -107,13 +113,33 @@ def _cmd_compare(args) -> int:
         raise PodvsError(f"archives differ in length: {len(maps_a)} vs {len(maps_b)}")
     pccs, nsss = [], []
     for i, (a, b) in enumerate(zip(maps_a, maps_b)):
-        p = pcc(a, b)
-        n = nss(a, b, args.threshold)
-        pccs.append(p)
-        nsss.append(n)
-        print(f"frame {i:4d}: PCC {p:.4f}  NSS {n:.4f}")
-    print(f"average: PCC {np.mean(pccs):.4f}  NSS {np.mean(nsss):.4f}")
+        pccs.append(_defined(pcc, a, b))
+        nsss.append(_defined(nss, a, b, args.threshold))
+        print(f"frame {i:4d}: PCC {_shown(pccs[-1])}  NSS {_shown(nsss[-1])}")
+    print(f"average: PCC {_average(pccs)}  NSS {_average(nsss)}")
+    if all(p is None for p in pccs):
+        raise MetricError("no frame defines a PCC: every frame has a map of zero variance")
     return 0
+
+
+def _defined(metric, *args):
+    """metric(*args), or None where the maps leave it undefined."""
+    try:
+        return metric(*args)
+    except MetricError:
+        return None
+
+
+def _shown(score) -> str:
+    return "n/a" if score is None else f"{score:.4f}"
+
+
+def _average(scores) -> str:
+    """The mean over the frames that define the score, and how many do not."""
+    defined = [s for s in scores if s is not None]
+    text = _shown(np.mean(defined) if defined else None)
+    left_out = len(scores) - len(defined)
+    return f"{text} ({left_out} of {len(scores)} frames n/a)" if left_out else text
 
 
 def _cmd_profile(args) -> int:
@@ -164,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("compare", help="PCC/NSS between two archives")
+    p = sub.add_parser("compare", help="PCC/NSS between two archives; n/a where undefined")
     p.add_argument("a")
     p.add_argument("b")
     p.add_argument("--threshold", type=float, default=0.7)

@@ -118,12 +118,17 @@ _PARSERS = {
 }
 
 
-def _settings(text: str) -> dict:
-    """Parse key=value lines into {key: value}, each value of its field's type.
-
-    Blank lines and lines starting with '#' are ignored; unknown keys
-    are errors.  The values are checked together by ``EngineConfig``.
-    """
+def load_settings(path) -> dict:
+    """A config file's key=value lines as {key: value}, each value of its
+    field's type.  Blank lines and lines starting with '#' are ignored;
+    unknown keys are errors.  The values are not yet checked together, so
+    that a caller can set the resolution before ``EngineConfig`` checks
+    the word width; an empty file yields the defaults."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -142,27 +147,6 @@ def _settings(text: str) -> dict:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return values
-
-
-def parse_config(text: str) -> EngineConfig:
-    """Parse key=value lines into a validated config."""
-    return EngineConfig(**_settings(text))
-
-
-def load_settings(path) -> dict:
-    """A config file's settings, parsed but not yet validated together, so
-    that a caller can set the resolution before the word width is checked."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return _settings(text)
-
-
-def load_config(path) -> EngineConfig:
-    """Read and parse a config file.  An empty file yields the defaults."""
-    return EngineConfig(**load_settings(path))
 
 
 @dataclass(frozen=True)
@@ -235,9 +219,6 @@ class FrameHistory:
 
     def __init__(self):
         self._ring: collections.deque[FrameRGB] = collections.deque(maxlen=TAP_COUNT)
-
-    def __len__(self) -> int:
-        return len(self._ring)
 
     def push(self, frame: FrameRGB) -> None:
         if self._ring and self._ring[0].r.shape != frame.r.shape:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError
+from .errors import DimensionError, MetricError
 
 
 #: Negative resamples averaged per frame by the shuffled metrics.
@@ -107,6 +107,11 @@ def _shuffled(score, maps, fixations: FixationSet, negatives_pool: FixationSet,
         repeats = [score(pos, pool[rng.integers(0, len(pool), size=len(pos))])
                    for _ in range(SHUFFLE_REPEATS)]
         frame_scores.append(float(np.mean(repeats)))
+    n_maps = len(frame_scores) + skipped
+    beyond = [rec.frame for rec in fixations.records if rec.video == video and rec.frame >= n_maps]
+    if beyond:
+        raise MetricError(f"video {video!r} has a fixation on frame {min(beyond)}, "
+                          f"beyond its {n_maps} maps")
     if not frame_scores:
         raise MetricError("no frames with fixations")
     return FrameScores(float(np.mean(frame_scores)), len(frame_scores), skipped)
@@ -126,6 +131,8 @@ def auc_roc(maps, fixations: FixationSet, negatives_pool: FixationSet,
     Negatives are sampled from the other-video pool, as many per
     resample as the frame has fixations, by a generator that ``seed``,
     the video and the frame seed (``podvs eval --seed``, 0 by default).
+    Frames without fixations are skipped and counted; a fixation off the
+    map, or on a frame beyond the maps, raises ``MetricError``.
     """
     return _shuffled(_auc_ties_half, maps, fixations, negatives_pool, video, seed)
 
@@ -159,19 +166,22 @@ def kld(maps, fixations: FixationSet, negatives_pool: FixationSet,
 
     KL(true-fixation histogram || shuffled histogram) per frame, with
     epsilon-smoothed histograms over [0, 1]; same sampling, seeding,
-    averaging and coverage rules as auc_roc.  A map with a value outside
-    [0, 1] or not finite raises ``MetricError``.
+    averaging and coverage rules as auc_roc, fixations beyond the maps
+    included.  A map with a value outside [0, 1] or not finite raises
+    ``MetricError``.
     """
     return _shuffled(_kl_divergence, _in_unit_range(maps, video), fixations,
                      negatives_pool, video, seed)
 
 
 def pcc(a: np.ndarray, b: np.ndarray) -> float:
-    """Pearson correlation over all pixels; errors on zero variance."""
+    """Pearson correlation over all pixels.  Zero variance leaves it
+    undefined (``MetricError``); maps of different shapes raise
+    ``DimensionError``."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
-        raise MetricError(f"shape mismatch {a.shape} vs {b.shape}")
+        raise DimensionError(f"shape mismatch {a.shape} vs {b.shape}")
     da = a - a.mean()
     db = b - b.mean()
     var_a = float(np.sum(da * da))
@@ -185,12 +195,14 @@ def nss(reference: np.ndarray, test: np.ndarray, threshold: float) -> float:
     """Masked-mean NSS: mean of `test` where `reference` >= threshold
     (``podvs compare --threshold``, 0.7 by default).
 
-    Both maps are expected in [0, 1]; 1.0 is a perfect score.
+    Both maps are expected in [0, 1]; 1.0 is a perfect score.  A
+    reference with no pixel at the threshold leaves it undefined
+    (``MetricError``); maps of different shapes raise ``DimensionError``.
     """
     reference = np.asarray(reference, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
     if reference.shape != test.shape:
-        raise MetricError(f"shape mismatch {reference.shape} vs {test.shape}")
+        raise DimensionError(f"shape mismatch {reference.shape} vs {test.shape}")
     mask = reference >= threshold
     if not mask.any():
         raise MetricError(f"no reference pixel reaches threshold {threshold}")

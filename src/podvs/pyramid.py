@@ -9,11 +9,12 @@ Two pyramid flavors, the levels of every mode:
   frozen shift-based multiply approximation below (every level reads
   directly from the root image, as the parallel downsamplers do).
 
-The shift table maps (src_dim, dst_dim) to (Q, s) with Q/2**s the
-closest Q <= 65535 approximation of src/dst; a target index x reads
-source index (x*Q) >> s.  Because Q may sit just below the exact ratio,
-the address occasionally lands one pixel before the exact rational
-floor(x*src/dst); those deviations are deterministic and frozen.
+``shift_params`` derives, per (src_dim, dst_dim), the (Q, s) with Q/2**s
+the closest Q <= 65535 approximation of src/dst, which the board freezes
+for the level pairs of ``HW_LEVELS``; a target index x reads source index
+(x*Q) >> s.  Because Q may sit just below the exact ratio, the address
+occasionally lands one pixel before the exact rational floor(x*src/dst);
+those deviations are deterministic and frozen.
 """
 from __future__ import annotations
 
@@ -26,31 +27,6 @@ from scipy import sparse
 
 from .errors import DimensionError
 
-#: Frozen (src_dim, dst_dim) -> (Q, s) address-scaling constants.
-SHIFT_TABLE = {
-    # downsampling, 112x84 root
-    (112, 80): (45875, 15),
-    (84, 60): (45875, 15),
-    (112, 56): (32768, 14),
-    (84, 44): (62557, 15),
-    # downsampling, 80x60 root
-    (80, 56): (46811, 15),
-    (60, 44): (44684, 15),
-    (80, 40): (32768, 14),
-    (60, 30): (32768, 14),
-    # upsampling (coarse level read from a finer grid)
-    (80, 112): (46811, 16),
-    (60, 84): (46811, 16),
-    (56, 112): (32768, 16),
-    (44, 84): (34328, 16),
-    (56, 80): (45875, 16),
-    (44, 60): (48060, 16),
-    (40, 80): (32768, 16),
-    (30, 60): (32768, 16),
-    (40, 56): (46811, 16),
-    (30, 44): (44684, 16),
-}
-
 #: Hardware pyramid level sizes (width, height), finest first.
 HW_LEVELS = {
     (112, 84): ((112, 84), (80, 60), (56, 44)),
@@ -60,8 +36,10 @@ HW_LEVELS = {
 REFERENCE_DEPTH = 10
 
 
+@functools.lru_cache(maxsize=None)
 def shift_params(src_dim: int, dst_dim: int):
-    """Derive the (Q, s) pair; SHIFT_TABLE holds the frozen results."""
+    """The frozen (Q, s) pair: the largest s with Q = round(2**s * src/dst)
+    <= 65535.  ``tests/test_pyramid.py`` pins all 18 pairs of ``HW_LEVELS``."""
     ratio = src_dim / dst_dim
     s = 0
     while round(ratio * (1 << (s + 1))) <= 0xFFFF:
@@ -71,7 +49,7 @@ def shift_params(src_dim: int, dst_dim: int):
 
 def shift_index(x, src_dim: int, dst_dim: int):
     """Source index for target index x under the frozen approximation."""
-    q, s = SHIFT_TABLE[(src_dim, dst_dim)]
+    q, s = shift_params(src_dim, dst_dim)
     return (np.asarray(x, dtype=np.int64) * q) >> s
 
 
@@ -138,12 +116,6 @@ class ImagePyramid:
                 raise DimensionError(
                     f"levels must strictly shrink: {fine.shape} -> {coarse.shape}"
                 )
-
-    def __len__(self) -> int:
-        return len(self.levels)
-
-    def __getitem__(self, i):
-        return self.levels[i]
 
 
 def build_reference_pyramid(map_: np.ndarray, depth: int) -> ImagePyramid:

@@ -3,7 +3,8 @@
 Deterministic stimuli used by the behavioral tests and the `synth`
 subcommand.  Every generator is seeded with a fixed constant, so the
 emitted frames are bitwise stable across runs, and takes the frame size
-from its caller: the engine's sizes are ``config.Resolution``'s.
+and clip length from its caller: the engine's sizes are
+``config.Resolution``'s, and ``suite`` states the behavioral clips' lengths.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ def _check_size(width: int, height: int) -> None:
                              f"got {width}x{height}")
 
 
-def onset_square_video(width: int, height: int, frames: int = 24):
+def onset_square_video(width: int, height: int, frames: int):
     """Gray scene with static dot distractors; a white square appears.
 
     The square turns on at ONSET_FRAME and stays.  Returns
@@ -80,7 +81,7 @@ def onset_square_video(width: int, height: int, frames: int = 24):
     return out, square
 
 
-def static_square_video(width: int, height: int, frames: int = 12):
+def static_square_video(width: int, height: int, frames: int):
     """Single bright square on a dark background, present throughout."""
     _check_size(width, height)
     square = _square(width, height, int(width * 0.30), int(height * 0.30), max(10, height // 4))
@@ -93,7 +94,7 @@ def static_square_video(width: int, height: int, frames: int = 12):
     return out, square
 
 
-def drifting_bar_video(width: int, height: int, frames: int = 24):
+def drifting_bar_video(width: int, height: int, frames: int):
     """A bright vertical bar drifting rightward over a textured field."""
     _check_size(width, height)
     rng = np.random.default_rng(7777)
@@ -108,7 +109,7 @@ def drifting_bar_video(width: int, height: int, frames: int = 24):
     return out
 
 
-def color_popout_video(width: int, height: int, frames: int = 12):
+def color_popout_video(width: int, height: int, frames: int):
     """A red patch among gray distractors; drives the opponency channels."""
     _check_size(width, height)
     rng = np.random.default_rng(4242)
@@ -132,10 +133,10 @@ def color_popout_video(width: int, height: int, frames: int = 12):
 def suite(width: int, height: int) -> dict:
     """The behavioral stimuli (pop-out assertions target these)."""
     return {
-        "onset_square": onset_square_video(width, height)[0],
-        "static_square": static_square_video(width, height)[0],
-        "drifting_bar": drifting_bar_video(width, height),
-        "color_popout": color_popout_video(width, height)[0],
+        "onset_square": onset_square_video(width, height, 24)[0],
+        "static_square": static_square_video(width, height, 12)[0],
+        "drifting_bar": drifting_bar_video(width, height, 24),
+        "color_popout": color_popout_video(width, height, 12)[0],
     }
 
 

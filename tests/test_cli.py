@@ -122,6 +122,21 @@ class TestEval:
         assert cli(write_eval_inputs(tmp_path, outside=True)) == 1
         assert "outside" in capsys.readouterr().err
 
+    def test_fixation_beyond_the_archive_is_a_data_error(self, tmp_path, capsys):
+        # two maps of v1 and fixations on its frames 0, 1, 7 and 9
+        rng = np.random.default_rng(6)
+        cfg = EngineConfig(resolution=Resolution.HW_80)
+        rows = ["video,frame,subject,x,y"]
+        for video in ("v1", "v2"):
+            write_maps(list(rng.random((2, 60, 80))), tmp_path / "maps" / video, cfg, raw=False)
+            rows += [f"{video},{frame},s0,{rng.integers(0, 80)},{rng.integers(0, 60)}"
+                     for frame in ((0, 1, 7, 9) if video == "v1" else (0, 1))]
+        (tmp_path / "fix.csv").write_text("\n".join(rows) + "\n")
+        argv = ["eval", "--maps", str(tmp_path / "maps"), "--fixations", str(tmp_path / "fix.csv")]
+        assert cli(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: video 'v1' has a fixation on frame 7, beyond its 2 maps")
+
 
 class TestCompare:
     def test_fixed_point_against_float_archive(self, tmp_path, capsys):
@@ -139,6 +154,35 @@ class TestCompare:
         archive = str(tmp_path / "maps" / "v1")
         assert cli(["compare", archive, archive]) == 0
         assert capsys.readouterr().out.splitlines()[-1].startswith("average: PCC 1.0000")
+
+    def test_a_black_frame_prints_n_a_and_is_left_out_of_the_averages(self, tmp_path, capsys):
+        # both engines map a black frame to zeros: PCC and NSS are undefined
+        maps = [np.zeros((60, 80))] + list(np.random.default_rng(7).random((2, 60, 80)))
+        write_maps(maps, tmp_path / "a", EngineConfig(resolution=Resolution.HW_80), raw=False)
+        assert cli(["compare", str(tmp_path / "a"), str(tmp_path / "a")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "frame    0: PCC n/a  NSS n/a"
+        assert lines[1].startswith("frame    1: PCC 1.0000  NSS ")
+        assert lines[-1].startswith("average: PCC 1.0000 (1 of 3 frames n/a)  NSS ")
+        assert lines[-1].endswith(" (1 of 3 frames n/a)")
+
+    def test_no_frame_with_a_pcc_is_a_data_error(self, tmp_path, capsys):
+        cfg = EngineConfig(resolution=Resolution.HW_80)
+        write_maps([np.zeros((60, 80))] * 2, tmp_path / "black", cfg, raw=False)
+        assert cli(["compare", str(tmp_path / "black"), str(tmp_path / "black")]) == 1
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == ("average: PCC n/a (2 of 2 frames n/a)"
+                                        "  NSS n/a (2 of 2 frames n/a)")
+        assert err.startswith("error: no frame defines a PCC")
+
+    def test_archives_of_different_map_shapes_are_a_data_error(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        write_maps([rng.random((60, 80))], tmp_path / "hw80",
+                   EngineConfig(resolution=Resolution.HW_80), raw=False)
+        write_maps([rng.random((84, 112))], tmp_path / "hw112",
+                   EngineConfig(resolution=Resolution.HW_112), raw=False)
+        assert cli(["compare", str(tmp_path / "hw80"), str(tmp_path / "hw112")]) == 1
+        assert capsys.readouterr().err.startswith("error: shape mismatch (60, 80) vs (84, 112)")
 
     def test_archives_of_different_lengths_are_a_data_error(self, tmp_path, capsys):
         cfg = EngineConfig(resolution=Resolution.HW_80)

@@ -10,8 +10,7 @@ from podvs.config import (
     FrameHistory,
     FrameRGB,
     Resolution,
-    load_config,
-    parse_config,
+    load_settings,
     validate_frame,
 )
 from podvs.errors import ConfigError, DimensionError, FormatError
@@ -22,7 +21,14 @@ from conftest import gray_frame
 
 def built_depth(cfg):
     """Levels of the pyramid the engine builds for a channel map under cfg."""
-    return len(build_channel_pyramid(np.zeros((cfg.height, cfg.width)), cfg))
+    return len(build_channel_pyramid(np.zeros((cfg.height, cfg.width)), cfg).levels)
+
+
+def config_from(tmp_path, text):
+    """The config of a file holding text, read as ``podvs`` reads ``--config``."""
+    path = tmp_path / "engine.cfg"
+    path.write_text(text)
+    return EngineConfig(**load_settings(path))
 
 
 class TestResolutionModes:
@@ -49,38 +55,36 @@ class TestResolutionModes:
 
 class TestParseConfig:
     def test_empty_file_gives_defaults(self, tmp_path):
-        path = tmp_path / "empty.cfg"
-        path.write_text("")
-        cfg = load_config(path)
+        cfg = config_from(tmp_path, "")
         assert cfg == EngineConfig()
         assert cfg.frame_rate == 24.0
         assert (cfg.width, cfg.height) == (640, 480)
         assert cfg.kernel_size == 11 and built_depth(cfg) == 10
 
-    def test_hw_resolution_selects_rescaled_parameters(self):
-        cfg = parse_config("resolution=112x84\n")
+    def test_hw_resolution_selects_rescaled_parameters(self, tmp_path):
+        cfg = config_from(tmp_path, "resolution=112x84\n")
         assert cfg.kernel_size == 5
         assert built_depth(cfg) == 3
 
-    def test_zero_frame_rate_rejected(self):
+    def test_zero_frame_rate_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="frame_rate must be positive"):
-            parse_config("frame_rate=0\n")
+            config_from(tmp_path, "frame_rate=0\n")
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("framerate=24\n")
+            config_from(tmp_path, "framerate=24\n")
         with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("range_ceiling=1.0\n")
+            config_from(tmp_path, "range_ceiling=1.0\n")
 
-    def test_duplicate_key_rejected(self):
+    def test_duplicate_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate"):
-            parse_config("frame_rate=24\nframe_rate=30\n")
+            config_from(tmp_path, "frame_rate=24\nframe_rate=30\n")
 
-    def test_comments_and_blank_lines(self):
-        cfg = parse_config("# comment\n\nresolution=80x60\n")
+    def test_comments_and_blank_lines(self, tmp_path):
+        cfg = config_from(tmp_path, "# comment\n\nresolution=80x60\n")
         assert cfg.resolution is Resolution.HW_80
 
-    def test_params_validated(self):
+    def test_params_validated(self, tmp_path):
         for text, message in [
             # the paper's fixed parameters are constants, not keys
             ("inhibition_weight=1.0", "unknown key 'inhibition_weight'"),
@@ -97,15 +101,15 @@ class TestParseConfig:
             ("word_bits=25", r"word_bits=25 overflows .* at 11x11 kernels \(49 bits\)"),
         ]:
             with pytest.raises(ConfigError, match=message):
-                parse_config(text + "\n")
+                config_from(tmp_path, text + "\n")
 
-    def test_int_key_rejects_a_fraction(self):
+    def test_int_key_rejects_a_fraction(self, tmp_path):
         with pytest.raises(ConfigError, match="bad value for 'word_bits'"):
-            parse_config("word_bits=1.5\n")
+            config_from(tmp_path, "word_bits=1.5\n")
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_config(tmp_path / "absent.cfg")
+            EngineConfig(**load_settings(tmp_path / "absent.cfg"))
 
 
 class TestFrameValidation:

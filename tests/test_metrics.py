@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from podvs.config import FixationRecord
-from podvs.errors import MetricError
+from podvs.errors import DimensionError, MetricError
 from podvs.metrics import KLD_EPSILON, FixationSet, auc_roc, kld, nss, pcc
 
 H, W = 6, 8
@@ -37,6 +37,20 @@ class TestPcc:
         for a, b in _unit_map_pairs(24):
             scale, offset = 10.0 ** rng.uniform(-2, 2), rng.uniform(-10, 10)
             assert pcc(a, scale * b + offset) == pytest.approx(pcc(a, b), abs=1e-9)
+
+    def test_zero_variance_is_undefined(self):
+        a, b = next(_unit_map_pairs(25))
+        for flat in (np.zeros((H, W)), np.full((H, W), 0.5)):
+            with pytest.raises(MetricError, match="zero variance"):
+                pcc(flat, b)
+            with pytest.raises(MetricError, match="zero variance"):
+                pcc(a, flat)
+
+    def test_maps_of_different_shapes_are_a_dimension_error(self):
+        # not MetricError: ``podvs compare`` prints n/a for that, not for this
+        for metric in (pcc, lambda a, b: nss(a, b, 0.7)):
+            with pytest.raises(DimensionError, match="shape mismatch"):
+                metric(np.eye(H, W), np.eye(W, H))
 
 
 def _fixations():
@@ -138,6 +152,25 @@ class TestOffMapFixation:
         for metric in (auc_roc, kld):
             with pytest.raises(MetricError, match=f"fixation \\({W}, 0\\) outside"):
                 metric([np.ones((H, W))], fixations, pool, "a", seed)
+
+
+class TestFixationBeyondTheMaps:
+    def test_raises_naming_the_video_the_first_frame_and_the_map_count(self):
+        # unchecked, the frame 7 and 9 fixations are dropped and the two maps scored
+        fixations, pool = _one_negative([(0, 0), (0, 1)], (0, 1))
+        late = FixationSet(fixations.records + (FixationRecord("a", 9, "s", 0, 0),
+                                                FixationRecord("a", 7, "s", 1, 1)))
+        for metric in (auc_roc, kld):
+            with pytest.raises(MetricError, match="video 'a' has a fixation on frame 7, "
+                                                  "beyond its 2 maps"):
+                metric([TestShuffledScoresByHand.MAP] * 2, late, pool, "a", 0)
+
+    def test_fixations_of_other_videos_may_lie_beyond(self):
+        fixations, pool = _one_negative([(0, 0), (0, 1)], (0, 1))
+        other = FixationSet(fixations.records + (FixationRecord("b", 9, "s", 0, 0),))
+        for metric in (auc_roc, kld):
+            scores = metric([TestShuffledScoresByHand.MAP] * 2, other, pool, "a", 0)
+            assert scores.frames_scored == 2
 
 
 class TestNss:

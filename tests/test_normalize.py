@@ -11,7 +11,7 @@ from podvs.normalize import (
     normalize_n2,
     rescale_to_range,
 )
-from podvs.pyramid import ImagePyramid, bilinear_axis, collapse
+from podvs.pyramid import collapse
 
 
 class TestLocalMaxima:
@@ -184,8 +184,7 @@ class TestFuse:
 
         def full_path(levels):
             n1 = [normalize_n1(level) for level in levels]
-            conspicuity = collapse(ImagePyramid(tuple(n1), bilinear_axis),
-                                   hw112_cfg.height, hw112_cfg.width)
+            conspicuity = collapse(n1, hw112_cfg.height, hw112_cfg.width)
             return normalize_n2(conspicuity)
 
         expected = rescale_to_range(sum(full_path(pyrs[cid]) for cid in ChannelId))

@@ -7,7 +7,6 @@ from podvs.hwmodel import stage_costs
 from podvs.pyramid import (
     HW_LEVELS,
     REFERENCE_DEPTH,
-    SHIFT_TABLE,
     ImagePyramid,
     bilinear_axis,
     bilinear_resize,
@@ -105,8 +104,8 @@ class TestReferencePyramid:
     def test_depth_one_is_identity(self):
         m = np.arange(12.0).reshape(3, 4)
         pyr = build_reference_pyramid(m, 1)
-        assert len(pyr) == 1
-        np.testing.assert_array_equal(pyr[0], m)
+        assert len(pyr.levels) == 1
+        np.testing.assert_array_equal(pyr.levels[0], m)
 
     def test_excessive_depth_rejected(self):
         with pytest.raises(DimensionError):
@@ -147,19 +146,53 @@ class TestReferencePyramid:
             np.testing.assert_allclose(op.sum(axis=1), 1.0, atol=1e-15)
 
 
+def hw_shift_pairs():
+    """Every (src_dim, dst_dim) the hardware modes address, per axis: the
+    root read down to each coarser level, and each coarser level read up
+    to each finer one in the across-scale sum."""
+    pairs = set()
+    for levels in HW_LEVELS.values():
+        for axis in (0, 1):
+            dims = [level[axis] for level in levels]
+            pairs.update((dims[0], dst) for dst in dims[1:])
+            pairs.update((src, dst) for j, dst in enumerate(dims) for src in dims[j + 1:])
+    return pairs
+
+
 class TestShiftTable:
+    #: The board's frozen address constants, (src_dim, dst_dim) -> (Q, s),
+    #: and how many target indices land one pixel before the exact
+    #: floor(x * src / dst).
+    GOLDEN = {
+        # downsampling, 112x84 root
+        (112, 80): ((45875, 15), 15), (84, 60): ((45875, 15), 11),
+        (112, 56): ((32768, 14), 0), (84, 44): ((62557, 15), 3),
+        # downsampling, 80x60 root
+        (80, 56): ((46811, 15), 7), (60, 44): ((44684, 15), 0),
+        (80, 40): ((32768, 14), 0), (60, 30): ((32768, 14), 0),
+        # upsampling (coarse level read from a finer grid)
+        (80, 112): ((46811, 16), 15), (60, 84): ((46811, 16), 11),
+        (56, 112): ((32768, 16), 0), (44, 84): ((34328, 16), 3),
+        (56, 80): ((45875, 16), 7), (44, 60): ((48060, 16), 0),
+        (40, 80): ((32768, 16), 0), (30, 60): ((32768, 16), 0),
+        (40, 56): ((46811, 16), 7), (30, 44): ((44684, 16), 0),
+    }
+
+    def test_hw_levels_imply_the_golden_pairs(self):
+        assert hw_shift_pairs() == set(self.GOLDEN)
+
     def test_frozen_table_matches_derivation(self):
-        for (src, dst), frozen in SHIFT_TABLE.items():
+        for (src, dst), (frozen, _) in self.GOLDEN.items():
             assert shift_params(src, dst) == frozen
 
     def test_indices_stay_in_bounds(self):
-        for (src, dst) in SHIFT_TABLE:
+        for (src, dst) in hw_shift_pairs():
             idx = shift_index(np.arange(dst), src, dst)
             assert idx.min() >= 0
             assert idx.max() < src
 
     def test_axis_operator_selects_the_shift_addresses(self):
-        for (src, dst) in SHIFT_TABLE:
+        for (src, dst) in hw_shift_pairs():
             op = shift_axis(src, dst)
             assert op.shape == (dst, src)
             assert op.nnz == dst and np.all(op.data == 1.0)
@@ -170,14 +203,7 @@ class TestShiftTable:
     def test_mismatch_counts_against_exact_rational(self):
         # the approximation occasionally lands one pixel before the
         # exact floor(x * src / dst); these counts are frozen behavior
-        golden = {
-            (112, 80): 15, (84, 60): 11, (112, 56): 0, (84, 44): 3,
-            (80, 56): 7, (60, 44): 0, (80, 40): 0, (60, 30): 0,
-            (80, 112): 15, (60, 84): 11, (56, 112): 0, (44, 84): 3,
-            (56, 80): 7, (44, 60): 0, (40, 80): 0, (30, 60): 0,
-            (40, 56): 7, (30, 44): 0,
-        }
-        for (src, dst), expected in golden.items():
+        for (src, dst), (_, expected) in self.GOLDEN.items():
             approx = shift_index(np.arange(dst), src, dst)
             exact = (np.arange(dst) * src) // dst
             diff = approx - exact
@@ -202,10 +228,10 @@ class TestHwPyramid:
         pyr = build_hw_pyramid(src)
         rows = shift_index(np.arange(60), 84, 60)
         cols = shift_index(np.arange(80), 112, 80)
-        np.testing.assert_array_equal(pyr[1], src[np.ix_(rows, cols)])
+        np.testing.assert_array_equal(pyr.levels[1], src[np.ix_(rows, cols)])
         rows = shift_index(np.arange(44), 84, 44)
         cols = shift_index(np.arange(56), 112, 56)
-        np.testing.assert_array_equal(pyr[2], src[np.ix_(rows, cols)])
+        np.testing.assert_array_equal(pyr.levels[2], src[np.ix_(rows, cols)])
 
     def test_wrong_size_rejected(self):
         with pytest.raises(DimensionError):
@@ -229,18 +255,17 @@ class TestHwPyramid:
 class TestCollapse:
     def test_single_level_identity_resize(self):
         m = np.arange(20.0).reshape(4, 5)
-        out = collapse(ImagePyramid((m,), bilinear_axis), 4, 5)
+        out = collapse((m,), 4, 5)
         np.testing.assert_array_equal(out, m)
 
     def test_two_constant_levels_sum(self):
-        pyr = ImagePyramid((np.full((8, 8), 1.5), np.full((4, 4), 2.25)), bilinear_axis)
-        out = collapse(pyr, 8, 8)
+        out = collapse((np.full((8, 8), 1.5), np.full((4, 4), 2.25)), 8, 8)
         np.testing.assert_allclose(out, 3.75, atol=1e-12)
 
     def test_matches_naive_resize_and_add(self):
         rng = np.random.default_rng(13)
         levels = (rng.random((9, 12)), rng.random((6, 8)), rng.random((4, 5)))
-        out = collapse(ImagePyramid(levels, bilinear_axis), 9, 12)
+        out = collapse(levels, 9, 12)
         expected = sum(naive_bilinear(lvl, 9, 12) for lvl in levels)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
@@ -248,14 +273,14 @@ class TestCollapse:
         rng = np.random.default_rng(14)
         levels = tuple(rng.random(s) for s in ((10, 10), (7, 7), (5, 5)))
         scaled = tuple(3.5 * lvl for lvl in levels)
-        a = collapse(ImagePyramid(scaled, bilinear_axis), 10, 10)
-        b = 3.5 * collapse(ImagePyramid(levels, bilinear_axis), 10, 10)
+        a = collapse(scaled, 10, 10)
+        b = 3.5 * collapse(levels, 10, 10)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_build_then_collapse_constant(self):
         depth = 4
         pyr = build_reference_pyramid(np.full((64, 64), 2.0), depth)
-        out = collapse(pyr, 64, 64)
+        out = collapse(pyr.levels, 64, 64)
         np.testing.assert_allclose(out, depth * 2.0, atol=1e-9)
 
 

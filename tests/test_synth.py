@@ -1,6 +1,4 @@
 """Synthetic stimuli: what each clip draws at every accepted size."""
-import inspect
-
 import numpy as np
 import pytest
 
@@ -12,10 +10,14 @@ from podvs.synth import (
     fidelity_suite,
     onset_square_video,
     static_square_video,
+    suite,
 )
 
 GENERATORS = {gen.__name__: gen for gen in (onset_square_video, static_square_video,
                                             drifting_bar_video, color_popout_video)}
+#: The clip length ``suite`` gives each generator's clip.
+SUITE_FRAMES = {"onset_square_video": 24, "static_square_video": 12,
+                "drifting_bar_video": 24, "color_popout_video": 12}
 #: The engine's three resolutions.
 SIZES = [(80, 60), (112, 84), (640, 480)]
 
@@ -31,7 +33,7 @@ def test_two_dots_draws_both_dots(height):
 @pytest.mark.parametrize("width, height", [(4, 4), (MIN_SIDE - 1, 60), (80, MIN_SIDE - 1)])
 def test_generator_rejects_a_small_frame(name, width, height):
     with pytest.raises(DimensionError, match=f"at least {MIN_SIDE}x{MIN_SIDE}"):
-        GENERATORS[name](width, height)
+        GENERATORS[name](width, height, SUITE_FRAMES[name])
 
 
 def _box_of(mask):
@@ -43,10 +45,11 @@ def _box_of(mask):
 @pytest.mark.parametrize("name", sorted(GENERATORS))
 @pytest.mark.parametrize("width, height", SIZES, ids=[f"{w}x{h}" for w, h in SIZES])
 def test_generator_draws_its_default_clip_at_the_requested_size(name, width, height):
-    gen = GENERATORS[name]
-    made = gen(width, height)
+    made = GENERATORS[name](width, height, SUITE_FRAMES[name])
     frames, box = (made, None) if name == "drifting_bar_video" else made
-    assert len(frames) == inspect.signature(gen).parameters["frames"].default
+    assert {clip: len(video) for clip, video in suite(width, height).items()} == {
+        gen.removesuffix("_video"): n for gen, n in SUITE_FRAMES.items()}
+    assert len(frames) == SUITE_FRAMES[name]
     assert all((f.width, f.height) == (width, height) for f in frames)
     if box is not None:
         assert 0 <= box.x0 < box.x1 <= width and 0 <= box.y0 < box.y1 <= height
@@ -71,7 +74,7 @@ BOX_SIZES = [(8, 8), (16, 12), (40, 30), (80, 60), (112, 84)]
 @pytest.mark.parametrize("name", sorted(PAINTED))
 @pytest.mark.parametrize("width, height", BOX_SIZES, ids=[f"{w}x{h}" for w, h in BOX_SIZES])
 def test_target_box_is_the_painted_region(name, width, height):
-    frames, box = GENERATORS[name](width, height)
+    frames, box = GENERATORS[name](width, height, SUITE_FRAMES[name])
     assert 0 <= box.x0 < box.x1 <= width and 0 <= box.y0 < box.y1 <= height
     inside = np.zeros((height, width), dtype=bool)
     inside[box.y0 : box.y1, box.x0 : box.x1] = True
