@@ -80,12 +80,22 @@ def extract_all(
     formulas.  The orientation channels receive the current frame's
     grayscale with no temporal filtering, so static structure is
     preserved; the four orientation entries share one array instance.
+
+    Two float plane stacks are alive at a time: each plane's stack gives
+    its weak temporal response and is then added into the gray stack,
+    which is the r stack itself, and the b stack is written over the g
+    stack.  That is ((r + g) + b) / 3.0, the arithmetic of
+    ``to_intensity`` frame by frame, in the same order.
     """
-    r, g, b = (history.plane_stack(p) for p in ("r", "g", "b"))
-    # The same arithmetic as to_intensity, frame by frame.
-    gray = (r + g + b) / 3.0
+    gray = history.plane_stack("r")  # the gray accumulator once it is read
+    planes = [apply_temporal(weak, gray)]
+    stack = np.empty_like(gray)  # the g stack, then the b stack
+    for name in ("g", "b"):
+        planes.append(apply_temporal(weak, history.fill_plane_stack(name, stack)))
+        gray += stack
+    del stack  # freed before the opponency temporaries
+    gray /= 3.0
     channels = {ChannelId.INTENSITY: apply_temporal(strong, gray)}
-    planes = [apply_temporal(weak, stack) for stack in (r, g, b)]
     channels.update(color_opponency(*planes))
     # the newest gray frame, copied so the stack is freed before grouping
     channels.update(dict.fromkeys(ORIENTATION_CHANNELS, gray[0].copy()))

@@ -17,7 +17,9 @@ and writes it to ``profile.json`` in the archive.
 (an all-black frame maps to zeros) and ``NSS n/a`` where no reference
 pixel reaches the threshold; each average is over the frames that define
 it and names how many do not.  It fails only when no frame defines a PCC
-or the archives differ in length or map shape.
+or the archives differ in length or map shape.  ``eval`` scores every
+video of the fixation CSV and fails, naming them, if any has no archive
+directory under ``--maps``.
 
 ``run`` and ``profile`` take the resolution from ``--mode``, else from
 the ``--config`` file (640x480 when the file has no ``resolution`` key),
@@ -85,11 +87,11 @@ def _cmd_eval(args) -> int:
     if len(fixations) == 0:
         raise PodvsError("no fixations in the CSV")
     maps_root = Path(args.maps)
-    videos = [v for v in fixations.videos if (maps_root / v).is_dir()]
-    if not videos:
-        raise PodvsError(
-            f"no video directories under {maps_root} match the CSV video ids"
-        )
+    videos = fixations.videos
+    missing = [v for v in videos if not (maps_root / v).is_dir()]
+    if missing:
+        raise PodvsError(f"no map archive under {maps_root} for the CSV's "
+                         f"video(s) {', '.join(map(repr, missing))}")
     auc_scores, kld_scores = [], []
     for video in videos:
         maps = read_maps(maps_root / video)

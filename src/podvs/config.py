@@ -237,6 +237,13 @@ class FrameHistory:
             [getattr(self.frame_at(t), plane).astype(np.float64) for t in range(TAP_COUNT)]
         )
 
+    def fill_plane_stack(self, plane: str, out: np.ndarray) -> np.ndarray:
+        """``plane_stack(plane)`` written into ``out``, a (TAP_COUNT, H, W)
+        float64 array, which is returned."""
+        for t, layer in enumerate(out):
+            layer[...] = getattr(self.frame_at(t), plane)
+        return out
+
 
 @dataclass(frozen=True)
 class FixationRecord:

@@ -25,12 +25,14 @@ or their sum, p = 1 (see below).  All are float64 except the masks,
 which are boolean.
 
 A ``grouping_pyramid`` call works in place where the hardware does.  From
-P3-P4 on it holds, per level, the edges and the von Mises stack.  P5
-writes each summed series back into that stack, P6 writes border
-ownership over its first polarity (``border_ownership``), and the edges
-are dropped before P7, which adds only the boolean masks, an eighth of a
-float stack, and per-map temporaries.  No ownership stack and no float
-mask stack stand beside the von Mises one.
+P3-P4 on it holds, per level, the level's shared form (below) and the von
+Mises stack.  P5 writes each summed series back into that stack.  P6
+forms each orientation's edges from the shared level just before its
+border-ownership step, so one edge map is alive at a time, and writes
+ownership over the stack's first polarity (``border_ownership``).  The
+shared forms are dropped before P7, which adds only the boolean masks,
+an eighth of a float stack, and per-map temporaries.  No edge stack, no
+ownership stack and no float mask stack stand beside the von Mises one.
 
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
@@ -52,10 +54,13 @@ product's wrap-around out of the 'same' window (``_fft_shape``).
 Within one ``grouping_pyramid`` call a map that several kernels meet is
 shared among them in the form the backend's ``share`` makes of it: a
 level by its 8 edge kernels and the center-surround kernel, each von
-Mises input by the 8 von Mises kernels.  One shared form is alive at a
-time: the level's is dropped before ON's is made, and ON's before OFF's.
-At FFT sizes the float backend shares the map's spectrum; a kernel meets
-one map a level per stage, so its spectrum is made where it is used
+Mises input by the 8 von Mises kernels.  A level's form is made once,
+read by the center-surround kernel in P3-P4 and by the edge kernels in
+P6, and kept in between: at 640x480 the 10 level spectra take 5.4 MB,
+where every level's edges took 19.6 MB.  A von Mises input's form is
+dropped before the next is made, ON's before OFF's.  At FFT sizes the
+float backend shares the map's spectrum; a kernel meets one map a level
+per stage, so its spectrum is made where it is used
 (``_kernel_spectrum``).  The fixed-point backend shares the map's row
 stack, its 5 column-shifted copies zero-padded as the board's line
 buffers hold them (``hwmodel.row_stack``), and each kernel reduces it
@@ -268,13 +273,14 @@ def _check_size(map_: np.ndarray, size: int) -> None:
         raise DimensionError(f"map {map_.shape} smaller than kernel {size}x{size}")
 
 
-def complex_edges(map_: np.ndarray, banks: GroupingBanks, arith) -> np.ndarray:
-    """Complex responses sqrt(e^2 + o^2) to the even/odd pairs of banks.p3[:8],
-    shape (4, h, w) [theta]."""
-    _check_size(map_, banks.size)
-    out = np.empty((len(THETAS), *map_.shape))
-    for ti, (even, odd) in enumerate(zip(banks.p3[:8:2], banks.p3[1:8:2])):
-        out[ti] = arith.magnitude(arith.correlate(map_, even), arith.correlate(map_, odd))
+def complex_edges(map_: np.ndarray, pairs: np.ndarray, arith) -> np.ndarray:
+    """Complex responses sqrt(e^2 + o^2) to a stack of even/odd kernel
+    pairs, shape (len(pairs) // 2, h, w): (4, h, w) [theta] for
+    banks.p3[:8], one orientation's edge for banks.p3[2 * ti : 2 * ti + 2]."""
+    _check_size(map_, pairs.shape[-1])
+    out = np.empty((len(pairs) // 2, *map_.shape))
+    for i, (even, odd) in enumerate(zip(pairs[::2], pairs[1::2])):
+        out[i] = arith.magnitude(arith.correlate(map_, even), arith.correlate(map_, odd))
     return out
 
 
@@ -344,22 +350,31 @@ def von_mises_sum(levels, axis, arith):
     out = []
     for j, base in enumerate(levels):
         cols, rows = _sum_operators(axis, shapes, j)
-        coarser = zip(cols, levels[j + 1 :])
-        blocks = [(x @ arith.halve(level, n).T).T for n, (x, level) in enumerate(coarser, 1)]
-        out.append(arith.clip(rows @ np.vstack([base, *blocks])))
+        # level j's rows, then each coarser level's block, written in place
+        stack = np.empty((rows.shape[1], base.shape[1]))
+        top = len(base)
+        stack[:top] = base
+        for n, (x, level) in enumerate(zip(cols, levels[j + 1 :]), 1):
+            stack[top : top + len(level)] = (x @ arith.halve(level, n).T).T
+            top += len(level)
+        out.append(arith.clip(rows @ stack))
     return out
 
 
 def border_ownership(edges, vm_summed_levels, arith) -> list:
     """Border-ownership responses from edges and summed side evidence.
 
-    Takes per level the (4, h, w) edges and the (4, 2, p, h, w) summed
-    von Mises responses of ``von_mises_filter``, and returns per level a
-    (4, 2, h, w) array [theta, side].  For each orientation and side,
-    the light (ON) and dark (OFF) paths are rectified separately and
-    summed, ON first, which makes the result invariant to stimulus
-    polarity outside the zero-padding band described in the module
-    docstring.  With p = 1 the one path holds their summed evidence.
+    Takes per level the edges, one (h, w) map per orientation in
+    ``THETAS`` order, and the (4, 2, p, h, w) summed von Mises responses
+    of ``von_mises_filter``, and returns per level a (4, 2, h, w) array
+    [theta, side].  A level's edges may be a (4, h, w) array or an
+    iterator that forms each orientation's only when it is read, as
+    ``grouping_pyramid`` passes them: then one edge map is alive at a
+    time.  For each orientation and side, the light (ON) and dark (OFF)
+    paths are rectified separately and summed, ON first, which makes the
+    result invariant to stimulus polarity outside the zero-padding band
+    described in the module docstring.  With p = 1 the one path holds
+    their summed evidence.
 
     The von Mises input is overwritten, as P5's sum is in hardware: each
     (theta, side) result goes into ``vm[theta, side, 0]``, after both of
@@ -367,9 +382,11 @@ def border_ownership(edges, vm_summed_levels, arith) -> list:
     """
     out = []
     for edges_l, vm_l in zip(edges, vm_summed_levels):
-        for ti, side in np.ndindex(vm_l.shape[:2]):
-            paths = (_rect(arith.modulate(edges_l[ti], vm)) for vm in vm_l[ti, side])
-            vm_l[ti, side, 0] = arith.clip(functools.reduce(np.add, paths))
+        for ti, edge in enumerate(edges_l):
+            for side, evidence in enumerate(vm_l[ti]):
+                paths = (_rect(arith.modulate(edge, vm)) for vm in evidence)
+                vm_l[ti, side, 0] = arith.clip(functools.reduce(np.add, paths))
+            del edge  # freed before the next orientation's edge is formed
         out.append(vm_l[:, :, 0])
     return out
 
@@ -436,6 +453,13 @@ def grouping_activity(masks, bo_levels, banks: GroupingBanks, arith) -> list:
     return out
 
 
+def _edges_by_theta(shared, banks: GroupingBanks, arith):
+    """A level's complex edges in THETAS order, each formed from the
+    level's shared form only when ``border_ownership`` reads it."""
+    for ti in range(len(THETAS)):
+        yield complex_edges(shared, banks.p3[2 * ti : 2 * ti + 2], arith)[0]
+
+
 def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
     """Full grouping chain for one channel's pyramid.
 
@@ -445,20 +469,19 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
     ``axis`` (``von_mises_sum``); its weights, and the banks' von Mises
     taps, are non-negative, as the shared path needs (module docstring).
     """
-    edges, vm = [], []
+    shared, vm = [], []
     for level in channel_pyr.levels:
-        # one shared form of the level for its edge and center-surround
-        # kernels, dropped before von_mises_filter shares ON
-        shared = arith.share(level, banks.size)
-        edges.append(complex_edges(shared, banks, arith))
-        on, off = center_surround(shared, banks, arith)
-        del shared
+        # the level's shared form, for its center-surround kernel now and
+        # its edge kernels in P6
+        shared.append(arith.share(level, banks.size))
+        on, off = center_surround(shared[-1], banks, arith)
         vm.append(von_mises_filter(on, off, banks, arith))
     for idx in np.ndindex(vm[0].shape[:3]):
         # one (theta, side, polarity) series, summed across levels in place
         series = [v[idx] for v in vm]
         for vm_l, summed in zip(vm, von_mises_sum(series, channel_pyr.axis, arith)):
             vm_l[idx] = summed
+    edges = (_edges_by_theta(s, banks, arith) for s in shared)
     bo = border_ownership(edges, vm, arith)  # written over vm
-    del edges, vm  # not needed in P7: free them before its temporaries
+    del edges, shared, vm  # not needed in P7: free them before its temporaries
     return grouping_activity(bo_masks(bo), bo, banks, arith)

@@ -103,8 +103,8 @@ def fuse(grouping_pyramids: dict) -> np.ndarray:
     channels of a gray frame) normalizes to zeros without the work: N1
     scales each level by (0 - 0)**2, and N2's rescale maps a constant
     conspicuity map to zeros.  So ``Pipeline.step`` in reference mode,
-    which does not group an all-zero map, passes the map itself as a
-    one-level pyramid.  The output has level 0's shape, the frame's,
+    which does not group an all-zero map, passes one one-level pyramid of
+    zeros for every such channel.  The output has level 0's shape, the frame's,
     which every pyramid must share.
     """
     if set(grouping_pyramids) != set(ChannelId):

@@ -8,11 +8,12 @@ fixed point in ``hwmodel.HwPipeline``.  The mode's pyramid carries its
 resampler into the grouping chain (``build_channel_pyramid``), which
 inhibits with unit weight.  A zero map groups to +0.0 on every level,
 on both paths of the chain, so reference mode skips inputs with no
-non-zero pixel, such as the colour-opponency maps of a gray frame, and
-passes each as its own one-level pyramid: in every mode ``fuse`` turns
-a pyramid of zeros into a zero conspicuity map without normalizing it.
-The reduced modes group every input while the benchmark's tests pin
-their correlation counts.
+non-zero pixel, such as the colour-opponency maps of a gray frame: it
+frees them before it groups any map, and every one of them shares one
+one-level pyramid of zeros.  In every mode ``fuse`` turns a pyramid of
+zeros into a zero conspicuity map without normalizing it, once for a
+shared pyramid.  The reduced modes group every input while the
+benchmark's tests pin their correlation counts.
 """
 from __future__ import annotations
 
@@ -71,13 +72,17 @@ class Pipeline:
             del channels[cid]  # the same gray array as O_0's
         grouped = {}
         # reference mode only: bench tests pin the reduced modes' correlate calls
-        skip_zero = self.cfg.resolution is Resolution.REFERENCE
+        if self.cfg.resolution is Resolution.REFERENCE:
+            zero = [cid for cid, map_ in channels.items() if not map_.any()]
+            if zero:
+                # fuse reads no level of a zero pyramid: one serves them all
+                pyramid = [np.zeros(channels[zero[0]].shape)]
+                for cid in zero:
+                    del channels[cid]
+                    grouped[cid] = pyramid
         for cid in list(channels):
             map_ = channels.pop(cid)  # popped, so each map is freed once it is grouped
-            if skip_zero and not map_.any():
-                grouped[cid] = [map_]  # fuse reads no level of a zero pyramid
-            else:
-                grouped[cid] = self._grouping(map_, cid in ORIENTATION_CHANNELS)
+            grouped[cid] = self._grouping(map_, cid in ORIENTATION_CHANNELS)
         grouped.update(dict.fromkeys(ORIENTATION_CHANNELS, grouped[ChannelId.O_0]))
         return fuse(grouped)
 

@@ -160,15 +160,13 @@ class TestExtractAll:
         weak = make_kernel(WEAKLY_PHASIC, FRAME_PERIOD)
         channels = extract_all(hist, strong, weak)
         intensity = np.stack([to_intensity(hist.frame_at(t)) for t in range(TAP_COUNT)])
-        np.testing.assert_allclose(
-            channels[ChannelId.INTENSITY],
-            apply_temporal(strong, intensity),
-            atol=1e-12,
+        np.testing.assert_array_equal(
+            channels[ChannelId.INTENSITY], apply_temporal(strong, intensity)
         )
         planes = [apply_temporal(weak, hist.plane_stack(p)) for p in "rgb"]
         oracle = color_opponency(*planes)
         for cid, expected in oracle.items():
-            np.testing.assert_allclose(channels[cid], expected, atol=1e-12)
+            np.testing.assert_array_equal(channels[cid], expected)
         np.testing.assert_array_equal(
             channels[ChannelId.O_0], to_intensity(frames[-1])
         )

@@ -118,6 +118,17 @@ class TestEval:
         assert cli(args) == 0
         assert capsys.readouterr().out == first
 
+    def test_a_video_without_an_archive_is_a_data_error_naming_every_one(self, tmp_path, capsys):
+        # archives for v1 and v2; the CSV also names v3 and v4
+        argv = write_eval_inputs(tmp_path)
+        with (tmp_path / "fix.csv").open("a") as csv:
+            csv.write("v3,0,s0,1,1\nv4,0,s0,2,2\n")
+        assert cli(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: no map archive under ")
+        assert err.rstrip().endswith("for the CSV's video(s) 'v3', 'v4'")
+
     def test_fixation_outside_the_maps_is_a_data_error(self, tmp_path, capsys):
         assert cli(write_eval_inputs(tmp_path, outside=True)) == 1
         assert "outside" in capsys.readouterr().err

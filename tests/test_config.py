@@ -209,6 +209,16 @@ class TestFrameHistory:
         stack = hist.plane_stack("r")
         assert [stack[t][0, 0] for t in range(TAP_COUNT)] == list(range(TAP_COUNT + 1, 1, -1))
 
+    def test_fill_writes_the_plane_stack_into_the_given_array(self):
+        hist = FrameHistory()
+        rng = np.random.default_rng(12)
+        for _ in range(3):
+            hist.push(FrameRGB.from_planes(*rng.integers(0, 256, size=(3, 4, 5))))
+        out = np.full((TAP_COUNT, 4, 5), np.nan)
+        for name in "rgb":
+            assert hist.fill_plane_stack(name, out) is out
+            assert out.tobytes() == hist.plane_stack(name).tobytes()
+
     def test_dimension_change_rejected(self):
         hist = FrameHistory()
         hist.push(gray_frame(4, 4, 1))

@@ -124,6 +124,37 @@ CHAINS = {
 }
 
 
+def vstack_von_mises_sum(levels, axis, arith):
+    """``von_mises_sum`` as it stacked the coarser blocks: a list of
+    blocks below level j, joined by ``np.vstack``."""
+    shapes = tuple(level.shape for level in levels)
+    out = []
+    for j, base in enumerate(levels):
+        cols, rows = grouping._sum_operators(axis, shapes, j)
+        coarser = zip(cols, levels[j + 1 :])
+        blocks = [(x @ arith.halve(level, n).T).T for n, (x, level) in enumerate(coarser, 1)]
+        out.append(arith.clip(rows @ np.vstack([base, *blocks])))
+    return out
+
+
+def prior_order_grouping(pyr, banks, arith):
+    """``grouping_pyramid`` in the order that formed every level's edges
+    in P3, before its center-surround response, and kept them through P5
+    for ``border_ownership``."""
+    edges, vm = [], []
+    for level in pyr.levels:
+        shared = arith.share(level, banks.size)
+        edges.append(complex_edges(shared, banks.p3[:8], arith))
+        on, off = center_surround(shared, banks, arith)
+        vm.append(von_mises_filter(on, off, banks, arith))
+    for idx in np.ndindex(vm[0].shape[:3]):
+        series = [v[idx] for v in vm]
+        for vm_l, summed in zip(vm, vstack_von_mises_sum(series, pyr.axis, arith)):
+            vm_l[idx] = summed
+    bo = border_ownership(edges, vm, arith)
+    return grouping_activity(bo_masks(bo), bo, banks, arith)
+
+
 def interior(map_, margin):
     return map_[margin:-margin, margin:-margin]
 
@@ -259,7 +290,7 @@ class TestCorrelate:
 
 class TestComplexEdges:
     def test_constant_map_silent_interior(self, banks5):
-        edges = complex_edges(np.full((20, 20), 50.0), banks5, FLOAT)
+        edges = complex_edges(np.full((20, 20), 50.0), banks5.p3[:8], FLOAT)
         assert edges.shape == (4, 20, 20)
         for e in edges:
             assert np.max(np.abs(interior(e, 3))) < 1e-9
@@ -267,7 +298,7 @@ class TestComplexEdges:
     def test_vertical_step_prefers_vertical_orientation(self, banks5):
         m = np.zeros((21, 21))
         m[:, 11:] = 100.0
-        edges = complex_edges(m, banks5, FLOAT)
+        edges = complex_edges(m, banks5.p3[:8], FLOAT)
         ti = THETAS.index(np.pi / 2)
         col = 10
         responses = [e[10, col] for e in edges]
@@ -276,21 +307,21 @@ class TestComplexEdges:
     def test_horizontal_step_prefers_horizontal_orientation(self, banks5):
         m = np.zeros((21, 21))
         m[11:, :] = 100.0
-        edges = complex_edges(m, banks5, FLOAT)
+        edges = complex_edges(m, banks5.p3[:8], FLOAT)
         responses = [e[10, 10] for e in edges]
         assert int(np.argmax(responses)) == THETAS.index(0.0)
 
     def test_polarity_invariant(self, banks5):
         rng = np.random.default_rng(22)
         m = rng.uniform(0, 200, size=(16, 16))
-        a = complex_edges(m, banks5, FLOAT)
-        b = complex_edges(200.0 - m, banks5, FLOAT)
+        a = complex_edges(m, banks5.p3[:8], FLOAT)
+        b = complex_edges(200.0 - m, banks5.p3[:8], FLOAT)
         for ea, eb in zip(a, b):
             np.testing.assert_allclose(interior(ea, 3), interior(eb, 3), atol=1e-9)
 
     def test_map_smaller_than_kernel_rejected(self, banks5):
         with pytest.raises(DimensionError):
-            complex_edges(np.zeros((3, 3)), banks5, FLOAT)
+            complex_edges(np.zeros((3, 3)), banks5.p3[:8], FLOAT)
 
 
 class TestCenterSurround:
@@ -411,7 +442,7 @@ class TestBorderOwnership:
         """The field at every level, computed as reference mode does: a
         sqrt(2) pyramid and the bilinear across-scale von Mises sum."""
         pyr = build_reference_pyramid(map_, depth)
-        edges = [complex_edges(level, banks, FLOAT) for level in pyr.levels]
+        edges = [complex_edges(level, banks.p3[:8], FLOAT) for level in pyr.levels]
         vm = []
         for level in pyr.levels:
             on, off = center_surround(level, banks, FLOAT)
@@ -431,7 +462,7 @@ class TestBorderOwnership:
 
     def test_zero_center_surround_means_zero_ownership(self, banks5):
         m = np.zeros((12, 12))
-        edges = [complex_edges(m, banks5, FLOAT)]
+        edges = [complex_edges(m, banks5.p3[:8], FLOAT)]
         silent = np.zeros((4, 2, 2, 12, 12))
         field = border_ownership(edges, [silent], FLOAT)
         assert field[0].shape == (4, 2, 12, 12)
@@ -465,7 +496,7 @@ class TestBorderOwnership:
         # polarities are read (p = 2 at 5x5, p = 1 at 11x11 in float)
         banks = build_banks(size)
         m = self._light_square()
-        edges = [complex_edges(m, banks, FLOAT)]
+        edges = [complex_edges(m, banks.p3[:8], FLOAT)]
         vm = [von_mises_filter(*center_surround(m, banks, FLOAT), banks, FLOAT)]
         evidence = vm[0].copy()
         bo = border_ownership(edges, vm, FLOAT)
@@ -476,7 +507,7 @@ class TestBorderOwnership:
     def test_polarity_swap_preserves_sums(self, banks5):
         rng = np.random.default_rng(26)
         m = rng.uniform(0, 100, size=(16, 16))
-        edges = [complex_edges(m, banks5, FLOAT)]
+        edges = [complex_edges(m, banks5.p3[:8], FLOAT)]
         on, off = center_surround(m, banks5, FLOAT)
         vm_a = [von_mises_filter(on, off, banks5, FLOAT)]
         vm_b = [von_mises_filter(off, on, banks5, FLOAT)]
@@ -629,8 +660,11 @@ class TestGroupingPyramid:
             )
 
     def test_reference_chain_peak_memory(self, banks11):
-        # border ownership is written over the von Mises stack and the
-        # masks are boolean, so a call holds no third same-size stack
+        # border ownership is written over the von Mises stack, the masks
+        # are boolean, and P6 forms one orientation's edges at a time, so a
+        # call holds no second same-size stack beside the von Mises one
+        # (13.1x the pyramid's bytes measured; 15.0x with every level's
+        # edges formed before P5)
         m = np.random.default_rng(43).uniform(0, 255, size=(120, 160))
         pyr = build_reference_pyramid(m, 5)
         grouping_pyramid(pyr, banks11, FLOAT)  # fills the process-wide operator caches
@@ -640,7 +674,29 @@ class TestGroupingPyramid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * sum(level.nbytes for level in pyr.levels)
+        assert peak <= 14.4 * sum(level.nbytes for level in pyr.levels)
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS) + ["5x5-shift-fixed"])
+    def test_bit_identical_to_the_chain_that_formed_edges_first(self, chain):
+        # P6 forms each level's edges from its shared form orientation by
+        # orientation, and P5 fills one stack per level: the same
+        # operations on the same values as forming every level's edges
+        # before P5 and joining P5's blocks with np.vstack
+        if chain in CHAINS:
+            size, shape, build, _ = CHAINS[chain]
+            pyr = build(np.random.default_rng(47).uniform(0, 255, size=shape))
+            banks, arith, oracle_arith = build_banks(size), FLOAT, FLOAT
+        else:
+            # words of up to 17 bits, so some saturate (as in FIXED_DIGEST)
+            cfg = EngineConfig(resolution=Resolution.HW_112)
+            words = np.random.default_rng(44).integers(-(1 << 16), 1 << 16, size=(84, 112))
+            pyr, banks = build_hw_pyramid(words.astype(float)), HwPipeline(cfg).banks
+            arith, oracle_arith = FixedArith(cfg), FixedArith(cfg)
+        got = grouping_pyramid(pyr, banks, arith)
+        expected = prior_order_grouping(pyr, banks, oracle_arith)
+        assert [a.tobytes() for a in got] == [b.tobytes() for b in expected]
+        if arith is not FLOAT:
+            assert arith.saturations == oracle_arith.saturations > 0
 
     def test_reference_chain_matches_slow_oracle(self, banks11, monkeypatch):
         # the reference chain (11x11 banks, sqrt(2) pyramid, bilinear sum)
@@ -680,9 +736,9 @@ class TestGroupingPyramid:
         assert run_at_blas_threads(FIXED_DIGEST) == [FIXED_DIGEST_PIN] * 2
 
     def test_fixed_chain_peak_memory(self):
-        # one row stack is alive at a time: the level's is dropped
-        # before ON's is made, and ON's before OFF's (29.0x the pyramid's
-        # bytes measured)
+        # every level's row stack stays alive until P6 forms its edges,
+        # in place of the edges themselves; ON's is dropped before OFF's
+        # is made (29.1x the pyramid's bytes measured)
         cfg = EngineConfig(resolution=Resolution.HW_112)
         arith, banks = FixedArith(cfg), HwPipeline(cfg).banks
         words = np.random.default_rng(45).integers(0, 1 << 14, size=(84, 112)).astype(float)

@@ -158,7 +158,7 @@ class TestFixedArith:
         assert arith.saturations == saturated
 
     def test_complex_edges_match_naive_mac(self, arith, raw_banks, raw_map):
-        edges = complex_edges(raw_map, raw_banks, arith)
+        edges = complex_edges(raw_map, raw_banks.p3[:8], arith)
         total = 0
         for got, even_k, odd_k in zip(edges, raw_banks.p3[:8:2], raw_banks.p3[1:8:2]):
             even, sat_even = naive_mac(raw_map, even_k, arith.fmt)

@@ -1,4 +1,6 @@
 """Pipeline and HwPipeline: one grouping chain in two arithmetics."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,30 @@ class TestZeroChannelSkip:
                    for cid, map_ in channels.items()}
         assert len(calls) == nonzero + 6
         assert fused.tobytes() == fuse(grouped).tobytes()
+
+
+#: Bytes of one 640x480 float64 map.
+MAP_640_BYTES = 640 * 480 * 8
+#: Bound on the traced peak of a warm 640x480 reference step of the gray
+#: ``drifting_bar``, in 640x480 float64 maps: 29.3 measured (72.0 MB).
+#: The chain that held the three colour plane stacks together, formed
+#: every level's edges before P5 and kept each zero map until fusion
+#: peaked at 38.6 (94.9 MB).
+REFERENCE_STEP_PEAK_MAPS = 32
+
+
+class TestPeakMemory:
+    def test_reference_step_holds_no_array_it_has_stopped_reading(self):
+        frames = synth.drifting_bar_video(640, 480, frames=2)
+        engine = Pipeline(EngineConfig(resolution=Resolution.REFERENCE))
+        engine.step(frames[0])  # fills the operator caches and the history
+        tracemalloc.start()
+        try:
+            engine.step(frames[1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= REFERENCE_STEP_PEAK_MAPS * MAP_640_BYTES
 
 
 class TestFidelityGate:

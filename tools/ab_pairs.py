@@ -1,21 +1,23 @@
 """Alternating A/B runs of the benchmark: a parent commit against this checkout.
 
     python3 tools/ab_pairs.py --parent HEAD~1 --pairs 10 --out BENCH_N.json \\
-        --change "what the change does" [--workload hw112_fixed ...] [--seed 0] \\
+        --change "what the change does" [--workload hw112_fixed ...] [--seed 0 7] \\
         [--seconds 25] [--traced]
 
 The parent commit is exported with ``git archive`` into a temporary
 directory (under $TMPDIR), which is removed at the end.  The change side
-is this checkout's working tree.  For each workload, each pair runs
-``bench/run.py --workload W --seed S --seconds T --trace 0`` from both
-sides, one process at a time, which starts that side's ``bench/child.py``
-with BLAS threads pinned to 1; the parent goes first in even pairs and
-the change in odd ones.  ``--traced`` adds one traced run a side per
-workload.
+is this checkout's working tree.  For each seed given (0 by default) and
+each workload, each pair runs ``bench/run.py --workload W --seed S
+--seconds T --trace 0`` from both sides, one process at a time, which
+starts that side's ``bench/child.py`` with BLAS threads pinned to 1; the
+parent goes first in even pairs and the change in odd ones.
+``--traced`` adds one traced run a side per workload and seed.
 
-The output is one JSON file: per workload the pairs (the four end-to-end
-metrics of each side, correctness, failures, attempts, map digests and
-saturated words) and, per metric, each side's median and quartiles
+The output is one JSON file, rewritten each time a workload's pairs of
+one seed are done.  Under ``workloads``, per workload and per seed (keys
+"0", "7", ...), it holds the pairs (the four end-to-end metrics of each
+side, correctness, failures, attempts, map digests and saturated words)
+and, per metric, each side's median and quartiles
 (``statistics.quantiles(n=4)``, as in ``bench/scoring.summary``), the
 parent's quartile distance, the pairs the change wins (better by the
 direction BENCHMARK.json gives; ties count for neither side) and
@@ -108,6 +110,33 @@ def summarize(pairs, metrics) -> dict:
     return out
 
 
+def workload_entry(sides: dict, workload: str, seed: int, args, metrics):
+    """One workload's pairs at one seed, their summary and, with
+    ``--traced``, one traced run a side: (the entry, the change side's
+    host facts)."""
+    pairs = []
+    for i in range(args.pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        record, host = pair(sides, order, workload, seed, args.seconds)
+        pairs.append(record)
+        print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: " + ", ".join(
+            f"{name} {record[name]['frame_s_p50']:.4f}" for name in order), file=sys.stderr)
+    digests = {d for p in pairs for d in p["digest"].values()}
+    entry = {"seed": seed, "pairs": pairs, "digests_equal": len(digests) == 1,
+             "summary": summarize(pairs, metrics)}
+    if args.traced:
+        entry["traced"] = {}
+        for name, side in sides.items():
+            report, result = run(side, workload, seed, args.seconds, 1)
+            entry["traced"][name] = {
+                "correct": result["correct"], "digest": report["digest"],
+                "per_layer": {k: v["value"] for k, v in result["metrics"].items()},
+                "quality": {k: v["value"] for k, v in report.get("quality", {}).items()},
+                "layers": report["layers"],
+            }
+    return entry, host
+
+
 def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
@@ -119,51 +148,33 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="one line on what the change does")
     parser.add_argument("--workload", action="append", choices=names,
                         help="a workload to run (repeatable); default every workload")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, nargs="+", default=[0],
+                        help="the benchmark seeds to run, each with --pairs pairs")
     parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--traced", action="store_true",
-                        help="add one traced run a side per workload")
+                        help="add one traced run a side per workload and seed")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     doc = {
         "change": args.change,
-        "protocol": (f"python3 bench/run.py --workload W --seed {args.seed} --seconds "
+        "protocol": (f"python3 bench/run.py --workload W --seed S --seconds "
                      f"{args.seconds:g} --trace 0, run from two checkouts (parent commit, "
                      "change) one at a time, alternating which side goes first in each pair; "
                      "times in wall seconds on ref640_float and reference-host seconds on the "
                      "hw workloads; quartiles are statistics.quantiles(n=4) as in "
-                     "bench/scoring.summary"),
+                     f"bench/scoring.summary; seeds S: {', '.join(map(str, args.seed))}"),
         "workloads": {},
     }
     with tempfile.TemporaryDirectory(prefix="ab_pairs_") as tmp:
         doc["parent_commit"] = export(args.parent, Path(tmp))
         sides = {"parent": Path(tmp), "change": ROOT}
-        for workload in args.workload or names:
-            pairs = []
-            for i in range(args.pairs):
-                order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-                record, doc["host"] = pair(sides, order, workload, args.seed, args.seconds)
-                pairs.append(record)
-                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
-                    f"{name} {pairs[-1][name]['frame_s_p50']:.4f}" for name in order),
-                    file=sys.stderr)
-            digests = {d for p in pairs for d in p["digest"].values()}
-            entry = {"seed": args.seed, "pairs": pairs, "digests_equal": len(digests) == 1,
-                     "summary": summarize(pairs, spec["end_to_end"])}
-            if args.traced:
-                entry["traced"] = {}
-                for name, side in sides.items():
-                    report, result = run(side, workload, args.seed, args.seconds, 1)
-                    entry["traced"][name] = {
-                        "correct": result["correct"], "digest": report["digest"],
-                        "per_layer": {k: v["value"] for k, v in result["metrics"].items()},
-                        "quality": {k: v["value"] for k, v in report.get("quality", {}).items()},
-                        "layers": report["layers"],
-                    }
-            doc["workloads"][workload] = entry
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+        for seed in args.seed:
+            for workload in args.workload or names:
+                entry, doc["host"] = workload_entry(sides, workload, seed, args, spec["end_to_end"])
+                doc["workloads"].setdefault(workload, {})[str(seed)] = entry
+                args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
 
