@@ -166,6 +166,18 @@ def _cmd_synth(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: an integer that ``np.random.SeedSequence`` takes, so
+    not a negative one."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="podvs",
@@ -189,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score map archives against fixations")
     p.add_argument("--maps", required=True, help="directory of per-video archives")
     p.add_argument("--fixations", required=True, help="fixation CSV")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("compare", help="PCC/NSS between two archives; n/a where undefined")

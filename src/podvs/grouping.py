@@ -17,22 +17,35 @@ Within one feature channel and one pyramid level the chain is:
    border-ownership annularly toward the owned side while the opposing
    side inhibits with the paper's unit weight: own minus opposing.
 
-Per level, the intermediates are arrays with named leading axes: edges
-(4, h, w) [theta], von Mises responses (4, 2, p, h, w) [theta, side,
-polarity], border ownership and masks (4, 2, h, w) [theta, side]; theta
-follows ``THETAS``, side is (left, right) and polarity (ON, OFF), p = 2,
-or their sum, p = 1 (see below).  All are float64 except the masks,
-which are boolean.
+Per level, the intermediates are arrays with named leading axes over a
+block of b orientations: edges (b, h, w) [theta], von Mises responses
+(b, 2, p, h, w) [theta, side, polarity], border ownership and masks
+(b, 2, h, w) [theta, side]; theta follows ``THETAS``, side is (left,
+right) and polarity (ON, OFF), p = 2, or their sum, p = 1 (see below).
+A block is all four orientations on the general path and one on the
+shared path (below).  All are float64 except the masks, which are
+boolean.
 
 A ``grouping_pyramid`` call works in place where the hardware does.  From
-P3-P4 on it holds, per level, the level's shared form (below) and the von
+P3-P4 on it holds, per level, the level's shared form (below) and a von
 Mises stack.  P5 writes each summed series back into that stack.  P6
 forms each orientation's edges from the shared level just before its
 border-ownership step, so one edge map is alive at a time, and writes
-ownership over the stack's first polarity (``border_ownership``).  The
-shared forms are dropped before P7, which adds only the boolean masks,
-an eighth of a float stack, and per-map temporaries.  No edge stack, no
-ownership stack and no float mask stack stand beside the von Mises one.
+ownership over the stack's first polarity (``border_ownership``).  No
+edge stack, no ownership stack and no float mask stack stand beside the
+von Mises one.  The general path runs each stage over all four
+orientations, level by level: its stacks are (4, 2, 2, h, w), and it
+drops the shared forms before P7, which adds only the boolean masks, an
+eighth of a float stack, and per-map temporaries.  The shared path runs
+P4-P7 one orientation at a time.  P3 keeps each level's spectrum and
+that of its ON + OFF evidence; then, for each theta in ``THETAS``, P4
+fills a (1, 2, 1, h, w) stack per level, P5 sums its two series, P6
+writes ownership over it, and P7 adds the orientation's two spectral
+products into the level's running spectral total, theta then side as
+one sum over all four would, so every bit is kept.  Each total is
+inverted once, after the last theta.  The stacks thus hold 2 series a
+level, not 8: a warm gray 640x480 step peaks at 21.5 maps of the frame's
+size, where the level-major order peaked at 29.3.
 
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
@@ -57,8 +70,10 @@ level by its 8 edge kernels and the center-surround kernel, each von
 Mises input by the 8 von Mises kernels.  A level's form is made once,
 read by the center-surround kernel in P3-P4 and by the edge kernels in
 P6, and kept in between: at 640x480 the 10 level spectra take 5.4 MB,
-where every level's edges took 19.6 MB.  A von Mises input's form is
-dropped before the next is made, ON's before OFF's.  At FFT sizes the
+where every level's edges took 19.6 MB.  On the general path a von
+Mises input's form is dropped before the next is made, ON's before
+OFF's; the shared path keeps each level's ON + OFF spectrum for its four
+orientations, as many bytes again as the level spectra.  At FFT sizes the
 float backend shares the map's spectrum; a kernel meets one map a level
 per stage, so its spectrum is made where it is used
 (``_kernel_spectrum``).  The fixed-point backend shares the map's row
@@ -77,7 +92,7 @@ shared path is the float backend with FFT-sized kernels: reference mode.
 The general path (fixed point or direct 5x5) keeps ON and OFF apart with
 their rects and runs P7 per correlation, so the fixed-point backend
 rounds after each one as the hardware does.  The shared path differs in
-two ways:
+three ways:
 
 - ON and OFF are summed before the von Mises stage.  Border ownership
   is rect(edge*vm_on) + rect(edge*vm_off), and there every factor is
@@ -93,6 +108,12 @@ two ways:
   corr(m*bo_other, k) = corr(m*(bo_own - bo_other), k), so the sum over
   theta and both sides takes one inverse transform per level (on the
   direct 5x5 path it would change the float maps' bits).
+- P4-P7 run one orientation at a time (above): the running spectral
+  total carries P7's sum from one orientation to the next.  The general
+  path keeps the level-major order, whose arrays the reduced modes'
+  heap reuses from frame to frame; the orientation order frees and
+  remakes them four times a channel, and at 112x84 the pages that glibc
+  trims between them are faulted back in several times as often.
 
 A level of one channel takes 10 forward and 18 inverse real transforms
 and 25 kernel spectra.
@@ -104,7 +125,8 @@ numpy computes ``a * b`` as ``b * a`` when b is a temporary of 256 KiB
 or more.
 
 Every stage takes an ``arith`` backend, with no default: ``FLOAT`` or the
-hardware's ``hwmodel.FixedArith``.  Each filter takes one ``GroupingBanks``.
+hardware's ``hwmodel.FixedArith``.  Each filter takes one ``GroupingBanks``
+or, on the shared path, one orientation block of it (``_Orientation``).
 """
 from __future__ import annotations
 
@@ -244,8 +266,9 @@ class FloatArith:
 
     def share(self, map_, size: int):
         """The form of ``map_`` its size x size kernels share: its spectrum
-        at FFT sizes, else the map itself (see the module docstring)."""
-        if size < FFT_MIN_KERNEL:
+        at FFT sizes, else the map itself (see the module docstring).  A
+        spectrum is already shared and comes back as it is."""
+        if size < FFT_MIN_KERNEL or isinstance(map_, _Spectrum):
             return map_
         return _Spectrum(map_, _fft_shape(map_.shape, (size, size)))
 
@@ -291,21 +314,28 @@ def center_surround(map_: np.ndarray, banks: GroupingBanks, arith):
     return _rect(resp), _rect(-resp)
 
 
-def von_mises_filter(on: np.ndarray, off: np.ndarray, banks: GroupingBanks, arith) -> np.ndarray:
+def von_mises_filter(on, off, banks, arith) -> np.ndarray:
     """The responses of one level to the kernels banks.vm[theta, side],
-    shape (4, 2, p, h, w) [theta, side (left, right), polarity].
+    shape (b, 2, p, h, w) [theta, side (left, right), polarity] for the
+    b orientations of ``banks.vm``: the four of a ``GroupingBanks`` or the
+    one of an orientation block (``_Orientation``).
 
     The polarity axis holds (ON, OFF), p = 2, on the general path.  On
     the shared path (``_shares_spectra``) it holds the one response to
     ON + OFF, p = 1, which ``border_ownership`` reads as their summed
-    evidence (see the module docstring).  Each polarity is shared among
-    the 8 kernels in the backend's form (``share``).
+    evidence (see the module docstring); there ``off`` may be None, with
+    ``on`` that sum already shared, as ``grouping_pyramid`` keeps it for
+    its four orientation blocks.  Each polarity is shared among the
+    block's kernels in the backend's form (``share``).
     """
-    summed = _shares_spectra(arith, banks)
-    out = np.empty((len(THETAS), 2, 1 if summed else 2, *on.shape))
-    for p in range(out.shape[2]):
+    if off is None:
+        polarities = (on,)
+    else:
+        polarities = (on + off,) if _shares_spectra(arith, banks) else (on, off)
+    out = np.empty((len(banks.vm), 2, len(polarities), *on.shape))
+    for p, map_ in enumerate(polarities):
         # one shared form per polarity, dropped before the next is made
-        evidence = arith.share(on + off if summed else (on, off)[p], banks.size)
+        evidence = arith.share(map_, banks.size)
         for ti, side in np.ndindex(banks.vm.shape[:2]):
             out[ti, side, p] = arith.correlate(evidence, banks.vm[ti, side])
         del evidence
@@ -364,17 +394,17 @@ def von_mises_sum(levels, axis, arith):
 def border_ownership(edges, vm_summed_levels, arith) -> list:
     """Border-ownership responses from edges and summed side evidence.
 
-    Takes per level the edges, one (h, w) map per orientation in
-    ``THETAS`` order, and the (4, 2, p, h, w) summed von Mises responses
-    of ``von_mises_filter``, and returns per level a (4, 2, h, w) array
-    [theta, side].  A level's edges may be a (4, h, w) array or an
-    iterator that forms each orientation's only when it is read, as
-    ``grouping_pyramid`` passes them: then one edge map is alive at a
-    time.  For each orientation and side, the light (ON) and dark (OFF)
-    paths are rectified separately and summed, ON first, which makes the
-    result invariant to stimulus polarity outside the zero-padding band
-    described in the module docstring.  With p = 1 the one path holds
-    their summed evidence.
+    Takes per level the edges, one (h, w) map per orientation of the
+    block, and the (b, 2, p, h, w) summed von Mises responses of
+    ``von_mises_filter`` for the same b orientations, and returns per
+    level a (b, 2, h, w) array [theta, side].  A level's edges may be a
+    (b, h, w) array or an iterator that forms each orientation's only
+    when it is read, as ``grouping_pyramid`` passes them on the general
+    path: then one edge map is alive at a time.  For each orientation and
+    side, the light (ON) and dark (OFF) paths are rectified separately
+    and summed, ON first, which makes the result invariant to stimulus
+    polarity outside the zero-padding band described in the module
+    docstring.  With p = 1 the one path holds their summed evidence.
 
     The von Mises input is overwritten, as P5's sum is in hardware: each
     (theta, side) result goes into ``vm[theta, side, 0]``, after both of
@@ -392,8 +422,8 @@ def border_ownership(edges, vm_summed_levels, arith) -> list:
 
 
 def bo_masks(bo_levels) -> list:
-    """Boolean winner masks, per level a (4, 2, h, w) array [theta, side];
-    ties go left.
+    """Boolean winner masks, per level a (b, 2, h, w) array [theta, side]
+    for the b orientations of ``bo_levels``; ties go left.
 
     Exactly one side wins everywhere, so masking is a multiply: True
     weighs 1.0 and False 0.0.
@@ -407,40 +437,64 @@ def bo_masks(bo_levels) -> list:
     return out
 
 
-def _spectral_grouping_sum(mask, bo, banks: GroupingBanks) -> np.ndarray:
-    """``grouping_activity``'s sum over theta and both sides before
-    rectification, on the shared path: each side's two correlations
-    with one kernel are one correlation of m*(bo_own - bo_other), and
-    the eight spectral products are summed before one inverse transform."""
-    shape, kernel_shape = bo.shape[2:], (banks.size, banks.size)
-    fft_shape = _fft_shape(shape, kernel_shape)
-    total = 0.0
-    for ti in range(len(THETAS)):
+class _Orientation:
+    """Orientation ``ti`` of ``banks`` as the block that the shared path's
+    P4-P7 take in place of the banks: ``vm`` is banks.vm[ti : ti + 1],
+    (1, 2, k, k), and ``totals`` holds per level P7's spectral sum over
+    the orientations grouped so far, one list for the chain's four blocks."""
+
+    def __init__(self, banks: GroupingBanks, ti: int, totals: list):
+        self.size = banks.size
+        self.vm = banks.vm[ti : ti + 1]
+        self.totals = totals
+
+
+def _add_grouping_spectra(total, mask, bo, banks):
+    """``total`` plus the spectral products of ``grouping_activity``'s sum
+    before rectification, theta then side, on the shared path: each
+    side's two correlations with one kernel are one correlation of
+    m*(bo_own - bo_other)."""
+    fft_shape = _fft_shape(bo.shape[2:], (banks.size, banks.size))
+    for ti in range(len(banks.vm)):
         for own, kern in enumerate(banks.vm[ti, ::-1]):
             grp = mask[ti, own] * (bo[ti, own] - bo[ti, 1 - own])
             total = total + _spectral_product(grp, kern, fft_shape)
-    return _same_window(total, fft_shape, shape, kernel_shape)
+    return total
 
 
-def grouping_activity(masks, bo_levels, banks: GroupingBanks, arith) -> list:
+def _grouping_maps(totals, shapes, size: int) -> list:
+    """Per level, rect of the inverse transform of P7's spectral total."""
+    kernel_shape = (size, size)
+    return [_rect(_same_window(total, _fft_shape(shape, kernel_shape), shape, kernel_shape))
+            for total, shape in zip(totals, shapes)]
+
+
+def grouping_activity(masks, bo_levels, banks, arith) -> list:
     """Per-level grouping maps rect(sum over theta of GrpSum).
 
-    ``masks`` and ``bo_levels`` hold per level a (4, 2, h, w) array
-    [theta, side].  The annular integration pushes masked
-    border-ownership activity toward the owned side, which for a kernel
-    pointing at direction d means correlating with the opposite-side
-    kernel (a true convolution): side s correlates with banks.vm[theta,
-    1 - s], P4's stack with the sides swapped.  The same-location
-    opposing response, masked and integrated alike, inhibits with unit
-    weight: it is subtracted.  On the shared path the sum is taken in
-    the frequency domain (see the module docstring).
+    ``masks`` and ``bo_levels`` hold per level a (b, 2, h, w) array
+    [theta, side] for the b orientations of ``banks.vm``.  The annular
+    integration pushes masked border-ownership activity toward the owned
+    side, which for a kernel pointing at direction d means correlating
+    with the opposite-side kernel (a true convolution): side s correlates
+    with banks.vm[theta, 1 - s], P4's stack with the sides swapped.  The
+    same-location opposing response, masked and integrated alike,
+    inhibits with unit weight: it is subtracted.  On the shared path the
+    sum is taken in the frequency domain (see the module docstring); an
+    orientation block (``_Orientation``) adds its products into the
+    block's running totals and returns them, and ``grouping_pyramid``
+    inverts each level's total once, after the last block.
     """
+    if isinstance(banks, _Orientation):
+        for n, (mask, bo) in enumerate(zip(masks, bo_levels)):
+            banks.totals[n] = _add_grouping_spectra(banks.totals[n], mask, bo, banks)
+        return banks.totals
+    if _shares_spectra(arith, banks):
+        totals = [_add_grouping_spectra(0.0, m, bo, banks) for m, bo in zip(masks, bo_levels)]
+        return _grouping_maps(totals, [bo.shape[2:] for bo in bo_levels], banks.size)
     out = []
     for mask, bo in zip(masks, bo_levels):
-        if _shares_spectra(arith, banks):
-            out.append(_rect(_spectral_grouping_sum(mask, bo, banks)))
-            continue
-        for ti in range(len(THETAS)):
+        for ti in range(len(banks.vm)):
             # conv with one side's kernel == corr with the other side's
             grp_left, grp_right = (
                 arith.correlate(mask[ti, own] * bo[ti, own], kern)
@@ -468,7 +522,11 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
     it returns, finest first.  P5 reads the levels through the pyramid's
     ``axis`` (``von_mises_sum``); its weights, and the banks' von Mises
     taps, are non-negative, as the shared path needs (module docstring).
+    The shared path runs P4-P7 one orientation at a time
+    (``_grouping_by_orientation``).
     """
+    if _shares_spectra(arith, banks):
+        return _grouping_by_orientation(channel_pyr, banks, arith)
     shared, vm = [], []
     for level in channel_pyr.levels:
         # the level's shared form, for its center-surround kernel now and
@@ -485,3 +543,28 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
     bo = border_ownership(edges, vm, arith)  # written over vm
     del edges, shared, vm  # not needed in P7: free them before its temporaries
     return grouping_activity(bo_masks(bo), bo, banks, arith)
+
+
+def _grouping_by_orientation(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
+    """``grouping_pyramid`` on the shared path: P3 keeps each level's
+    spectrum and that of its ON + OFF evidence, then P4-P7 run one
+    orientation at a time (see the module docstring)."""
+    shared, evidence = [], []
+    for level in channel_pyr.levels:
+        shared.append(arith.share(level, banks.size))
+        on, off = center_surround(shared[-1], banks, arith)
+        evidence.append(arith.share(on + off, banks.size))
+    totals = [0.0] * len(shared)
+    for ti in range(len(THETAS)):
+        block = _Orientation(banks, ti, totals)
+        vm = [von_mises_filter(e, None, block, arith) for e in evidence]
+        for side in range(2):  # the orientation's two series, summed in place
+            series = [v[0, side, 0] for v in vm]
+            for vm_l, summed in zip(vm, von_mises_sum(series, channel_pyr.axis, arith)):
+                vm_l[0, side, 0] = summed
+        edges = (complex_edges(s, banks.p3[2 * ti : 2 * ti + 2], arith) for s in shared)
+        bo = border_ownership(edges, vm, arith)  # written over vm
+        grouping_activity(bo_masks(bo), bo, block, arith)
+        del vm, bo, series  # the stacks, freed before the next orientation's are made
+    del shared, evidence  # free the spectra before the inverse transforms
+    return _grouping_maps(totals, [level.shape for level in channel_pyr.levels], banks.size)

@@ -129,6 +129,15 @@ class TestEval:
         assert err.startswith("error: no map archive under ")
         assert err.rstrip().endswith("for the CSV's video(s) 'v3', 'v4'")
 
+    @pytest.mark.parametrize("seed, message", [("-1", "must not be negative, got -1"),
+                                               ("x", "not an integer: 'x'")])
+    def test_a_seed_the_metrics_cannot_take_is_a_usage_error(self, tmp_path, capsys,
+                                                            seed, message):
+        assert cli(write_eval_inputs(tmp_path) + ["--seed", seed]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument --seed: {message}" in err
+
     def test_fixation_outside_the_maps_is_a_data_error(self, tmp_path, capsys):
         assert cli(write_eval_inputs(tmp_path, outside=True)) == 1
         assert "outside" in capsys.readouterr().err

@@ -9,7 +9,10 @@ maps as ``float/fixed``, then the saturated-word count of each fixed-point
 run.  It then prints the digest of the first two 640x480 frames of
 ``drifting_bar`` and of ``color_popout`` through ``Pipeline``, which run
 the reference chain (11x11 kernels, FFT correlation) and its zero-map
-skip; these take about 1.2 s a frame.  Two checkouts give the same maps
+skip; these take about 1.2 s a frame.  Its last line is the digest of the
+first two frames of ``six_map_clip``, ``color_popout`` with seeded noise
+on each plane, whose six distinct channel maps are all non-zero; these
+take about 2 s a frame.  Two checkouts give the same maps
 iff they print the same lines, so a claim of bit identity takes one run
 on each side.  The float bits rest on the numpy and scipy builds
 (versions, BLAS, SIMD targets), so compare runs made on one machine.
@@ -25,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
-from podvs import EngineConfig, HwPipeline, Pipeline, Resolution, synth  # noqa: E402
+from podvs import EngineConfig, FrameRGB, HwPipeline, Pipeline, Resolution, synth  # noqa: E402
 from podvs.pipeline import run_sequence  # noqa: E402
 
 
@@ -36,6 +39,21 @@ def digest(maps) -> str:
 
 #: 640x480 frames of each reference-mode clip.
 REFERENCE_FRAMES = 2
+#: Largest absolute gray-level change of ``six_map_clip``'s noise.
+SIX_MAP_NOISE = 3
+
+
+def six_map_clip(width: int, height: int, frames: int) -> list:
+    """``color_popout`` with independent seeded noise of up to
+    ``SIX_MAP_NOISE`` gray levels on each plane, so that a frame's six
+    distinct channel maps are all non-zero and none is skipped."""
+    rng = np.random.default_rng(0)
+    out = []
+    for frame in synth.color_popout_video(width, height, frames)[0]:
+        planes = [np.clip(plane + rng.integers(-SIX_MAP_NOISE, SIX_MAP_NOISE + 1, plane.shape),
+                          0, 255).astype(np.uint8) for plane in (frame.r, frame.g, frame.b)]
+        out.append(FrameRGB.from_planes(*planes))
+    return out
 
 
 def main() -> None:
@@ -57,6 +75,9 @@ def main() -> None:
     digests = [f"`{name}` {digest(run_sequence(frames, Pipeline(cfg))[0])}"
                for name, frames in clips.items()]
     print(f"{cfg.resolution} float, {REFERENCE_FRAMES} frames: {', '.join(digests)}")
+    maps, _ = run_sequence(six_map_clip(cfg.width, cfg.height, REFERENCE_FRAMES), Pipeline(cfg))
+    print(f"{cfg.resolution} float, {REFERENCE_FRAMES} frames, six maps: "
+          f"`six_map_clip` {digest(maps)}")
 
 
 if __name__ == "__main__":
