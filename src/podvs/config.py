@@ -155,8 +155,9 @@ class FrameRGB:
 
     The planes are read-only uint8 copies of the arrays passed in, so a
     caller that reuses its buffers changes no frame already made, and the
-    caller's arrays stay writable.  Planes of other types must hold only
-    integers in 0..255, or ``FormatError`` is raised: no sample wraps.
+    caller's arrays stay writable.  Planes of other types must be of a
+    boolean, integer or float type and hold only integers in 0..255, or
+    ``FormatError`` is raised: no sample wraps.
     """
 
     r: np.ndarray
@@ -168,6 +169,8 @@ class FrameRGB:
             plane = np.asarray(getattr(self, name))
             if plane.ndim != 2:
                 raise DimensionError(f"{name} plane has shape {plane.shape}, not (height, width)")
+            if plane.dtype.kind not in "biuf":
+                raise FormatError(f"{name} plane holds {plane.dtype} samples, not 8-bit ones")
             if plane.dtype != np.uint8:
                 bad = plane[(plane < 0) | (plane > 255) | (plane != np.trunc(plane))]
                 if bad.size:

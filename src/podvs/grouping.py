@@ -22,30 +22,32 @@ block of b orientations: edges (b, h, w) [theta], von Mises responses
 (b, 2, p, h, w) [theta, side, polarity], border ownership and masks
 (b, 2, h, w) [theta, side]; theta follows ``THETAS``, side is (left,
 right) and polarity (ON, OFF), p = 2, or their sum, p = 1 (see below).
-A block is all four orientations on the general path and one on the
-shared path (below).  All are float64 except the masks, which are
-boolean.
+All are float64 except the masks, which are boolean.
 
-A ``grouping_pyramid`` call works in place where the hardware does.  From
-P3-P4 on it holds, per level, the level's shared form (below) and a von
-Mises stack.  P5 writes each summed series back into that stack.  P6
-forms each orientation's edges from the shared level just before its
-border-ownership step, so one edge map is alive at a time, and writes
-ownership over the stack's first polarity (``border_ownership``).  No
-edge stack, no ownership stack and no float mask stack stand beside the
-von Mises one.  The general path runs each stage over all four
-orientations, level by level: its stacks are (4, 2, 2, h, w), and it
-drops the shared forms before P7, which adds only the boolean masks, an
-eighth of a float stack, and per-map temporaries.  The shared path runs
-P4-P7 one orientation at a time.  P3 keeps each level's spectrum and
-that of its ON + OFF evidence; then, for each theta in ``THETAS``, P4
-fills a (1, 2, 1, h, w) stack per level, P5 sums its two series, P6
-writes ownership over it, and P7 adds the orientation's two spectral
-products into the level's running spectral total, theta then side as
-one sum over all four would, so every bit is kept.  Each total is
-inverted once, after the last theta.  The stacks thus hold 2 series a
-level, not 8: a warm gray 640x480 step peaks at 21.5 maps of the frame's
-size, where the level-major order peaked at 29.3.
+``grouping_pyramid`` is the one chain body for every backend, and it
+works in place where the hardware does.  P3 keeps, per level, the
+level's shared form (below) and its P4 input: (ON, OFF), or the shared
+form of their sum (below).  P4-P7 then run once per block of
+orientations.  P4 fills one von Mises stack per level and P5 writes each
+summed series back into it.  P6 forms each orientation's edges from the
+shared level just before its border-ownership step, so one edge map is
+alive at a time, and writes ownership over the stack's first polarity
+(``border_ownership``).  P7 adds the block's grouping sum into a
+per-level running total, and after the last block one finishing step
+rectifies each total (``_grouping_maps``).  No edge stack, no ownership
+stack and no float mask stack stand beside the von Mises one.  A block's
+stacks are freed before the next block's are made; the last block frees
+the P4 inputs after its P4 and the shared forms after its P6, so P7 adds
+only the boolean masks, an eighth of a float stack, and per-map
+temporaries.  Each orientation's ownership pair is computed on its own,
+and P7's totals add theta then side in any partition, so every block
+size gives the same bits.  The shared path's blocks hold one orientation
+and its stacks 2 series a level, not 8: a warm gray 640x480 step peaks
+at 21.5 maps of the frame's size, where one block of four peaked at
+29.3.  The general path's one block of four keeps arrays the reduced
+modes' heap reuses from frame to frame; blocks of one free and remake
+them four times a channel, and at 112x84 the pages that glibc trims
+between them are faulted back in several times as often.
 
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
@@ -73,7 +75,7 @@ P6, and kept in between: at 640x480 the 10 level spectra take 5.4 MB,
 where every level's edges took 19.6 MB.  On the general path a von
 Mises input's form is dropped before the next is made, ON's before
 OFF's; the shared path keeps each level's ON + OFF spectrum for its four
-orientations, as many bytes again as the level spectra.  At FFT sizes the
+blocks, as many bytes again as the level spectra.  At FFT sizes the
 float backend shares the map's spectrum; a kernel meets one map a level
 per stage, so its spectrum is made where it is used
 (``_kernel_spectrum``).  The fixed-point backend shares the map's row
@@ -99,34 +101,29 @@ three ways:
   non-negative: edges are magnitudes, ON and OFF are rectified, the
   von Mises kernels are (``GroupingBanks`` admits no negative tap), and
   so are the across-scale sum's weights (the pyramids' bilinear and
-  1-tap resamplers, halving).  Both rects are then
-  identities and correlation and P5 are linear, so the sum is
-  edge*P5(corr(ON + OFF, k)), equal up to rounding; and ON + OFF is |cs|
-  bit for bit, since one of the two is exactly 0.  P5 then sums 8
-  series per channel instead of 16.
+  1-tap resamplers, halving).  Both rects are then identities and
+  correlation and P5 are linear, so the sum is edge*P5(corr(ON + OFF,
+  k)), equal up to rounding; and ON + OFF is |cs| bit for bit, since one
+  of the two is exactly 0.  P5 then sums 8 series per channel, not 16.
 - Grouping (P7) is summed in the frequency domain: corr(m*bo_own, k) -
   corr(m*bo_other, k) = corr(m*(bo_own - bo_other), k), so the sum over
   theta and both sides takes one inverse transform per level (on the
   direct 5x5 path it would change the float maps' bits).
-- P4-P7 run one orientation at a time (above): the running spectral
-  total carries P7's sum from one orientation to the next.  The general
-  path keeps the level-major order, whose arrays the reduced modes'
-  heap reuses from frame to frame; the orientation order frees and
-  remakes them four times a channel, and at 112x84 the pages that glibc
-  trims between them are faulted back in several times as often.
+- Its P4-P7 blocks hold one orientation each (above), and P7's running
+  total is a spectrum, inverted once after the last block.
 
 A level of one channel takes 10 forward and 18 inverse real transforms
-and 25 kernel spectra.
-Every spectral product is map spectrum times kernel spectrum, in that
-order, in one place (``_spectral_product``), so sharing a map spectrum
-never changes a bit: numpy's complex product is not bitwise commutative
-(with FMA, about a third of a*b differ from b*a in the last bit), and
-numpy computes ``a * b`` as ``b * a`` when b is a temporary of 256 KiB
-or more.
+and 25 kernel spectra.  Every spectral product is map spectrum times
+kernel spectrum, in that order, in one place (``_spectral_product``), so
+sharing a map spectrum never changes a bit: numpy's complex product is
+not bitwise commutative (with FMA, about a third of a*b differ from b*a
+in the last bit), and numpy computes ``a * b`` as ``b * a`` when b is a
+temporary of 256 KiB or more.
 
 Every stage takes an ``arith`` backend, with no default: ``FLOAT`` or the
-hardware's ``hwmodel.FixedArith``.  Each filter takes one ``GroupingBanks``
-or, on the shared path, one orientation block of it (``_Orientation``).
+hardware's ``hwmodel.FixedArith``.  The filters of P3 and P6 take one
+``GroupingBanks``, those of P4 and P7 a block's (b, 2, k, k) von Mises
+kernels.
 """
 from __future__ import annotations
 
@@ -161,9 +158,9 @@ def _fft_shape(map_shape, kernel_shape) -> tuple:
     return tuple(next_fast_len(n + k // 2, real=True) for n, k in zip(map_shape, kernel_shape))
 
 
-def _shares_spectra(arith, banks: GroupingBanks) -> bool:
+def _shares_spectra(arith, size: int) -> bool:
     """The one path predicate: float backend and FFT-sized kernels (the shared path)."""
-    return arith is FLOAT and banks.size >= FFT_MIN_KERNEL
+    return arith is FLOAT and size >= FFT_MIN_KERNEL
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,8 +223,9 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     size.
 
     On the FFT path the map may instead be a ``_Spectrum`` that the chain
-    shares (``FloatArith.share``): a level's in ``grouping_pyramid``,
-    each von Mises input's in ``von_mises_filter``.  It is the spectrum
+    shares (``FloatArith.share``): a level's, and its ON + OFF evidence's,
+    which ``grouping_pyramid`` keeps for every orientation block's
+    ``von_mises_filter``.  It is the spectrum
     the call would have made, and it meets the kernel's in the one
     map-first product (``_spectral_product``), so the result is the same
     bits.
@@ -314,30 +312,23 @@ def center_surround(map_: np.ndarray, banks: GroupingBanks, arith):
     return _rect(resp), _rect(-resp)
 
 
-def von_mises_filter(on, off, banks, arith) -> np.ndarray:
-    """The responses of one level to the kernels banks.vm[theta, side],
-    shape (b, 2, p, h, w) [theta, side (left, right), polarity] for the
-    b orientations of ``banks.vm``: the four of a ``GroupingBanks`` or the
-    one of an orientation block (``_Orientation``).
+def von_mises_filter(polarities, vm, arith) -> np.ndarray:
+    """The responses of one level's polarity maps to a block's von Mises
+    kernels ``vm``, (b, 2, k, k) [theta, side]: shape (b, 2, p, h, w)
+    [theta, side (left, right), polarity] for the p maps of ``polarities``.
 
-    The polarity axis holds (ON, OFF), p = 2, on the general path.  On
-    the shared path (``_shares_spectra``) it holds the one response to
-    ON + OFF, p = 1, which ``border_ownership`` reads as their summed
-    evidence (see the module docstring); there ``off`` may be None, with
-    ``on`` that sum already shared, as ``grouping_pyramid`` keeps it for
-    its four orientation blocks.  Each polarity is shared among the
-    block's kernels in the backend's form (``share``).
+    ``grouping_pyramid`` passes (ON, OFF), p = 2, on the general path and
+    the shared form of ON + OFF, p = 1, on the shared path, which
+    ``border_ownership`` reads as their summed evidence (see the module
+    docstring).  Each polarity is shared among the block's kernels in the
+    backend's form (``share``).
     """
-    if off is None:
-        polarities = (on,)
-    else:
-        polarities = (on + off,) if _shares_spectra(arith, banks) else (on, off)
-    out = np.empty((len(banks.vm), 2, len(polarities), *on.shape))
+    out = np.empty((len(vm), 2, len(polarities), *polarities[0].shape))
     for p, map_ in enumerate(polarities):
         # one shared form per polarity, dropped before the next is made
-        evidence = arith.share(map_, banks.size)
-        for ti, side in np.ndindex(banks.vm.shape[:2]):
-            out[ti, side, p] = arith.correlate(evidence, banks.vm[ti, side])
+        evidence = arith.share(map_, vm.shape[-1])
+        for ti, side in np.ndindex(vm.shape[:2]):
+            out[ti, side, p] = arith.correlate(evidence, vm[ti, side])
         del evidence
     return out
 
@@ -437,80 +428,62 @@ def bo_masks(bo_levels) -> list:
     return out
 
 
-class _Orientation:
-    """Orientation ``ti`` of ``banks`` as the block that the shared path's
-    P4-P7 take in place of the banks: ``vm`` is banks.vm[ti : ti + 1],
-    (1, 2, k, k), and ``totals`` holds per level P7's spectral sum over
-    the orientations grouped so far, one list for the chain's four blocks."""
-
-    def __init__(self, banks: GroupingBanks, ti: int, totals: list):
-        self.size = banks.size
-        self.vm = banks.vm[ti : ti + 1]
-        self.totals = totals
-
-
-def _add_grouping_spectra(total, mask, bo, banks):
-    """``total`` plus the spectral products of ``grouping_activity``'s sum
-    before rectification, theta then side, on the shared path: each
-    side's two correlations with one kernel are one correlation of
-    m*(bo_own - bo_other)."""
-    fft_shape = _fft_shape(bo.shape[2:], (banks.size, banks.size))
-    for ti in range(len(banks.vm)):
-        for own, kern in enumerate(banks.vm[ti, ::-1]):
-            grp = mask[ti, own] * (bo[ti, own] - bo[ti, 1 - own])
-            total = total + _spectral_product(grp, kern, fft_shape)
-    return total
-
-
-def _grouping_maps(totals, shapes, size: int) -> list:
-    """Per level, rect of the inverse transform of P7's spectral total."""
-    kernel_shape = (size, size)
-    return [_rect(_same_window(total, _fft_shape(shape, kernel_shape), shape, kernel_shape))
-            for total, shape in zip(totals, shapes)]
-
-
-def grouping_activity(masks, bo_levels, banks, arith) -> list:
-    """Per-level grouping maps rect(sum over theta of GrpSum).
+def grouping_activity(masks, bo_levels, vm, arith, totals) -> list:
+    """Per level, ``totals`` plus one block's grouping sum over theta,
+    before rectification; ``_grouping_maps`` finishes the totals of every
+    block.
 
     ``masks`` and ``bo_levels`` hold per level a (b, 2, h, w) array
-    [theta, side] for the b orientations of ``banks.vm``.  The annular
-    integration pushes masked border-ownership activity toward the owned
-    side, which for a kernel pointing at direction d means correlating
-    with the opposite-side kernel (a true convolution): side s correlates
-    with banks.vm[theta, 1 - s], P4's stack with the sides swapped.  The
-    same-location opposing response, masked and integrated alike,
-    inhibits with unit weight: it is subtracted.  On the shared path the
-    sum is taken in the frequency domain (see the module docstring); an
-    orientation block (``_Orientation``) adds its products into the
-    block's running totals and returns them, and ``grouping_pyramid``
-    inverts each level's total once, after the last block.
+    [theta, side] for the b orientations of the block's von Mises kernels
+    ``vm``, (b, 2, k, k).  The annular integration pushes masked
+    border-ownership activity toward the owned side, which for a kernel
+    pointing at direction d means correlating with the opposite-side
+    kernel (a true convolution): side s correlates with vm[theta, 1 - s],
+    P4's stack with the sides swapped.  The same-location opposing
+    response, masked and integrated alike, inhibits with unit weight: it
+    is subtracted.  On the general path a total is a map that adds the
+    correlations in the backend's arithmetic; on the shared path it is a
+    spectrum that adds one product per side, theta then side (see the
+    module docstring).
     """
-    if isinstance(banks, _Orientation):
-        for n, (mask, bo) in enumerate(zip(masks, bo_levels)):
-            banks.totals[n] = _add_grouping_spectra(banks.totals[n], mask, bo, banks)
-        return banks.totals
-    if _shares_spectra(arith, banks):
-        totals = [_add_grouping_spectra(0.0, m, bo, banks) for m, bo in zip(masks, bo_levels)]
-        return _grouping_maps(totals, [bo.shape[2:] for bo in bo_levels], banks.size)
+    size = vm.shape[-1]
+    spectral = _shares_spectra(arith, size)
     out = []
-    for mask, bo in zip(masks, bo_levels):
-        for ti in range(len(banks.vm)):
-            # conv with one side's kernel == corr with the other side's
-            grp_left, grp_right = (
-                arith.correlate(mask[ti, own] * bo[ti, own], kern)
-                - arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern)
-                for own, kern in enumerate(banks.vm[ti, ::-1])
-            )
-            grp_sum = grp_left + grp_right
-            total = grp_sum if ti == 0 else total + grp_sum
-        out.append(_rect(arith.clip(total)))
+    for mask, bo, total in zip(masks, bo_levels, totals):
+        fft_shape = _fft_shape(bo.shape[2:], (size, size))
+        # conv with one side's kernel == corr with the other side's
+        for ti, kernels in enumerate(vm[:, ::-1]):
+            if spectral:
+                for own, kern in enumerate(kernels):
+                    grp = mask[ti, own] * (bo[ti, own] - bo[ti, 1 - own])
+                    total = total + _spectral_product(grp, kern, fft_shape)
+            else:
+                grp_left, grp_right = (
+                    arith.correlate(mask[ti, own] * bo[ti, own], kern)
+                    - arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern)
+                    for own, kern in enumerate(kernels)
+                )
+                total = total + (grp_left + grp_right)
+        out.append(total)
     return out
 
 
-def _edges_by_theta(shared, banks: GroupingBanks, arith):
-    """A level's complex edges in THETAS order, each formed from the
-    level's shared form only when ``border_ownership`` reads it."""
-    for ti in range(len(THETAS)):
+def _grouping_maps(totals, shapes, size: int, arith) -> list:
+    """Per level, the grouping map rect(sum over theta of GrpSum) from P7's
+    total over every block: clipped into range, on the shared path after
+    one inverse transform of its spectrum."""
+    if _shares_spectra(arith, size):
+        kernel_shape = (size, size)
+        totals = (_same_window(total, _fft_shape(shape, kernel_shape), shape, kernel_shape)
+                  for total, shape in zip(totals, shapes))
+    return [_rect(arith.clip(total)) for total in totals]
+
+
+def _edges_by_theta(shared, banks: GroupingBanks, thetas: range, arith):
+    """A level's complex edges for the block's orientations ``thetas``,
+    each formed from the level's shared form only when
+    ``border_ownership`` reads it."""
+    for ti in thetas:
         yield complex_edges(shared, banks.p3[2 * ti : 2 * ti + 2], arith)[0]
 
 
@@ -519,52 +492,41 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
 
     The pyramid and the banks hold numbers in the backend's format (raw
     words for the fixed-point backend), as do the per-level grouping maps
-    it returns, finest first.  P5 reads the levels through the pyramid's
-    ``axis`` (``von_mises_sum``); its weights, and the banks' von Mises
-    taps, are non-negative, as the shared path needs (module docstring).
-    The shared path runs P4-P7 one orientation at a time
-    (``_grouping_by_orientation``).
+    it returns, finest first.  P3 keeps each level's shared form and its
+    P4 input; P4-P7 then run once per block of orientations, one block of
+    four on the general path and four of one on the shared path
+    (``_shares_spectra``), and P7's per-level totals carry from block to
+    block (see the module docstring).  P5 reads the levels through the
+    pyramid's ``axis`` (``von_mises_sum``); its weights, and the banks'
+    von Mises taps, are non-negative, as the shared path needs.
     """
-    if _shares_spectra(arith, banks):
-        return _grouping_by_orientation(channel_pyr, banks, arith)
-    shared, vm = [], []
+    size = banks.size
+    spectral = _shares_spectra(arith, size)
+    shared, inputs = [], []
     for level in channel_pyr.levels:
         # the level's shared form, for its center-surround kernel now and
         # its edge kernels in P6
-        shared.append(arith.share(level, banks.size))
+        shared.append(arith.share(level, size))
         on, off = center_surround(shared[-1], banks, arith)
-        vm.append(von_mises_filter(on, off, banks, arith))
-    for idx in np.ndindex(vm[0].shape[:3]):
-        # one (theta, side, polarity) series, summed across levels in place
-        series = [v[idx] for v in vm]
-        for vm_l, summed in zip(vm, von_mises_sum(series, channel_pyr.axis, arith)):
-            vm_l[idx] = summed
-    edges = (_edges_by_theta(s, banks, arith) for s in shared)
-    bo = border_ownership(edges, vm, arith)  # written over vm
-    del edges, shared, vm  # not needed in P7: free them before its temporaries
-    return grouping_activity(bo_masks(bo), bo, banks, arith)
-
-
-def _grouping_by_orientation(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
-    """``grouping_pyramid`` on the shared path: P3 keeps each level's
-    spectrum and that of its ON + OFF evidence, then P4-P7 run one
-    orientation at a time (see the module docstring)."""
-    shared, evidence = [], []
-    for level in channel_pyr.levels:
-        shared.append(arith.share(level, banks.size))
-        on, off = center_surround(shared[-1], banks, arith)
-        evidence.append(arith.share(on + off, banks.size))
+        inputs.append((arith.share(on + off, size),) if spectral else (on, off))
+    del on, off
+    thetas = range(len(THETAS))
+    blocks = [thetas[ti : ti + 1] for ti in thetas] if spectral else [thetas]
     totals = [0.0] * len(shared)
-    for ti in range(len(THETAS)):
-        block = _Orientation(banks, ti, totals)
-        vm = [von_mises_filter(e, None, block, arith) for e in evidence]
-        for side in range(2):  # the orientation's two series, summed in place
-            series = [v[0, side, 0] for v in vm]
+    for block in blocks:
+        vm_banks = banks.vm[block.start : block.stop]
+        vm = [von_mises_filter(polarities, vm_banks, arith) for polarities in inputs]
+        if block is blocks[-1]:
+            inputs.clear()
+        for idx in np.ndindex(vm[0].shape[:3]):
+            # one (theta, side, polarity) series, summed across levels in place
+            series = [v[idx] for v in vm]
             for vm_l, summed in zip(vm, von_mises_sum(series, channel_pyr.axis, arith)):
-                vm_l[0, side, 0] = summed
-        edges = (complex_edges(s, banks.p3[2 * ti : 2 * ti + 2], arith) for s in shared)
+                vm_l[idx] = summed
+        edges = (_edges_by_theta(s, banks, block, arith) for s in shared)
         bo = border_ownership(edges, vm, arith)  # written over vm
-        grouping_activity(bo_masks(bo), bo, block, arith)
-        del vm, bo, series  # the stacks, freed before the next orientation's are made
-    del shared, evidence  # free the spectra before the inverse transforms
-    return _grouping_maps(totals, [level.shape for level in channel_pyr.levels], banks.size)
+        if block is blocks[-1]:
+            shared.clear()
+        totals = grouping_activity(bo_masks(bo), bo, vm_banks, arith, totals)
+        del edges, vm, bo, series  # the stacks, freed before the next block's are made
+    return _grouping_maps(totals, [level.shape for level in channel_pyr.levels], size, arith)

@@ -1,4 +1,5 @@
-"""The gain rule and the seeds of the A/B runner in tools/ab_pairs.py."""
+"""The gain rule, the seeds and the resource usage of the A/B runner in
+tools/ab_pairs.py."""
 import importlib.util
 import json
 from pathlib import Path
@@ -44,20 +45,28 @@ def test_higher_is_better_where_the_benchmark_says_so():
 
 def test_several_seeds_go_into_one_file(tmp_path, monkeypatch):
     # ``run`` is faked, so no benchmark runs: the change side is 10% faster
+    # and takes half the parent's page faults and system time over its 4
+    # attempted frames
     calls = []
+    children = {"faults": 0, "sys_s": 0.0}
 
     def fake_run(side, workload, seed, seconds, trace):
         calls.append((workload, seed, trace))
+        share = 0.5 if side == ab_pairs.ROOT else 1.0
+        children["faults"] += int(800 * share)
+        children["sys_s"] += 0.2 * share
         frame_s = (0.9 if side == ab_pairs.ROOT else 1.0) * (1 + seed / 100)
         metrics = {"frame_s_p50": frame_s, "frames_per_s": 1 / frame_s,
                    "setup_s": 2.0, "peak_rss_mb": 150.0}
         report = {"digest": f"d{seed}", "saturated_words": 0,
                   "host": dict.fromkeys(ab_pairs.HOST_KEYS, "x")}
         result = {"metrics": {k: {"value": v} for k, v in metrics.items()},
-                  "correct": True, "failed": 0, "attempted": 1}
+                  "correct": True, "failed": 0, "attempted": 4}
         return report, result
 
     monkeypatch.setattr(ab_pairs, "run", fake_run)
+    monkeypatch.setattr(ab_pairs, "child_usage",
+                        lambda: (children["faults"], children["sys_s"]))
     monkeypatch.setattr(ab_pairs, "export", lambda commit, dest: "f" * 40)
     out = tmp_path / "ab.json"
     assert ab_pairs.main(["--parent", "HEAD", "--pairs", "2", "--out", str(out),
@@ -72,6 +81,15 @@ def test_several_seeds_go_into_one_file(tmp_path, monkeypatch):
         summary = entry["summary"]["frame_s_p50"]
         assert (summary["change_wins"], summary["pairs"]) == (2, 2)
         assert summary["change_median"] == pytest.approx(0.9 * (1 + int(seed) / 100))
+        for p in entry["pairs"]:
+            assert p["faults_per_frame"] == [200, 100]
+            assert p["sys_s_per_frame"] == pytest.approx([0.05, 0.025])
+        # medians per side, kept out of the gain rule's summary
+        assert entry["usage"]["faults_per_frame"] == {"parent": 200, "change": 100}
+        assert entry["usage"]["sys_s_per_frame"] == pytest.approx(
+            {"parent": 0.05, "change": 0.025})
+        assert set(entry["summary"]) == {"frame_s_p50", "frames_per_s", "setup_s",
+                                         "peak_rss_mb"}
     # two pairs of one run a side for each seed, untraced, seed 0 first
     assert calls == [("hw80_float", 0, 0)] * 4 + [("hw80_float", 7, 0)] * 4
     assert "seeds S: 0, 7" in doc["protocol"]

@@ -179,6 +179,16 @@ class TestFrameValidation:
         with pytest.raises(FormatError, match=f"^b plane holds {shown},"):
             FrameRGB.from_planes(np.zeros(plane.shape), np.ones(plane.shape), plane)
 
+    @pytest.mark.parametrize("plane, shown", [
+        (np.array([[1 + 2j, 3]]), "complex128"),
+        (np.array([["7", "8"]]), "<U1"),
+        (np.array([[2 ** 70, 1]], dtype=object), "object"),
+    ], ids=["complex", "string", "object"])
+    def test_samples_that_are_not_real_numbers_rejected(self, plane, shown):
+        # none of these is compared, truncated and shown as a number
+        with pytest.raises(FormatError, match=f"^g plane holds {shown} samples, not 8-bit"):
+            FrameRGB.from_planes(np.zeros(plane.shape), plane, plane)
+
     @pytest.mark.parametrize("dtype", [np.int16, np.int64, np.float32, np.float64])
     def test_in_range_integer_samples_of_any_type_accepted(self, dtype):
         values = np.array([[0, 1, 128], [254, 255, 7]])

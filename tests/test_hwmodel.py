@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from podvs import grouping
 from podvs.config import EngineConfig, Resolution
 from podvs.errors import ConfigError
 from podvs.grouping import bo_masks, center_surround, complex_edges, grouping_activity
@@ -178,7 +179,8 @@ class TestFixedArith:
         rng = np.random.default_rng(53)
         bo = rng.integers(0, fmt.max_raw + 1, size=(len(THETAS), 2, 7, 9)).astype(np.float64)
         (masks,) = bo_masks([bo])
-        (got,) = grouping_activity([masks], [bo], raw_banks, arith)
+        totals = grouping_activity([masks], [bo], raw_banks.vm, arith, [0.0])
+        (got,) = grouping._grouping_maps(totals, [(7, 9)], raw_banks.size, arith)
         total = np.zeros((7, 9), dtype=np.int64)
         saturated = 0
         for ti in range(len(THETAS)):

@@ -16,19 +16,24 @@ parent goes first in even pairs and the change in odd ones.
 The output is one JSON file, rewritten each time a workload's pairs of
 one seed are done.  Under ``workloads``, per workload and per seed (keys
 "0", "7", ...), it holds the pairs (the four end-to-end metrics of each
-side, correctness, failures, attempts, map digests and saturated words)
-and, per metric, each side's median and quartiles
+side, correctness, failures, attempts, map digests, saturated words, and
+the minor page faults and system seconds per attempted frame of each
+side's whole run, set-up included, read from ``getrusage(RUSAGE_CHILDREN)``
+around it) and, per metric, each side's median and quartiles
 (``statistics.quantiles(n=4)``, as in ``bench/scoring.summary``), the
 parent's quartile distance, the pairs the change wins (better by the
 direction BENCHMARK.json gives; ties count for neither side) and
 ``gain``: the change won at least nine tenths of the pairs and the
 medians differ by more than the parent's quartile distance, the rule
-under which a gain may be claimed.
+under which a gain may be claimed.  Per side, the medians of the faults
+and system seconds a frame go under ``usage``, outside that rule, and
+are printed.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -38,6 +43,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 #: Host facts copied from the change side's report.
 HOST_KEYS = ("nproc", "affinity_cpus", "python", "numpy", "scipy")
+#: Per pair, [parent, change] of each run's minor page faults and system
+#: seconds, divided by its attempted frames.
+USAGE_KEYS = ("faults_per_frame", "sys_s_per_frame")
 
 
 def export(commit: str, dest: Path) -> str:
@@ -62,10 +70,21 @@ def run(side: Path, workload: str, seed: int, seconds: float, trace: int):
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
 
 
+def child_usage() -> tuple:
+    """(minor page faults, system seconds) of every child process waited
+    for so far, their own waited-for children included."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_minflt, usage.ru_stime
+
+
 def pair(sides: dict, order: tuple, workload: str, seed: int, seconds: float):
     """One untraced run a side, in ``order``: (the record of BENCH_*.json's
     pairs, the change side's host facts)."""
-    runs = {name: run(sides[name], workload, seed, seconds, 0) for name in order}
+    runs, usage = {}, {}
+    for name in order:
+        before = child_usage()
+        runs[name] = run(sides[name], workload, seed, seconds, 0)
+        usage[name] = [b - a for a, b in zip(before, child_usage())]
     record = {"order": f"{order[0]} first"}
     for name in ("parent", "change"):
         record[name] = {k: v["value"] for k, v in runs[name][1]["metrics"].items()}
@@ -74,6 +93,9 @@ def pair(sides: dict, order: tuple, workload: str, seed: int, seconds: float):
     record["digest"] = {name: runs[name][0]["digest"] for name in ("parent", "change")}
     record["saturated_words"] = [runs[name][0].get("saturated_words")
                                  for name in ("parent", "change")]
+    for i, key in enumerate(USAGE_KEYS):
+        record[key] = [usage[name][i] / runs[name][1]["attempted"]
+                       for name in ("parent", "change")]
     return record, {k: runs["change"][0]["host"][k] for k in HOST_KEYS}
 
 
@@ -122,8 +144,14 @@ def workload_entry(sides: dict, workload: str, seed: int, args, metrics):
         print(f"{workload} seed {seed} pair {i + 1}/{args.pairs}: " + ", ".join(
             f"{name} {record[name]['frame_s_p50']:.4f}" for name in order), file=sys.stderr)
     digests = {d for p in pairs for d in p["digest"].values()}
+    usage = {key: {name: statistics.median(p[key][i] for p in pairs)
+                   for i, name in enumerate(("parent", "change"))} for key in USAGE_KEYS}
+    print(f"{workload} seed {seed} medians a frame: " + ", ".join(
+        f"{name} {usage['faults_per_frame'][name]:.0f} minor faults and "
+        f"{1000 * usage['sys_s_per_frame'][name]:.2f} ms system time"
+        for name in ("parent", "change")), file=sys.stderr)
     entry = {"seed": seed, "pairs": pairs, "digests_equal": len(digests) == 1,
-             "summary": summarize(pairs, metrics)}
+             "summary": summarize(pairs, metrics), "usage": usage}
     if args.traced:
         entry["traced"] = {}
         for name, side in sides.items():
