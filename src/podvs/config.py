@@ -236,13 +236,12 @@ class FrameHistory:
 
     def plane_stack(self, plane: str) -> np.ndarray:
         """(TAP_COUNT, H, W) float64 stack of one color plane, newest first."""
-        return np.stack(
-            [getattr(self.frame_at(t), plane).astype(np.float64) for t in range(TAP_COUNT)]
-        )
+        shape = getattr(self.frame_at(0), plane).shape
+        return self.fill_plane_stack(plane, np.empty((TAP_COUNT, *shape)))
 
     def fill_plane_stack(self, plane: str, out: np.ndarray) -> np.ndarray:
-        """``plane_stack(plane)`` written into ``out``, a (TAP_COUNT, H, W)
-        float64 array, which is returned."""
+        """One color plane's frames, newest first, written into ``out``, a
+        (TAP_COUNT, H, W) float64 array, which is returned."""
         for t, layer in enumerate(out):
             layer[...] = getattr(self.frame_at(t), plane)
         return out

@@ -25,29 +25,31 @@ right) and polarity (ON, OFF), p = 2, or their sum, p = 1 (see below).
 All are float64 except the masks, which are boolean.
 
 ``grouping_pyramid`` is the one chain body for every backend, and it
-works in place where the hardware does.  P3 keeps, per level, the
-level's shared form (below) and its P4 input: (ON, OFF), or the shared
-form of their sum (below).  P4-P7 then run once per block of
-orientations.  P4 fills one von Mises stack per level and P5 writes each
-summed series back into it.  P6 forms each orientation's edges from the
-shared level just before its border-ownership step, so one edge map is
-alive at a time, and writes ownership over the stack's first polarity
-(``border_ownership``).  P7 adds the block's grouping sum into a
-per-level running total, and after the last block one finishing step
-rectifies each total (``_grouping_maps``).  No edge stack, no ownership
-stack and no float mask stack stand beside the von Mises one.  A block's
-stacks are freed before the next block's are made; the last block frees
-the P4 inputs after its P4 and the shared forms after its P6, so P7 adds
-only the boolean masks, an eighth of a float stack, and per-map
-temporaries.  Each orientation's ownership pair is computed on its own,
-and P7's totals add theta then side in any partition, so every block
-size gives the same bits.  The shared path's blocks hold one orientation
-and its stacks 2 series a level, not 8: a warm gray 640x480 step peaks
-at 21.5 maps of the frame's size, where one block of four peaked at
-29.3.  The general path's one block of four keeps arrays the reduced
-modes' heap reuses from frame to frame; blocks of one free and remake
-them four times a channel, and at 112x84 the pages that glibc trims
-between them are faulted back in several times as often.
+works in place where the hardware does.  Every stage takes one level but
+P5, the across-level sum.  P3 keeps, per level, the level's shared form
+(below) and its P4 input: (ON, OFF), or the shared form of their sum
+(below).  P4-P7 then run once per block of orientations.  P4 fills one
+von Mises stack per level and P5 sums each series into it, level by
+level (``von_mises_sum``).  P6 forms each orientation's edge from the
+level's shared form just before reading it, so one edge map is alive at
+a time, and writes ownership over the stack's first polarity
+(``border_ownership``).  P7 then runs level by level: it adds the
+block's grouping sum into the level's running total and frees the
+level's stack.  After the last block one finishing step rectifies each
+total (``_grouping_map``).  No edge, ownership or float mask stack
+stands beside the von Mises one.  The last block frees the P4 inputs
+after its P4 and the shared forms after its P6, which runs over every
+level first: run with P7 level by level, the coarser levels' row stacks
+would outlive level 0's P7 (30.0x the pyramid's bytes against 27.6x in
+fixed point at 112x84).  Each orientation's ownership pair is computed
+on its own, and P7's totals add theta then side in any partition, so
+every block size gives the same bits.  The shared path's blocks hold one
+orientation and its stacks 2 series a level, not 8: a warm gray 640x480
+step peaks at 20.9 maps of the frame's size, where one block of four
+peaked at 29.3.  The general path's one block of four keeps arrays the
+reduced modes' heap reuses from frame to frame; blocks of one free and
+remake them four times a channel, and at 112x84 the pages that glibc
+trims between them are faulted back in several times as often.
 
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
@@ -121,9 +123,9 @@ in the last bit), and numpy computes ``a * b`` as ``b * a`` when b is a
 temporary of 256 KiB or more.
 
 Every stage takes an ``arith`` backend, with no default: ``FLOAT`` or the
-hardware's ``hwmodel.FixedArith``.  The filters of P3 and P6 take one
-``GroupingBanks``, those of P4 and P7 a block's (b, 2, k, k) von Mises
-kernels.
+hardware's ``hwmodel.FixedArith``.  Center-surround takes one
+``GroupingBanks``, the edges of P3 and P6 even/odd kernel pairs, and P4
+and P7 a block's (b, 2, k, k) von Mises kernels.
 """
 from __future__ import annotations
 
@@ -223,12 +225,11 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     size.
 
     On the FFT path the map may instead be a ``_Spectrum`` that the chain
-    shares (``FloatArith.share``): a level's, and its ON + OFF evidence's,
-    which ``grouping_pyramid`` keeps for every orientation block's
-    ``von_mises_filter``.  It is the spectrum
-    the call would have made, and it meets the kernel's in the one
-    map-first product (``_spectral_product``), so the result is the same
-    bits.
+    shares (``FloatArith.share``): a level's, which ``grouping_pyramid``
+    keeps for P6, and its ON + OFF evidence's, kept for every orientation
+    block's ``von_mises_filter``.  It is the spectrum the call would have
+    made, and it meets the kernel's in the one map-first product
+    (``_spectral_product``), so the result is the same bits.
     """
     if not isinstance(map_, _Spectrum):
         map_ = np.asarray(map_, dtype=np.float64)
@@ -348,11 +349,14 @@ def _sum_operators(axis, shapes: tuple, j: int):
 
 
 def von_mises_sum(levels, axis, arith):
-    """Across-scale accumulation of one response pyramid.
+    """Across-scale accumulation of one response pyramid, in place.
 
-    out[j] = sum over k >= j of 2**-(k - j) * levels[k] resampled to
-    level j, so a level keeps its own response and gains coarser context
-    with weight halved per level of separation (in place in hardware).
+    Level j becomes the sum over k >= j of 2**-(k - j) * levels[k]
+    resampled to level j, so a level keeps its own response and gains
+    coarser context with weight halved per level of separation.  As in
+    hardware, each level's sum is written into that level as soon as it
+    is summed, finest first: level j's sum reads only levels j and
+    coarser, which are not yet written.  Returns ``levels``.
 
     ``axis(n_in, n_out)``, the pyramid's ``ImagePyramid.axis``, resamples
     along one axis as a sparse matrix: ``bilinear_axis`` in reference
@@ -368,7 +372,6 @@ def von_mises_sum(levels, axis, arith):
     [0, 1) levels of the 640x480 reference shapes.
     """
     shapes = tuple(level.shape for level in levels)
-    out = []
     for j, base in enumerate(levels):
         cols, rows = _sum_operators(axis, shapes, j)
         # level j's rows, then each coarser level's block, written in place
@@ -378,113 +381,91 @@ def von_mises_sum(levels, axis, arith):
         for n, (x, level) in enumerate(zip(cols, levels[j + 1 :]), 1):
             stack[top : top + len(level)] = (x @ arith.halve(level, n).T).T
             top += len(level)
-        out.append(arith.clip(rows @ stack))
-    return out
+        base[...] = arith.clip(rows @ stack)
+    return levels
 
 
-def border_ownership(edges, vm_summed_levels, arith) -> list:
-    """Border-ownership responses from edges and summed side evidence.
+def border_ownership(shared, pairs, vm, arith) -> np.ndarray:
+    """One level's border ownership, (b, 2, h, w) [theta, side], from its
+    shared form (``share``), the block's (2b, k, k) even/odd edge kernels
+    ``pairs`` and its (b, 2, p, h, w) von Mises stack ``vm`` summed by P5.
 
-    Takes per level the edges, one (h, w) map per orientation of the
-    block, and the (b, 2, p, h, w) summed von Mises responses of
-    ``von_mises_filter`` for the same b orientations, and returns per
-    level a (b, 2, h, w) array [theta, side].  A level's edges may be a
-    (b, h, w) array or an iterator that forms each orientation's only
-    when it is read, as ``grouping_pyramid`` passes them on the general
-    path: then one edge map is alive at a time.  For each orientation and
-    side, the light (ON) and dark (OFF) paths are rectified separately
-    and summed, ON first, which makes the result invariant to stimulus
-    polarity outside the zero-padding band described in the module
-    docstring.  With p = 1 the one path holds their summed evidence.
-
-    The von Mises input is overwritten, as P5's sum is in hardware: each
-    (theta, side) result goes into ``vm[theta, side, 0]``, after both of
-    its polarities are read, and the returned arrays are those views.
+    Each orientation's edge is formed just before it is read
+    (``complex_edges``), so one edge map is alive at a time.  For each
+    orientation and side, the light (ON) and dark (OFF) paths are
+    rectified separately and summed, ON first, which makes the result
+    invariant to stimulus polarity outside the zero-padding band described
+    in the module docstring.  With p = 1 the one path holds their summed
+    evidence.  As in hardware, each (theta, side) result is written over
+    ``vm[theta, side, 0]`` once both its polarities are read, and the
+    returned array is that view.
     """
-    out = []
-    for edges_l, vm_l in zip(edges, vm_summed_levels):
-        for ti, edge in enumerate(edges_l):
-            for side, evidence in enumerate(vm_l[ti]):
-                paths = (_rect(arith.modulate(edge, vm)) for vm in evidence)
-                vm_l[ti, side, 0] = arith.clip(functools.reduce(np.add, paths))
-            del edge  # freed before the next orientation's edge is formed
-        out.append(vm_l[:, :, 0])
-    return out
+    for ti, sides in enumerate(vm):
+        edge = complex_edges(shared, pairs[2 * ti : 2 * ti + 2], arith)[0]
+        for side, evidence in enumerate(sides):
+            paths = (_rect(arith.modulate(edge, polarity)) for polarity in evidence)
+            vm[ti, side, 0] = arith.clip(functools.reduce(np.add, paths))
+        del edge  # freed before the next orientation's edge is formed
+    return vm[:, :, 0]
 
 
-def bo_masks(bo_levels) -> list:
-    """Boolean winner masks, per level a (b, 2, h, w) array [theta, side]
-    for the b orientations of ``bo_levels``; ties go left.
+def bo_masks(bo) -> np.ndarray:
+    """Boolean winner masks of one level's (b, 2, h, w) [theta, side]
+    border ownership, of the same shape; ties go left.
 
     Exactly one side wins everywhere, so masking is a multiply: True
     weighs 1.0 and False 0.0.
     """
-    out = []
-    for bo in bo_levels:
-        masks = np.empty(bo.shape, dtype=bool)
-        np.greater_equal(bo[:, 0], bo[:, 1], out=masks[:, 0])
-        np.logical_not(masks[:, 0], out=masks[:, 1])
-        out.append(masks)
-    return out
+    masks = np.empty(bo.shape, dtype=bool)
+    np.greater_equal(bo[:, 0], bo[:, 1], out=masks[:, 0])
+    np.logical_not(masks[:, 0], out=masks[:, 1])
+    return masks
 
 
-def grouping_activity(masks, bo_levels, vm, arith, totals) -> list:
-    """Per level, ``totals`` plus one block's grouping sum over theta,
-    before rectification; ``_grouping_maps`` finishes the totals of every
-    block.
+def grouping_activity(mask, bo, vm, arith, total):
+    """One level's ``total`` plus a block's grouping sum over theta, not
+    yet rectified: ``_grouping_map`` finishes it after the last block.
 
-    ``masks`` and ``bo_levels`` hold per level a (b, 2, h, w) array
-    [theta, side] for the b orientations of the block's von Mises kernels
-    ``vm``, (b, 2, k, k).  The annular integration pushes masked
+    ``mask`` and ``bo`` are the level's (b, 2, h, w) [theta, side] arrays
+    for the b orientations of the block's von Mises kernels ``vm``,
+    (b, 2, k, k).  The annular integration pushes masked
     border-ownership activity toward the owned side, which for a kernel
     pointing at direction d means correlating with the opposite-side
     kernel (a true convolution): side s correlates with vm[theta, 1 - s],
     P4's stack with the sides swapped.  The same-location opposing
     response, masked and integrated alike, inhibits with unit weight: it
-    is subtracted.  On the general path a total is a map that adds the
+    is subtracted.  On the general path the total is a map that adds the
     correlations in the backend's arithmetic; on the shared path it is a
     spectrum that adds one product per side, theta then side (see the
     module docstring).
     """
     size = vm.shape[-1]
     spectral = _shares_spectra(arith, size)
-    out = []
-    for mask, bo, total in zip(masks, bo_levels, totals):
-        fft_shape = _fft_shape(bo.shape[2:], (size, size))
-        # conv with one side's kernel == corr with the other side's
-        for ti, kernels in enumerate(vm[:, ::-1]):
-            if spectral:
-                for own, kern in enumerate(kernels):
-                    grp = mask[ti, own] * (bo[ti, own] - bo[ti, 1 - own])
-                    total = total + _spectral_product(grp, kern, fft_shape)
-            else:
-                grp_left, grp_right = (
-                    arith.correlate(mask[ti, own] * bo[ti, own], kern)
-                    - arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern)
-                    for own, kern in enumerate(kernels)
-                )
-                total = total + (grp_left + grp_right)
-        out.append(total)
-    return out
+    fft_shape = _fft_shape(bo.shape[2:], (size, size))
+    # conv with one side's kernel == corr with the other side's
+    for ti, kernels in enumerate(vm[:, ::-1]):
+        if spectral:
+            for own, kern in enumerate(kernels):
+                grp = mask[ti, own] * (bo[ti, own] - bo[ti, 1 - own])
+                total = total + _spectral_product(grp, kern, fft_shape)
+        else:
+            grp_left, grp_right = (
+                arith.correlate(mask[ti, own] * bo[ti, own], kern)
+                - arith.correlate(mask[ti, own] * bo[ti, 1 - own], kern)
+                for own, kern in enumerate(kernels)
+            )
+            total = total + (grp_left + grp_right)
+    return total
 
 
-def _grouping_maps(totals, shapes, size: int, arith) -> list:
-    """Per level, the grouping map rect(sum over theta of GrpSum) from P7's
+def _grouping_map(total, shape, size: int, arith) -> np.ndarray:
+    """A level's grouping map rect(sum over theta of GrpSum) from P7's
     total over every block: clipped into range, on the shared path after
     one inverse transform of its spectrum."""
     if _shares_spectra(arith, size):
         kernel_shape = (size, size)
-        totals = (_same_window(total, _fft_shape(shape, kernel_shape), shape, kernel_shape)
-                  for total, shape in zip(totals, shapes))
-    return [_rect(arith.clip(total)) for total in totals]
-
-
-def _edges_by_theta(shared, banks: GroupingBanks, thetas: range, arith):
-    """A level's complex edges for the block's orientations ``thetas``,
-    each formed from the level's shared form only when
-    ``border_ownership`` reads it."""
-    for ti in thetas:
-        yield complex_edges(shared, banks.p3[2 * ti : 2 * ti + 2], arith)[0]
+        total = _same_window(total, _fft_shape(shape, kernel_shape), shape, kernel_shape)
+    return _rect(arith.clip(total))
 
 
 def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
@@ -520,13 +501,15 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
             inputs.clear()
         for idx in np.ndindex(vm[0].shape[:3]):
             # one (theta, side, polarity) series, summed across levels in place
-            series = [v[idx] for v in vm]
-            for vm_l, summed in zip(vm, von_mises_sum(series, channel_pyr.axis, arith)):
-                vm_l[idx] = summed
-        edges = (_edges_by_theta(s, banks, block, arith) for s in shared)
-        bo = border_ownership(edges, vm, arith)  # written over vm
+            von_mises_sum([v[idx] for v in vm], channel_pyr.axis, arith)
+        pairs = banks.p3[2 * block.start : 2 * block.stop]
+        bo = [border_ownership(s, pairs, v, arith) for s, v in zip(shared, vm)]  # over vm
+        del vm
         if block is blocks[-1]:
             shared.clear()
-        totals = grouping_activity(bo_masks(bo), bo, vm_banks, arith, totals)
-        del edges, vm, bo, series  # the stacks, freed before the next block's are made
-    return _grouping_maps(totals, [level.shape for level in channel_pyr.levels], size, arith)
+        for lvl in range(len(totals)):
+            level = bo.pop(0)  # the level's stack, freed after its P7
+            totals[lvl] = grouping_activity(bo_masks(level), level, vm_banks, arith, totals[lvl])
+        del level
+    return [_grouping_map(total, level.shape, size, arith)
+            for total, level in zip(totals, channel_pyr.levels)]

@@ -229,6 +229,19 @@ class TestFrameHistory:
             assert hist.fill_plane_stack(name, out) is out
             assert out.tobytes() == hist.plane_stack(name).tobytes()
 
+    def test_plane_stack_holds_each_frame_as_float64(self):
+        # uint8 -> float64 is exact: the stack is the frames' planes, joined
+        hist = FrameHistory()
+        rng = np.random.default_rng(13)
+        for _ in range(3):
+            hist.push(FrameRGB.from_planes(*rng.integers(0, 256, size=(3, 4, 5))))
+        for name in "rgb":
+            expected = np.stack([getattr(hist.frame_at(t), name).astype(np.float64)
+                                 for t in range(TAP_COUNT)])
+            stack = hist.plane_stack(name)
+            assert stack.dtype == np.float64
+            assert stack.tobytes() == expected.tobytes()
+
     def test_dimension_change_rejected(self):
         hist = FrameHistory()
         hist.push(gray_frame(4, 4, 1))

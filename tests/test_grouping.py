@@ -1,9 +1,9 @@
+import functools
 import importlib.util
 import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +41,11 @@ from podvs.pyramid import (
 )
 
 from conftest import gather_bilinear
+
+SPEC = importlib.util.spec_from_file_location(
+    "peaks", Path(__file__).resolve().parent.parent / "tools" / "peaks.py")
+peaks = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(peaks)
 
 SPEC = importlib.util.spec_from_file_location(
     "bench_workloads", Path(__file__).resolve().parent.parent / "bench" / "workloads.py")
@@ -108,16 +113,16 @@ def banks11():
 
 def pairwise_von_mises_sum(levels, axis, arith):
     """``von_mises_sum``'s oracle: one gather resample per level pair,
-    halved and added to level j in the backend's arithmetic."""
+    halved and added to level j in the backend's arithmetic, and written
+    into level j as ``von_mises_sum`` writes its sums."""
     upsample = gather_bilinear if axis is bilinear_axis else nn_shift_resample
-    out = []
     for j, base in enumerate(levels):
         acc = arith.halve(base, 0)  # a copy, in the backend's type
         h, w = base.shape
         for k in range(j + 1, len(levels)):
             acc += arith.halve(upsample(levels[k], h, w), k - j)
-        out.append(arith.clip(acc))
-    return out
+        base[...] = arith.clip(acc)
+    return levels
 
 
 #: The grouping chains of the reduced and the reference modes: bank size,
@@ -142,18 +147,27 @@ def vstack_von_mises_sum(levels, axis, arith):
     return out
 
 
-def finished_grouping(masks, bo_levels, banks, arith):
-    """P7 over one block of every orientation, finished as
-    ``grouping_pyramid`` finishes its totals."""
-    totals = grouping_activity(masks, bo_levels, banks.vm, arith, [0.0] * len(bo_levels))
-    shapes = [bo.shape[2:] for bo in bo_levels]
-    return grouping._grouping_maps(totals, shapes, banks.size, arith)
+def finished_grouping(bo_levels, banks, arith):
+    """P7 over one block of every orientation, level by level with each
+    level's masks, finished as ``grouping_pyramid`` finishes its totals."""
+    return [grouping._grouping_map(grouping_activity(bo_masks(bo), bo, banks.vm, arith, 0.0),
+                                   bo.shape[2:], banks.size, arith)
+            for bo in bo_levels]
+
+
+def ownership_from_edges(edges, vm, arith):
+    """``border_ownership`` of one level from its block's edges, formed
+    beforehand, written over ``vm`` as the chain writes it."""
+    for ti, side in np.ndindex(vm.shape[:2]):
+        paths = [np.maximum(arith.modulate(edges[ti], evidence), 0) for evidence in vm[ti, side]]
+        vm[ti, side, 0] = arith.clip(functools.reduce(np.add, paths))
+    return vm[:, :, 0]
 
 
 def prior_order_grouping(pyr, banks, arith, block):
     """``grouping_pyramid`` in the order that formed every level's edges
     in P3, before its center-surround response, and kept them through P5
-    for ``border_ownership``, with P4-P7 run over blocks of ``block``
+    for border ownership, with P4-P7 run over blocks of ``block``
     orientations."""
     edges, inputs = [], []
     for level in pyr.levels:
@@ -169,10 +183,11 @@ def prior_order_grouping(pyr, banks, arith, block):
             series = [v[idx] for v in vm]
             for vm_l, summed in zip(vm, vstack_von_mises_sum(series, pyr.axis, arith)):
                 vm_l[idx] = summed
-        bo = border_ownership([e[start : start + block] for e in edges], vm, arith)
-        totals = grouping_activity(bo_masks(bo), bo, vm_banks, arith, totals)
-    shapes = [level.shape for level in pyr.levels]
-    return grouping._grouping_maps(totals, shapes, banks.size, arith)
+        for lvl, (edges_l, vm_l) in enumerate(zip(edges, vm)):
+            bo = ownership_from_edges(edges_l[start : start + block], vm_l, arith)
+            totals[lvl] = grouping_activity(bo_masks(bo), bo, vm_banks, arith, totals[lvl])
+    return [grouping._grouping_map(total, level.shape, banks.size, arith)
+            for total, level in zip(totals, pyr.levels)]
 
 
 def interior(map_, margin):
@@ -409,13 +424,13 @@ class TestVonMisesFilter:
 class TestVonMisesSum:
     def test_single_level_identity(self):
         level = np.random.default_rng(24).random((8, 8))
-        out = von_mises_sum([level], bilinear_axis, FLOAT)
+        out = von_mises_sum([level.copy()], bilinear_axis, FLOAT)
         np.testing.assert_array_equal(out[0], level)
 
     def test_zero_coarse_level_identity_on_fine(self):
         rng = np.random.default_rng(25)
         fine = rng.random((8, 8))
-        out = von_mises_sum([fine, np.zeros((5, 5))], bilinear_axis, FLOAT)
+        out = von_mises_sum([fine.copy(), np.zeros((5, 5))], bilinear_axis, FLOAT)
         np.testing.assert_allclose(out[0], fine, atol=1e-15)
 
     def test_constant_levels_closed_form(self):
@@ -428,14 +443,14 @@ class TestVonMisesSum:
 
     def test_custom_upsampler(self):
         levels = [np.zeros((60, 80)), np.arange(44 * 56, dtype=float).reshape(44, 56)]
-        out = von_mises_sum(levels, axis=shift_axis, arith=FLOAT)
         expected = 0.5 * nn_shift_resample(levels[1], 60, 80)
+        out = von_mises_sum(levels, axis=shift_axis, arith=FLOAT)
         np.testing.assert_allclose(out[0], expected, atol=1e-12)
 
     def test_fused_bilinear_sum_matches_pairwise_on_reference_shapes(self):
         rng = np.random.default_rng(34)
         levels = [rng.random((h, w)) for w, h in reference_level_dims(640, 480, 10)]
-        fused = von_mises_sum(levels, bilinear_axis, FLOAT)
+        fused = von_mises_sum([level.copy() for level in levels], bilinear_axis, FLOAT)
         oracle = pairwise_von_mises_sum(levels, bilinear_axis, FLOAT)
         for a, b in zip(fused, oracle):
             assert a.shape == b.shape
@@ -447,7 +462,7 @@ class TestVonMisesSum:
         # (level j first, then the coarser levels finest first) shows
         rng = np.random.default_rng(40)
         levels = [rng.random((h, w)) for w, h in HW_LEVELS[root]]
-        for a, b in zip(von_mises_sum(levels, shift_axis, FLOAT),
+        for a, b in zip(von_mises_sum([level.copy() for level in levels], shift_axis, FLOAT),
                         pairwise_von_mises_sum(levels, shift_axis, FLOAT)):
             np.testing.assert_array_equal(a, b)
 
@@ -461,7 +476,7 @@ class TestVonMisesSum:
         rng = np.random.default_rng(41)
         levels = [rng.integers(fmt.min_raw, fmt.max_raw + 1, size=(h, w)).astype(np.float64)
                   for w, h in HW_LEVELS[root]]
-        for a, b in zip(von_mises_sum(levels, shift_axis, fast),
+        for a, b in zip(von_mises_sum([level.copy() for level in levels], shift_axis, fast),
                         pairwise_von_mises_sum(levels, shift_axis, slow)):
             np.testing.assert_array_equal(a, b)
         assert fast.saturations == slow.saturations > 0
@@ -472,17 +487,14 @@ class TestBorderOwnership:
         """The field at every level, computed as reference mode does: a
         sqrt(2) pyramid and the bilinear across-scale von Mises sum."""
         pyr = build_reference_pyramid(map_, depth)
-        edges = [complex_edges(level, banks.p3[:8], FLOAT) for level in pyr.levels]
         vm = []
         for level in pyr.levels:
             on, off = center_surround(level, banks, FLOAT)
             vm.append(von_mises_filter((on, off), banks.vm, FLOAT))
-        summed = [np.empty_like(r) for r in vm]
         for idx in np.ndindex(vm[0].shape[:3]):
-            series = von_mises_sum([r[idx] for r in vm], bilinear_axis, FLOAT)
-            for lvl, arr in enumerate(series):
-                summed[lvl][idx] = arr
-        return border_ownership(edges, summed, FLOAT)
+            von_mises_sum([r[idx] for r in vm], bilinear_axis, FLOAT)
+        return [border_ownership(level, banks.p3[:8], summed, FLOAT)
+                for level, summed in zip(pyr.levels, vm)]
 
     @staticmethod
     def _light_square():
@@ -492,11 +504,10 @@ class TestBorderOwnership:
 
     def test_zero_center_surround_means_zero_ownership(self, banks5):
         m = np.zeros((12, 12))
-        edges = [complex_edges(m, banks5.p3[:8], FLOAT)]
         silent = np.zeros((4, 2, 2, 12, 12))
-        field = border_ownership(edges, [silent], FLOAT)
-        assert field[0].shape == (4, 2, 12, 12)
-        assert np.all(field[0] == 0.0)
+        field = border_ownership(m, banks5.p3[:8], silent, FLOAT)
+        assert field.shape == (4, 2, 12, 12)
+        assert np.all(field == 0.0)
 
     def test_light_square_left_border_owned_rightward(self, banks5):
         field = self._run(self._light_square(), banks5)
@@ -526,28 +537,52 @@ class TestBorderOwnership:
         # polarities are read (p = 2 at 5x5, p = 1 at 11x11 in float)
         banks = build_banks(size)
         m = self._light_square()
-        edges = [complex_edges(m, banks.p3[:8], FLOAT)]
+        edges = complex_edges(m, banks.p3[:8], FLOAT)
         on, off = center_surround(m, banks, FLOAT)
         polarities = (on + off,) if size == 11 else (on, off)
-        vm = [von_mises_filter(polarities, banks.vm, FLOAT)]
-        evidence = vm[0].copy()
-        bo = border_ownership(edges, vm, FLOAT)
-        assert np.shares_memory(bo[0], vm[0])
-        expected = np.maximum(edges[0][:, None, None] * evidence, 0.0).sum(axis=2)
-        np.testing.assert_array_equal(bo[0], expected)
+        vm = von_mises_filter(polarities, banks.vm, FLOAT)
+        evidence = vm.copy()
+        bo = border_ownership(m, banks.p3[:8], vm, FLOAT)
+        assert np.shares_memory(bo, vm)
+        expected = np.maximum(edges[:, None, None] * evidence, 0.0).sum(axis=2)
+        np.testing.assert_array_equal(bo, expected)
+
+    @pytest.mark.parametrize("backend", ["float-11x11", "fixed-5x5"])
+    def test_same_bytes_from_the_map_as_from_its_shared_form(self, backend):
+        # the chain passes P6 a level's shared form: a spectrum in float
+        # at 11x11, a row stack in fixed point.  Its edges are the bits
+        # the map's own would be, with the same words saturated
+        rng = np.random.default_rng(51)
+        if backend == "float-11x11":
+            m = rng.uniform(0, 255, size=(30, 40))
+            banks, ariths = build_banks(11), (FLOAT, FLOAT, FLOAT)
+        else:
+            # words of up to 17 bits, so some saturate (as in FIXED_DIGEST)
+            cfg = EngineConfig(resolution=Resolution.HW_112)
+            m = rng.integers(-(1 << 16), 1 << 16, size=(30, 40)).astype(float)
+            banks, ariths = HwPipeline(cfg).banks, [FixedArith(cfg) for _ in range(3)]
+        arith, from_map, from_shared = ariths
+        vm = von_mises_filter(center_surround(m, banks, arith), banks.vm, arith)
+        shared = from_shared.share(m, banks.size)
+        assert isinstance(shared, grouping._Spectrum) == (backend == "float-11x11")
+        assert shared is not m
+        a = border_ownership(m, banks.p3[:8], vm.copy(), from_map)
+        b = border_ownership(shared, banks.p3[:8], vm.copy(), from_shared)
+        assert a.tobytes() == b.tobytes()
+        if arith is not FLOAT:
+            assert from_map.saturations == from_shared.saturations > 0
 
     def test_polarity_swap_preserves_sums(self, banks5):
         rng = np.random.default_rng(26)
         m = rng.uniform(0, 100, size=(16, 16))
-        edges = [complex_edges(m, banks5.p3[:8], FLOAT)]
         on, off = center_surround(m, banks5, FLOAT)
-        vm_a = [von_mises_filter((on, off), banks5.vm, FLOAT)]
-        vm_b = [von_mises_filter((off, on), banks5.vm, FLOAT)]
-        fa = border_ownership(edges, vm_a, FLOAT)
-        fb = border_ownership(edges, vm_b, FLOAT)
+        vm_a = von_mises_filter((on, off), banks5.vm, FLOAT)
+        vm_b = von_mises_filter((off, on), banks5.vm, FLOAT)
+        fa = border_ownership(m, banks5.p3[:8], vm_a, FLOAT)
+        fb = border_ownership(m, banks5.p3[:8], vm_b, FLOAT)
         for ti in range(4):
             for side in range(2):
-                np.testing.assert_allclose(fa[0][ti, side], fb[0][ti, side], atol=1e-9)
+                np.testing.assert_allclose(fa[ti, side], fb[ti, side], atol=1e-9)
 
 
 def stack_sides(left, right):
@@ -558,7 +593,7 @@ def stack_sides(left, right):
 class TestMasks:
     def test_tie_goes_left(self):
         b = np.full((5, 5), 2.0)
-        (masks,) = bo_masks([stack_sides((b,), (b.copy(),))])
+        masks = bo_masks(stack_sides((b,), (b.copy(),)))
         assert np.all(masks[0, 0] == 1.0)
         assert np.all(masks[0, 1] == 0.0)
 
@@ -566,23 +601,23 @@ class TestMasks:
         left = np.zeros((4, 4))
         right = np.zeros((4, 4))
         right[1:, :] = 3.0
-        (masks,) = bo_masks([stack_sides((left,), (right,))])
+        masks = bo_masks(stack_sides((left,), (right,)))
         assert np.all(masks[0, 1][1:, :] == 1.0)
         assert np.all(masks[0, 0][0, :] == 1.0)  # 0 >= 0 tie
 
     def test_boolean_masks_weigh_as_the_float_ones(self):
         # True * x is 1.0 * x and False * x is 0.0 * x, signed zeros too
         rng = np.random.default_rng(42)
-        field = [rng.standard_normal((4, 2, 6, 6))]
-        (masks,) = bo_masks(field)
+        field = rng.standard_normal((4, 2, 6, 6))
+        masks = bo_masks(field)
         assert masks.dtype == bool
         as_float = masks.astype(np.float64)
-        assert (masks * field[0]).tobytes() == (as_float * field[0]).tobytes()
+        assert (masks * field).tobytes() == (as_float * field).tobytes()
 
     def test_partition(self):
         rng = np.random.default_rng(27)
         field = [rng.random((4, 2, 6, 6)) for _ in range(2)]
-        masks = bo_masks(field)
+        masks = [bo_masks(bo) for bo in field]
         for lvl in range(2):
             assert masks[lvl].shape == (4, 2, 6, 6)
             # exactly one side wins: on bool masks '+' is a logical OR,
@@ -598,7 +633,7 @@ class TestGroupingActivity:
 
     def test_zero_field_zero_grouping(self, banks5):
         field = [np.zeros((4, 2, 8, 8))]
-        out = finished_grouping(bo_masks(field), field, banks5, FLOAT)
+        out = finished_grouping(field, banks5, FLOAT)
         assert np.all(out[0] == 0.0)
 
     def test_own_minus_opposing(self, banks5):
@@ -606,12 +641,12 @@ class TestGroupingActivity:
         # the owned side, minus the masked opposing one: unit inhibition
         rng = np.random.default_rng(28)
         field = self._field(rng)
-        masks = bo_masks(field)
-        out = finished_grouping(masks, field, banks5, FLOAT)
+        masks = bo_masks(field[0])
+        out = finished_grouping(field, banks5, FLOAT)
         expected = np.zeros((14, 14))
         for ti in range(4):
             for own, kern in enumerate((banks5.vm[ti, 1], banks5.vm[ti, 0])):
-                mask, bo = masks[0][ti, own], field[0][ti]
+                mask, bo = masks[ti, own], field[0][ti]
                 expected += correlate(mask * bo[own], kern) - correlate(mask * bo[1 - own], kern)
         np.testing.assert_allclose(out[0], np.maximum(expected, 0.0), atol=1e-12)
 
@@ -619,8 +654,8 @@ class TestGroupingActivity:
         rng = np.random.default_rng(29)
         field = self._field(rng)
         scaled = [3.0 * bo for bo in field]
-        a = finished_grouping(bo_masks(field), field, banks5, FLOAT)
-        b = finished_grouping(bo_masks(scaled), scaled, banks5, FLOAT)
+        a = finished_grouping(field, banks5, FLOAT)
+        b = finished_grouping(scaled, banks5, FLOAT)
         np.testing.assert_allclose(b[0], 3.0 * a[0], atol=1e-9)
 
     def test_losing_side_contributes_only_inhibition(self, banks5):
@@ -631,7 +666,7 @@ class TestGroupingActivity:
         bl = rng.random((10, 10)) + 2.0
         br = rng.random((10, 10))  # strictly smaller
         field = [stack_sides((bl,) * 4, (br,) * 4)]
-        out = finished_grouping(bo_masks(field), field, banks5, FLOAT)[0]
+        out = finished_grouping(field, banks5, FLOAT)[0]
         own_only = sum(correlate(bl, banks5.vm[ti, 1]) for ti in range(4))
         assert np.all(out <= own_only + 1e-12)
         assert np.any(out < own_only - 1e-3)
@@ -641,10 +676,9 @@ class TestGroupingActivity:
         # the oracle makes the 16 direct correlations of each level
         rng = np.random.default_rng(38)
         field = [rng.random((len(THETAS), 2, *shape)) for shape in ((23, 31), (24, 32))]
-        masks = bo_masks(field)
-        fast = finished_grouping(masks, field, banks11, FLOAT)
+        fast = finished_grouping(field, banks11, FLOAT)
         monkeypatch.setattr(grouping, "FFT_MIN_KERNEL", banks11.size + 1)
-        oracle = finished_grouping(masks, field, banks11, FLOAT)
+        oracle = finished_grouping(field, banks11, FLOAT)
         for a, b in zip(fast, oracle):
             scale = np.max(np.abs(b))
             assert scale > 0
@@ -726,24 +760,15 @@ class TestGroupingPyramid:
         grouping_pyramid(build_reference_pyramid(m, 3), banks11, FLOAT)
         assert [layer for layer, n in calls.items() if n == 0] == []
 
-    def test_reference_chain_peak_memory(self, banks11):
+    def test_reference_chain_peak_memory(self):
         # border ownership is written over the von Mises stack, the masks
         # are boolean, P6 forms one orientation's edges at a time, and
         # P4-P7 run one orientation at a time, so a call holds one
         # orientation's von Mises stack and no second same-size stack
-        # beside it (9.1x the pyramid's bytes measured; 13.1x with every
+        # beside it (8.97x the pyramid's bytes measured; 13.1x with every
         # orientation's stack alive from P4 to P7, 15.0x with every
         # level's edges also formed before P5)
-        m = np.random.default_rng(43).uniform(0, 255, size=(120, 160))
-        pyr = build_reference_pyramid(m, 5)
-        grouping_pyramid(pyr, banks11, FLOAT)  # fills the process-wide operator caches
-        tracemalloc.start()
-        try:
-            grouping_pyramid(pyr, banks11, FLOAT)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 10 * sum(level.nbytes for level in pyr.levels)
+        assert peaks.chain_peak(*peaks.chains()["reference"]) <= 10
 
     @pytest.mark.parametrize("chain", sorted(CHAINS) + ["5x5-shift-fixed"])
     def test_bit_identical_to_the_chain_that_formed_edges_first(self, chain):
@@ -812,23 +837,13 @@ class TestGroupingPyramid:
     def test_fixed_chain_peak_memory(self):
         # every level's row stack stays alive until P6 forms its edges,
         # in place of the edges themselves; ON's is dropped before OFF's
-        # is made (28.2x the pyramid's bytes measured; 33.5x if the shared
-        # forms outlive P6).  The float 5x5 chain, the general path that
-        # shares nothing, is bounded alike (21.2x; 23.2x if the P4 inputs
-        # outlive P4)
-        cfg = EngineConfig(resolution=Resolution.HW_112)
-        words = np.random.default_rng(45).integers(0, 1 << 14, size=(84, 112)).astype(float)
-        pyr = build_hw_pyramid(words)
-        chains = [(HwPipeline(cfg).banks, FixedArith(cfg), 32), (build_banks(5), FLOAT, 22.5)]
-        for banks, arith, bound in chains:
-            grouping_pyramid(pyr, banks, arith)  # fills the operator caches
-            tracemalloc.start()
-            try:
-                grouping_pyramid(pyr, banks, arith)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= bound * sum(level.nbytes for level in pyr.levels)
+        # is made (27.61x the pyramid's bytes measured; 33.5x if the
+        # shared forms outlive P6).  The float 5x5 chain, the general path
+        # that shares nothing, is bounded alike (20.55x; 23.2x if the P4
+        # inputs outlive P4)
+        chains = peaks.chains()
+        for name, bound in (("fixed", 32), ("float 5x5", 22.5)):
+            assert peaks.chain_peak(*chains[name]) <= bound
 
 
 def assert_positive_zeros(levels, shapes):

@@ -178,9 +178,9 @@ class TestFixedArith:
         fmt = arith.fmt
         rng = np.random.default_rng(53)
         bo = rng.integers(0, fmt.max_raw + 1, size=(len(THETAS), 2, 7, 9)).astype(np.float64)
-        (masks,) = bo_masks([bo])
-        totals = grouping_activity([masks], [bo], raw_banks.vm, arith, [0.0])
-        (got,) = grouping._grouping_maps(totals, [(7, 9)], raw_banks.size, arith)
+        masks = bo_masks(bo)
+        total = grouping_activity(masks, bo, raw_banks.vm, arith, 0.0)
+        got = grouping._grouping_map(total, (7, 9), raw_banks.size, arith)
         total = np.zeros((7, 9), dtype=np.int64)
         saturated = 0
         for ti in range(len(THETAS)):

@@ -1,6 +1,5 @@
 """Pipeline and HwPipeline: one grouping chain in two arithmetics."""
 import importlib.util
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -171,10 +170,8 @@ class TestZeroChannelSkip:
         assert fused.tobytes() == fuse(grouped).tobytes()
 
 
-#: Bytes of one 640x480 float64 map.
-MAP_640_BYTES = 640 * 480 * 8
 #: Bound on the traced peak of a warm 640x480 reference step of the gray
-#: ``drifting_bar``, in 640x480 float64 maps: 21.5 measured (52.8 MB).
+#: ``drifting_bar``, in 640x480 float64 maps: 20.9 measured (51.4 MB).
 #: Grouping level by level, with every orientation's von Mises stack
 #: alive from P4 to P7, peaked at 29.3 (72.0 MB); the chain that also
 #: held the three colour plane stacks together, formed every level's
@@ -182,36 +179,23 @@ MAP_640_BYTES = 640 * 480 * 8
 #: (94.9 MB).
 REFERENCE_STEP_PEAK_MAPS = 24
 #: The same bound for a frame of ``six_map_clip``, which groups all six
-#: distinct channel maps: 28.5 measured (70.0 MB), 36.3 (89.2 MB) level
+#: distinct channel maps: 27.9 measured (68.6 MB), 36.3 (89.2 MB) level
 #: by level.  No benchmark workload groups six maps.
 SIX_MAP_STEP_PEAK_MAPS = 31
 
 SPEC = importlib.util.spec_from_file_location(
-    "synth_digests", Path(__file__).resolve().parent.parent / "tools" / "synth_digests.py")
-synth_digests = importlib.util.module_from_spec(SPEC)
-SPEC.loader.exec_module(synth_digests)
-
-
-def warm_step_peak(frames) -> int:
-    """Traced peak bytes of a reference step of frames[1], after frames[0]
-    has filled the operator caches and the history."""
-    engine = Pipeline(EngineConfig(resolution=Resolution.REFERENCE))
-    engine.step(frames[0])
-    tracemalloc.start()
-    try:
-        engine.step(frames[1])
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    "peaks", Path(__file__).resolve().parent.parent / "tools" / "peaks.py")
+peaks = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(peaks)
 
 
 class TestPeakMemory:
     def test_reference_step_holds_no_array_it_has_stopped_reading(self):
         frames = synth.drifting_bar_video(640, 480, frames=2)
-        assert warm_step_peak(frames) <= REFERENCE_STEP_PEAK_MAPS * MAP_640_BYTES
+        assert peaks.warm_step_peak(frames) <= REFERENCE_STEP_PEAK_MAPS * peaks.MAP_640_BYTES
 
     def test_six_map_reference_step(self, monkeypatch):
-        frames = synth_digests.six_map_clip(640, 480, 2)
+        frames = peaks.six_map_clip(640, 480, 2)
         grouping_pyramid = pipeline.grouping_pyramid
         calls = []
 
@@ -220,9 +204,9 @@ class TestPeakMemory:
             return grouping_pyramid(*args)
 
         monkeypatch.setattr(pipeline, "grouping_pyramid", counted)
-        peak = warm_step_peak(frames)
+        peak = peaks.warm_step_peak(frames)
         assert len(calls) == 12  # six maps a frame, none skipped
-        assert peak <= SIX_MAP_STEP_PEAK_MAPS * MAP_640_BYTES
+        assert peak <= SIX_MAP_STEP_PEAK_MAPS * peaks.MAP_640_BYTES
 
 
 class TestFidelityGate:
