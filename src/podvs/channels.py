@@ -81,22 +81,25 @@ def extract_all(
     grayscale with no temporal filtering, so static structure is
     preserved; the four orientation entries share one array instance.
 
-    Two float plane stacks are alive at a time: each plane's stack gives
-    its weak temporal response and is then added into the gray stack,
-    which is the r stack itself, and the b stack is written over the g
-    stack.  That is ((r + g) + b) / 3.0, the arithmetic of
-    ``to_intensity`` frame by frame, in the same order.
+    One float plane stack is alive at a time.  It holds in turn the r, g
+    and b frames for their weak temporal responses, then the gray frames,
+    each written as ((r + g) + b) / 3.0, the arithmetic of
+    ``to_intensity`` in the same order, for the strong one.  The newest
+    gray frame is copied for the orientation channels and the stack is
+    freed before the opponency maps are made.
     """
-    gray = history.plane_stack("r")  # the gray accumulator once it is read
-    planes = [apply_temporal(weak, gray)]
-    stack = np.empty_like(gray)  # the g stack, then the b stack
+    stack = history.plane_stack("r")
+    planes = [apply_temporal(weak, stack)]
     for name in ("g", "b"):
         planes.append(apply_temporal(weak, history.fill_plane_stack(name, stack)))
-        gray += stack
-    del stack  # freed before the opponency temporaries
-    gray /= 3.0
-    channels = {ChannelId.INTENSITY: apply_temporal(strong, gray)}
+    for t, layer in enumerate(stack):
+        frame = history.frame_at(t)
+        np.add(frame.r, frame.g, out=layer, dtype=np.float64)
+        layer += frame.b
+    stack /= 3.0
+    channels = {ChannelId.INTENSITY: apply_temporal(strong, stack)}
+    gray = stack[0].copy()
+    del stack, layer  # the stack, freed before the opponency temporaries
     channels.update(color_opponency(*planes))
-    # the newest gray frame, copied so the stack is freed before grouping
-    channels.update(dict.fromkeys(ORIENTATION_CHANNELS, gray[0].copy()))
+    channels.update(dict.fromkeys(ORIENTATION_CHANNELS, gray))
     return channels

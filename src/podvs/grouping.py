@@ -28,9 +28,11 @@ All are float64 except the masks, which are boolean.
 works in place where the hardware does.  Every stage takes one level but
 P5, the across-level sum.  P3 keeps, per level, the level's shared form
 (below) and its P4 input: (ON, OFF), or the shared form of their sum
-(below).  P4-P7 then run once per block of orientations.  P4 fills one
-von Mises stack per level and P5 sums each series into it, level by
-level (``von_mises_sum``).  P6 forms each orientation's edge from the
+(below), and then drops the pyramid, which a caller can hand over
+(``grouping_pyramid``): from P4 on the shared path holds no level.
+P4-P7 then run once per block of orientations.  P4 fills one von Mises
+stack per level and P5 sums each series into it, level by level
+(``von_mises_sum``).  P6 forms each orientation's edge from the
 level's shared form just before reading it, so one edge map is alive at
 a time, and writes ownership over the stack's first polarity
 (``border_ownership``).  P7 then runs level by level: it adds the
@@ -44,12 +46,13 @@ would outlive level 0's P7 (30.0x the pyramid's bytes against 27.6x in
 fixed point at 112x84).  Each orientation's ownership pair is computed
 on its own, and P7's totals add theta then side in any partition, so
 every block size gives the same bits.  The shared path's blocks hold one
-orientation and its stacks 2 series a level, not 8: a warm gray 640x480
-step peaks at 20.9 maps of the frame's size, where one block of four
-peaked at 29.3.  The general path's one block of four keeps arrays the
-reduced modes' heap reuses from frame to frame; blocks of one free and
-remake them four times a channel, and at 112x84 the pages that glibc
-trims between them are faulted back in several times as often.
+orientation and its stacks 2 series a level, not 8: that took a warm
+gray 640x480 step's peak from 29.3 maps of the frame's size to 20.9.
+It is 16.6 now, in P5's stack for level 0 (``tools/peaks.py`` prints
+the peak of each stage).  The general path's one block of four keeps
+arrays the reduced modes' heap reuses from frame to frame; blocks of one
+free and remake them four times a channel, and at 112x84 the pages that
+glibc trims between them are faulted back in several times as often.
 
 All 2-D correlations use zero padding, matching hardware that reads
 absent neighbors as zero.  A map's DC level therefore turns into a band
@@ -193,10 +196,13 @@ def _kernel_spectrum(kernel, fft_shape) -> np.ndarray:
 
 def _spectral_product(map_, kernel, fft_shape) -> np.ndarray:
     """The spectrum of ``map_`` (shared if it is a ``_Spectrum``) times
-    that of ``kernel``, in that order (see the module docstring)."""
+    that of ``kernel``, in that order (see the module docstring).  A
+    spectrum made here is the call's own, and the product is written over
+    it, in the same bits."""
     if not isinstance(map_, _Spectrum):
-        map_ = _Spectrum(map_, fft_shape)
-    elif map_.fft_shape != fft_shape:
+        values = rfft2(map_, fft_shape)
+        return np.multiply(values, _kernel_spectrum(kernel, fft_shape), out=values)
+    if map_.fft_shape != fft_shape:
         raise DimensionError(f"spectrum padded to {map_.fft_shape}, correlation needs {fft_shape}")
     return np.multiply(map_.values, _kernel_spectrum(kernel, fft_shape))
 
@@ -252,9 +258,10 @@ class FloatArith:
     where ``oriented`` marks the gray input of the orientation channels,
     and ``finish``) and supplies the chain's arithmetic: ``share`` of a
     map among the kernels that meet it, ``correlate`` (zero-padded),
-    ``magnitude`` sqrt(e^2 + o^2), ``modulate`` (the border-ownership
-    product), ``halve`` n times, and ``clip`` of a stage result into
-    range.  P7's unit-weight inhibition is a plain subtraction.
+    ``magnitude`` sqrt(e^2 + o^2) of two fresh correlations, which it may
+    write over, ``modulate`` (the border-ownership product), ``halve`` n
+    times, and ``clip`` of a stage result into range.  P7's unit-weight
+    inhibition is a plain subtraction.
     """
 
     def ingest(self, map_, oriented: bool):
@@ -275,7 +282,11 @@ class FloatArith:
         return correlate(map_, kernel)
 
     def magnitude(self, even, odd):
-        return np.sqrt(even * even + odd * odd)
+        # written over the two fresh correlations, in the operations' order
+        even *= even
+        odd *= odd
+        even += odd
+        return np.sqrt(even, out=even)
 
     def modulate(self, edge, evidence):
         return edge * evidence
@@ -468,7 +479,7 @@ def _grouping_map(total, shape, size: int, arith) -> np.ndarray:
     return _rect(arith.clip(total))
 
 
-def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
+def grouping_pyramid(channel_pyr: ImagePyramid | list, banks: GroupingBanks, arith):
     """Full grouping chain for one channel's pyramid.
 
     The pyramid and the banks hold numbers in the backend's format (raw
@@ -480,9 +491,21 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
     block (see the module docstring).  P5 reads the levels through the
     pyramid's ``axis`` (``von_mises_sum``); its weights, and the banks'
     von Mises taps, are non-negative, as the shared path needs.
+
+    After P3 the chain reads only the shared forms, the P4 inputs and the
+    levels' shapes, and drops its reference to the pyramid.  A caller
+    that keeps no reference of its own hands the pyramid over in a
+    one-element list, which the chain empties: a call's arguments stay
+    referenced until it returns (by the caller's frame, on Python 3.10),
+    but the list's item does not.  The shared path then holds no level
+    from P4 on.
     """
+    if isinstance(channel_pyr, list):
+        channel_pyr = channel_pyr.pop()
     size = banks.size
     spectral = _shares_spectra(arith, size)
+    axis = channel_pyr.axis
+    shapes = [level.shape for level in channel_pyr.levels]
     shared, inputs = [], []
     for level in channel_pyr.levels:
         # the level's shared form, for its center-surround kernel now and
@@ -490,7 +513,7 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
         shared.append(arith.share(level, size))
         on, off = center_surround(shared[-1], banks, arith)
         inputs.append((arith.share(on + off, size),) if spectral else (on, off))
-    del on, off
+    del channel_pyr, level, on, off
     thetas = range(len(THETAS))
     blocks = [thetas[ti : ti + 1] for ti in thetas] if spectral else [thetas]
     totals = [0.0] * len(shared)
@@ -501,7 +524,7 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
             inputs.clear()
         for idx in np.ndindex(vm[0].shape[:3]):
             # one (theta, side, polarity) series, summed across levels in place
-            von_mises_sum([v[idx] for v in vm], channel_pyr.axis, arith)
+            von_mises_sum([v[idx] for v in vm], axis, arith)
         pairs = banks.p3[2 * block.start : 2 * block.stop]
         bo = [border_ownership(s, pairs, v, arith) for s, v in zip(shared, vm)]  # over vm
         del vm
@@ -511,5 +534,4 @@ def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith):
             level = bo.pop(0)  # the level's stack, freed after its P7
             totals[lvl] = grouping_activity(bo_masks(level), level, vm_banks, arith, totals[lvl])
         del level
-    return [_grouping_map(total, level.shape, size, arith)
-            for total, level in zip(totals, channel_pyr.levels)]
+    return [_grouping_map(total, shape, size, arith) for total, shape in zip(totals, shapes)]

@@ -91,40 +91,40 @@ def normalize_n2(map_: np.ndarray) -> np.ndarray:
     return normalize_n1(rescale_to_range(map_))
 
 
-def fuse(grouping_pyramids: dict) -> np.ndarray:
-    """Conspicuity formation and linear fusion into one saliency map.
+def conspicuity(levels) -> np.ndarray:
+    """One channel's normalized conspicuity map from its grouping levels,
+    finest first: N1 on every level, collapse to level 0's resolution, N2.
 
-    Per channel: N1 on every pyramid level, collapse to the base
-    resolution, N2 on the conspicuity map; the nine results are summed
-    in fixed channel order and the final map rescaled to [0, 1].
-    Channels that share one pyramid object share one conspicuity map,
-    still added once per channel: the orientation channels.  A pyramid
-    with no non-zero pixel on any level (in every mode, the opponency
-    channels of a gray frame) normalizes to zeros without the work: N1
-    scales each level by (0 - 0)**2, and N2's rescale maps a constant
-    conspicuity map to zeros.  So ``Pipeline.step`` in reference mode,
-    which does not group an all-zero map, passes one one-level pyramid of
-    zeros for every such channel.  The output has level 0's shape, the frame's,
-    which every pyramid must share.
+    N(.) normalizes each channel on its own, so ``Pipeline.step`` forms a
+    channel's map as soon as that channel is grouped and drops its levels.
+    Levels with no non-zero pixel (in every mode, the opponency channels
+    of a gray frame) normalize to zeros without the work: N1 scales each
+    level by (0 - 0)**2, and N2's rescale maps a constant conspicuity map
+    to zeros.  They get one read-only broadcast zero of level 0's shape.
     """
-    if set(grouping_pyramids) != set(ChannelId):
-        missing = set(ChannelId) - set(grouping_pyramids)
+    shape = levels[0].shape
+    if not any(level.any() for level in levels):
+        return np.broadcast_to(0.0, shape)
+    return normalize_n2(collapse([normalize_n1(level) for level in levels], *shape))
+
+
+def fuse(conspicuity_maps: dict) -> np.ndarray:
+    """Linear fusion of the nine channels' conspicuity maps into one
+    saliency map.
+
+    The maps (``conspicuity``) are summed in ``ChannelId`` order and the
+    sum rescaled to [0, 1].  A map that several channels share is added
+    once per channel: the orientation channels share one, so orientation
+    weighs 4.  The output has the maps' shape, the frame's, which every
+    map must share.
+    """
+    if set(conspicuity_maps) != set(ChannelId):
+        missing = set(ChannelId) - set(conspicuity_maps)
         raise DimensionError(f"missing channels: {sorted(c.value for c in missing)}")
-    shapes = {pyramid[0].shape for pyramid in grouping_pyramids.values()}
+    shapes = {map_.shape for map_ in conspicuity_maps.values()}
     if len(shapes) != 1:
-        raise DimensionError(f"pyramids disagree on their level-0 shape: {sorted(shapes)}")
-    (shape,) = shapes
-    total = np.zeros(shape)
-    done = []  # (pyramid, normalized conspicuity map) pairs
+        raise DimensionError(f"conspicuity maps disagree on their shape: {sorted(shapes)}")
+    total = np.zeros(*shapes)
     for cid in ChannelId:
-        pyramid = grouping_pyramids[cid]
-        normalized = next((m for p, m in done if p is pyramid), None)
-        if normalized is None:
-            if any(level.any() for level in pyramid):
-                conspicuity = collapse([normalize_n1(level) for level in pyramid], *shape)
-                normalized = normalize_n2(conspicuity)
-            else:
-                normalized = np.zeros(shape)
-            done.append((pyramid, normalized))
-        total += normalized
+        total += conspicuity_maps[cid]
     return rescale_to_range(total)

@@ -6,13 +6,16 @@ channel extraction is pure.  The nine channels have six distinct inputs
 most once, serially, in the instance's ``arith`` backend: float64 here,
 fixed point in ``hwmodel.HwPipeline``.  The mode's pyramid carries its
 resampler into the grouping chain (``build_channel_pyramid``), which
-inhibits with unit weight.  A zero map groups to +0.0 on every level,
-on both paths of the chain, so reference mode skips inputs with no
+inhibits with unit weight.  Each channel map is handed to the chain with
+its pyramid (``Pipeline._grouping``), so the shared path frees both after
+P3, and each grouped channel becomes its conspicuity map
+(``normalize.conspicuity``) at once, so its grouping levels are freed
+before the next channel is grouped; ``fuse`` then sums the nine maps.  A
+zero map groups to +0.0 on every level, on both paths of the chain, and
+its conspicuity map is zero, so reference mode skips inputs with no
 non-zero pixel, such as the colour-opponency maps of a gray frame: it
-frees them before it groups any map, and every one of them shares one
-one-level pyramid of zeros.  In every mode ``fuse`` turns a pyramid of
-zeros into a zero conspicuity map without normalizing it, once for a
-shared pyramid.  The reduced modes group every input while the
+frees them before it groups any map, and every one of them reads one
+read-only broadcast zero.  The reduced modes group every input while the
 benchmark's tests pin their correlation counts.
 """
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .config import EngineConfig, FrameHistory, FrameRGB, Resolution, validate_f
 from .errors import DimensionError
 from .grouping import FLOAT, grouping_pyramid
 from .kernels import build_banks
-from .normalize import fuse
+from .normalize import conspicuity, fuse
 from .pyramid import REFERENCE_DEPTH, ImagePyramid, build_hw_pyramid, build_reference_pyramid
 from .pyramid import bilinear_resize  # noqa: F401  (bench/tests reads pipeline.bilinear_resize)
 from .temporal import STRONGLY_PHASIC, WEAKLY_PHASIC, make_kernel
@@ -58,9 +61,16 @@ class Pipeline:
         self.history = FrameHistory()
         self.arith = FLOAT
 
-    def _grouping(self, channel_map: np.ndarray, oriented: bool):
-        pyr = build_channel_pyramid(self.arith.ingest(channel_map, oriented), self.cfg)
-        levels = grouping_pyramid(pyr, self.banks, self.arith)
+    def _grouping(self, channels: dict, cid: ChannelId) -> list:
+        """The finished grouping levels of ``channels[cid]``, which is popped.
+
+        The map's pyramid is handed to ``grouping_pyramid`` in a list that
+        the chain empties, so no frame here holds the map or its pyramid
+        once the shared path has dropped them after P3.
+        """
+        oriented = cid in ORIENTATION_CHANNELS
+        handed = [build_channel_pyramid(self.arith.ingest(channels.pop(cid), oriented), self.cfg)]
+        levels = grouping_pyramid(handed, self.banks, self.arith)
         return [self.arith.finish(level) for level in levels]
 
     def step(self, frame: FrameRGB) -> np.ndarray:
@@ -70,21 +80,18 @@ class Pipeline:
         channels = extract_all(self.history, self.kernel_strong, self.kernel_weak)
         for cid in ORIENTATION_CHANNELS[1:]:
             del channels[cid]  # the same gray array as O_0's
-        grouped = {}
+        maps = {}
         # reference mode only: bench tests pin the reduced modes' correlate calls
         if self.cfg.resolution is Resolution.REFERENCE:
-            zero = [cid for cid, map_ in channels.items() if not map_.any()]
-            if zero:
-                # fuse reads no level of a zero pyramid: one serves them all
-                pyramid = [np.zeros(channels[zero[0]].shape)]
-                for cid in zero:
-                    del channels[cid]
-                    grouped[cid] = pyramid
+            zero = np.broadcast_to(0.0, (frame.height, frame.width))
+            for cid in [cid for cid, map_ in channels.items() if not map_.any()]:
+                del channels[cid]
+                maps[cid] = zero  # the conspicuity map of a zero map
         for cid in list(channels):
-            map_ = channels.pop(cid)  # popped, so each map is freed once it is grouped
-            grouped[cid] = self._grouping(map_, cid in ORIENTATION_CHANNELS)
-        grouped.update(dict.fromkeys(ORIENTATION_CHANNELS, grouped[ChannelId.O_0]))
-        return fuse(grouped)
+            # formed as soon as the channel is grouped, so its levels are freed
+            maps[cid] = conspicuity(self._grouping(channels, cid))
+        maps.update(dict.fromkeys(ORIENTATION_CHANNELS, maps[ChannelId.O_0]))
+        return fuse(maps)
 
 
 def run_sequence(frames, engine: Pipeline):

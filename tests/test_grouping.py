@@ -12,6 +12,7 @@ import scipy.fft
 from scipy import ndimage
 
 from podvs import grouping
+from podvs.channels import ChannelId
 from podvs.config import EngineConfig, Resolution
 from podvs.errors import DimensionError
 from podvs.grouping import (
@@ -765,9 +766,10 @@ class TestGroupingPyramid:
         # are boolean, P6 forms one orientation's edges at a time, and
         # P4-P7 run one orientation at a time, so a call holds one
         # orientation's von Mises stack and no second same-size stack
-        # beside it (8.97x the pyramid's bytes measured; 13.1x with every
-        # orientation's stack alive from P4 to P7, 15.0x with every
-        # level's edges also formed before P5)
+        # beside it (8.25x the pyramid's bytes measured; 8.97x with the
+        # float edge magnitudes and P7's spectral products not formed in
+        # place, 13.1x with every orientation's stack alive from P4 to P7
+        # as well, 15.0x with every level's edges also formed before P5)
         assert peaks.chain_peak(*peaks.chains()["reference"]) <= 10
 
     @pytest.mark.parametrize("chain", sorted(CHAINS) + ["5x5-shift-fixed"])
@@ -837,9 +839,9 @@ class TestGroupingPyramid:
     def test_fixed_chain_peak_memory(self):
         # every level's row stack stays alive until P6 forms its edges,
         # in place of the edges themselves; ON's is dropped before OFF's
-        # is made (27.61x the pyramid's bytes measured; 33.5x if the
+        # is made (27.60x the pyramid's bytes measured; 33.5x if the
         # shared forms outlive P6).  The float 5x5 chain, the general path
-        # that shares nothing, is bounded alike (20.55x; 23.2x if the P4
+        # that shares nothing, is bounded alike (20.57x; 23.2x if the P4
         # inputs outlive P4)
         chains = peaks.chains()
         for name, bound in (("fixed", 32), ("float 5x5", 22.5)):
@@ -874,6 +876,7 @@ class TestZeroMap:
         cfg = EngineConfig(resolution=resolution)
         pipe = engine(cfg)
         zero = np.zeros((cfg.height, cfg.width))
-        levels = pipe._grouping(zero, oriented)
+        cid = ChannelId.O_0 if oriented else ChannelId.INTENSITY
+        levels = pipe._grouping({cid: zero}, cid)
         shapes = [level.shape for level in build_channel_pyramid(zero, cfg).levels]
         assert_positive_zeros(levels, shapes)

@@ -5,6 +5,7 @@ from podvs import normalize
 from podvs.channels import ChannelId
 from podvs.errors import DimensionError
 from podvs.normalize import (
+    conspicuity,
     fuse,
     local_maxima,
     normalize_n1,
@@ -104,6 +105,11 @@ class TestN2:
         assert scaled.max() == pytest.approx(1.0)
 
 
+def fuse_pyramids(pyramids: dict):
+    """``fuse`` of each channel's ``conspicuity`` map, as ``Pipeline.step`` forms them."""
+    return fuse({cid: conspicuity(levels) for cid, levels in pyramids.items()})
+
+
 class TestFuse:
     def _pyramids(self, cfg, fill):
         shapes = [(cfg.height, cfg.width), (60, 80), (44, 56)]
@@ -113,7 +119,7 @@ class TestFuse:
         }
 
     def test_all_zero_channels_zero_map(self, hw112_cfg):
-        out = fuse(self._pyramids(hw112_cfg, 0.0))
+        out = fuse_pyramids(self._pyramids(hw112_cfg, 0.0))
         assert out.shape == (84, 112)
         assert np.all(out == 0.0)
 
@@ -121,21 +127,21 @@ class TestFuse:
         pyrs = self._pyramids(hw112_cfg, 0.0)
         del pyrs[ChannelId.RG]
         with pytest.raises(DimensionError):
-            fuse(pyrs)
+            fuse_pyramids(pyrs)
 
     def test_level_0_sizes_that_differ_rejected(self, hw112_cfg):
         # the output is level 0's size, the frame's, which every pyramid shares
         pyrs = self._pyramids(hw112_cfg, 1.0)
         pyrs[ChannelId.BY] = [np.ones((60, 80)), np.ones((44, 56))]
-        with pytest.raises(DimensionError, match=r"level-0 shape: \[\(60, 80\), \(84, 112\)\]"):
-            fuse(pyrs)
+        with pytest.raises(DimensionError, match=r"shape: \[\(60, 80\), \(84, 112\)\]"):
+            fuse_pyramids(pyrs)
 
     def test_single_active_channel(self, hw112_cfg):
         pyrs = self._pyramids(hw112_cfg, 0.0)
         peaked = np.zeros((84, 112))
         peaked[40, 50] = 3.0
         pyrs[ChannelId.INTENSITY] = [peaked, np.zeros((60, 80)), np.zeros((44, 56))]
-        out = fuse(pyrs)
+        out = fuse_pyramids(pyrs)
         assert out.min() >= 0.0 and out.max() == pytest.approx(1.0)
         assert np.unravel_index(np.argmax(out), out.shape) == (40, 50)
 
@@ -149,7 +155,7 @@ class TestFuse:
             ]
             for cid in ChannelId
         }
-        out = fuse(pyrs)
+        out = fuse_pyramids(pyrs)
         assert out.min() >= 0.0
         assert out.max() <= 1.0
 
@@ -168,8 +174,8 @@ class TestFuse:
             cid: [lvl * (3.0 + i) for lvl in levels]
             for i, (cid, levels) in enumerate(base.items())
         }
-        a = fuse(base)
-        b = fuse(scaled)
+        a = fuse_pyramids(base)
+        b = fuse_pyramids(scaled)
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_zero_pyramids_skip_normalization_bit_identical(self, hw112_cfg, monkeypatch):
@@ -195,7 +201,7 @@ class TestFuse:
             return local_maxima(map_)
 
         monkeypatch.setattr(normalize, "local_maxima", recorded)
-        fused = fuse(pyrs)
+        fused = fuse_pyramids(pyrs)
         assert fused.tobytes() == expected.tobytes()
         # N1 on each level and N2 on the conspicuity map of the 5 non-zero channels
         assert len(searched) == 5 * (len(shapes) + 1)

@@ -1,5 +1,6 @@
 """Pipeline and HwPipeline: one grouping chain in two arithmetics."""
 import importlib.util
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ from podvs.config import EngineConfig, Resolution
 from podvs.errors import ConfigError, DimensionError
 from podvs.hwmodel import HwPipeline
 from podvs.metrics import pcc
-from podvs.normalize import fuse
+from podvs.normalize import conspicuity, fuse
 from podvs.pipeline import Pipeline, run_sequence
 
 ENGINES = {"float": Pipeline, "fixed": HwPipeline}
@@ -123,12 +124,14 @@ class TestFuseSharedPyramid:
         def pyramid():
             return [rng.random(shape) ** 4 for shape in shapes]
 
-        shared = {cid: pyramid() for cid in ChannelId if cid not in ORIENTATION_CHANNELS}
+        shared = {cid: conspicuity(pyramid()) for cid in ChannelId
+                  if cid not in ORIENTATION_CHANNELS}
         copies = dict(shared)
         gray = pyramid()
+        gray_map = conspicuity(gray)  # one map for the four channels, as in step
         for cid in ORIENTATION_CHANNELS:
-            shared[cid] = gray
-            copies[cid] = [level.copy() for level in gray]
+            shared[cid] = gray_map
+            copies[cid] = conspicuity([level.copy() for level in gray])
         np.testing.assert_array_equal(fuse(shared), fuse(copies))
 
 
@@ -163,25 +166,25 @@ class TestZeroChannelSkip:
         engine = Pipeline(cfg)
         engine.history.push(frame)
         channels = extract_all(engine.history, engine.kernel_strong, engine.kernel_weak)
-        gray = engine._grouping(channels[ChannelId.O_0], True)
-        grouped = {cid: gray if cid in ORIENTATION_CHANNELS else engine._grouping(map_, False)
-                   for cid, map_ in channels.items()}
+        gray = conspicuity(engine._grouping(channels, ChannelId.O_0))
+        maps = {cid: gray if cid in ORIENTATION_CHANNELS
+                else conspicuity(engine._grouping(channels, cid)) for cid in ChannelId}
         assert len(calls) == nonzero + 6
-        assert fused.tobytes() == fuse(grouped).tobytes()
+        assert fused.tobytes() == fuse(maps).tobytes()
 
 
 #: Bound on the traced peak of a warm 640x480 reference step of the gray
-#: ``drifting_bar``, in 640x480 float64 maps: 20.9 measured (51.4 MB).
-#: Grouping level by level, with every orientation's von Mises stack
-#: alive from P4 to P7, peaked at 29.3 (72.0 MB); the chain that also
-#: held the three colour plane stacks together, formed every level's
-#: edges before P5 and kept each zero map until fusion peaked at 38.6
-#: (94.9 MB).
-REFERENCE_STEP_PEAK_MAPS = 24
+#: ``drifting_bar``, in 640x480 float64 maps: 16.6 measured (40.7 MB), in
+#: P5's level-0 stack.  The chain that held the channel pyramid through
+#: P7, two plane stacks through the opponency maps, a frame-sized zero
+#: map and each grouped pyramid until fusion peaked at 20.9 (51.4 MB);
+#: with every orientation's von Mises stack alive from P4 to P7 as well,
+#: at 29.3 (72.0 MB).
+REFERENCE_STEP_PEAK_MAPS = 18
 #: The same bound for a frame of ``six_map_clip``, which groups all six
-#: distinct channel maps: 27.9 measured (68.6 MB), 36.3 (89.2 MB) level
-#: by level.  No benchmark workload groups six maps.
-SIX_MAP_STEP_PEAK_MAPS = 31
+#: distinct channel maps: 20.6 measured (50.6 MB), 27.9 (68.6 MB) with
+#: the holds above.  No benchmark workload groups six maps.
+SIX_MAP_STEP_PEAK_MAPS = 22
 
 SPEC = importlib.util.spec_from_file_location(
     "peaks", Path(__file__).resolve().parent.parent / "tools" / "peaks.py")
@@ -193,6 +196,14 @@ class TestPeakMemory:
     def test_reference_step_holds_no_array_it_has_stopped_reading(self):
         frames = synth.drifting_bar_video(640, 480, frames=2)
         assert peaks.warm_step_peak(frames) <= REFERENCE_STEP_PEAK_MAPS * peaks.MAP_640_BYTES
+
+    def test_stage_peaks_cover_the_step(self):
+        # the stages of tools/peaks.py span the whole step, so the largest
+        # stage peak is the step's own
+        frames = synth.drifting_bar_video(640, 480, frames=2)
+        stages = peaks.stage_peaks(frames)
+        assert list(stages) == [stage for stage, _, _ in peaks.STAGE_STARTS]
+        assert max(stages.values()) == pytest.approx(peaks.warm_step_peak(frames), rel=1e-3)
 
     def test_six_map_reference_step(self, monkeypatch):
         frames = peaks.six_map_clip(640, 480, 2)
@@ -207,6 +218,44 @@ class TestPeakMemory:
         peak = peaks.warm_step_peak(frames)
         assert len(calls) == 12  # six maps a frame, none skipped
         assert peak <= SIX_MAP_STEP_PEAK_MAPS * peaks.MAP_640_BYTES
+
+
+class TestHandedOnArrays:
+    """Arrays a stage has handed on are freed by the next stage: weak
+    references to them are dead by then."""
+
+    def test_plane_stack_and_channel_pyramid_are_freed(self, monkeypatch):
+        from podvs import channels, config, grouping
+        stacks, levels, checked = [], [], []
+
+        def watched(fn, refs):
+            def made(*args):
+                out = fn(*args)
+                refs.extend(weakref.ref(a) for a in getattr(out, "levels", (out,)))
+                return out
+            return made
+
+        def freed_before(fn, refs, name):
+            def runs(*args):
+                assert not [ref for ref in refs if ref() is not None], name
+                checked.append(name)
+                return fn(*args)
+            return runs
+
+        monkeypatch.setattr(config.FrameHistory, "plane_stack",
+                            watched(config.FrameHistory.plane_stack, stacks))
+        monkeypatch.setattr(channels, "color_opponency",
+                            freed_before(channels.color_opponency, stacks, "opponency"))
+        monkeypatch.setattr(pipeline, "build_channel_pyramid",
+                            watched(pipeline.build_channel_pyramid, levels))
+        monkeypatch.setattr(grouping, "von_mises_filter",
+                            freed_before(grouping.von_mises_filter, levels, "P4"))
+        Pipeline(EngineConfig(resolution=Resolution.REFERENCE)).step(
+            synth.drifting_bar_video(640, 480, frames=1)[0])
+        assert len(stacks) == 1
+        assert len(levels) == 2 * 10  # the gray frame's two maps, at depth 10
+        # P4 runs once per orientation and level on each of the two maps
+        assert checked == ["opponency"] + ["P4"] * 2 * 4 * 10
 
 
 class TestFidelityGate:

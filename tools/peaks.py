@@ -9,10 +9,12 @@ groups, then those of a warm 640x480 reference step of ``drifting_bar``,
 whose gray frame groups 2 maps, and of ``six_map_clip``, which groups 6,
 in float64 maps of the frame's size.  A call or step is warm when the
 same call, or the clip's first frame, has filled the process-wide
-operator caches (and the frame history) before tracing starts.  The
-peaks count Python-allocated bytes only, so they hold on any machine
-with the same numpy and scipy builds; the two steps take about 3 s a
-frame.  The program runs from this checkout's src/.
+operator caches (and the frame history) before tracing starts.  Then it
+prints the peak of each stage of those two steps (``stage_peaks``), so
+the stage that holds a step's peak can be read off.  The peaks count
+Python-allocated bytes only, so they hold on any machine with the same
+numpy and scipy builds; each step takes about 3 s a frame, and the whole
+program about 20 s.  The program runs from this checkout's src/.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import numpy as np  # noqa: E402
 
-from podvs import EngineConfig, HwPipeline, Pipeline, Resolution, synth  # noqa: E402
+from podvs import EngineConfig, HwPipeline, Pipeline, Resolution, grouping, synth  # noqa: E402
+from podvs import pipeline  # noqa: E402
 from podvs.grouping import FLOAT, grouping_pyramid  # noqa: E402
 from podvs.hwmodel import FixedArith  # noqa: E402
 from podvs.kernels import build_banks  # noqa: E402
@@ -78,6 +81,58 @@ def warm_step_peak(frames) -> int:
     return traced_peak(engine.step, frames[1])
 
 
+#: The stages of a reference step, each with the function whose call
+#: starts it, in the order a channel runs them.  A stage lasts until the
+#: next one starts, so together they cover the step: ``pyramid`` is P2,
+#: ``P3`` runs from the ``grouping_pyramid`` call to the first P4, and
+#: ``fusion`` covers each channel's conspicuity map and the final sum.
+STAGE_STARTS = (
+    ("extract_all", pipeline, "extract_all"),
+    ("pyramid", pipeline, "build_channel_pyramid"),
+    ("P3", pipeline, "grouping_pyramid"),
+    ("P4", grouping, "von_mises_filter"),
+    ("P5", grouping, "von_mises_sum"),
+    ("P6", grouping, "border_ownership"),
+    ("P7", grouping, "bo_masks"),
+    ("fusion", pipeline, "conspicuity"),
+)
+
+
+def stage_peaks(frames) -> dict:
+    """Traced peak bytes of each stage (``STAGE_STARTS``) of the step of
+    ``warm_step_peak``; the largest is the step's peak."""
+    engine = Pipeline(EngineConfig(resolution=Resolution.REFERENCE))
+    engine.step(frames[0])
+    peaks = dict.fromkeys([stage for stage, _, _ in STAGE_STARTS], 0)
+    current = None
+
+    def fold():
+        if current is not None:
+            peaks[current] = max(peaks[current], tracemalloc.get_traced_memory()[1])
+
+    def starting(stage, fn):
+        def run(*args):
+            nonlocal current
+            fold()
+            tracemalloc.reset_peak()
+            current = stage
+            return fn(*args)
+        return run
+
+    originals = [(module, name, getattr(module, name)) for _, module, name in STAGE_STARTS]
+    tracemalloc.start()
+    try:
+        for stage, module, name in STAGE_STARTS:
+            setattr(module, name, starting(stage, getattr(module, name)))
+        engine.step(frames[1])
+        fold()
+        return peaks
+    finally:
+        tracemalloc.stop()
+        for module, name, fn in originals:
+            setattr(module, name, fn)
+
+
 def main() -> None:
     for name, chain in chains().items():
         print(f"{name} chain: {chain_peak(*chain):.2f}x its pyramid's bytes")
@@ -85,6 +140,10 @@ def main() -> None:
              "six-map `six_map_clip`": six_map_clip(640, 480, 2)}
     for name, frames in steps.items():
         print(f"warm 640x480 step, {name}: {warm_step_peak(frames) / MAP_640_BYTES:.2f} maps")
+    columns = [stage_peaks(frames) for frames in steps.values()]
+    print("stage peaks of the warm 640x480 steps, in maps: gray, six-map")
+    for stage, _, _ in STAGE_STARTS:
+        print(f"  {stage:<12}" + "".join(f"{col[stage] / MAP_640_BYTES:8.2f}" for col in columns))
 
 
 if __name__ == "__main__":
