@@ -26,13 +26,14 @@ All are float64 except the masks, which are boolean.
 
 ``grouping_pyramid`` is the one chain body for every backend, and it
 works in place where the hardware does.  Every stage takes one level but
-P5, the across-level sum.  P3 keeps, per level, the level's shared form
-(below) and its P4 input: (ON, OFF), or the shared form of their sum
-(below), and then drops the pyramid, which a caller can hand over
-(``grouping_pyramid``): from P4 on the shared path holds no level.
-P4-P7 then run once per block of orientations.  P4 fills one von Mises
-stack per level and P5 sums each series into it, level by level
-(``von_mises_sum``).  P6 forms each orientation's edge from the
+P5, the across-level sum.  P3 (``surround_levels``) keeps, per level,
+the level's shared form (below) and its P4 input: (ON, OFF), or the
+shared form of their sum (below).  On the shared path these hold no
+level, so a caller whose only reference to the pyramid is that call's
+argument holds no level from P4 on (``Pipeline._grouping``).  P4-P7
+(``group_levels``) then run once per block of orientations.  P4 fills
+one von Mises stack per level and P5 sums each series into it, level by
+level (``von_mises_sum``).  P6 forms each orientation's edge from the
 level's shared form just before reading it, so one edge map is alive at
 a time, and writes ownership over the stack's first polarity
 (``border_ownership``).  P7 then runs level by level: it adds the
@@ -71,7 +72,7 @@ agree up to rounding.  The FFT pads each axis of length n to a fast
 length of at least n + size // 2, the least that keeps the circular
 product's wrap-around out of the 'same' window (``_fft_shape``).
 
-Within one ``grouping_pyramid`` call a map that several kernels meet is
+Within one channel's chain a map that several kernels meet is
 shared among them in the form the backend's ``share`` makes of it: a
 level by its 8 edge kernels and the center-surround kernel, each von
 Mises input by the 8 von Mises kernels.  A level's form is made once,
@@ -133,6 +134,8 @@ and P7 a block's (b, 2, k, k) von Mises kernels.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage, sparse
@@ -231,7 +234,7 @@ def correlate(map_: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     size.
 
     On the FFT path the map may instead be a ``_Spectrum`` that the chain
-    shares (``FloatArith.share``): a level's, which ``grouping_pyramid``
+    shares (``FloatArith.share``): a level's, which ``surround_levels``
     keeps for P6, and its ON + OFF evidence's, kept for every orientation
     block's ``von_mises_filter``.  It is the spectrum the call would have
     made, and it meets the kernel's in the one map-first product
@@ -329,7 +332,7 @@ def von_mises_filter(polarities, vm, arith) -> np.ndarray:
     kernels ``vm``, (b, 2, k, k) [theta, side]: shape (b, 2, p, h, w)
     [theta, side (left, right), polarity] for the p maps of ``polarities``.
 
-    ``grouping_pyramid`` passes (ON, OFF), p = 2, on the general path and
+    ``group_levels`` passes (ON, OFF), p = 2, on the general path and
     the shared form of ON + OFF, p = 1, on the shared path, which
     ``border_ownership`` reads as their summed evidence (see the module
     docstring).  Each polarity is shared among the block's kernels in the
@@ -479,43 +482,53 @@ def _grouping_map(total, shape, size: int, arith) -> np.ndarray:
     return _rect(arith.clip(total))
 
 
-def grouping_pyramid(channel_pyr: ImagePyramid | list, banks: GroupingBanks, arith):
-    """Full grouping chain for one channel's pyramid.
+@dataclass
+class SurroundLevels:
+    """What P4-P7 read of a channel pyramid once P3 has run
+    (``surround_levels``): each level's shared form and P4 input, in two
+    lists that ``group_levels`` empties once it has read them, the
+    levels' shapes and the pyramid's resampler ``axis``."""
 
-    The pyramid and the banks hold numbers in the backend's format (raw
-    words for the fixed-point backend), as do the per-level grouping maps
-    it returns, finest first.  P3 keeps each level's shared form and its
-    P4 input; P4-P7 then run once per block of orientations, one block of
-    four on the general path and four of one on the shared path
-    (``_shares_spectra``), and P7's per-level totals carry from block to
-    block (see the module docstring).  P5 reads the levels through the
-    pyramid's ``axis`` (``von_mises_sum``); its weights, and the banks'
-    von Mises taps, are non-negative, as the shared path needs.
+    shared: list
+    inputs: list
+    shapes: list
+    axis: Callable
 
-    After P3 the chain reads only the shared forms, the P4 inputs and the
-    levels' shapes, and drops its reference to the pyramid.  A caller
-    that keeps no reference of its own hands the pyramid over in a
-    one-element list, which the chain empties: a call's arguments stay
-    referenced until it returns (by the caller's frame, on Python 3.10),
-    but the list's item does not.  The shared path then holds no level
-    from P4 on.
-    """
-    if isinstance(channel_pyr, list):
-        channel_pyr = channel_pyr.pop()
+
+def surround_levels(channel_pyr: ImagePyramid, banks: GroupingBanks, arith) -> SurroundLevels:
+    """P3 of one channel's pyramid: each level's shared form, for its
+    center-surround kernel now and its edge kernels in P6, and its P4
+    input, (ON, OFF) or the shared form of their sum (see the module
+    docstring).  On the shared path nothing returned holds a level, so a
+    pyramid that only this call's argument references is freed when it
+    returns."""
     size = banks.size
     spectral = _shares_spectra(arith, size)
-    axis = channel_pyr.axis
-    shapes = [level.shape for level in channel_pyr.levels]
     shared, inputs = [], []
     for level in channel_pyr.levels:
-        # the level's shared form, for its center-surround kernel now and
-        # its edge kernels in P6
         shared.append(arith.share(level, size))
         on, off = center_surround(shared[-1], banks, arith)
         inputs.append((arith.share(on + off, size),) if spectral else (on, off))
-    del channel_pyr, level, on, off
+    shapes = [level.shape for level in channel_pyr.levels]
+    return SurroundLevels(shared, inputs, shapes, channel_pyr.axis)
+
+
+def group_levels(surround: SurroundLevels, banks: GroupingBanks, arith) -> list:
+    """P4-P7 of one channel from its P3 output (``surround_levels``): the
+    per-level grouping maps, finest first.
+
+    P4-P7 run once per block of orientations, one block of four on the
+    general path and four of one on the shared path (``_shares_spectra``),
+    and P7's per-level totals carry from block to block (see the module
+    docstring).  The last block empties ``surround.inputs`` after its P4
+    and ``surround.shared`` after its P6.  P5 reads the levels through
+    ``surround.axis`` (``von_mises_sum``); its weights, and the banks' von
+    Mises taps, are non-negative, as the shared path needs.
+    """
+    size = banks.size
+    shared, inputs, shapes = surround.shared, surround.inputs, surround.shapes
     thetas = range(len(THETAS))
-    blocks = [thetas[ti : ti + 1] for ti in thetas] if spectral else [thetas]
+    blocks = [thetas[ti : ti + 1] for ti in thetas] if _shares_spectra(arith, size) else [thetas]
     totals = [0.0] * len(shared)
     for block in blocks:
         vm_banks = banks.vm[block.start : block.stop]
@@ -524,7 +537,7 @@ def grouping_pyramid(channel_pyr: ImagePyramid | list, banks: GroupingBanks, ari
             inputs.clear()
         for idx in np.ndindex(vm[0].shape[:3]):
             # one (theta, side, polarity) series, summed across levels in place
-            von_mises_sum([v[idx] for v in vm], axis, arith)
+            von_mises_sum([v[idx] for v in vm], surround.axis, arith)
         pairs = banks.p3[2 * block.start : 2 * block.stop]
         bo = [border_ownership(s, pairs, v, arith) for s, v in zip(shared, vm)]  # over vm
         del vm
@@ -535,3 +548,16 @@ def grouping_pyramid(channel_pyr: ImagePyramid | list, banks: GroupingBanks, ari
             totals[lvl] = grouping_activity(bo_masks(level), level, vm_banks, arith, totals[lvl])
         del level
     return [_grouping_map(total, shape, size, arith) for total, shape in zip(totals, shapes)]
+
+
+def grouping_pyramid(channel_pyr: ImagePyramid, banks: GroupingBanks, arith) -> list:
+    """Full grouping chain for one channel's pyramid: P3
+    (``surround_levels``), then P4-P7 (``group_levels``).
+
+    The pyramid and the banks hold numbers in the backend's format (raw
+    words for the fixed-point backend), as do the per-level grouping maps
+    it returns, finest first.  The pyramid stays referenced until this
+    call returns; ``Pipeline._grouping`` calls the two halves itself, so
+    that its pyramid is freed after P3.
+    """
+    return group_levels(surround_levels(channel_pyr, banks, arith), banks, arith)

@@ -6,9 +6,9 @@ channel extraction is pure.  The nine channels have six distinct inputs
 most once, serially, in the instance's ``arith`` backend: float64 here,
 fixed point in ``hwmodel.HwPipeline``.  The mode's pyramid carries its
 resampler into the grouping chain (``build_channel_pyramid``), which
-inhibits with unit weight.  Each channel map is handed to the chain with
-its pyramid (``Pipeline._grouping``), so the shared path frees both after
-P3, and each grouped channel becomes its conspicuity map
+inhibits with unit weight.  Each channel map and its pyramid are held only
+by P3's call (``Pipeline._grouping``), so the shared path frees both
+after P3, and each grouped channel becomes its conspicuity map
 (``normalize.conspicuity``) at once, so its grouping levels are freed
 before the next channel is grouped; ``fuse`` then sums the nine maps.  A
 zero map groups to +0.0 on every level, on both paths of the chain, and
@@ -27,7 +27,8 @@ import numpy as np
 from .channels import ORIENTATION_CHANNELS, ChannelId, extract_all
 from .config import EngineConfig, FrameHistory, FrameRGB, Resolution, validate_frame
 from .errors import DimensionError
-from .grouping import FLOAT, grouping_pyramid
+from .grouping import FLOAT, group_levels, surround_levels
+from .grouping import grouping_pyramid  # noqa: F401  (bench/tests reads pipeline.grouping_pyramid)
 from .kernels import build_banks
 from .normalize import conspicuity, fuse
 from .pyramid import REFERENCE_DEPTH, ImagePyramid, build_hw_pyramid, build_reference_pyramid
@@ -64,13 +65,15 @@ class Pipeline:
     def _grouping(self, channels: dict, cid: ChannelId) -> list:
         """The finished grouping levels of ``channels[cid]``, which is popped.
 
-        The map's pyramid is handed to ``grouping_pyramid`` in a list that
-        the chain empties, so no frame here holds the map or its pyramid
-        once the shared path has dropped them after P3.
+        The map's pyramid is only the argument of P3's call
+        (``surround_levels``), so it is freed when that call returns: the
+        shared path holds no level from P4 on.
         """
         oriented = cid in ORIENTATION_CHANNELS
-        handed = [build_channel_pyramid(self.arith.ingest(channels.pop(cid), oriented), self.cfg)]
-        levels = grouping_pyramid(handed, self.banks, self.arith)
+        surround = surround_levels(
+            build_channel_pyramid(self.arith.ingest(channels.pop(cid), oriented), self.cfg),
+            self.banks, self.arith)
+        levels = group_levels(surround, self.banks, self.arith)
         return [self.arith.finish(level) for level in levels]
 
     def step(self, frame: FrameRGB) -> np.ndarray:

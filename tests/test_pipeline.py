@@ -151,14 +151,14 @@ class TestZeroChannelSkip:
         make_frame, nonzero = ZERO_SKIP_FRAMES[clip]
         frame = make_frame()
         cfg = EngineConfig(resolution=Resolution.REFERENCE)
-        grouping_pyramid = pipeline.grouping_pyramid
+        surround_levels = pipeline.surround_levels
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(None)
-            return grouping_pyramid(*args, **kwargs)
+            return surround_levels(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "grouping_pyramid", counted)
+        monkeypatch.setattr(pipeline, "surround_levels", counted)
         fused = Pipeline(cfg).step(frame)
         assert len(calls) == nonzero
 
@@ -174,12 +174,13 @@ class TestZeroChannelSkip:
 
 
 #: Bound on the traced peak of a warm 640x480 reference step of the gray
-#: ``drifting_bar``, in 640x480 float64 maps: 16.6 measured (40.7 MB), in
-#: P5's level-0 stack.  The chain that held the channel pyramid through
-#: P7, two plane stacks through the opponency maps, a frame-sized zero
-#: map and each grouped pyramid until fusion peaked at 20.9 (51.4 MB);
-#: with every orientation's von Mises stack alive from P4 to P7 as well,
-#: at 29.3 (72.0 MB).
+#: ``drifting_bar``, in 640x480 float64 maps: 16.6 measured (40.7 MB;
+#: CPython 3.11, numpy 2.4, scipy 1.17), in P5's level-0 stack.  The
+#: chain that held the channel pyramid through P7, two plane stacks
+#: through the opponency maps, a frame-sized zero map and each grouped
+#: pyramid until fusion peaked at 20.9 (51.4 MB); with every
+#: orientation's von Mises stack alive from P4 to P7 as well, at 29.3
+#: (72.0 MB).
 REFERENCE_STEP_PEAK_MAPS = 18
 #: The same bound for a frame of ``six_map_clip``, which groups all six
 #: distinct channel maps: 20.6 measured (50.6 MB), 27.9 (68.6 MB) with
@@ -197,24 +198,16 @@ class TestPeakMemory:
         frames = synth.drifting_bar_video(640, 480, frames=2)
         assert peaks.warm_step_peak(frames) <= REFERENCE_STEP_PEAK_MAPS * peaks.MAP_640_BYTES
 
-    def test_stage_peaks_cover_the_step(self):
-        # the stages of tools/peaks.py span the whole step, so the largest
-        # stage peak is the step's own
-        frames = synth.drifting_bar_video(640, 480, frames=2)
-        stages = peaks.stage_peaks(frames)
-        assert list(stages) == [stage for stage, _, _ in peaks.STAGE_STARTS]
-        assert max(stages.values()) == pytest.approx(peaks.warm_step_peak(frames), rel=1e-3)
-
     def test_six_map_reference_step(self, monkeypatch):
         frames = peaks.six_map_clip(640, 480, 2)
-        grouping_pyramid = pipeline.grouping_pyramid
+        surround_levels = pipeline.surround_levels
         calls = []
 
         def counted(*args):
             calls.append(None)
-            return grouping_pyramid(*args)
+            return surround_levels(*args)
 
-        monkeypatch.setattr(pipeline, "grouping_pyramid", counted)
+        monkeypatch.setattr(pipeline, "surround_levels", counted)
         peak = peaks.warm_step_peak(frames)
         assert len(calls) == 12  # six maps a frame, none skipped
         assert peak <= SIX_MAP_STEP_PEAK_MAPS * peaks.MAP_640_BYTES

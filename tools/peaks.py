@@ -13,8 +13,8 @@ operator caches (and the frame history) before tracing starts.  Then it
 prints the peak of each stage of those two steps (``stage_peaks``), so
 the stage that holds a step's peak can be read off.  The peaks count
 Python-allocated bytes only, so they hold on any machine with the same
-numpy and scipy builds; each step takes about 3 s a frame, and the whole
-program about 20 s.  The program runs from this checkout's src/.
+numpy and scipy builds; the program takes about 10 s on a 2-core host
+and runs from this checkout's src/.
 """
 from __future__ import annotations
 
@@ -73,23 +73,16 @@ def chain_peak(pyr, banks, arith) -> float:
         level.nbytes for level in pyr.levels)
 
 
-def warm_step_peak(frames) -> int:
-    """Traced peak bytes of a reference step of frames[1], after frames[0]
-    has filled the operator caches and the history."""
-    engine = Pipeline(EngineConfig(resolution=Resolution.REFERENCE))
-    engine.step(frames[0])
-    return traced_peak(engine.step, frames[1])
-
-
 #: The stages of a reference step, each with the function whose call
 #: starts it, in the order a channel runs them.  A stage lasts until the
-#: next one starts, so together they cover the step: ``pyramid`` is P2,
-#: ``P3`` runs from the ``grouping_pyramid`` call to the first P4, and
-#: ``fusion`` covers each channel's conspicuity map and the final sum.
+#: next one starts, and the first from the step's start, so together they
+#: cover the step: ``pyramid`` is P2, ``P3`` runs from the
+#: ``surround_levels`` call to the first P4, and ``fusion`` covers each
+#: channel's conspicuity map and the final sum.
 STAGE_STARTS = (
     ("extract_all", pipeline, "extract_all"),
     ("pyramid", pipeline, "build_channel_pyramid"),
-    ("P3", pipeline, "grouping_pyramid"),
+    ("P3", pipeline, "surround_levels"),
     ("P4", grouping, "von_mises_filter"),
     ("P5", grouping, "von_mises_sum"),
     ("P6", grouping, "border_ownership"),
@@ -99,21 +92,18 @@ STAGE_STARTS = (
 
 
 def stage_peaks(frames) -> dict:
-    """Traced peak bytes of each stage (``STAGE_STARTS``) of the step of
-    ``warm_step_peak``; the largest is the step's peak."""
+    """Traced peak bytes of each stage (``STAGE_STARTS``) of a reference
+    step of frames[1], after frames[0] has filled the operator caches and
+    the history; the largest is the step's peak (``warm_step_peak``)."""
     engine = Pipeline(EngineConfig(resolution=Resolution.REFERENCE))
     engine.step(frames[0])
     peaks = dict.fromkeys([stage for stage, _, _ in STAGE_STARTS], 0)
-    current = None
-
-    def fold():
-        if current is not None:
-            peaks[current] = max(peaks[current], tracemalloc.get_traced_memory()[1])
+    current = STAGE_STARTS[0][0]
 
     def starting(stage, fn):
         def run(*args):
             nonlocal current
-            fold()
+            peaks[current] = max(peaks[current], tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             current = stage
             return fn(*args)
@@ -125,7 +115,7 @@ def stage_peaks(frames) -> dict:
         for stage, module, name in STAGE_STARTS:
             setattr(module, name, starting(stage, getattr(module, name)))
         engine.step(frames[1])
-        fold()
+        peaks[current] = max(peaks[current], tracemalloc.get_traced_memory()[1])
         return peaks
     finally:
         tracemalloc.stop()
@@ -133,17 +123,23 @@ def stage_peaks(frames) -> dict:
             setattr(module, name, fn)
 
 
+def warm_step_peak(frames) -> int:
+    """Traced peak bytes of the warm reference step of ``stage_peaks``."""
+    return max(stage_peaks(frames).values())
+
+
 def main() -> None:
     for name, chain in chains().items():
         print(f"{name} chain: {chain_peak(*chain):.2f}x its pyramid's bytes")
     steps = {"gray `drifting_bar`": synth.drifting_bar_video(640, 480, frames=2),
              "six-map `six_map_clip`": six_map_clip(640, 480, 2)}
-    for name, frames in steps.items():
-        print(f"warm 640x480 step, {name}: {warm_step_peak(frames) / MAP_640_BYTES:.2f} maps")
-    columns = [stage_peaks(frames) for frames in steps.values()]
+    columns = {name: stage_peaks(frames) for name, frames in steps.items()}
+    for name, col in columns.items():
+        print(f"warm 640x480 step, {name}: {max(col.values()) / MAP_640_BYTES:.2f} maps")
     print("stage peaks of the warm 640x480 steps, in maps: gray, six-map")
     for stage, _, _ in STAGE_STARTS:
-        print(f"  {stage:<12}" + "".join(f"{col[stage] / MAP_640_BYTES:8.2f}" for col in columns))
+        print(f"  {stage:<12}" + "".join(f"{col[stage] / MAP_640_BYTES:8.2f}"
+                                          for col in columns.values()))
 
 
 if __name__ == "__main__":
